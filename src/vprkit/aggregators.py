@@ -1,23 +1,25 @@
-"""Feature-map aggregation heads: projected adaptive pooling, AVG, GeM.
+"""Feature-map aggregation heads: Conv-AP, AVG, GeM, on whole batches.
 
-A feature map is a dense (h, w, c) array, interpreted as one c-dimensional
-descriptor per spatial cell. The main head projects channels with a 1x1
-convolution, average-pools onto a fixed (rows, cols) grid, flattens and
-L2-normalizes. Global average pooling is exactly the special case of a
-1x1 output grid with an identity projection.
-
-Backward passes are written out analytically (chain rule through the
-normalization, flatten, pooling and linear map) and are validated against
-central finite differences in the test suite.
+Every head maps an (N, h, w, c) batch of feature maps to (N, D) rows
+normalized by `embeddings.normalize_rows`. Conv-AP is a 1x1 convolution
+followed by adaptive average pooling onto a (rows, cols) grid; both are
+affine, so the head pools first and projects only the pooled cells, which
+equals project-then-pool. AVG is the 1x1-grid pooling path, so the
+identity-kernel 1x1-grid Conv-AP head equals it bit for bit. The head kind
+is resolved only through `HEADS`; single-map functions are batch-of-one
+calls into the same code. Analytic backward passes return parameter
+gradients summed over the batch, checked against finite differences in
+the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .embeddings import NORM_EPS, l2_normalize
+from .embeddings import normalize_rows
 
 GEM_MIN_POWER = 1e-3
 
@@ -70,26 +72,50 @@ class GemParams:
             raise ValueError(f"power must be finite and >= {GEM_MIN_POWER}")
 
 
-def _check_feature_map(fmap: np.ndarray) -> np.ndarray:
-    fmap = np.asarray(fmap, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise ValueError(f"feature map must be (h, w, c), got shape {fmap.shape}")
-    if not np.all(np.isfinite(fmap)):
+def _check_maps(fmaps: np.ndarray) -> np.ndarray:
+    fmaps = np.asarray(fmaps, dtype=np.float64)
+    if fmaps.ndim != 4:
+        raise ValueError(f"feature maps must be (N, h, w, c), got shape {fmaps.shape}")
+    if not np.all(np.isfinite(fmaps)):
         raise ValueError("feature map entries must be finite")
-    return fmap
+    return fmaps
+
+
+def _one_map(fmap: np.ndarray) -> np.ndarray:
+    """A single (h, w, c) map as a checked batch of one."""
+    return _check_maps(np.asarray(fmap)[None])
+
+
+def _normalize_backward(raw: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Chain (N, D) upstream gradients through z = y / ||y|| row by row."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != raw.shape:
+        raise ValueError(f"upstream has shape {upstream.shape}, expected {raw.shape}")
+    unit = normalize_rows(raw)
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    radial = np.sum(unit * upstream, axis=1, keepdims=True)
+    return (upstream - unit * radial) / norms
+
+
+def _project(params: ConvAPParams, x: np.ndarray) -> np.ndarray:
+    """The 1x1 convolution W @ x + bias over the last axis of x."""
+    if x.shape[-1] != params.in_channels:
+        raise ValueError(
+            f"feature depth {x.shape[-1]} != kernel input depth {params.in_channels}"
+        )
+    out = x.reshape(-1, params.in_channels) @ params.weight.T
+    if params.bias is not None:
+        out += params.bias
+    return out.reshape(x.shape[:-1] + (params.out_channels,))
 
 
 def conv1x1_forward(fmap: np.ndarray, params: ConvAPParams) -> np.ndarray:
-    """Project every spatial descriptor: out[i, j] = W @ fmap[i, j] + bias."""
-    fmap = _check_feature_map(fmap)
-    if fmap.shape[2] != params.in_channels:
-        raise ValueError(
-            f"feature depth {fmap.shape[2]} != kernel input depth {params.in_channels}"
-        )
-    out = fmap @ params.weight.T
-    if params.bias is not None:
-        out = out + params.bias
-    return out
+    """Project every spatial descriptor: out[i, j] = W @ fmap[i, j] + bias.
+
+    Conv-AP itself never projects the full map; this is the project-first
+    reference the pooled-first head is compared against.
+    """
+    return _project(params, _one_map(fmap)[0])
 
 
 def _bin_edges(extent: int, bins: int) -> list[int]:
@@ -98,30 +124,50 @@ def _bin_edges(extent: int, bins: int) -> list[int]:
     return [(i * extent) // bins for i in range(bins + 1)]
 
 
-def adaptive_avg_pool(fmap: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Average the map over an (rows x cols) partition of its spatial extent."""
-    fmap = _check_feature_map(fmap)
-    h, w, d = fmap.shape
+def _pool(fmaps: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Average (N, h, w, c) maps over a (rows x cols) partition: (N, rows, cols, c)."""
+    n, h, w, c = fmaps.shape
     if not (1 <= rows <= h and 1 <= cols <= w):
         raise ValueError(f"grid ({rows}, {cols}) larger than spatial dims ({h}, {w})")
     re = _bin_edges(h, rows)
     ce = _bin_edges(w, cols)
-    out = np.empty((rows, cols, d))
+    out = np.empty((n, rows, cols, c))
     for i in range(rows):
         for j in range(cols):
-            out[i, j] = fmap[re[i] : re[i + 1], ce[j] : ce[j + 1]].mean(axis=(0, 1))
+            out[:, i, j] = fmaps[:, re[i] : re[i + 1], ce[j] : ce[j + 1]].mean(axis=(1, 2))
     return out
 
 
+def adaptive_avg_pool(fmap: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Average the map over an (rows x cols) partition of its spatial extent."""
+    return _pool(_one_map(fmap), rows, cols)[0]
+
+
+def _conv_ap_forward(params: ConvAPParams, fmaps: np.ndarray) -> np.ndarray:
+    # Flatten order: row-major over the pooling grid, channels fastest.
+    cells = _project(params, _pool(fmaps, *params.grid))
+    return normalize_rows(cells.reshape(len(fmaps), -1))
+
+
+def _conv_ap_backward(params: ConvAPParams, fmaps: np.ndarray, upstream: np.ndarray):
+    """Summed parameter gradients, and d<upstream, rows> / d projected cells."""
+    pooled = _pool(fmaps, *params.grid)
+    cells = _project(params, pooled)
+    g_flat = _normalize_backward(cells.reshape(len(fmaps), -1), upstream)
+    g_flat = g_flat.reshape(-1, params.out_channels)
+    grads = {"weight": g_flat.T @ pooled.reshape(-1, params.in_channels)}
+    if params.bias is not None:
+        grads["bias"] = g_flat.sum(axis=0)
+    return grads, g_flat.reshape(cells.shape)
+
+
 def conv_ap_forward(fmap: np.ndarray, params: ConvAPParams) -> np.ndarray:
-    """Full head: project, pool, flatten, L2-normalize.
+    """Full head on one map: pool, project, flatten, L2-normalize.
 
     Output dimension is rows*cols*d. Flatten order is row-major over the
     pooling grid with channels fastest, and is stable across calls.
     """
-    rows, cols = params.grid
-    pooled = adaptive_avg_pool(conv1x1_forward(fmap, params), rows, cols)
-    return l2_normalize(pooled.ravel())
+    return _conv_ap_forward(params, _one_map(fmap))[0]
 
 
 @dataclass
@@ -135,46 +181,52 @@ def conv_ap_backward(
     fmap: np.ndarray, params: ConvAPParams, upstream: np.ndarray
 ) -> ConvApGradients:
     """Gradients of <upstream, conv_ap_forward(fmap)> w.r.t. weight, bias, fmap."""
-    fmap = _check_feature_map(fmap)
-    upstream = np.asarray(upstream, dtype=np.float64).ravel()
-    if upstream.shape != (params.descriptor_dim,):
-        raise ValueError(
-            f"upstream has shape {upstream.shape}, expected ({params.descriptor_dim},)"
-        )
-    rows, cols = params.grid
-    h, w, _ = fmap.shape
-
-    projected = conv1x1_forward(fmap, params)
-    pooled = adaptive_avg_pool(projected, rows, cols)
-    flat = pooled.ravel()
-    norm = float(np.linalg.norm(flat))
-    if norm <= NORM_EPS:
-        raise ValueError("zero-norm descriptor has no defined gradient")
-    unit = flat / norm
-
-    # Through z = y/||y||:  dy = (u - z (z.u)) / ||y||
-    g_flat = (upstream - unit * float(unit @ upstream)) / norm
-    g_pooled = g_flat.reshape(pooled.shape)
+    grads, g_cells = _conv_ap_backward(params, _one_map(fmap), np.reshape(upstream, (1, -1)))
 
     # Through pooling: each input cell feeds exactly one bin, scaled by 1/bin size.
+    g_pooled = g_cells[0] @ params.weight
+    h, w = np.shape(fmap)[:2]
+    rows, cols = params.grid
     re = _bin_edges(h, rows)
     ce = _bin_edges(w, cols)
-    g_proj = np.empty_like(projected)
+    g_features = np.empty((h, w, params.in_channels))
     for i in range(rows):
         for j in range(cols):
             size = (re[i + 1] - re[i]) * (ce[j + 1] - ce[j])
-            g_proj[re[i] : re[i + 1], ce[j] : ce[j + 1]] = g_pooled[i, j] / size
+            g_features[re[i] : re[i + 1], ce[j] : ce[j + 1]] = g_pooled[i, j] / size
+    return ConvApGradients(grads["weight"], grads.get("bias"), g_features)
 
-    g_weight = np.einsum("ijd,ijc->dc", g_proj, fmap)
-    g_bias = g_proj.sum(axis=(0, 1)) if params.bias is not None else None
-    g_features = g_proj @ params.weight
-    return ConvApGradients(g_weight, g_bias, g_features)
+
+def _avg_forward(fmaps: np.ndarray) -> np.ndarray:
+    return normalize_rows(_pool(fmaps, 1, 1).reshape(len(fmaps), -1))
 
 
 def avg_pool(fmap: np.ndarray) -> np.ndarray:
     """Per-channel spatial mean, L2-normalized."""
-    fmap = _check_feature_map(fmap)
-    return l2_normalize(fmap.mean(axis=(0, 1)))
+    return _avg_forward(_one_map(fmap))[0]
+
+
+def _gem_forward(params: GemParams, fmaps: np.ndarray) -> np.ndarray:
+    u = np.mean(np.maximum(fmaps, 0.0) ** params.power, axis=(1, 2))
+    return normalize_rows(u ** (1.0 / params.power))
+
+
+def _gem_backward(params: GemParams, fmaps: np.ndarray, upstream: np.ndarray):
+    p = params.power
+    x = np.maximum(fmaps, 0.0)
+    u = np.mean(x**p, axis=(1, 2))
+    m = u ** (1.0 / p)
+
+    # du/dp has x^p * log(x) terms; the x = 0 limit is 0 for p > 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xlog = np.where(x > 0.0, x**p * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+    du_dp = np.mean(xlog, axis=(1, 2))
+    dm_dp = np.zeros_like(m)
+    pos = u > 0.0
+    dm_dp[pos] = m[pos] * (-np.log(u[pos]) / p**2 + du_dp[pos] / (u[pos] * p))
+
+    g_m = _normalize_backward(m, upstream)
+    return {"power": np.array([np.sum(g_m * dm_dp)])}
 
 
 def gem_pool(fmap: np.ndarray, params: GemParams) -> np.ndarray:
@@ -183,44 +235,17 @@ def gem_pool(fmap: np.ndarray, params: GemParams) -> np.ndarray:
     Entries are clamped at zero first; p = 1 reduces to plain average
     pooling, large p approaches per-channel max pooling.
     """
-    fmap = _check_feature_map(fmap)
-    p = params.power
-    x = np.maximum(fmap, 0.0)
-    means = np.mean(x**p, axis=(0, 1))
-    return l2_normalize(means ** (1.0 / p))
+    return _gem_forward(params, _one_map(fmap))[0]
 
 
 def gem_pool_backward(fmap: np.ndarray, params: GemParams, upstream: np.ndarray) -> float:
     """d<upstream, gem_pool(fmap)> / d power."""
-    fmap = _check_feature_map(fmap)
-    upstream = np.asarray(upstream, dtype=np.float64).ravel()
-    p = params.power
-    x = np.maximum(fmap, 0.0)
-    u = np.mean(x**p, axis=(0, 1))
-    m = u ** (1.0 / p)
-
-    # du/dp has x^p * log(x) terms; the x = 0 limit is 0 for p > 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlog = np.where(x > 0.0, x**p * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-    du_dp = np.mean(xlog, axis=(0, 1))
-    dm_dp = np.zeros_like(m)
-    pos = u > 0.0
-    dm_dp[pos] = m[pos] * (-np.log(u[pos]) / p**2 + du_dp[pos] / (u[pos] * p))
-
-    norm = float(np.linalg.norm(m))
-    if norm <= NORM_EPS:
-        raise ValueError("zero-norm descriptor has no defined gradient")
-    unit = m / norm
-    dz_dp = (dm_dp - unit * float(unit @ dm_dp)) / norm
-    return float(upstream @ dz_dp)
+    return float(_gem_backward(params, _one_map(fmap), np.reshape(upstream, (1, -1)))["power"][0])
 
 
 # ---------------------------------------------------------------------------
-# Uniform dispatch used by the trainer and the CLI
+# The head table: the only place the aggregator kind is decided
 # ---------------------------------------------------------------------------
-
-AGGREGATOR_KINDS = ("conv_ap", "gem", "avg")
-
 
 def init_conv_ap(
     in_channels: int,
@@ -237,50 +262,70 @@ def init_conv_ap(
     return ConvAPParams(weight, bias, grid)
 
 
-def forward(kind: str, params, fmap: np.ndarray) -> np.ndarray:
-    if kind == "conv_ap":
-        return conv_ap_forward(fmap, params)
-    if kind == "gem":
-        return gem_pool(fmap, params)
-    if kind == "avg":
-        return avg_pool(fmap)
-    raise ValueError(f"unknown aggregator kind {kind!r}")
+def _gem_from_arrays(arrays: dict[str, np.ndarray], grid) -> GemParams:
+    # keep the pooling exponent inside its validity range after an update
+    np.clip(arrays["power"], GEM_MIN_POWER, None, out=arrays["power"])
+    return GemParams(float(arrays["power"][0]))
 
 
-def backward(kind: str, params, fmap: np.ndarray, upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients only (the backbone is frozen); {} when nothing is trainable."""
-    if kind == "conv_ap":
-        grads = conv_ap_backward(fmap, params, upstream)
-        out = {"weight": grads.d_weight}
-        if grads.d_bias is not None:
-            out["bias"] = grads.d_bias
-        return out
-    if kind == "gem":
-        return {"power": np.array([gem_pool_backward(fmap, params, upstream)])}
-    if kind == "avg":
-        return {}
-    raise ValueError(f"unknown aggregator kind {kind!r}")
+@dataclass(frozen=True)
+class Head:
+    """One head kind: batch forward and backward, trainable arrays by name,
+    params rebuilt from arrays (clamped in place), and seeded init from a
+    config with out_channels, grid, use_bias and gem_power."""
+
+    forward: Callable
+    backward: Callable
+    arrays: Callable
+    from_arrays: Callable
+    init: Callable
+
+
+HEADS: dict[str, Head] = {
+    "conv_ap": Head(
+        forward=_conv_ap_forward,
+        backward=lambda params, fmaps, upstream: _conv_ap_backward(params, fmaps, upstream)[0],
+        arrays=lambda params: {
+            name: arr for name, arr in (("weight", params.weight), ("bias", params.bias))
+            if arr is not None
+        },
+        from_arrays=lambda arrays, grid: ConvAPParams(arrays["weight"], arrays.get("bias"), grid),
+        init=lambda c, cfg, rng: init_conv_ap(c, cfg.out_channels, cfg.grid, cfg.use_bias, rng),
+    ),
+    "gem": Head(
+        forward=_gem_forward,
+        backward=_gem_backward,
+        arrays=lambda params: {"power": np.array([params.power])},
+        from_arrays=_gem_from_arrays,
+        init=lambda c, cfg, rng: GemParams(cfg.gem_power),
+    ),
+    "avg": Head(
+        forward=lambda params, fmaps: _avg_forward(fmaps),
+        backward=lambda params, fmaps, upstream: {},
+        arrays=lambda params: {},
+        from_arrays=lambda arrays, grid: None,
+        init=lambda c, cfg, rng: None,
+    ),
+}
+AGGREGATOR_KINDS = tuple(HEADS)
+
+
+def head(kind: str) -> Head:
+    """The table entry for an aggregator kind; ValueError for an unknown one."""
+    if kind not in HEADS:
+        raise ValueError(f"unknown aggregator kind {kind!r}")
+    return HEADS[kind]
+
+
+def forward(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
+    """(N, D) unit descriptors for an (N, h, w, c) batch."""
+    return head(kind).forward(params, _check_maps(fmaps))
+
+
+def backward(kind: str, params, fmaps: np.ndarray, upstream: np.ndarray) -> dict[str, np.ndarray]:
+    """Head parameter gradients of sum_n <upstream[n], forward(fmaps)[n]> ({} for avg)."""
+    return head(kind).backward(params, _check_maps(fmaps), upstream)
 
 
 def trainable_arrays(kind: str, params) -> dict[str, np.ndarray]:
-    if kind == "conv_ap":
-        out = {"weight": params.weight}
-        if params.bias is not None:
-            out["bias"] = params.bias
-        return out
-    if kind == "gem":
-        return {"power": np.array([params.power])}
-    if kind == "avg":
-        return {}
-    raise ValueError(f"unknown aggregator kind {kind!r}")
-
-
-def params_from_arrays(kind: str, template, arrays: dict[str, np.ndarray]):
-    """Rebuild a params object from the optimizer's array dict."""
-    if kind == "conv_ap":
-        return ConvAPParams(arrays["weight"], arrays.get("bias"), template.grid)
-    if kind == "gem":
-        return GemParams(float(arrays["power"][0]))
-    if kind == "avg":
-        return template
-    raise ValueError(f"unknown aggregator kind {kind!r}")
+    return head(kind).arrays(params)

@@ -88,7 +88,16 @@ class ConfigError(VprkitError):
     pass
 
 
+# list keys whose length is fixed by their default
+FIXED_LENGTH_KEYS = ("train.grid",)
+
+
 def _check_schema(config: dict, template: dict, path: str = "") -> None:
+    """Reject unknown keys and values whose type differs from the default's.
+
+    Exact type tests keep booleans out of numbers. Null defaults take null
+    or a number; list defaults (all lists of ints) take lists of ints.
+    """
     for key, value in config.items():
         where = f"{path}.{key}" if path else key
         if key not in template:
@@ -98,20 +107,25 @@ def _check_schema(config: dict, template: dict, path: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be a section")
             _check_schema(value, ref, where)
+            continue
+        if ref is None:
+            ok, expected = value is None or type(value) in (int, float), "null or a number"
         elif isinstance(ref, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {where!r} must be a boolean")
-        elif isinstance(ref, (int, float)):
-            if value is not None and isinstance(value, bool):
-                raise ConfigError(f"config key {where!r} must be a number")
-            if value is not None and not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {where!r} must be a number")
+            ok, expected = isinstance(value, bool), "a boolean"
+        elif isinstance(ref, int):
+            ok, expected = type(value) is int, "an integer"
+        elif isinstance(ref, float):
+            ok, expected = type(value) in (int, float), "a number"
         elif isinstance(ref, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"config key {where!r} must be a list")
-        elif isinstance(ref, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {where!r} must be a string")
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+            expected = "a list of integers"
+            if where in FIXED_LENGTH_KEYS:
+                ok = ok and len(value) == len(ref)
+                expected = f"a list of {len(ref)} integers"
+        else:
+            ok, expected = isinstance(value, str), "a string"
+        if not ok:
+            raise ConfigError(f"config key {where!r} must be {expected}, got {value!r}")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -176,53 +190,39 @@ def save_db_dir(db: PlacesDB, out_dir: Path) -> None:
         tensorio.save_tensor(out_dir / "payloads.vprk", np.stack(payloads))
 
 
+def _attach_payloads(db: PlacesDB, payload_file) -> None:
+    """Assign the maps of a rank-4 tensor to the manifest's images, in order."""
+    stack = tensorio.load_tensor(payload_file).astype(np.float64)
+    expected = db.num_images()
+    if stack.ndim != 4 or stack.shape[0] != expected:
+        raise VprkitError(
+            f"payload tensor has shape {stack.shape}, manifest lists {expected} maps"
+        )
+    images = (img for place in db.places for img in place.images)
+    for img, fmap in zip(images, stack):
+        img.payload = fmap
+
+
 def load_db_dir(path: Path, allow_small_places: bool = False) -> PlacesDB:
     db = places.ingest_manifest(path / "manifest.csv", allow_small_places=allow_small_places)
-    payload_file = path / "payloads.vprk"
-    if payload_file.exists():
-        stack = tensorio.load_tensor(payload_file).astype(np.float64)
-        idx = 0
-        for place in db.places:
-            for img in place.images:
-                img.payload = stack[idx]
-                idx += 1
-        if idx != stack.shape[0]:
-            raise VprkitError(
-                f"payload tensor has {stack.shape[0]} maps, manifest lists {idx}"
-            )
+    if (path / "payloads.vprk").exists():
+        _attach_payloads(db, path / "payloads.vprk")
     return db
 
 
 def _train_config(config: dict) -> TrainConfig:
-    t = config["train"]
+    """TrainConfig from the `train` section, whose other keys are its field names."""
+    t = dict(config["train"])
     seed = int(config["seed"])
-    margin = t["margin"]
-    if margin is None:
-        loss_config = default_loss_config(t["loss"])
-        loss_config.ms_alpha = t["ms_alpha"]
-        loss_config.ms_beta = t["ms_beta"]
-    else:
-        loss_config = LossConfig(margin=margin, ms_alpha=t["ms_alpha"], ms_beta=t["ms_beta"])
-    return TrainConfig(
-        batch_spec=BatchSpec(t["num_places"], t["images_per_place"], rng_seed=seed),
-        aggregator=t["aggregator"],
-        out_channels=t["out_channels"],
-        grid=tuple(t["grid"]),
-        use_bias=t["use_bias"],
-        gem_power=t["gem_power"],
-        loss=t["loss"],
-        loss_config=loss_config,
-        miner=t["miner"],
-        miner_epsilon=t["miner_epsilon"],
-        initial_lr=t["initial_lr"],
-        lr_decay_factor=t["lr_decay_factor"],
-        lr_decay_every=t["lr_decay_every"],
-        max_epochs=t["max_epochs"],
-        momentum=t["momentum"],
-        weight_decay=t["weight_decay"],
-        decay_bias=t["decay_bias"],
-        rng_seed=seed + 1,
+    spec = BatchSpec(t.pop("num_places"), t.pop("images_per_place"), rng_seed=seed)
+    margin = t.pop("margin")
+    loss_config = LossConfig(
+        margin=default_loss_config(t["loss"]).margin if margin is None else margin,
+        ms_alpha=t.pop("ms_alpha"),
+        ms_beta=t.pop("ms_beta"),
     )
+    t["grid"] = tuple(t["grid"])
+    return TrainConfig(batch_spec=spec, loss_config=loss_config, rng_seed=seed + 1, **t)
 
 
 def _descriptor_set(kind, params, items) -> DescriptorSet:
@@ -270,17 +270,7 @@ def cmd_build_db(args) -> int:
     config = resolve_config(args)
     db = places.ingest_manifest(args.manifest, allow_small_places=args.allow_small_places)
     if args.payloads:
-        stack = tensorio.load_tensor(args.payloads).astype(np.float64)
-        expected = db.num_images()
-        if stack.shape[0] != expected:
-            raise VprkitError(
-                f"payload tensor has {stack.shape[0]} maps, manifest lists {expected}"
-            )
-        idx = 0
-        for place in db.places:
-            for img in place.images:
-                img.payload = stack[idx]
-                idx += 1
+        _attach_payloads(db, args.payloads)
     out = Path(args.out)
     save_db_dir(db, out)
     _write_resolved(config, out)

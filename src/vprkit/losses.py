@@ -193,23 +193,28 @@ def triplet_loss(
     return LossOutput(value, _grad_from_similarity_weights(weights, batch))
 
 
-def _anchor_sets(pairs, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _anchor_masks(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, N) positive and negative masks; row i holds anchor i's set."""
     if isinstance(pairs, PairLabels):
-        ind = pairs.indicator
-        pos = [np.nonzero(ind[i])[0] for i in range(n)]
-        eye = np.eye(n, dtype=bool)
-        neg = [np.nonzero(~ind[i] & ~eye[i])[0] for i in range(n)]
-        return pos, neg
-    pos_lists: list[list[int]] = [[] for _ in range(n)]
-    neg_lists: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs.positive_pairs:
-        pos_lists[i].append(j)
-    for i, k in pairs.negative_pairs:
-        neg_lists[i].append(k)
-    return (
-        [np.asarray(p, dtype=int) for p in pos_lists],
-        [np.asarray(q, dtype=int) for q in neg_lists],
-    )
+        return pairs.indicator, ~pairs.indicator & ~np.eye(n, dtype=bool)
+    pos = np.zeros((n, n), dtype=bool)
+    neg = np.zeros((n, n), dtype=bool)
+    for mask, pair_list in ((pos, pairs.positive_pairs), (neg, pairs.negative_pairs)):
+        mask.flat[[i * n + j for i, j in pair_list]] = True
+    return pos, neg
+
+
+def _softplus_logsumexp(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, softplus(logsumexp(x[mask])) = log(1 + sum exp(x)), and its gradient.
+
+    Exponentials are shifted by max(row max, 0) so none overflows, and the
+    gradient exp(x) / (1 + sum exp(x)) comes from the same shifted values.
+    """
+    x = np.where(mask, x, -np.inf)
+    shift = np.maximum(x.max(axis=1, keepdims=True), 0.0)
+    e = np.exp(x - shift)
+    total = e.sum(axis=1, keepdims=True)
+    return shift + np.log1p(np.expm1(-shift) + total), e / (np.exp(-shift) + total)
 
 
 def multi_similarity_loss(
@@ -227,29 +232,18 @@ def multi_similarity_loss(
 
     `pairs` is either PairLabels (full supervision) or a MinedSet whose
     per-anchor sets were pre-filtered by a miner. Anchors with empty sets
-    contribute zero.
+    contribute zero. Each log term is evaluated as a softplus of a
+    log-sum-exp, so it stays finite for any alpha and beta.
     """
     s = _resolve_sim(batch, sim)
     n = len(batch)
-    pos_sets, neg_sets = _anchor_sets(pairs, n)
+    pos, neg = _anchor_masks(pairs, n)
     a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
 
-    weights = np.zeros_like(s)
-    value = 0.0
-    for i in range(n):
-        pos = pos_sets[i]
-        if len(pos) > 0:
-            e = np.exp(-a * (s[i, pos] - m))
-            t = float(e.sum())
-            value += np.log1p(t) / a
-            weights[i, pos] -= e / (n * (1.0 + t))
-        neg = neg_sets[i]
-        if len(neg) > 0:
-            e = np.exp(b * (s[i, neg] - m))
-            t = float(e.sum())
-            value += np.log1p(t) / b
-            weights[i, neg] += e / (n * (1.0 + t))
-    value /= n
+    pos_terms, pos_weights = _softplus_logsumexp(-a * (s - m), pos)
+    neg_terms, neg_weights = _softplus_logsumexp(b * (s - m), neg)
+    value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
+    weights = (neg_weights - pos_weights) / n
     return LossOutput(value, _grad_from_similarity_weights(weights, batch))
 
 

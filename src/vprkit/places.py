@@ -101,12 +101,6 @@ class PlacesDB:
     def num_images(self) -> int:
         return sum(len(p) for p in self.places)
 
-    def place_by_id(self, place_id: int) -> Place:
-        for p in self.places:
-            if p.place_id == place_id:
-                return p
-        raise KeyError(place_id)
-
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
 
@@ -482,7 +476,6 @@ class BatchSampler:
             if p.images and p.images[0].payload is None:
                 raise SamplerError(f"place {p.place_id} has no payloads to sample")
         self._rng = np.random.default_rng(spec.rng_seed)
-        self._current_epoch = iter(())
 
     @property
     def batches_per_epoch(self) -> int:
@@ -505,19 +498,6 @@ class BatchSampler:
             batch = Batch(items, np.array([pid for pid, _ in items]), image_refs=refs)
             batch.validate(self.spec)
             yield batch
-
-    def next_batch(self) -> Batch:
-        """Draw one batch, rolling into a fresh epoch when the current one ends."""
-        try:
-            return next(self._current_epoch)
-        except StopIteration:
-            self._current_epoch = self.epoch()
-            return next(self._current_epoch)
-
-
-def sample_batch(sampler: BatchSampler) -> Batch:
-    """Functional alias for BatchSampler.next_batch (the sampler carries the state)."""
-    return sampler.next_batch()
 
 
 def query_reference_split(

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .aggregators import AGGREGATOR_KINDS
 from .errors import FormatError
 
 TENSOR_MAGIC = b"VPRK"
@@ -173,6 +174,16 @@ def save_checkpoint(path: str | Path, kind: str, tensors: dict[str, np.ndarray],
     Path(path).write_bytes(buf.getvalue())
 
 
+def _check_checkpoint_header(header) -> None:
+    if not isinstance(header, dict) or not isinstance(header.get("config", {}), dict):
+        raise FormatError("checkpoint header and its config must be JSON objects")
+    names = header.get("tensors")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise FormatError('checkpoint header "tensors" must be a list of strings')
+    if header.get("aggregator") not in (*AGGREGATOR_KINDS, "pca"):  # heads and PCA models
+        raise FormatError(f"checkpoint for unknown kind {header.get('aggregator')!r}")
+
+
 def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]:
     """Returns (aggregator kind, tensors by name, config echo)."""
     with Path(path).open("rb") as fh:
@@ -186,6 +197,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
             header = json.loads(_read_exact(fh, hlen, "json header").decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise FormatError(f"corrupt checkpoint header: {exc}") from exc
+        _check_checkpoint_header(header)
         tensors = {}
         for name in header["tensors"]:
             tensors[name] = read_tensor_stream(fh).astype(np.float64)

@@ -182,19 +182,12 @@ class TrainLog:
 def init_aggregator(cfg: TrainConfig, in_channels: int):
     """Seeded parameter initialization for the configured head."""
     rng = np.random.default_rng(cfg.rng_seed)
-    if cfg.aggregator == "conv_ap":
-        return aggregators.init_conv_ap(
-            in_channels, cfg.out_channels, cfg.grid, cfg.use_bias, rng
-        )
-    if cfg.aggregator == "gem":
-        return aggregators.GemParams(cfg.gem_power)
-    return None  # avg has no parameters
+    return aggregators.head(cfg.aggregator).init(in_channels, cfg, rng)
 
 
 def embed_feature_maps(kind: str, params, fmaps: np.ndarray, labels) -> EmbeddingBatch:
-    """Run the aggregation head over stacked feature maps."""
-    rows = np.stack([aggregators.forward(kind, params, fm) for fm in fmaps])
-    return EmbeddingBatch(rows, labels, normalized=True)
+    """Run the aggregation head over stacked (N, h, w, c) feature maps."""
+    return EmbeddingBatch(aggregators.forward(kind, params, fmaps), labels, normalized=True)
 
 
 def _mine(cfg: TrainConfig, sim: np.ndarray, labels: np.ndarray) -> mining.MinedSet:
@@ -242,7 +235,7 @@ def train(db: PlacesDB, cfg: TrainConfig):
         state.learning_rate = lr_at_epoch(cfg, epoch)
         log.epoch_lrs.append((epoch, state.learning_rate))
         for batch in sampler.epoch():
-            params = aggregators.params_from_arrays(cfg.aggregator, params, arrays)
+            params = aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid)
             fmaps = batch.feature_maps()
             ebatch = embed_feature_maps(cfg.aggregator, params, fmaps, batch.labels)
             sim = similarity_matrix(ebatch)
@@ -252,17 +245,8 @@ def train(db: PlacesDB, cfg: TrainConfig):
                 raise DivergenceError(f"non-finite loss {out.value} at step {step}")
 
             if arrays:
-                grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-                for i in range(len(batch)):
-                    item = aggregators.backward(
-                        cfg.aggregator, params, fmaps[i], out.grad[i]
-                    )
-                    for name, g in item.items():
-                        grads[name] += g
+                grads = aggregators.backward(cfg.aggregator, params, fmaps, out.grad)
                 sgd_step(arrays, grads, state)
-                if "power" in arrays:
-                    # keep the pooling exponent inside its validity range
-                    np.clip(arrays["power"], aggregators.GEM_MIN_POWER, None, out=arrays["power"])
 
             stats = mined.stats()
             log.steps.append(
@@ -278,7 +262,7 @@ def train(db: PlacesDB, cfg: TrainConfig):
             )
             step += 1
 
-    params = aggregators.params_from_arrays(cfg.aggregator, params, arrays)
+    params = aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid)
     log.wall_clock_s = time.perf_counter() - started
     return params, log
 
@@ -295,13 +279,5 @@ def save_train_checkpoint(path, cfg: TrainConfig, params) -> None:
 def load_train_checkpoint(path):
     """Returns (kind, params, config echo dict)."""
     kind, tensors, config = tensorio.load_checkpoint(path)
-    if kind == "conv_ap":
-        grid = tuple(config.get("grid", (2, 2)))
-        params = aggregators.ConvAPParams(tensors["weight"], tensors.get("bias"), grid)
-    elif kind == "gem":
-        params = aggregators.GemParams(float(tensors["power"][0]))
-    elif kind == "avg":
-        params = None
-    else:
-        raise ValueError(f"checkpoint for unknown aggregator {kind!r}")
-    return kind, params, config
+    grid = tuple(config.get("grid", (2, 2)))
+    return kind, aggregators.head(kind).from_arrays(tensors, grid), config

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import numeric_gradient, relative_error
+from vprkit import aggregators
 from vprkit.aggregators import (
     ConvAPParams,
     GemParams,
@@ -295,3 +296,77 @@ class TestGemPool:
     def test_invalid_power_rejected(self):
         with pytest.raises(ValueError):
             GemParams(0.0)
+
+
+class TestBatchedHead:
+    """The batched, pool-first head against the single-map and project-first paths."""
+
+    def _conv_ap_case(self, rng, use_bias):
+        h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        c, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        grid = (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+        params = ConvAPParams(
+            rng.standard_normal((d, c)), rng.standard_normal(d) if use_bias else None, grid
+        )
+        return (h, w, c), params
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_pool_first_equals_project_first(self, rng, use_bias):
+        for _ in range(200):
+            shape, params = self._conv_ap_case(rng, use_bias)
+            fmap = rng.standard_normal(shape)
+            reference = l2_normalize(
+                adaptive_avg_pool(conv1x1_forward(fmap, params), *params.grid).ravel()
+            )
+            np.testing.assert_allclose(conv_ap_forward(fmap, params), reference, atol=1e-12)
+
+    def _batch_cases(self, rng):
+        """(kind, params, fmaps, per-map forward) for each head kind."""
+        shape, params = self._conv_ap_case(rng, use_bias=True)
+        n = int(rng.integers(1, 7))
+        fmaps = rng.standard_normal((n, *shape))
+        positive = rng.uniform(0.05, 2.0, size=(n, *shape))
+        gem = GemParams(float(rng.uniform(0.5, 6.0)))
+        return [
+            ("conv_ap", params, fmaps, lambda fm: conv_ap_forward(fm, params)),
+            ("gem", gem, positive, lambda fm: gem_pool(fm, gem)),
+            ("avg", None, fmaps, avg_pool),
+        ]
+
+    def test_forward_batch_equals_per_map_rows(self, rng):
+        for _ in range(50):
+            for kind, params, fmaps, single in self._batch_cases(rng):
+                rows = aggregators.forward(kind, params, fmaps)
+                assert rows.shape[0] == len(fmaps)
+                for fm, row in zip(fmaps, rows):
+                    np.testing.assert_allclose(row, single(fm), atol=1e-12)
+
+    def test_backward_batch_equals_sum_of_per_map_gradients(self, rng):
+        for _ in range(50):
+            for kind, params, fmaps, single in self._batch_cases(rng):
+                upstream = rng.standard_normal((len(fmaps), len(single(fmaps[0]))))
+                grads = aggregators.backward(kind, params, fmaps, upstream)
+                if kind == "conv_ap":
+                    per_map = [conv_ap_backward(fm, params, u) for fm, u in zip(fmaps, upstream)]
+                    expected = {
+                        "weight": sum(g.d_weight for g in per_map),
+                        "bias": sum(g.d_bias for g in per_map),
+                    }
+                elif kind == "gem":
+                    total = sum(gem_pool_backward(fm, params, u) for fm, u in zip(fmaps, upstream))
+                    expected = {"power": np.array([total])}
+                else:
+                    expected = {}
+                assert grads.keys() == expected.keys()
+                for name in expected:
+                    np.testing.assert_allclose(grads[name], expected[name], atol=1e-12)
+
+    def test_backward_upstream_shape_mismatch_rejected(self, rng):
+        shape, params = self._conv_ap_case(rng, use_bias=True)
+        fmaps = rng.standard_normal((3, *shape))
+        with pytest.raises(ValueError):
+            aggregators.backward("conv_ap", params, fmaps, np.zeros((2, params.descriptor_dim)))
+
+    def test_unknown_kind_rejected(self, rng):
+        with pytest.raises(ValueError, match="unknown aggregator"):
+            aggregators.forward("netvlad", None, rng.standard_normal((2, 3, 3, 4)))

@@ -89,6 +89,42 @@ class TestConfigHandling:
         assert rc == 1
 
 
+    def test_fractional_int_rejected(self, tmp_path, capsys):
+        rc = run_command(
+            ["synth", "--out", str(tmp_path / "x"), "--set", "synth.num_places=4.5"]
+        )
+        assert rc == 1
+        assert not (tmp_path / "x").exists()
+        assert "synth.num_places" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["[2,2,2]", "[2,2.5]", "[2]", "2"])
+    def test_grid_must_be_two_ints(self, tmp_path, capsys, grid):
+        db = synth(tmp_path)
+        rc = run_command(
+            ["train", "--db", str(db), "--out", str(tmp_path / "run"),
+             *SMALL_TRAIN, "--set", f"train.grid={grid}"]
+        )
+        assert rc == 1
+        assert "train.grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ks", ["[1,2.5]", "[1,\"a\"]", "5"])
+    def test_ks_must_be_list_of_ints(self, tmp_path, capsys, ks):
+        rc = run_command(
+            ["synth", "--out", str(tmp_path / "x"), "--set", f"eval.ks={ks}"]
+        )
+        assert rc == 1
+        assert "eval.ks" in capsys.readouterr().err
+
+    def test_null_default_takes_only_null_or_number(self, tmp_path, capsys):
+        db = synth(tmp_path)
+        rc = run_command(
+            ["train", "--db", str(db), "--out", str(tmp_path / "run"),
+             *SMALL_TRAIN, "--set", 'train.margin="abc"']
+        )
+        assert rc == 1
+        assert "train.margin" in capsys.readouterr().err
+
+
 class TestBuildDb:
     def test_manifest_roundtrip(self, tmp_path):
         src = synth(tmp_path, "src")
@@ -123,6 +159,16 @@ class TestBuildDb:
             ]
         )
         assert rc == 1
+
+
+    def test_train_with_too_few_payloads_fails_cleanly(self, tmp_path, capsys):
+        from vprkit.tensorio import load_tensor, save_tensor
+
+        db = synth(tmp_path)
+        save_tensor(db / "payloads.vprk", load_tensor(db / "payloads.vprk")[:-1])
+        rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"), *SMALL_TRAIN])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: payload tensor")
 
 
 class TestTrainEval:

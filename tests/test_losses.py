@@ -237,6 +237,48 @@ class TestMultiSimilarity:
             assert relative_error(out.grad, fd) < 1e-4
 
 
+    def test_large_beta_stays_finite(self):
+        # beta * (0.8 - margin) = 1400: exp() of that overflows float64
+        cfg = LossConfig(margin=0.1, ms_alpha=2.0, ms_beta=2000.0)
+        batch = EmbeddingBatch(rows_with_similarity(0.8), np.array([0, 1]))
+        mined = MinedSet(negative_pairs=[(0, 1)])
+        out = multi_similarity_loss(batch, mined, cfg)
+        assert np.isfinite(out.value)
+        assert np.all(np.isfinite(out.grad))
+        # log(1 + exp(1400)) / (2000 * 2 anchors), to double precision
+        assert out.value == pytest.approx(1400.0 / 2000.0 / 2.0, rel=1e-12)
+
+    def test_equals_direct_formula_where_finite(self, rng):
+        def direct(s, labels, cfg):
+            a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
+            total = 0.0
+            for i in range(len(labels)):
+                same = labels == labels[i]
+                same[i] = False
+                other = labels != labels[i]
+                total += np.log1p(np.exp(-a * (s[i, same] - m)).sum()) / a
+                total += np.log1p(np.exp(b * (s[i, other] - m)).sum()) / b
+            return total / len(labels)
+
+        for beta in (2.0, 50.0, 200.0):
+            cfg = LossConfig(margin=0.5, ms_alpha=2.0, ms_beta=beta)
+            for _ in range(50):
+                batch = make_batch(rng)
+                sim = similarity_matrix(batch)
+                pairs = PairLabels.from_labels(batch.labels)
+                value = multi_similarity_loss(batch, pairs, cfg, sim=sim).value
+                assert abs(value - direct(sim, batch.labels, cfg)) < 1e-12
+
+    def test_gradient_matches_fd_large_beta(self, rng):
+        cfg = LossConfig(margin=0.5, ms_alpha=2.0, ms_beta=200.0)
+        for _ in range(20):
+            batch = make_batch(rng)
+            pairs = PairLabels.from_labels(batch.labels)
+            out = multi_similarity_loss(batch, pairs, cfg)
+            fd = fd_gradient(lambda b: multi_similarity_loss(b, pairs, cfg).value, batch)
+            assert relative_error(out.grad, fd) < 1e-4
+
+
 class TestWeakTriplet:
     def _sim(self):
         # query 0; positives 1, 2; negatives 3, 4

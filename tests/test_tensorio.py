@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from vprkit.errors import FormatError
 from vprkit.tensorio import (
+    CHECKPOINT_MAGIC,
+    FORMAT_VERSION,
     DescriptorSet,
     load_checkpoint,
     load_descriptors,
@@ -135,4 +138,33 @@ class TestCheckpointContainer:
         save_checkpoint(path, "gem", {"power": np.array([3.0])}, {})
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _write_header(path, header):
+        hbytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(hbytes)) + hbytes
+        )
+
+    @pytest.mark.parametrize(
+        "tensors", ["absent", "weight", [1, 2], ["weight", None], {"weight": 0}]
+    )
+    def test_tensor_names_must_be_list_of_strings(self, tmp_path, tensors):
+        header = {"format": FORMAT_VERSION, "aggregator": "conv_ap", "config": {}}
+        if tensors != "absent":
+            header["tensors"] = tensors
+        path = tmp_path / "c.vprc"
+        self._write_header(path, header)
+        with pytest.raises(FormatError, match="tensors"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", [None, "netvlad", ["conv_ap"]])
+    def test_unknown_aggregator_rejected(self, tmp_path, kind):
+        header = {"format": FORMAT_VERSION, "tensors": [], "config": {}}
+        if kind is not None:
+            header["aggregator"] = kind
+        path = tmp_path / "c.vprc"
+        self._write_header(path, header)
+        with pytest.raises(FormatError, match="unknown kind"):
             load_checkpoint(path)
