@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingBatch, similarity_matrix
-from .mining import MinedSet
+from .mining import MinedSet, label_masks
 
 
 @dataclass
@@ -73,12 +73,17 @@ class PairLabels:
         if not np.array_equal(self.indicator, self.indicator.T):
             raise ValueError("indicator must be symmetric")
 
+    @property
+    def positive(self) -> np.ndarray:
+        return self.indicator
+
+    @property
+    def negative(self) -> np.ndarray:
+        return ~self.indicator & ~np.eye(len(self.indicator), dtype=bool)
+
     @classmethod
     def from_labels(cls, labels) -> "PairLabels":
-        labels = np.asarray(labels)
-        same = labels[:, None] == labels[None, :]
-        np.fill_diagonal(same, False)
-        return cls(same)
+        return cls(label_masks(labels)[0])
 
 
 @dataclass
@@ -136,31 +141,22 @@ def contrastive_loss(
     negatives; the total is the mean over all mined pairs.
     """
     s = _resolve_sim(batch, sim)
-    total_pairs = len(pairs.positive_pairs) + len(pairs.negative_pairs)
+    total_pairs = np.count_nonzero(pairs.positive) + np.count_nonzero(pairs.negative)
     if total_pairs == 0:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
 
-    weights = np.zeros_like(s)
-    value = 0.0
-    for i, j in pairs.positive_pairs:
-        value -= s[i, j]
-        weights[i, j] -= 1.0
-    for i, k in pairs.negative_pairs:
-        slack = s[i, k] - cfg.margin
-        if slack > 0.0:
-            value += slack
-            weights[i, k] += 1.0
-    value /= total_pairs
-    weights /= total_pairs
-    return LossOutput(value, _grad_from_similarity_weights(weights, batch))
+    active = pairs.negative & (s - cfg.margin > 0.0)
+    value = (np.sum(s[active] - cfg.margin) - np.sum(s[pairs.positive])) / total_pairs
+    weights = (active.astype(np.float64) - pairs.positive) / total_pairs
+    return LossOutput(float(value), _grad_from_similarity_weights(weights, batch))
 
 
-def _as_triplets(triplets) -> list[tuple[int, int, int]]:
+def _triplet_index(triplets) -> np.ndarray:
     if isinstance(triplets, MinedSet):
-        if triplets.triplets is None:
+        if triplets.triplet_index is None:
             raise ValueError("mined set carries no triplets")
-        return triplets.triplets
-    return list(triplets)
+        return triplets.triplet_index
+    return np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
 
 
 def triplet_loss(
@@ -173,35 +169,23 @@ def triplet_loss(
 
     Per triplet: max(S_ik - S_ij + margin, 0), pushing the negative
     similarity below the positive one by at least the margin; the total
-    is the mean over triplets.
+    is the mean over triplets. `triplets` is a MinedSet from a triplet
+    miner or a list of (anchor, positive, negative) index triples.
     """
     s = _resolve_sim(batch, sim)
-    trips = _as_triplets(triplets)
-    if not trips:
+    trips = _triplet_index(triplets)
+    if len(trips) == 0:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
 
+    i, j, k = trips.T
+    terms = s[i, k] - s[i, j] + cfg.margin
+    hit = terms > 0.0
     weights = np.zeros_like(s)
-    value = 0.0
-    for i, j, k in trips:
-        term = s[i, k] - s[i, j] + cfg.margin
-        if term > 0.0:
-            value += term
-            weights[i, k] += 1.0
-            weights[i, j] -= 1.0
-    value /= len(trips)
-    weights /= len(trips)
-    return LossOutput(value, _grad_from_similarity_weights(weights, batch))
-
-
-def _anchor_masks(pairs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, N) positive and negative masks; row i holds anchor i's set."""
-    if isinstance(pairs, PairLabels):
-        return pairs.indicator, ~pairs.indicator & ~np.eye(n, dtype=bool)
-    pos = np.zeros((n, n), dtype=bool)
-    neg = np.zeros((n, n), dtype=bool)
-    for mask, pair_list in ((pos, pairs.positive_pairs), (neg, pairs.negative_pairs)):
-        mask.flat[[i * n + j for i, j in pair_list]] = True
-    return pos, neg
+    # np.add.at accumulates repeated (anchor, index) entries
+    np.add.at(weights, (i[hit], k[hit]), 1.0)
+    np.add.at(weights, (i[hit], j[hit]), -1.0)
+    value = np.sum(terms[hit]) / len(trips)
+    return LossOutput(float(value), _grad_from_similarity_weights(weights / len(trips), batch))
 
 
 def _softplus_logsumexp(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,13 +215,16 @@ def multi_similarity_loss(
       + (1/beta)  * log(1 + sum_{k in N_i} exp( beta  (S_ik - m)))
 
     `pairs` is either PairLabels (full supervision) or a MinedSet whose
-    per-anchor sets were pre-filtered by a miner. Anchors with empty sets
-    contribute zero. Each log term is evaluated as a softplus of a
-    log-sum-exp, so it stays finite for any alpha and beta.
+    per-anchor sets were pre-filtered by a miner; both carry (N, N)
+    `positive` and `negative` masks. Anchors with empty sets contribute
+    zero. Each log term is evaluated as a softplus of a log-sum-exp, so it
+    stays finite for any alpha and beta.
     """
     s = _resolve_sim(batch, sim)
+    pos, neg = pairs.positive, pairs.negative
+    if not (pos.any() or neg.any()):
+        return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
     n = len(batch)
-    pos, neg = _anchor_masks(pairs, n)
     a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
 
     pos_terms, pos_weights = _softplus_logsumexp(-a * (s - m), pos)
@@ -245,6 +232,21 @@ def multi_similarity_loss(
     value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
     weights = (neg_weights - pos_weights) / n
     return LossOutput(value, _grad_from_similarity_weights(weights, batch))
+
+
+def _add_weak_weights(s: np.ndarray, weak: WeakTuple, margin: float, weights: np.ndarray) -> float:
+    """Add one tuple's d loss / d S into `weights` and return its loss value."""
+    if not weak.potential_positives:
+        raise ValueError("weak tuple has no potential positives")
+    row = s[weak.query]
+    pos = np.asarray(weak.potential_positives, dtype=np.intp)
+    neg = np.asarray(weak.definite_negatives, dtype=np.intp)
+    best = pos[np.argmax(row[pos])]
+    terms = row[neg] - row[best] + margin
+    hit = terms > 0.0
+    np.add.at(weights[weak.query], neg[hit], 1.0)
+    weights[weak.query, best] -= np.count_nonzero(hit)
+    return float(np.sum(terms[hit]))
 
 
 def weak_triplet_loss(
@@ -256,40 +258,20 @@ def weak_triplet_loss(
     """Triplet loss against the best potential positive of one query.
 
     The positive pair is the potential positive most similar to the query
-    (ties resolved toward the smallest index); each definite negative
+    (ties resolved toward the first listed); each definite negative
     contributes a hinge term and the gradient flows only through the
     selected positive.
     """
-    if not weak.potential_positives:
-        raise ValueError("weak tuple has no potential positives")
-    s = _resolve_sim(batch, sim)
-    q = weak.query
-    pos = np.asarray(weak.potential_positives, dtype=int)
-    best = int(pos[np.argmax(s[q, pos])])
-
-    weights = np.zeros_like(s)
-    value = 0.0
-    active = 0
-    for nidx in weak.definite_negatives:
-        term = s[q, nidx] - s[q, best] + cfg.margin
-        if term > 0.0:
-            value += term
-            weights[q, nidx] += 1.0
-            active += 1
-    weights[q, best] -= active
-    return LossOutput(value, _grad_from_similarity_weights(weights, batch))
+    return weak_triplet_total(batch, [weak], cfg, sim=sim)
 
 
 def weak_tuples_from_labels(labels) -> list[WeakTuple]:
-    """One in-batch weak tuple per anchor, from exact labels."""
-    labels = np.asarray(labels)
-    tuples = []
-    for q in range(len(labels)):
-        pos = [int(j) for j in np.nonzero(labels == labels[q])[0] if j != q]
-        neg = [int(k) for k in np.nonzero(labels != labels[q])[0]]
-        if pos and neg:
-            tuples.append(WeakTuple(q, pos, neg))
-    return tuples
+    """One in-batch weak tuple per anchor that has a positive and a negative."""
+    same, diff, has_both = label_masks(labels)
+    return [
+        WeakTuple(int(q), np.flatnonzero(same[q]).tolist(), np.flatnonzero(diff[q]).tolist())
+        for q in np.flatnonzero(has_both)
+    ]
 
 
 def weak_tuples_from_geo(
@@ -331,14 +313,15 @@ def weak_triplet_total(
     cfg: LossConfig,
     sim: np.ndarray | None = None,
 ) -> LossOutput:
-    """Mean of weak_triplet_loss over a list of tuples (batch-size independent)."""
+    """Mean of weak_triplet_loss over a list of tuples (batch-size independent).
+
+    The tuples' similarity weights are summed into one (N, N) matrix, so
+    the gradient is chained back to the rows once.
+    """
     if not tuples:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
     s = _resolve_sim(batch, sim)
-    value = 0.0
-    grad = np.zeros_like(batch.rows)
-    for weak in tuples:
-        out = weak_triplet_loss(batch, weak, cfg, sim=s)
-        value += out.value
-        grad += out.grad
-    return LossOutput(value / len(tuples), grad / len(tuples))
+    weights = np.zeros_like(s)
+    value = sum(_add_weak_weights(s, weak, cfg.margin, weights) for weak in tuples)
+    weights /= len(tuples)
+    return LossOutput(value / len(tuples), _grad_from_similarity_weights(weights, batch))

@@ -1,9 +1,10 @@
 """Online in-batch pair and triplet selection.
 
 Mining runs on the batch similarity matrix right after the forward pass
-and picks the informative pairs the loss should see. All selection is
-deterministic: anchors are scanned in index order and ties break toward
-the smallest index, so identical inputs always yield identical mined sets.
+and picks the informative pairs the loss should see. Every miner is a
+masked expression over the whole (N, N) matrix. All selection is
+deterministic: ties break toward the smallest index, so identical inputs
+always yield identical mined sets.
 """
 
 from __future__ import annotations
@@ -13,39 +14,65 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _pair_list(mask: np.ndarray) -> list[tuple[int, int]]:
+    rows, cols = np.nonzero(mask)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 @dataclass
 class MinedSet:
-    """Ordered pairs (and optionally triplets) selected within a batch.
+    """Pairs (and optionally triplets) selected within a batch of N samples.
 
-    positive_pairs: (anchor, positive) index pairs sharing a label;
-    negative_pairs: (anchor, negative) pairs with differing labels;
-    triplets: (anchor, positive, negative), present for triplet miners;
+    positive: (N, N) bool, row i marks anchor i's kept positives;
+    negative: (N, N) bool, row i marks anchor i's kept negatives;
+    triplet_index: (T, 3) intp (anchor, positive, negative) rows, set by
+        triplet miners only;
     skipped_anchors: anchors that had no positive or no negative in batch.
+
+    The default is the empty set for a batch of any size.
     """
 
-    positive_pairs: list[tuple[int, int]] = field(default_factory=list)
-    negative_pairs: list[tuple[int, int]] = field(default_factory=list)
-    triplets: list[tuple[int, int, int]] | None = None
+    positive: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+    negative: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+    triplet_index: np.ndarray | None = None
     skipped_anchors: list[int] = field(default_factory=list)
 
+    @property
+    def positive_pairs(self) -> list[tuple[int, int]]:
+        """(anchor, positive) pairs in row-major order."""
+        return _pair_list(self.positive)
+
+    @property
+    def negative_pairs(self) -> list[tuple[int, int]]:
+        """(anchor, negative) pairs in row-major order."""
+        return _pair_list(self.negative)
+
+    @property
+    def triplets(self) -> list[tuple[int, int, int]] | None:
+        if self.triplet_index is None:
+            return None
+        return list(map(tuple, self.triplet_index.tolist()))
+
     def is_empty(self) -> bool:
-        return not self.positive_pairs and not self.negative_pairs
+        return not (self.positive.any() or self.negative.any())
 
     def stats(self) -> dict[str, int]:
         return {
-            "positives": len(self.positive_pairs),
-            "negatives": len(self.negative_pairs),
-            "triplets": 0 if self.triplets is None else len(self.triplets),
+            "positives": int(np.count_nonzero(self.positive)),
+            "negatives": int(np.count_nonzero(self.negative)),
+            "triplets": 0 if self.triplet_index is None else len(self.triplet_index),
             "skipped_anchors": len(self.skipped_anchors),
         }
 
 
-def _label_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def label_masks(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, N) same-label (diagonal cleared) and different-label masks, and
+    the (N,) anchors that have both a positive and a negative."""
     labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     diff = labels[:, None] != labels[None, :]
-    return same, diff
+    return same, diff, same.any(axis=1) & diff.any(axis=1)
 
 
 def enumerate_pairs(labels: np.ndarray) -> MinedSet:
@@ -57,35 +84,34 @@ def enumerate_pairs(labels: np.ndarray) -> MinedSet:
     labels = np.asarray(labels)
     if labels.size < 2:
         raise ValueError("need at least 2 samples to form pairs")
-    same, diff = _label_masks(labels)
-    pos = [(int(i), int(j)) for i, j in zip(*np.nonzero(same))]
-    neg = [(int(i), int(k)) for i, k in zip(*np.nonzero(diff))]
-    return MinedSet(positive_pairs=pos, negative_pairs=neg)
+    same, diff, _ = label_masks(labels)
+    return MinedSet(same, diff)
 
 
 def hardest_mining(sim: np.ndarray, labels: np.ndarray) -> MinedSet:
     """One triplet per anchor: least similar positive, most similar negative.
 
     Anchors without any positive or any negative in the batch contribute
-    nothing and are recorded in skipped_anchors.
+    nothing and are recorded in skipped_anchors. Similarities must be
+    finite: masked-out entries are filled with +-inf, which an infinite
+    similarity would tie with.
     """
     sim = np.asarray(sim, dtype=np.float64)
-    labels = np.asarray(labels)
-    same, diff = _label_masks(labels)
-    out = MinedSet(triplets=[])
-    for i in range(len(labels)):
-        pos_idx = np.nonzero(same[i])[0]
-        neg_idx = np.nonzero(diff[i])[0]
-        if len(pos_idx) == 0 or len(neg_idx) == 0:
-            out.skipped_anchors.append(i)
-            continue
-        # argmin/argmax return the first occurrence, i.e. the smallest index
-        j = int(pos_idx[np.argmin(sim[i, pos_idx])])
-        k = int(neg_idx[np.argmax(sim[i, neg_idx])])
-        out.positive_pairs.append((i, j))
-        out.negative_pairs.append((i, k))
-        out.triplets.append((i, j, k))
-    return out
+    same, diff, has_both = label_masks(labels)
+    # argmin/argmax return the first occurrence, i.e. the smallest index
+    anchors = np.flatnonzero(has_both)
+    hardest_pos = np.where(same, sim, np.inf).argmin(axis=1)[anchors]
+    hardest_neg = np.where(diff, sim, -np.inf).argmax(axis=1)[anchors]
+    positive = np.zeros_like(same)
+    negative = np.zeros_like(diff)
+    positive[anchors, hardest_pos] = True
+    negative[anchors, hardest_neg] = True
+    return MinedSet(
+        positive,
+        negative,
+        triplet_index=np.stack([anchors, hardest_pos, hardest_neg], axis=1),
+        skipped_anchors=np.flatnonzero(~has_both).tolist(),
+    )
 
 
 def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = 0.1) -> MinedSet:
@@ -100,21 +126,11 @@ def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = 0.1) -> Mine
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     sim = np.asarray(sim, dtype=np.float64)
-    labels = np.asarray(labels)
-    same, diff = _label_masks(labels)
-    out = MinedSet()
-    for i in range(len(labels)):
-        pos_idx = np.nonzero(same[i])[0]
-        neg_idx = np.nonzero(diff[i])[0]
-        if len(pos_idx) == 0 or len(neg_idx) == 0:
-            out.skipped_anchors.append(i)
-            continue
-        min_pos = sim[i, pos_idx].min()
-        max_neg = sim[i, neg_idx].max()
-        for k in neg_idx:
-            if sim[i, k] > min_pos - epsilon:
-                out.negative_pairs.append((i, int(k)))
-        for j in pos_idx:
-            if sim[i, j] < max_neg + epsilon:
-                out.positive_pairs.append((i, int(j)))
-    return out
+    same, diff, has_both = label_masks(labels)
+    min_pos = np.where(same, sim, np.inf).min(axis=1, keepdims=True)
+    max_neg = np.where(diff, sim, -np.inf).max(axis=1, keepdims=True)
+    return MinedSet(
+        same & has_both[:, None] & (sim < max_neg + epsilon),
+        diff & has_both[:, None] & (sim > min_pos - epsilon),
+        skipped_anchors=np.flatnonzero(~has_both).tolist(),
+    )

@@ -248,17 +248,8 @@ def train(db: PlacesDB, cfg: TrainConfig):
                 grads = aggregators.backward(cfg.aggregator, params, fmaps, out.grad)
                 sgd_step(arrays, grads, state)
 
-            stats = mined.stats()
             log.steps.append(
-                StepRecord(
-                    step=step,
-                    epoch=epoch,
-                    loss=float(out.value),
-                    positives=stats["positives"],
-                    negatives=stats["negatives"],
-                    triplets=stats["triplets"],
-                    skipped_anchors=stats["skipped_anchors"],
-                )
+                StepRecord(step=step, epoch=epoch, loss=float(out.value), **mined.stats())
             )
             step += 1
 

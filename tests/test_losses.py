@@ -15,6 +15,7 @@ from vprkit.losses import (
     multi_similarity_loss,
     triplet_loss,
     weak_triplet_loss,
+    weak_triplet_total,
     weak_tuples_from_geo,
     weak_tuples_from_labels,
 )
@@ -32,6 +33,15 @@ def make_batch(rng, num_places=3, images=3, dim=8):
     return EmbeddingBatch(rows, labels)
 
 
+def mined_set(n, positive_pairs=(), negative_pairs=(), triplets=None):
+    """A MinedSet over n samples holding the listed pairs and triplets."""
+    masks = np.zeros((2, n, n), dtype=bool)
+    for mask, pairs in zip(masks, (positive_pairs, negative_pairs)):
+        mask[tuple(np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T)] = True
+    trips = None if triplets is None else np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+    return MinedSet(masks[0], masks[1], triplet_index=trips)
+
+
 def fd_gradient(loss_of_batch, batch, h=1e-5):
     """Finite differences of loss(normalize(raw rows)) at the unit rows."""
 
@@ -45,20 +55,20 @@ class TestContrastive:
     def test_positive_pair_at_full_similarity(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0]])
         batch = EmbeddingBatch(rows, np.array([0, 0]))
-        pairs = MinedSet(positive_pairs=[(0, 1)])
+        pairs = mined_set(2, positive_pairs=[(0, 1)])
         out = contrastive_loss(batch, pairs, LossConfig(margin=0.5))
         assert out.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_negative_below_margin_inactive(self):
         batch = EmbeddingBatch(rows_with_similarity(0.3), np.array([0, 1]))
-        pairs = MinedSet(negative_pairs=[(0, 1)])
+        pairs = mined_set(2, negative_pairs=[(0, 1)])
         out = contrastive_loss(batch, pairs, LossConfig(margin=0.5))
         assert out.value == 0.0
         assert np.all(out.grad == 0.0)
 
     def test_negative_above_margin(self):
         batch = EmbeddingBatch(rows_with_similarity(0.8), np.array([0, 1]))
-        pairs = MinedSet(negative_pairs=[(0, 1)])
+        pairs = mined_set(2, negative_pairs=[(0, 1)])
         out = contrastive_loss(batch, pairs, LossConfig(margin=0.5))
         assert out.value == pytest.approx(0.3, abs=1e-9)
 
@@ -76,7 +86,7 @@ class TestContrastive:
             rows = normalize_rows(np.abs(rng.standard_normal((len(labels), 5))))
             batch = EmbeddingBatch(rows, labels)
             pairs = enumerate_pairs(batch.labels)
-            only_pos = MinedSet(positive_pairs=pairs.positive_pairs)
+            only_pos = mined_set(len(batch), positive_pairs=pairs.positive_pairs)
             out = contrastive_loss(batch, only_pos, LossConfig())
             assert -1.0 - 1e-9 <= out.value <= 1e-9
 
@@ -84,7 +94,7 @@ class TestContrastive:
         for _ in range(100):
             batch = make_batch(rng, 2, 3, 5)
             pairs = enumerate_pairs(batch.labels)
-            only_pos = MinedSet(positive_pairs=pairs.positive_pairs)
+            only_pos = mined_set(len(batch), positive_pairs=pairs.positive_pairs)
             out = contrastive_loss(batch, only_pos, LossConfig())
             assert out.value >= -1.0 - 1e-9
 
@@ -241,7 +251,7 @@ class TestMultiSimilarity:
         # beta * (0.8 - margin) = 1400: exp() of that overflows float64
         cfg = LossConfig(margin=0.1, ms_alpha=2.0, ms_beta=2000.0)
         batch = EmbeddingBatch(rows_with_similarity(0.8), np.array([0, 1]))
-        mined = MinedSet(negative_pairs=[(0, 1)])
+        mined = mined_set(2, negative_pairs=[(0, 1)])
         out = multi_similarity_loss(batch, mined, cfg)
         assert np.isfinite(out.value)
         assert np.all(np.isfinite(out.grad))
@@ -348,6 +358,39 @@ class TestWeakTriplet:
         with pytest.raises(ValueError):
             WeakTuple(0, [1, 2], [2, 3])
 
+    def test_total_is_mean_of_per_tuple_losses(self, rng):
+        cfg = LossConfig(margin=0.2)
+        for _ in range(50):
+            batch = make_batch(rng, 3, 3, 6)
+            sim = similarity_matrix(batch)
+            tuples = weak_tuples_from_labels(batch.labels)
+            tuples.append(WeakTuple(4, [5, 3], [0, 0, 8]))  # unsorted, repeated
+            out = weak_triplet_total(batch, tuples, cfg, sim=sim)
+            singles = [weak_triplet_loss(batch, weak, cfg, sim=sim) for weak in tuples]
+            assert abs(out.value - np.mean([o.value for o in singles])) < 1e-12
+            mean_grad = np.mean([o.grad for o in singles], axis=0)
+            assert np.max(np.abs(out.grad - mean_grad)) < 1e-12
+
+    def test_total_gradient_matches_fd(self, rng):
+        cfg = LossConfig(margin=0.2)
+        checked = 0
+        while checked < 10:
+            batch = make_batch(rng, 3, 3, 6)
+            sim = similarity_matrix(batch)
+            tuples = weak_tuples_from_labels(batch.labels)
+            near_kink = False
+            for weak in tuples:
+                pos_sims = np.sort(sim[weak.query, weak.potential_positives])
+                best = pos_sims[-1]
+                slacks = np.abs(sim[weak.query, weak.definite_negatives] - best + cfg.margin)
+                near_kink |= pos_sims[-1] - pos_sims[-2] < 1e-3 or slacks.min() < 1e-3
+            if near_kink:
+                continue  # stay away from argmax switches and hinge kinks
+            out = weak_triplet_total(batch, tuples, cfg, sim=sim)
+            fd = fd_gradient(lambda b: weak_triplet_total(b, tuples, cfg).value, batch)
+            assert relative_error(out.grad, fd) < 1e-4
+            checked += 1
+
 
 class TestInvariances:
     def test_permutation_invariance_all_losses(self, rng):
@@ -371,11 +414,13 @@ class TestInvariances:
             inv[perm] = np.arange(len(perm))
             pbatch = EmbeddingBatch(batch.rows[perm], batch.labels[perm])
             psim = similarity_matrix(pbatch)
-            ppairs = MinedSet(
+            ppairs = mined_set(
+                len(pbatch),
                 positive_pairs=[(int(inv[i]), int(inv[j])) for i, j in pairs.positive_pairs],
                 negative_pairs=[(int(inv[i]), int(inv[k])) for i, k in pairs.negative_pairs],
             )
-            pmined = MinedSet(
+            pmined = mined_set(
+                len(pbatch),
                 triplets=[(int(inv[i]), int(inv[j]), int(inv[k])) for i, j, k in mined.triplets]
             )
             pvalues = (

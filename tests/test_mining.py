@@ -176,3 +176,34 @@ class TestMinedSubsets:
         stats = hardest_mining(sim, labels).stats()
         assert stats["triplets"] == 6
         assert stats["skipped_anchors"] == 0
+
+
+class TestUnbalancedOracles:
+    """Singleton places, single-label batches and tied similarities."""
+
+    def cases(self, rng):
+        yield np.zeros(5, dtype=int), random_sim(rng, np.zeros(5, dtype=int))
+        yield np.arange(5), random_sim(rng, np.arange(5))
+        for trial in range(400):
+            n = int(rng.integers(1, 12))
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+            sim = random_sim(rng, labels)
+            if trial % 2:
+                sim = np.round(sim * 4.0) / 4.0  # many exact ties
+            yield labels, sim
+
+    def test_hardest_matches_exhaustive_scan(self, rng):
+        for labels, sim in self.cases(rng):
+            mined = hardest_mining(sim, labels)
+            expected, skipped = hardest_triplets_by_scan(sim, labels)
+            assert mined.triplets == expected
+            assert mined.skipped_anchors == skipped
+
+    def test_ms_matches_exhaustive_scan(self, rng):
+        for labels, sim in self.cases(rng):
+            eps = float(rng.choice([0.0, 0.25, 0.3]))
+            mined = ms_mining(sim, labels, eps)
+            pos, neg = ms_pairs_by_scan(sim, labels, eps)
+            assert mined.positive_pairs == pos
+            assert mined.negative_pairs == neg
+            assert mined.skipped_anchors == hardest_triplets_by_scan(sim, labels)[1]
