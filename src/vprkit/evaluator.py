@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import l2_normalize, rows_are_unit
+from .embeddings import normalize_rows, rows_are_unit
 from .places import haversine
 from .tensorio import DescriptorSet
 
 DEFAULT_GEO_RADIUS_M = 25.0
+BLOCK_ENTRIES = 1 << 17  # (block, R) entries per recall_at_k query block: bounds its memory
 
 
 @dataclass
@@ -36,35 +37,34 @@ class GroundTruthMatcher:
         if self.radius_m < 0:
             raise ValueError("radius_m must be >= 0")
 
+    def correct(self, queries: DescriptorSet, refs: DescriptorSet) -> np.ndarray:
+        """The (Q, R) boolean mask of references that are correct for each query."""
+        if self.mode == "label":
+            return queries.place_ids[:, None] == refs.place_ids[None, :]
+        dists = haversine((queries.lats[:, None], queries.lons[:, None]), (refs.lats, refs.lons))
+        return dists <= self.radius_m
+
     def matches(self, queries: DescriptorSet, refs: DescriptorSet) -> list[np.ndarray]:
         """Per query, the array of correct reference indices."""
-        if self.mode == "label":
-            return [
-                np.nonzero(refs.place_ids == pid)[0] for pid in queries.place_ids
-            ]
-        out = []
-        for qlat, qlon in zip(queries.lats, queries.lons):
-            dists = np.array(
-                [haversine((qlat, qlon), (rlat, rlon)) for rlat, rlon in zip(refs.lats, refs.lons)]
-            )
-            out.append(np.nonzero(dists <= self.radius_m)[0])
-        return out
+        return [np.flatnonzero(row) for row in self.correct(queries, refs)]
 
 
 def retrieve_topk(query: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k most cosine-similar reference rows, best first.
 
-    Both sides must be unit norm. Ties resolve toward the smaller index.
+    `query` is one (D,) descriptor, giving (k,) indices, or a (B, D) block
+    of them, giving (B, k). Both sides must be unit norm. Ties resolve
+    toward the smaller index.
     """
     refs = np.asarray(refs, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64).ravel()
+    query = np.asarray(query, dtype=np.float64)
+    block = np.atleast_2d(query)
     if not 1 <= k <= refs.shape[0]:
         raise ValueError(f"k={k} out of range for {refs.shape[0]} references")
-    if not rows_are_unit(refs) or not rows_are_unit(query[None, :]):
+    if not rows_are_unit(refs) or not rows_are_unit(block):
         raise ValueError("retrieve_topk requires unit-norm descriptors")
-    scores = refs @ query
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
+    order = np.argsort(-(block @ refs.T), axis=1, kind="stable")[:, :k]
+    return order if query.ndim == 2 else order[0]
 
 
 @dataclass
@@ -145,46 +145,40 @@ def recall_at_k(
     """
     if len(queries) == 0:
         raise ValueError("empty query set")
+    if len(refs) == 0:
+        raise ValueError("empty reference set")
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be positive integers")
     ks = sorted(set(int(k) for k in ks))
     max_k = min(max(ks), len(refs))
 
-    match_lists = gt.matches(queries, refs)
-    traces: list[QueryTrace] = []
-    solved_at = np.zeros(len(ks), dtype=np.int64)
-    evaluated = 0
-    excluded = 0
-    for qi in range(len(queries)):
-        matches = set(int(m) for m in match_lists[qi])
-        if not matches:
-            excluded += 1
-            traces.append(QueryTrace(queries.ids[qi], [], None))
-            continue
-        evaluated += 1
-        top = retrieve_topk(queries.vectors[qi], refs.vectors, max_k)
-        rank = None
-        for pos, ridx in enumerate(top, start=1):
-            if int(ridx) in matches:
-                rank = pos
-                break
-        traces.append(
-            QueryTrace(queries.ids[qi], [refs.ids[int(r)] for r in top], rank)
-        )
-        if rank is not None:
-            for ki, k in enumerate(ks):
-                if rank <= k:
-                    solved_at[ki] += 1
+    ref_ids = np.asarray(refs.ids, dtype=object)
+    rows = max(1, BLOCK_ENTRIES // len(refs))
+    has_match, ranks, traces = [], [], []
+    for lo in range(0, len(queries), rows):
+        block = queries.rows(lo, lo + rows)
+        correct = gt.correct(block, refs)
+        top = retrieve_topk(block.vectors, refs.vectors, max_k)
+        hits = np.take_along_axis(correct, top, axis=1)
+        has_match.append(correct.any(axis=1))
+        # 1-based rank of the first correct reference; 0 when none is in the top max_k
+        ranks.append(np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0))
+        traces += [
+            QueryTrace(qid, ref_ids[t].tolist() if found else [], int(rank) if rank else None)
+            for qid, t, found, rank in zip(block.ids, top, has_match[-1], ranks[-1])
+        ]
 
+    evaluated = int(np.count_nonzero(np.concatenate(has_match)))
     if evaluated == 0:
         raise ValueError("no query has any ground-truth match in the reference set")
-    recall = {k: float(solved_at[ki]) / evaluated for ki, k in enumerate(ks)}
+    ranks = np.concatenate(ranks)
+    recall = {k: float(np.count_nonzero((ranks >= 1) & (ranks <= k))) / evaluated for k in ks}
     return RecallReport(
         ks=ks,
         recall_at=recall,
         per_query=traces,
         queries_evaluated=evaluated,
-        queries_excluded=excluded,
+        queries_excluded=len(queries) - evaluated,
         label=label,
     )
 
@@ -278,15 +272,17 @@ def pca_whiten_fit(training: np.ndarray, out_dim: int, epsilon: float = 1e-9) ->
     return PCAModel(mean, projection, top_vals, epsilon)
 
 
+def _reduce_rows(model: PCAModel, x: np.ndarray) -> np.ndarray:
+    if x.shape[1] != model.in_dim:
+        raise ValueError(f"descriptors have dim {x.shape[1]}, model expects {model.in_dim}")
+    return normalize_rows(model.whiten(x))
+
+
 def pca_transform(model: PCAModel, v: np.ndarray) -> np.ndarray:
     """Project one descriptor and re-normalize to unit length."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.shape != (model.in_dim,):
-        raise ValueError(f"descriptor has dim {v.shape[0]}, model expects {model.in_dim}")
-    return l2_normalize(model.whiten(v))
+    return _reduce_rows(model, np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
 
 
 def pca_transform_set(model: PCAModel, ds: DescriptorSet) -> DescriptorSet:
-    """Apply pca_transform to every descriptor in a set, keeping metadata."""
-    reduced = np.stack([pca_transform(model, row) for row in ds.vectors])
-    return DescriptorSet(reduced, ds.ids, ds.lats, ds.lons, ds.place_ids)
+    """Project every descriptor in a set and re-normalize, keeping metadata."""
+    return DescriptorSet(_reduce_rows(model, ds.vectors), ds.ids, ds.lats, ds.lons, ds.place_ids)

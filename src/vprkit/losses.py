@@ -16,6 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingBatch, similarity_matrix
 from .mining import MinedSet, label_masks
+from .places import haversine
 
 
 @dataclass
@@ -286,25 +287,16 @@ def weak_tuples_from_geo(
     definite negatives beyond `negative_radius_m`; queries with no nearby
     candidate are skipped.
     """
-    from .places import haversine
-
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
-    n = len(lats)
-    tuples = []
-    for q in range(n):
-        pos, neg = [], []
-        for i in range(n):
-            if i == q:
-                continue
-            d = haversine((lats[q], lons[q]), (lats[i], lons[i]))
-            if d <= positive_radius_m:
-                pos.append(i)
-            elif d >= negative_radius_m:
-                neg.append(i)
-        if pos:
-            tuples.append(WeakTuple(q, pos, neg))
-    return tuples
+    d = haversine((lats[:, None], lons[:, None]), (lats, lons))
+    eye = np.eye(len(lats), dtype=bool)
+    pos = (d <= positive_radius_m) & ~eye
+    neg = (d >= negative_radius_m) & ~pos & ~eye
+    return [
+        WeakTuple(int(q), np.flatnonzero(pos[q]).tolist(), np.flatnonzero(neg[q]).tolist())
+        for q in np.flatnonzero(pos.any(axis=1))
+    ]
 
 
 def weak_triplet_total(

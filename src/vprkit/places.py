@@ -125,14 +125,18 @@ class PlacesDB:
                 )
 
 
-def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in meters between two (lat, lon) points."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
+def haversine(a: tuple, b: tuple) -> np.ndarray:
+    """Great-circle distance in meters between (lat, lon) points.
+
+    Coordinates broadcast like numpy operands: scalars give a float64,
+    ((Q, 1), (R,)) coordinates a (Q, R) matrix.
+    """
+    lat1, lon1 = np.radians(a[0]), np.radians(a[1])
+    lat2, lon2 = np.radians(b[0]), np.radians(b[1])
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 # ---------------------------------------------------------------------------

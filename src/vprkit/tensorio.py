@@ -112,6 +112,11 @@ class DescriptorSet:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
+    def rows(self, lo: int, hi: int) -> "DescriptorSet":
+        """Descriptors lo:hi with their metadata."""
+        return DescriptorSet(self.vectors[lo:hi], self.ids[lo:hi], self.lats[lo:hi],
+                             self.lons[lo:hi], self.place_ids[lo:hi])
+
 
 def sidecar_path(tensor_path: str | Path) -> Path:
     return Path(tensor_path).with_suffix(".csv")

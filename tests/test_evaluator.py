@@ -3,11 +3,13 @@ import pytest
 
 from conftest import random_unit_rows
 from oracles import recall_by_hand, topk_by_full_sort, whiten_by_svd
+from vprkit import evaluator
 from vprkit.aggregators import GemParams, avg_pool, gem_pool, init_conv_ap
 from vprkit.embeddings import normalize_rows
 from vprkit.errors import ZeroNormError
 from vprkit.evaluator import (
     GroundTruthMatcher,
+    QueryTrace,
     RecallReport,
     pca_transform,
     pca_transform_set,
@@ -15,7 +17,7 @@ from vprkit.evaluator import (
     recall_at_k,
     retrieve_topk,
 )
-from vprkit.places import SynthConfig, synth_places
+from vprkit.places import SynthConfig, haversine, synth_places
 from vprkit.tensorio import DescriptorSet
 from vprkit.trainer import embed_feature_maps
 
@@ -63,6 +65,39 @@ class TestRetrieveTopk:
         refs = rng.standard_normal((5, 4))
         with pytest.raises(ValueError):
             retrieve_topk(refs[0], refs, 2)
+
+
+class TestRetrieveTopkBlock:
+    def test_block_equals_row_calls_and_full_sort(self, rng):
+        for trial in range(40):
+            d = 6
+            if trial % 2:
+                # one-hot rows: many exact score ties, broken by index
+                refs = np.eye(d)[rng.integers(0, d, 30)]
+                block = np.eye(d)[rng.integers(0, d, 9)]
+            else:
+                refs = random_unit_rows(rng, 30, d)
+                refs[rng.integers(0, 30, 8)] = refs[rng.integers(0, 30, 8)]  # duplicated rows
+                block = np.vstack([refs[:3], random_unit_rows(rng, 6, d)])
+            k = int(rng.integers(1, 31))
+            top = retrieve_topk(block, refs, k)
+            assert top.shape == (len(block), k)
+            for b, q in enumerate(block):
+                np.testing.assert_array_equal(top[b], retrieve_topk(q, refs, k))
+                np.testing.assert_array_equal(top[b], topk_by_full_sort(q, refs, k))
+
+    def test_block_errors(self, rng):
+        refs = random_unit_rows(rng, 5, 4)
+        block = random_unit_rows(rng, 3, 4)
+        for k in (0, 6):
+            with pytest.raises(ValueError):
+                retrieve_topk(block, refs, k)
+        bad = block.copy()
+        bad[1] *= 2.0
+        with pytest.raises(ValueError):
+            retrieve_topk(bad, refs, 2)
+        with pytest.raises(ValueError):
+            retrieve_topk(block, 2.0 * refs, 2)
 
 
 class TestGroundTruth:
@@ -210,6 +245,77 @@ class TestRecallAtK:
             assert report.recall_at[1] == 1.0
 
 
+class TestBlockedRecall:
+    """recall_at_k with the block budget shrunk so that the queries span several blocks."""
+
+    def traces_by_row(self, queries, refs, match_sets, max_k):
+        out = []
+        for qi, matches in enumerate(match_sets):
+            if not matches:
+                out.append(QueryTrace(queries.ids[qi], [], None))
+                continue
+            top = retrieve_topk(queries.vectors[qi], refs.vectors, max_k).tolist()
+            rank = next((pos for pos, r in enumerate(top, start=1) if r in matches), None)
+            out.append(QueryTrace(queries.ids[qi], [refs.ids[r] for r in top], rank))
+        return out
+
+    def check(self, monkeypatch, queries, refs, gt, match_sets, ks):
+        calls = []
+
+        def counted(query, ref_vectors, k):
+            calls.append(len(query))
+            return retrieve_topk(query, ref_vectors, k)
+
+        monkeypatch.setattr(evaluator, "retrieve_topk", counted)
+        expected, evaluated, excluded = recall_by_hand(
+            queries.vectors, refs.vectors, match_sets, ks
+        )
+        traces = self.traces_by_row(queries, refs, match_sets, min(max(ks), len(refs)))
+        r, q = len(refs), len(queries)
+        # several full blocks and a partial last one; one row per block; one block
+        for budget, rows in ((5 * r, 5), (r - 1, 1), (q * r, q)):
+            monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", budget)
+            calls.clear()
+            report = recall_at_k(queries, refs, gt, ks)
+            assert calls == [rows] * (q // rows) + ([q % rows] if q % rows else [])
+            assert report.queries_evaluated == evaluated
+            assert report.queries_excluded == excluded
+            assert report.recall_at == expected
+            assert report.per_query == traces
+
+    def test_label_ground_truth(self, rng, monkeypatch):
+        for _ in range(10):
+            refs = make_set(rng, 20, 6, labels=rng.integers(0, 8, size=20))
+            queries = make_set(rng, 23, 6, labels=rng.integers(0, 10, size=23))
+            match_sets = [set(np.flatnonzero(refs.place_ids == pid).tolist())
+                          for pid in queries.place_ids]
+            self.check(monkeypatch, queries, refs, GroundTruthMatcher(mode="label"),
+                       match_sets, [1, 3, 5])
+
+    def test_geo_ground_truth(self, rng, monkeypatch):
+        for _ in range(10):
+            refs = make_set(rng, 20, 6)
+            queries = make_set(rng, 23, 6)
+            for ds in (refs, queries):  # scattered over about 200 m
+                ds.lats[:] = 45.0 + rng.uniform(0.0, 0.002, len(ds))
+                ds.lons[:] = 7.0 + rng.uniform(0.0, 0.002, len(ds))
+            match_sets = [
+                {j for j in range(len(refs))
+                 if haversine((float(qlat), float(qlon)),
+                              (float(refs.lats[j]), float(refs.lons[j]))) <= 25.0}
+                for qlat, qlon in zip(queries.lats, queries.lons)
+            ]
+            assert any(match_sets) and not all(match_sets)
+            self.check(monkeypatch, queries, refs, GroundTruthMatcher(mode="geo", radius_m=25.0),
+                       match_sets, [1, 2, 10])
+
+    def test_empty_reference_set_rejected(self, rng):
+        queries = make_set(rng, 3, 4)
+        refs = DescriptorSet(np.zeros((0, 4)), [], np.zeros(0), np.zeros(0), np.zeros(0, int))
+        with pytest.raises(ValueError):
+            recall_at_k(queries, refs, GroundTruthMatcher(mode="label"), [1])
+
+
 class TestRecallReportSerialization:
     def test_kv_roundtrip_lossless(self):
         report = RecallReport(
@@ -325,3 +431,19 @@ class TestPcaWhitening:
         assert reduced.vectors.shape == (30, 3)
         assert reduced.ids == ds.ids
         np.testing.assert_array_equal(reduced.place_ids, ds.place_ids)
+
+    def test_transform_set_equals_stacked_rows(self, rng):
+        ds = make_set(rng, 40, 9)
+        model = pca_whiten_fit(rng.standard_normal((60, 9)), 5)
+        reduced = pca_transform_set(model, ds).vectors
+        stacked = np.stack([pca_transform(model, row) for row in ds.vectors])
+        np.testing.assert_allclose(reduced, stacked, rtol=1e-12, atol=1e-12)
+
+    def test_transform_set_rejects_bad_rows(self, rng):
+        model = pca_whiten_fit(rng.standard_normal((30, 5)), 3)
+        with pytest.raises(ValueError):
+            pca_transform_set(model, make_set(rng, 4, 6))
+        ds = make_set(rng, 4, 5)
+        ds.vectors[2] = model.mean
+        with pytest.raises(ZeroNormError):
+            pca_transform_set(model, ds)

@@ -458,3 +458,36 @@ class TestWeakTupleBuilders:
         assert t0.query == 0
         assert t0.potential_positives == [1]
         assert t0.definite_negatives == [2]
+
+    def test_from_geo_matches_per_pair_scan(self, rng):
+        from vprkit.places import haversine
+
+        def by_scan(lats, lons, pr, nr):
+            out = []
+            for q in range(len(lats)):
+                pos, neg = [], []
+                for i in range(len(lats)):
+                    if i == q:
+                        continue
+                    d = haversine((lats[q], lons[q]), (lats[i], lons[i]))
+                    if d <= pr:
+                        pos.append(i)
+                    elif d >= nr:
+                        neg.append(i)
+                if pos:
+                    out.append((q, pos, neg))
+            return out
+
+        radii = [(10.0, 25.0), (25.0, 25.0), (30.0, 20.0), (0.0, 40.0)]
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            # points within ~60 m of each other, some of them coincident
+            lats = 45.0 + rng.uniform(0.0, 0.0005, n)
+            lons = 7.0 + rng.uniform(0.0, 0.0005, n)
+            dup = rng.random(n) < 0.2
+            lats[dup], lons[dup] = lats[0], lons[0]
+            pr, nr = radii[trial % len(radii)]
+            got = weak_tuples_from_geo(lats, lons, positive_radius_m=pr, negative_radius_m=nr)
+            assert [(t.query, t.potential_positives, t.definite_negatives) for t in got] == (
+                by_scan(lats, lons, pr, nr)
+            )

@@ -187,6 +187,18 @@ class TestHaversine:
         b = (lat + dlat, lon + dlon)
         assert haversine(a, b) == pytest.approx(haversine(b, a), abs=1e-9)
 
+    def test_array_call_equals_scalar_calls(self, rng):
+        lat1, lon1 = rng.uniform(-89, 89, 7), rng.uniform(-179, 179, 7)
+        lat2 = np.concatenate([lat1[:2], lat1[:3] + rng.uniform(-1e-3, 1e-3, 3), rng.uniform(-89, 89, 4)])
+        lon2 = np.concatenate([lon1[:2], lon1[:3] + rng.uniform(-1e-3, 1e-3, 3), rng.uniform(-179, 179, 4)])
+        grid = haversine((lat1[:, None], lon1[:, None]), (lat2, lon2))
+        assert grid.shape == (7, 9)
+        for i in range(7):
+            for j in range(9):
+                expected = haversine((float(lat1[i]), float(lon1[i])), (float(lat2[j]), float(lon2[j])))
+                assert grid[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert grid[0, 0] == 0.0 and grid[1, 1] == 0.0
+
 
 class TestSynthPlaces:
     def test_zero_perturbation_identical_payloads(self):
