@@ -63,8 +63,28 @@ def retrieve_topk(query: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for {refs.shape[0]} references")
     if not rows_are_unit(refs) or not rows_are_unit(block):
         raise ValueError("retrieve_topk requires unit-norm descriptors")
-    order = np.argsort(-(block @ refs.T), axis=1, kind="stable")[:, :k]
+    order = _best_k(block @ refs.T, k)
     return order if query.ndim == 2 else order[0]
+
+
+def _best_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row of a (B, R) score block, the k best columns by (score desc, index asc).
+
+    O(R + k log k) per row: a partial selection finds the k-th best score,
+    every column above it is kept, the smallest indices equal to it fill the
+    remaining slots, and only those k scores are sorted.
+    """
+    r = scores.shape[1]
+    kth = np.partition(scores, r - k, axis=1)[:, r - k, None]
+    above = scores > kth
+    ties = scores == kth
+    # fewer than k scores lie above kth and at least k at or above it, so
+    # exactly k per row are kept, in ascending index order
+    fill = k - np.count_nonzero(above, axis=1, keepdims=True)
+    keep = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= fill))
+    chosen = np.nonzero(keep)[1].reshape(len(scores), k)
+    best_first = np.argsort(-np.take_along_axis(scores, chosen, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(chosen, best_first, axis=1)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +55,13 @@ def save_tensor(path: str | Path, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
+    """n bytes from a seekable file; sizes beyond its end fail before any read."""
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if not 0 <= n <= left:
+        raise FormatError(f"truncated file while reading {what}: {n} bytes declared, {left} left")
+    return fh.read(n)
 
 
 def read_tensor_stream(fh) -> np.ndarray:
@@ -70,7 +74,7 @@ def read_tensor_stream(fh) -> np.ndarray:
     if dtype != DTYPE_F32:
         raise FormatError(f"unsupported dtype tag {dtype}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)  # exact: u32 dims may overflow an int64 product
     payload = _read_exact(fh, 4 * count, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
@@ -141,16 +145,19 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
     side = sidecar_path(path)
     with side.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SIDECAR_HEADER:
-            raise FormatError(f"bad sidecar header in {side}")
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0])
-            lats.append(float(row[1]))
-            lons.append(float(row[2]))
-            pids.append(int(row[3]))
+        try:
+            header = next(reader, None)
+            if header != SIDECAR_HEADER:
+                raise FormatError(f"bad sidecar header in {side}")
+            for row in reader:
+                if not row:
+                    continue
+                ids.append(row[0])
+                lats.append(float(row[1]))
+                lons.append(float(row[2]))
+                pids.append(int(row[3]))
+        except (IndexError, ValueError, csv.Error) as exc:  # short row, bad number, bad text
+            raise FormatError(f"{side}: line {reader.line_num}: bad sidecar row: {exc}") from exc
     if len(ids) != vectors.shape[0]:
         raise FormatError(
             f"sidecar has {len(ids)} rows but tensor has {vectors.shape[0]}"
@@ -200,7 +207,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
             raise FormatError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(_read_exact(fh, hlen, "json header").decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"corrupt checkpoint header: {exc}") from exc
         _check_checkpoint_header(header)
         tensors = {}

@@ -341,3 +341,26 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode != 0
+
+
+class TestMalformedSidecar:
+    def test_reduce_fit_on_short_row_fails_cleanly(self, tmp_path, rng, capsys):
+        from vprkit.embeddings import normalize_rows
+        from vprkit.tensorio import sidecar_path
+
+        ds = DescriptorSet(
+            normalize_rows(rng.standard_normal((20, 8))), [f"d{i}" for i in range(20)],
+            np.zeros(20), np.zeros(20), np.arange(20),
+        )
+        path = tmp_path / "x.vprk"
+        save_descriptors(path, ds)
+        lines = sidecar_path(path).read_text().splitlines()
+        lines[5] = "d4,0.0"
+        sidecar_path(path).write_text("\n".join(lines) + "\n")
+        rc = run_command(
+            ["reduce", "--fit", str(path), "--out", str(tmp_path / "fit"), "--set", "pca.out_dim=3"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 6" in err

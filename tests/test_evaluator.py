@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_unit_rows
 from oracles import recall_by_hand, topk_by_full_sort, whiten_by_svd
@@ -98,6 +101,67 @@ class TestRetrieveTopkBlock:
             retrieve_topk(bad, refs, 2)
         with pytest.raises(ValueError):
             retrieve_topk(block, 2.0 * refs, 2)
+
+
+def topk_by_stable_argsort(scores, k):
+    """The full stable sort of every score that retrieve_topk used to run."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+SCORE_LEVELS = [-0.5, -0.25, -0.0, 0.0, 0.25, 0.5]  # few levels: ties straddle the k-th place
+
+
+@st.composite
+def quantized_scores(draw, max_rows=4, max_refs=24):
+    rows = draw(st.integers(1, max_rows))
+    refs = draw(st.integers(1, max_refs))
+    levels = st.sampled_from(draw(st.sampled_from([SCORE_LEVELS, [-0.0, 0.0]])))
+    scores = draw(arrays(np.float64, (rows, refs), elements=levels))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, refs - 1), st.integers(0, refs - 1)), max_size=6)):
+        scores[:, dst] = scores[:, src]  # duplicated reference rows
+    return scores
+
+
+def refs_scoring(scores):
+    """Unit references and (B, D) one-hot queries whose cosine scores are exactly `scores`.
+
+    Reference r is (scores[:, r], filler): query b = e_b picks out entry b
+    with one exact product, and the filler coordinate makes it unit norm
+    (at most four rows of |score| <= 1/2).
+    """
+    rows, _ = scores.shape
+    filler = np.sqrt(1.0 - np.sum(scores * scores, axis=0))
+    refs = np.column_stack([scores.T, filler])
+    return np.eye(rows, rows + 1), refs
+
+
+class TestPartialSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=quantized_scores(max_rows=6, max_refs=40), k=st.integers(1, 40))
+    def test_selection_equals_stable_sort(self, scores, k):
+        for kk in {1, min(k, scores.shape[1]), scores.shape[1]}:
+            np.testing.assert_array_equal(
+                evaluator._best_k(scores, kk), topk_by_stable_argsort(scores, kk)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(scores=quantized_scores(), k=st.integers(1, 24))
+    def test_retrieve_topk_on_quantized_scores(self, scores, k):
+        block, refs = refs_scoring(scores)
+        assert np.array_equal(block @ refs.T, scores)  # the ties are real
+        for kk in {1, min(k, len(refs)), len(refs)}:
+            top = retrieve_topk(block, refs, kk)
+            assert top.shape == (len(block), kk)
+            np.testing.assert_array_equal(top, topk_by_stable_argsort(block @ refs.T, kk))
+            for b, q in enumerate(block):
+                np.testing.assert_array_equal(retrieve_topk(q, refs, kk), top[b])
+                np.testing.assert_array_equal(top[b], topk_by_full_sort(q, refs, kk))
+
+    def test_signed_zero_rows_keep_index_order(self, rng):
+        scores = rng.choice([-0.0, 0.0], size=(5, 17))
+        assert np.signbit(scores).any() and not np.signbit(scores).all()
+        for k in range(1, 18):
+            np.testing.assert_array_equal(evaluator._best_k(scores, k), np.tile(np.arange(k), (5, 1)))
 
 
 class TestGroundTruth:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,4 +168,84 @@ class TestCheckpointContainer:
         path = tmp_path / "c.vprc"
         self._write_header(path, header)
         with pytest.raises(FormatError, match="unknown kind"):
+            load_checkpoint(path)
+
+
+def _peak_bytes_while_failing(load, path):
+    """The tracemalloc peak while `load(path)` raises FormatError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeclaredSizes:
+    """Sizes a file declares but does not hold fail before anything is allocated."""
+
+    @staticmethod
+    def _tensor_head(dims):
+        return b"VPRK" + struct.pack(f"<HBB{len(dims)}I", FORMAT_VERSION, 1, len(dims), *dims)
+
+    def test_tensor_dims_beyond_file(self, tmp_path):
+        path = tmp_path / "t.vprk"
+        path.write_bytes(self._tensor_head((4096, 4096)) + bytes(12))  # declares 64 MB
+        assert path.stat().st_size == 28
+        assert _peak_bytes_while_failing(load_tensor, path) < 1 << 20
+
+    def test_dims_whose_product_overflows_int64(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64, which would read an empty payload
+        path = tmp_path / "t.vprk"
+        path.write_bytes(self._tensor_head((65536,) * 4) + bytes(8))
+        assert _peak_bytes_while_failing(load_tensor, path) < 1 << 20
+
+    def test_checkpoint_header_length_beyond_file(self, tmp_path):
+        path = tmp_path / "c.vprc"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, 64 << 20) + b"{}")
+        assert _peak_bytes_while_failing(load_checkpoint, path) < 1 << 20
+
+    def test_exact_sizes_still_load(self, rng, tmp_path):
+        path = tmp_path / "t.vprk"
+        arr = rng.standard_normal((3, 5)).astype(np.float32)
+        save_tensor(path, arr)
+        np.testing.assert_array_equal(load_tensor(path), arr)
+        save_tensor(path, np.float32(2.5))  # rank 0: one value, no dims
+        assert load_tensor(path) == np.float32(2.5)
+
+
+class TestTypedReadErrors:
+    @staticmethod
+    def _saved_set(tmp_path, n=4):
+        path = tmp_path / "desc.vprk"
+        ds = DescriptorSet(np.eye(n), [f"d{i}" for i in range(n)], np.zeros(n), np.zeros(n), np.arange(n))
+        save_descriptors(path, ds)
+        return path
+
+    def _replace_line(self, path, line, text):
+        lines = sidecar_path(path).read_text().splitlines()
+        lines[line - 1] = text
+        sidecar_path(path).write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("row", ["d1,0.0,0.0", "d1", "d1,north,0.0,1", "d1,0.0,0.0,one"])
+    def test_bad_sidecar_row_names_file_and_line(self, tmp_path, row):
+        path = self._saved_set(tmp_path)
+        self._replace_line(path, 3, row)
+        with pytest.raises(FormatError, match=r"desc\.csv: line 3: ") as info:
+            load_descriptors(path)
+        assert str(sidecar_path(path)) in str(info.value)
+
+    def test_non_utf8_sidecar(self, tmp_path):
+        path = self._saved_set(tmp_path)
+        side = sidecar_path(path)
+        side.write_bytes(side.read_bytes().replace(b"d2", b"d\xff"))
+        with pytest.raises(FormatError, match="desc.csv"):
+            load_descriptors(path)
+
+    def test_non_utf8_checkpoint_header(self, tmp_path):
+        hbytes = b'{"tensors": ["\xff"]}'
+        path = tmp_path / "c.vprc"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(hbytes)) + hbytes)
+        with pytest.raises(FormatError, match="corrupt checkpoint header"):
             load_checkpoint(path)
