@@ -161,6 +161,8 @@ def resolve_config(args) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         _check_schema(loaded, DEFAULT_CONFIG)
         config = _deep_merge(config, loaded)
     for assignment in getattr(args, "set", None) or []:
@@ -203,8 +205,9 @@ def _attach_payloads(db: PlacesDB, payload_file) -> None:
         img.payload = fmap
 
 
-def load_db_dir(path: Path, allow_small_places: bool = False) -> PlacesDB:
-    db = places.ingest_manifest(path / "manifest.csv", allow_small_places=allow_small_places)
+def load_db_dir(path: Path) -> PlacesDB:
+    """Read a database directory; each command checks the place sizes it needs."""
+    db = places.ingest_manifest(path / "manifest.csv", allow_small_places=True)
     if (path / "payloads.vprk").exists():
         _attach_payloads(db, path / "payloads.vprk")
     return db

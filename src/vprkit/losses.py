@@ -266,13 +266,18 @@ def weak_triplet_loss(
     return weak_triplet_total(batch, [weak], cfg, sim=sim)
 
 
+def weak_tuples_from_masks(pos: np.ndarray, neg: np.ndarray) -> list[WeakTuple]:
+    """One weak tuple per row of (N, N) masks that has a potential positive."""
+    return [
+        WeakTuple(int(q), np.flatnonzero(pos[q]).tolist(), np.flatnonzero(neg[q]).tolist())
+        for q in np.flatnonzero(pos.any(axis=1))
+    ]
+
+
 def weak_tuples_from_labels(labels) -> list[WeakTuple]:
     """One in-batch weak tuple per anchor that has a positive and a negative."""
     same, diff, has_both = label_masks(labels)
-    return [
-        WeakTuple(int(q), np.flatnonzero(same[q]).tolist(), np.flatnonzero(diff[q]).tolist())
-        for q in np.flatnonzero(has_both)
-    ]
+    return weak_tuples_from_masks(same & has_both[:, None], diff)
 
 
 def weak_tuples_from_geo(
@@ -293,10 +298,7 @@ def weak_tuples_from_geo(
     eye = np.eye(len(lats), dtype=bool)
     pos = (d <= positive_radius_m) & ~eye
     neg = (d >= negative_radius_m) & ~pos & ~eye
-    return [
-        WeakTuple(int(q), np.flatnonzero(pos[q]).tolist(), np.flatnonzero(neg[q]).tolist())
-        for q in np.flatnonzero(pos.any(axis=1))
-    ]
+    return weak_tuples_from_masks(pos, neg)
 
 
 def weak_triplet_total(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +117,11 @@ class PlacesDB:
                 )
             seen[cell] = p.place_id
 
-    def check_min_images(self, minimum: int = MIN_IMAGES_PER_PLACE) -> None:
+    def check_min_images(self) -> None:
         for p in self.places:
-            if len(p) < minimum:
+            if len(p) < MIN_IMAGES_PER_PLACE:
                 raise ValueError(
-                    f"place {p.place_id} has {len(p)} images, needs >= {minimum}"
+                    f"place {p.place_id} has {len(p)} images, needs >= {MIN_IMAGES_PER_PLACE}"
                 )
 
 
@@ -168,7 +168,6 @@ def ingest_manifest(
     path: str | Path,
     cell_size_deg: float = DEFAULT_CELL_DEG,
     allow_small_places: bool = False,
-    enforce_disjoint: bool = True,
 ) -> PlacesDB:
     """Read a CSV manifest into a PlacesDB, grouping rows by place_id.
 
@@ -208,16 +207,12 @@ def ingest_manifest(
 
     places = [Place(pid, imgs) for pid, imgs in grouped.items()]
     db = PlacesDB(places, cell_size_deg=cell_size_deg)
-    if not allow_small_places:
-        try:
+    try:
+        if not allow_small_places:
             db.check_min_images()
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from exc
-    if enforce_disjoint:
-        try:
-            db.check_disjoint()
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from exc
+        db.check_disjoint()
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
     return db
 
 
@@ -427,34 +422,21 @@ class BatchSpec:
 
 @dataclass
 class Batch:
-    """P*K sampled items: (place_id, payload) pairs with aligned labels."""
+    """P*K sampled images, place by place, with their place ids as labels."""
 
-    items: list[tuple[int, np.ndarray]]
+    images: list[ImageRecord]
     labels: np.ndarray
-    image_refs: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.items) != len(self.labels):
-            raise ValueError("items and labels misaligned")
-        item_labels = np.array([pid for pid, _ in self.items], dtype=np.int64)
-        if not np.array_equal(item_labels, self.labels):
-            raise ValueError("labels do not match item place ids")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.images)
 
-    def validate(self, spec: BatchSpec) -> None:
-        """Assert the P-distinct-labels-times-K invariant."""
-        uniq, counts = np.unique(self.labels, return_counts=True)
-        if len(uniq) != spec.num_places or not np.all(counts == spec.images_per_place):
-            raise ValueError(
-                f"batch violates {spec.num_places}x{spec.images_per_place} structure"
-            )
+    @property
+    def image_refs(self) -> list[str]:
+        return [img.image_ref for img in self.images]
 
     def feature_maps(self) -> np.ndarray:
         """Stack payloads into one (P*K, h, w, c) array."""
-        return np.stack([payload for _, payload in self.items])
+        return np.stack([img.payload for img in self.images])
 
 
 class BatchSampler:
@@ -477,8 +459,9 @@ class BatchSampler:
                 f"images, need {spec.num_places}"
             )
         for p in self.eligible:
-            if p.images and p.images[0].payload is None:
-                raise SamplerError(f"place {p.place_id} has no payloads to sample")
+            for img in p.images:
+                if img.payload is None:
+                    raise SamplerError(f"place {p.place_id} image {img.image_ref!r} has no payload")
         self._rng = np.random.default_rng(spec.rng_seed)
 
     @property
@@ -487,21 +470,17 @@ class BatchSampler:
 
     def epoch(self):
         """Yield the batches of one fresh epoch."""
+        p, k = self.spec.num_places, self.spec.images_per_place
         order = self._rng.permutation(len(self.eligible))
-        k = self.spec.images_per_place
-        for start in range(0, self.batches_per_epoch * self.spec.num_places, self.spec.num_places):
-            items: list[tuple[int, np.ndarray]] = []
-            refs: list[str] = []
-            for pi in order[start : start + self.spec.num_places]:
-                place = self.eligible[pi]
-                picks = self._rng.choice(len(place.images), size=k, replace=False)
-                for idx in picks:
-                    img = place.images[int(idx)]
-                    items.append((place.place_id, img.payload))
-                    refs.append(img.image_ref)
-            batch = Batch(items, np.array([pid for pid, _ in items]), image_refs=refs)
-            batch.validate(self.spec)
-            yield batch
+        for start in range(0, self.batches_per_epoch * p, p):
+            chunk = [self.eligible[i] for i in order[start : start + p]]
+            images = [
+                place.images[i]
+                for place in chunk
+                for i in self._rng.choice(len(place.images), size=k, replace=False)
+            ]
+            labels = np.repeat(np.array([place.place_id for place in chunk], dtype=np.int64), k)
+            yield Batch(images, labels)
 
 
 def query_reference_split(

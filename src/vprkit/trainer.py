@@ -19,7 +19,7 @@ import numpy as np
 
 from . import aggregators, losses, mining, tensorio
 from .embeddings import EmbeddingBatch, similarity_matrix
-from .errors import DivergenceError
+from .errors import DivergenceError, FormatError
 from .places import BatchSampler, BatchSpec, PlacesDB
 
 LOSS_KINDS = ("contrastive", "triplet", "multi_similarity", "weak_triplet")
@@ -206,7 +206,7 @@ def _loss(cfg: TrainConfig, batch: EmbeddingBatch, mined, sim) -> losses.LossOut
         return losses.triplet_loss(batch, mined, lc, sim=sim)
     if cfg.loss == "multi_similarity":
         return losses.multi_similarity_loss(batch, mined, lc, sim=sim)
-    tuples = losses.weak_tuples_from_labels(batch.labels)
+    tuples = losses.weak_tuples_from_masks(mined.positive, mined.negative)
     return losses.weak_triplet_total(batch, tuples, lc, sim=sim)
 
 
@@ -270,5 +270,9 @@ def save_train_checkpoint(path, cfg: TrainConfig, params) -> None:
 def load_train_checkpoint(path):
     """Returns (kind, params, config echo dict)."""
     kind, tensors, config = tensorio.load_checkpoint(path)
-    grid = tuple(config.get("grid", (2, 2)))
-    return kind, aggregators.head(kind).from_arrays(tensors, grid), config
+    grid = config.get("grid", [2, 2])
+    if not (
+        isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)
+    ):
+        raise FormatError(f"{path}: grid must be a list of two positive ints, got {grid!r}")
+    return kind, aggregators.head(kind).from_arrays(tensors, tuple(grid)), config

@@ -65,6 +65,13 @@ class TestConfigHandling:
         assert rc == 1
         assert "mystery" in capsys.readouterr().err
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1,2]", encoding="utf-8")
+        rc = run_command(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_set_override_lands_in_resolved_config(self, tmp_path):
         out = synth(tmp_path, extra=["--set", "synth.gain=0.15"])
         resolved = json.loads((out / "resolved_config.json").read_text())
@@ -221,6 +228,65 @@ class TestTrainEval:
 
     def test_eval_requires_inputs(self, tmp_path):
         assert run_command(["eval", "--out", str(tmp_path / "x")]) == 1
+
+
+SMALL_PLACES = [
+    "--set", "train.images_per_place=2",
+    "--set", "eval.queries_per_place=1",
+]
+
+
+def train_and_eval(tmp_path, db):
+    run_dir = tmp_path / "run"
+    rc = run_command(["train", "--db", str(db), "--out", str(run_dir), *SMALL_TRAIN, *SMALL_PLACES])
+    assert rc == 0
+    rc = run_command(
+        ["eval", "--db", str(db), "--checkpoint", str(run_dir / "checkpoint.vprc"),
+         "--out", str(tmp_path / "eval"), *SMALL_PLACES]
+    )
+    assert rc == 0
+    return RecallReport.from_kv_lines((tmp_path / "eval" / "report.kv").read_text())
+
+
+class TestSmallPlaces:
+    def test_synth_three_images_per_place(self, tmp_path):
+        db = synth(tmp_path, extra=["--set", "synth.images_per_place=3"])
+        report = train_and_eval(tmp_path, db)
+        assert report.queries_evaluated == 12
+
+    def test_build_db_allow_small_places(self, tmp_path):
+        src = synth(tmp_path, "src", extra=["--set", "synth.images_per_place=3"])
+        db = tmp_path / "db"
+        rc = run_command(
+            ["build-db", "--manifest", str(src / "manifest.csv"),
+             "--payloads", str(src / "payloads.vprk"), "--out", str(db),
+             "--allow-small-places"]
+        )
+        assert rc == 0
+        report = train_and_eval(tmp_path, db)
+        assert report.queries_evaluated == 12
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("grid", [5, [2.5, 2], None])
+    def test_bad_grid_fails_cleanly(self, tmp_path, capsys, grid):
+        from vprkit.tensorio import load_checkpoint, save_checkpoint
+
+        db = synth(tmp_path)
+        run_dir = tmp_path / "run"
+        rc = run_command(["train", "--db", str(db), "--out", str(run_dir), *SMALL_TRAIN])
+        assert rc == 0
+        path = run_dir / "checkpoint.vprc"
+        kind, tensors, config = load_checkpoint(path)
+        save_checkpoint(path, kind, tensors, {**config, "grid": grid})
+        capsys.readouterr()
+        rc = run_command(
+            ["eval", "--db", str(db), "--checkpoint", str(path), "--out", str(tmp_path / "eval")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "grid" in err
 
 
 class TestReduce:

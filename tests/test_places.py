@@ -289,6 +289,27 @@ class TestBatchSampler:
         for batch in sampler.epoch():
             assert len(set(batch.image_refs)) == len(batch.image_refs)
 
+    def test_labels_and_maps_follow_the_sampled_images(self):
+        db = tiny_db()
+        place_of = {img.image_ref: p.place_id for p in db.places for img in p.images}
+        payload_of = {img.image_ref: img.payload for p in db.places for img in p.images}
+        sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))
+        for _ in range(3):
+            for batch in sampler.epoch():
+                assert batch.labels.dtype == np.int64
+                np.testing.assert_array_equal(
+                    batch.labels, [place_of[ref] for ref in batch.image_refs]
+                )
+                np.testing.assert_array_equal(
+                    batch.feature_maps(), np.stack([payload_of[ref] for ref in batch.image_refs])
+                )
+
+    def test_missing_payload_on_a_later_image_rejected(self):
+        db = tiny_db()
+        db.places[3].images[2].payload = None
+        with pytest.raises(SamplerError, match="synth_00003_02"):
+            BatchSampler(db, BatchSpec(4, 3, rng_seed=0))
+
 
 class TestSplits:
     def test_query_reference_split_sizes(self):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from vprkit.aggregators import trainable_arrays
+from vprkit.embeddings import similarity_matrix
 from vprkit.errors import DivergenceError
-from vprkit.places import BatchSpec, SynthConfig, synth_places
+from vprkit.losses import WeakTuple, weak_triplet_total
+from vprkit.mining import hardest_mining
+from vprkit.places import BatchSampler, BatchSpec, SynthConfig, synth_places
 from vprkit.trainer import (
     OptimizerState,
     TrainConfig,
@@ -199,6 +202,20 @@ class TestTrainLoop:
         cfg = small_cfg(loss="weak_triplet", miner="all", max_epochs=2)
         _, log = train(db, cfg)
         assert all(np.isfinite(v) for v in log.losses)
+
+    def test_weak_triplet_uses_the_mined_set(self):
+        db = small_db()
+        cfg = small_cfg(loss="weak_triplet", miner="ohm", max_epochs=1)
+        _, log = train(db, cfg)
+        batch = next(BatchSampler(db, cfg.batch_spec).epoch())
+        params = init_aggregator(cfg, 8)
+        ebatch = embed_feature_maps("conv_ap", params, batch.feature_maps(), batch.labels)
+        sim = similarity_matrix(ebatch)
+        mined = hardest_mining(sim, batch.labels)
+        tuples = [WeakTuple(a, [p], [n]) for a, p, n in mined.triplets]
+        expected = weak_triplet_total(ebatch, tuples, cfg.loss_config, sim=sim)
+        assert log.steps[0].loss == expected.value
+        assert log.steps[0].triplets == len(tuples)
 
     def test_contrastive_with_all_pairs_runs(self):
         db = small_db()
