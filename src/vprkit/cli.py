@@ -322,8 +322,12 @@ def cmd_eval(args) -> int:
     report = recall_at_k(query_set, ref_set, gt, [int(k) for k in e["ks"]], label=label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tensorio.save_descriptors(out / "queries.vprk", query_set)
-    tensorio.save_descriptors(out / "references.vprk", ref_set)
+    if args.queries and args.refs:  # the input files loaded and validated: copy their bytes
+        tensorio.copy_descriptors(args.queries, out / "queries.vprk")
+        tensorio.copy_descriptors(args.refs, out / "references.vprk")
+    else:
+        tensorio.save_descriptors(out / "queries.vprk", query_set)
+        tensorio.save_descriptors(out / "references.vprk", ref_set)
     (out / "report.kv").write_text(report.to_kv_lines(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     _write_resolved(config, out)

@@ -5,6 +5,10 @@ keeps the evaluator exact at desk scale. Ground truth comes either from
 place labels or from a geodesic radius around each query (25 m by
 default). Queries with no correct reference at all are excluded from the
 recall denominator and reported separately.
+
+Geo ground truth is exact but pruned: a great-circle distance is at least
+EARTH_RADIUS_M times the latitude difference, so only references inside
+a query block's latitude band (widened by the radius) are measured.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import normalize_rows, rows_are_unit
-from .places import haversine
+from .places import EARTH_RADIUS_M, haversine
 from .tensorio import DescriptorSet
 
 DEFAULT_GEO_RADIUS_M = 25.0
 BLOCK_ENTRIES = 1 << 17  # (block, R) entries per recall_at_k query block: bounds its memory
+# degrees (about 0.1 m) added to the latitude band: far above the rounding of
+# haversine and of the band comparison, so no match falls outside the band
+BAND_SLACK_DEG = 1e-6
 
 
 @dataclass
@@ -41,8 +48,15 @@ class GroundTruthMatcher:
         """The (Q, R) boolean mask of references that are correct for each query."""
         if self.mode == "label":
             return queries.place_ids[:, None] == refs.place_ids[None, :]
-        dists = haversine((queries.lats[:, None], queries.lons[:, None]), (refs.lats, refs.lons))
-        return dists <= self.radius_m
+        slack = np.degrees(self.radius_m / EARTH_RADIUS_M) + BAND_SLACK_DEG
+        lo = queries.lats.min(initial=np.inf) - slack
+        hi = queries.lats.max(initial=-np.inf) + slack
+        band = np.flatnonzero((refs.lats >= lo) & (refs.lats <= hi))
+        dists = haversine((queries.lats[:, None], queries.lons[:, None]),
+                          (refs.lats[band], refs.lons[band]))
+        mask = np.zeros((len(queries), len(refs)), dtype=bool)
+        mask[:, band] = dists <= self.radius_m
+        return mask
 
     def matches(self, queries: DescriptorSet, refs: DescriptorSet) -> list[np.ndarray]:
         """Per query, the array of correct reference indices."""

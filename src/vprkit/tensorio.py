@@ -12,6 +12,10 @@ Tensor files are little-endian and self-describing:
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order).
 
+Every file this module writes goes through `write_atomic`: a temp file
+beside the target, then `os.replace`, so a write that fails partway never
+leaves a truncated file under the final name.
+
 Checkpoints wrap a JSON header (config echo plus tensor names) followed
 by one tensor blob per parameter:
 
@@ -28,6 +32,7 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,17 +55,38 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return head + dims + arr.tobytes()
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to a temp file in `path`'s directory, then rename it onto `path`.
+
+    If the write fails, `path` keeps its old content (or stays absent) and
+    the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_tensor(path: str | Path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_bytes(arr))
+    write_atomic(path, tensor_bytes(arr))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """n bytes from a seekable file; sizes beyond its end fail before any read."""
+def _check_left(fh, n: int, what: str) -> None:
+    """Fail before any read when a seekable file has fewer than n bytes left."""
     pos = fh.tell()
     left = fh.seek(0, io.SEEK_END) - pos
     fh.seek(pos)
     if not 0 <= n <= left:
         raise FormatError(f"truncated file while reading {what}: {n} bytes declared, {left} left")
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """n bytes from a seekable file; sizes beyond its end fail before any read."""
+    _check_left(fh, n, what)
     return fh.read(n)
 
 
@@ -75,8 +101,11 @@ def read_tensor_stream(fh) -> np.ndarray:
         raise FormatError(f"unsupported dtype tag {dtype}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
     count = math.prod(dims)  # exact: u32 dims may overflow an int64 product
-    payload = _read_exact(fh, 4 * count, "payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    _check_left(fh, 4 * count, "payload")
+    arr = np.empty(dims, dtype="<f4")
+    if fh.readinto(arr) != arr.nbytes:  # straight into the array: no intermediate bytes copy
+        raise FormatError("file shrank while reading payload")
+    return arr
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
@@ -112,6 +141,12 @@ class DescriptorSet:
         n = self.vectors.shape[0]
         if not (len(self.ids) == len(self.lats) == len(self.lons) == len(self.place_ids) == n):
             raise ValueError("metadata misaligned with vectors")
+        # the rule of places.ImageRecord; NaN fails both comparisons
+        for name, values, bound in (("lat", self.lats, 90.0), ("lon", self.lons, 180.0)):
+            bad = np.flatnonzero(~((values >= -bound) & (values <= bound)))
+            if len(bad):
+                raise ValueError(f"row {bad[0]}: {name} {values[bad[0]]} outside "
+                                 f"[{-bound:g}, {bound:g}]")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -128,13 +163,19 @@ def sidecar_path(tensor_path: str | Path) -> Path:
 
 def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
     save_tensor(path, ds.vectors)
-    with sidecar_path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SIDECAR_HEADER)
-        for i in range(len(ds)):
-            writer.writerow(
-                [ds.ids[i], repr(float(ds.lats[i])), repr(float(ds.lons[i])), int(ds.place_ids[i])]
-            )
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(SIDECAR_HEADER)
+    writer.writerows(zip(ds.ids, map(repr, ds.lats.tolist()), map(repr, ds.lons.tolist()),
+                         ds.place_ids.tolist()))
+    write_atomic(sidecar_path(path), text.getvalue().encode("utf-8"))
+
+
+def copy_descriptors(src: str | Path, dest: str | Path) -> None:
+    """Byte copies of a descriptor set's tensor and sidecar; a file is never copied onto itself."""
+    for source, target in ((Path(src), Path(dest)), (sidecar_path(src), sidecar_path(dest))):
+        if not (target.exists() and os.path.samefile(source, target)):
+            write_atomic(target, source.read_bytes())
 
 
 def load_descriptors(path: str | Path) -> DescriptorSet:
@@ -162,7 +203,10 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
         raise FormatError(
             f"sidecar has {len(ids)} rows but tensor has {vectors.shape[0]}"
         )
-    return DescriptorSet(vectors, ids, np.array(lats), np.array(lons), np.array(pids))
+    try:
+        return DescriptorSet(vectors, ids, np.array(lats), np.array(lons), np.array(pids))
+    except ValueError as exc:
+        raise FormatError(f"{side}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +227,7 @@ def save_checkpoint(path: str | Path, kind: str, tensors: dict[str, np.ndarray],
     buf.write(hbytes)
     for name in header["tensors"]:
         buf.write(tensor_bytes(tensors[name]))
-    Path(path).write_bytes(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def _check_checkpoint_header(header) -> None:

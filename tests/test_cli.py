@@ -430,3 +430,79 @@ class TestMalformedSidecar:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "line 6" in err
+
+
+class TestEvalCopies:
+    @staticmethod
+    def _hand_written_set(tmp_path, rng, name="in"):
+        """A set whose sidecar spells numbers as `save_descriptors` would not."""
+        from vprkit.embeddings import normalize_rows
+        from vprkit.tensorio import save_tensor, sidecar_path
+
+        path = tmp_path / f"{name}.vprk"
+        save_tensor(path, normalize_rows(rng.standard_normal((12, 8))))
+        rows = [f"d{i},45,{7 + i / 1e5:.6f},{i % 3}" for i in range(12)]
+        sidecar_path(path).write_text("id,lat,lon,place_id\r\n" + "\r\n".join(rows) + "\r\n")
+        return path
+
+    def _eval(self, queries, refs, out):
+        return run_command(["eval", "--queries", str(queries), "--refs", str(refs),
+                            "--out", str(out), "--set", "eval.ground_truth=geo"])
+
+    def test_copies_are_the_input_bytes(self, tmp_path, rng):
+        q = self._hand_written_set(tmp_path, rng, "q")
+        r = self._hand_written_set(tmp_path, rng, "r")
+        out = tmp_path / "ev"
+        assert self._eval(q, r, out) == 0
+        for src, dest in ((q, "queries"), (r, "references")):
+            assert (out / f"{dest}.vprk").read_bytes() == src.read_bytes()
+            assert (out / f"{dest}.csv").read_bytes() == src.with_suffix(".csv").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "queries.csv", "queries.vprk", "references.csv", "references.vprk",
+            "report.kv", "report.txt", "resolved_config.json"]
+
+    def test_reduce_of_copies_equals_reduce_of_inputs(self, tmp_path, rng):
+        q = self._hand_written_set(tmp_path, rng, "q")
+        r = self._hand_written_set(tmp_path, rng, "r")
+        assert self._eval(q, r, tmp_path / "ev") == 0
+        outs = []
+        for fit, apply, name in ((r, q, "from_inputs"),
+                                 (tmp_path / "ev" / "references.vprk",
+                                  tmp_path / "ev" / "queries.vprk", "from_copies")):
+            outs.append(tmp_path / name)
+            assert run_command(["reduce", "--fit", str(fit), "--apply", str(apply),
+                                "--out", str(outs[-1]), "--set", "pca.out_dim=4"]) == 0
+        for name in ("pca_model.vprc", "reduced.vprk", "reduced.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_same_set_as_queries_and_refs(self, tmp_path, rng):
+        x = self._hand_written_set(tmp_path, rng)
+        out = tmp_path / "ev"
+        assert self._eval(x, x, out) == 0
+        for dest in ("queries", "references"):
+            assert (out / f"{dest}.vprk").read_bytes() == x.read_bytes()
+            assert (out / f"{dest}.csv").read_bytes() == x.with_suffix(".csv").read_bytes()
+
+    def test_eval_into_the_inputs_directory(self, tmp_path, rng):
+        first = tmp_path / "first"
+        x = self._hand_written_set(tmp_path, rng)
+        assert self._eval(x, x, first) == 0
+        before = {p.name: p.read_bytes() for p in first.iterdir()}
+        assert self._eval(first / "queries.vprk", first / "references.vprk", first) == 0
+        assert {p.name: p.read_bytes() for p in first.iterdir()} == before
+
+    def test_failed_eval_writes_no_copies(self, tmp_path, rng):
+        x = self._hand_written_set(tmp_path, rng)
+        out = tmp_path / "ev"
+        rc = run_command(["eval", "--queries", str(x), "--refs", str(x), "--out", str(out),
+                          "--set", "eval.ks=[0]"])
+        assert rc == 1
+        assert not out.exists()
+
+    def test_out_of_range_latitude_fails_cleanly(self, tmp_path, rng, capsys):
+        x = self._hand_written_set(tmp_path, rng)
+        side = x.with_suffix(".csv")
+        side.write_text(side.read_text().replace("d3,45,", "d3,nan,"))
+        assert self._eval(x, x, tmp_path / "ev") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "in.csv" in err and "lat nan" in err

@@ -20,7 +20,7 @@ from vprkit.evaluator import (
     recall_at_k,
     retrieve_topk,
 )
-from vprkit.places import SynthConfig, haversine, synth_places
+from vprkit.places import EARTH_RADIUS_M, SynthConfig, haversine, synth_places
 from vprkit.tensorio import DescriptorSet
 from vprkit.trainer import embed_feature_maps
 
@@ -197,6 +197,89 @@ class TestGroundTruth:
             )
             matches = GroundTruthMatcher(mode="geo", radius_m=25.0).matches(queries, refs)
             assert matches[0].tolist() == [0]
+
+
+LATS = st.one_of(st.sampled_from([-90.0, -89.99999, -45.0, 0.0, 45.0, 89.99999, 90.0]),
+                 st.floats(-90.0, 90.0))
+LONS = st.one_of(st.sampled_from([-180.0, -179.99999, 0.0, 179.99999, 180.0]),
+                 st.floats(-180.0, 180.0))
+HALF_CIRCUMFERENCE_M = np.pi * EARTH_RADIUS_M
+
+
+@st.composite
+def geo_case(draw):
+    """(query lats, lons), (reference lats, lons) and a radius.
+
+    References sit at query positions (duplicates), at multiples of the
+    radius away in latitude (on and around the band's edges), or anywhere.
+    """
+    radius = draw(st.one_of(
+        st.sampled_from([0.0, 25.0, 300.0, 1e7, HALF_CIRCUMFERENCE_M, 1.01 * HALF_CIRCUMFERENCE_M]),
+        st.floats(0.0, 2.5e7)))
+    reach = np.degrees(radius / EARTH_RADIUS_M)
+    queries = draw(st.lists(st.tuples(LATS, LONS), min_size=1, max_size=8))
+    refs = []
+    for i, step, lon in draw(st.lists(
+            st.tuples(st.integers(0, len(queries) - 1),
+                      st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0)),
+                      st.one_of(st.none(), LONS)),
+            max_size=24)):
+        lat = float(np.clip(queries[i][0] + step * reach, -90.0, 90.0))
+        refs.append((lat, queries[i][1] if lon is None else lon))
+    refs += draw(st.lists(st.tuples(LATS, LONS), max_size=6))
+    return np.array(queries).reshape(-1, 2), np.array(refs).reshape(-1, 2), radius
+
+
+def located_set(points):
+    n = len(points)
+    return DescriptorSet(np.ones((n, 1)), [f"p{i}" for i in range(n)], points[:, 0], points[:, 1],
+                         np.zeros(n, int))
+
+
+class TestLatitudeBand:
+    """Geo ground truth measures only a latitude band but equals the full distance mask."""
+
+    @staticmethod
+    def full_mask(queries, refs, radius):
+        return haversine((queries.lats[:, None], queries.lons[:, None]),
+                         (refs.lats, refs.lons)) <= radius
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=geo_case())
+    def test_equals_full_haversine_mask(self, case):
+        q_points, r_points, radius = case
+        queries, refs = located_set(q_points), located_set(r_points)
+        gt = GroundTruthMatcher(mode="geo", radius_m=radius)
+        expected = self.full_mask(queries, refs, radius)
+        np.testing.assert_array_equal(gt.correct(queries, refs), expected)
+        for i in range(len(queries)):  # one-row blocks
+            np.testing.assert_array_equal(gt.correct(queries.rows(i, i + 1), refs), expected[i:i + 1])
+
+    def test_poles_and_antimeridian(self):
+        queries = located_set(np.array([[90.0, 0.0], [-90.0, 180.0], [0.0, 180.0]]))
+        refs = located_set(np.array([[90.0, 123.0], [89.999, -45.0], [-90.0, -180.0],
+                                     [0.0, -180.0], [0.0, 179.9999], [0.0, -179.9999]]))
+        gt = GroundTruthMatcher(mode="geo", radius_m=25.0)
+        np.testing.assert_array_equal(gt.correct(queries, refs), [
+            [True, False, False, False, False, False],
+            [False, False, True, False, False, False],
+            [False, False, False, True, True, True],
+        ])
+        np.testing.assert_array_equal(gt.correct(queries, refs), self.full_mask(queries, refs, 25.0))
+
+    def test_refs_outside_the_band_are_not_measured(self, monkeypatch):
+        queries = located_set(np.array([[45.0, 7.0], [45.001, 7.0]]))
+        refs = located_set(np.array([[44.0, 7.0], [45.0005, 7.0], [46.0, 7.0], [45.0, 8.0]]))
+        widths = []
+
+        def counted(a, b):
+            widths.append(np.shape(b[0]))
+            return haversine(a, b)
+
+        monkeypatch.setattr(evaluator, "haversine", counted)
+        mask = GroundTruthMatcher(mode="geo", radius_m=300.0).correct(queries, refs)
+        assert widths == [(2,)]  # references 1 and 3 lie in the band
+        np.testing.assert_array_equal(mask, [[False, True, False, False], [False, True, False, False]])
 
 
 class TestRecallAtK:

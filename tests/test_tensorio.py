@@ -1,6 +1,10 @@
+import csv
+import errno
+import io
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from vprkit.tensorio import (
     CHECKPOINT_MAGIC,
     FORMAT_VERSION,
     DescriptorSet,
+    copy_descriptors,
     load_checkpoint,
     load_descriptors,
     load_tensor,
@@ -249,3 +254,129 @@ class TestTypedReadErrors:
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(hbytes)) + hbytes)
         with pytest.raises(FormatError, match="corrupt checkpoint header"):
             load_checkpoint(path)
+
+
+class TestCoordinateRule:
+    @pytest.mark.parametrize("lat, lon", [
+        (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf),
+        (90.5, 0.0), (-90.000001, 0.0), (0.0, 180.25), (0.0, -181.0),
+    ])
+    def test_invalid_coordinates_rejected(self, lat, lon):
+        with pytest.raises(ValueError, match=r"row 1: (lat|lon) "):
+            DescriptorSet(np.eye(3), ["a", "b", "c"], np.array([0.0, lat, 0.0]),
+                          np.array([0.0, lon, 0.0]), np.arange(3))
+
+    def test_range_ends_accepted(self):
+        ds = DescriptorSet(np.eye(4), list("abcd"), np.array([-90.0, 90.0, -0.0, 0.0]),
+                           np.array([-180.0, 180.0, 0.0, -0.0]), np.arange(4))
+        assert len(ds) == 4
+
+    @pytest.mark.parametrize("field, value", [("lat", "nan"), ("lat", "91"), ("lon", "inf")])
+    def test_load_names_the_sidecar(self, tmp_path, field, value):
+        path = tmp_path / "desc.vprk"
+        save_descriptors(path, DescriptorSet(np.eye(3), ["a", "b", "c"], np.zeros(3),
+                                             np.zeros(3), np.arange(3)))
+        row = f"b,{value},0.0,1" if field == "lat" else f"b,0.0,{value},1"
+        lines = sidecar_path(path).read_text().splitlines()
+        lines[2] = row
+        sidecar_path(path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"desc\.csv: row 1: {field} {value}"):
+            load_descriptors(path)
+
+
+def sidecar_row_by_row(ds: DescriptorSet) -> bytes:
+    """The sidecar as written one `writerow` per descriptor."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["id", "lat", "lon", "place_id"])
+    for i in range(len(ds)):
+        writer.writerow([ds.ids[i], repr(float(ds.lats[i])), repr(float(ds.lons[i])),
+                         int(ds.place_ids[i])])
+    return text.getvalue().encode("utf-8")
+
+
+class TestSidecarBytes:
+    def test_equals_row_by_row_writer(self, rng, tmp_path):
+        lats = np.array([-90.0, 90.0, -0.0, 1e-300, 1 / 3, 45.00000000000001, 5e-324])
+        lons = np.array([-180.0, 180.0, 0.0, -1e-17, 2 / 3, 7.123456789012345, 179.99999999999997])
+        ids = ["plain", "with,comma", 'with "quote"', "ünï", "line\nbreak", "", " pad "]
+        pids = np.array([0, -1, 2**62, 3, 4, 5, 6])
+        ds = DescriptorSet(rng.standard_normal((7, 3)), ids, lats, lons, pids)
+        path = tmp_path / "d.vprk"
+        save_descriptors(path, ds)
+        assert sidecar_path(path).read_bytes() == sidecar_row_by_row(ds)
+        back = load_descriptors(path)
+        assert back.ids == ids
+        assert back.lats.tobytes() == lats.tobytes() and back.lons.tobytes() == lons.tobytes()
+
+    def test_empty_set(self, tmp_path):
+        ds = DescriptorSet(np.zeros((0, 3)), [], np.zeros(0), np.zeros(0), np.zeros(0, int))
+        save_descriptors(tmp_path / "e.vprk", ds)
+        assert sidecar_path(tmp_path / "e.vprk").read_bytes() == sidecar_row_by_row(ds)
+
+
+class HalfWrite:
+    """A file whose first write stores half the bytes, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def _set():
+        return DescriptorSet(np.eye(3), ["a", "b", "c"], np.zeros(3), np.zeros(3), np.arange(3))
+
+    WRITERS = {
+        "tensor": ("t.vprk", lambda d: save_tensor(d / "t.vprk", np.ones((4, 4)))),
+        "checkpoint": ("c.vprc", lambda d: save_checkpoint(
+            d / "c.vprc", "pca", {"mean": np.zeros(3)}, {"epsilon": 1e-9})),
+        "sidecar": ("s.csv", lambda d: save_descriptors(d / "s.vprk", TestAtomicWrites._set())),
+        "copy": ("copy.vprk", lambda d: copy_descriptors(d / "src.vprk", d / "copy.vprk")),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_leaves_final_name_alone(self, tmp_path, monkeypatch, writer, existing):
+        target, write = self.WRITERS[writer]
+        save_descriptors(tmp_path / "src.vprk", self._set())
+        if existing:
+            (tmp_path / target).write_bytes(b"old content")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        real_open = Path.open
+
+        def half_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            writing = any(c in mode for c in "wxa")
+            return HalfWrite(fh) if writing and target in path.name else fh
+
+        monkeypatch.setattr(Path, "open", half_open)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path)
+        monkeypatch.undo()
+
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        if writer == "sidecar":  # the tensor half of the set was written before the sidecar failed
+            assert after.pop("s.vprk") == tensor_bytes(np.eye(3))
+        assert after == before
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_existing_file(self, tmp_path, writer):
+        target, write = self.WRITERS[writer]
+        save_descriptors(tmp_path / "src.vprk", self._set())
+        (tmp_path / target).write_bytes(b"old content")
+        write(tmp_path)
+        assert (tmp_path / target).read_bytes() != b"old content"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
