@@ -323,8 +323,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.queries and args.refs:  # the input files loaded and validated: copy their bytes
-        tensorio.copy_descriptors(args.queries, out / "queries.vprk")
-        tensorio.copy_descriptors(args.refs, out / "references.vprk")
+        tensorio.copy_descriptors([(args.queries, out / "queries.vprk"),
+                                   (args.refs, out / "references.vprk")])
     else:
         tensorio.save_descriptors(out / "queries.vprk", query_set)
         tensorio.save_descriptors(out / "references.vprk", ref_set)

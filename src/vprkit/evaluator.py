@@ -8,7 +8,9 @@ recall denominator and reported separately.
 
 Geo ground truth is exact but pruned: a great-circle distance is at least
 EARTH_RADIUS_M times the latitude difference, so only references inside
-a query block's latitude band (widened by the radius) are measured.
+a query block's latitude band (widened by the radius) are measured. The
+ground truth takes the queries in latitude order, which keeps each
+block's band narrow whatever order the queries arrive in.
 """
 
 from __future__ import annotations
@@ -188,24 +190,28 @@ def recall_at_k(
 
     ref_ids = np.asarray(refs.ids, dtype=object)
     rows = max(1, BLOCK_ENTRIES // len(refs))
-    has_match, ranks, traces = [], [], []
+    top = np.concatenate([retrieve_topk(queries.vectors[lo:lo + rows], refs.vectors, max_k)
+                          for lo in range(0, len(queries), rows)])
+    # the ground truth visits the queries in latitude order, so a block's geo
+    # band spans only its own rows' latitudes, whatever order the queries are in
+    by_lat = np.argsort(queries.lats, kind="stable")
+    has_match = np.empty(len(queries), dtype=bool)
+    hits = np.empty(top.shape, dtype=bool)
     for lo in range(0, len(queries), rows):
-        block = queries.rows(lo, lo + rows)
-        correct = gt.correct(block, refs)
-        top = retrieve_topk(block.vectors, refs.vectors, max_k)
-        hits = np.take_along_axis(correct, top, axis=1)
-        has_match.append(correct.any(axis=1))
-        # 1-based rank of the first correct reference; 0 when none is in the top max_k
-        ranks.append(np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0))
-        traces += [
-            QueryTrace(qid, ref_ids[t].tolist() if found else [], int(rank) if rank else None)
-            for qid, t, found, rank in zip(block.ids, top, has_match[-1], ranks[-1])
-        ]
+        idx = by_lat[lo:lo + rows]
+        correct = gt.correct(queries.take(idx), refs)
+        has_match[idx] = correct.any(axis=1)
+        hits[idx] = np.take_along_axis(correct, top[idx], axis=1)
+    # 1-based rank of the first correct reference; 0 when none is in the top max_k
+    ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
+    traces = [
+        QueryTrace(qid, ref_ids[t].tolist() if found else [], int(rank) if rank else None)
+        for qid, t, found, rank in zip(queries.ids, top, has_match, ranks)
+    ]
 
-    evaluated = int(np.count_nonzero(np.concatenate(has_match)))
+    evaluated = int(np.count_nonzero(has_match))
     if evaluated == 0:
         raise ValueError("no query has any ground-truth match in the reference set")
-    ranks = np.concatenate(ranks)
     recall = {k: float(np.count_nonzero((ranks >= 1) & (ranks <= k))) / evaluated for k in ks}
     return RecallReport(
         ks=ks,

@@ -151,10 +151,10 @@ class DescriptorSet:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    def rows(self, lo: int, hi: int) -> "DescriptorSet":
-        """Descriptors lo:hi with their metadata."""
-        return DescriptorSet(self.vectors[lo:hi], self.ids[lo:hi], self.lats[lo:hi],
-                             self.lons[lo:hi], self.place_ids[lo:hi])
+    def take(self, index) -> "DescriptorSet":
+        """The descriptors at the row indices `index`, with their metadata."""
+        return DescriptorSet(self.vectors[index], [self.ids[i] for i in index], self.lats[index],
+                             self.lons[index], self.place_ids[index])
 
 
 def sidecar_path(tensor_path: str | Path) -> Path:
@@ -171,11 +171,19 @@ def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
     write_atomic(sidecar_path(path), text.getvalue().encode("utf-8"))
 
 
-def copy_descriptors(src: str | Path, dest: str | Path) -> None:
-    """Byte copies of a descriptor set's tensor and sidecar; a file is never copied onto itself."""
-    for source, target in ((Path(src), Path(dest)), (sidecar_path(src), sidecar_path(dest))):
-        if not (target.exists() and os.path.samefile(source, target)):
-            write_atomic(target, source.read_bytes())
+def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
+    """Byte copies of descriptor sets, tensor and sidecar, given (source, destination) tensor paths.
+
+    Every source is read before any destination is written, so a destination
+    that is also another copy's source still passes on its original bytes. A
+    file is never copied onto itself.
+    """
+    files = [(Path(s), Path(d)) for src, dest in copies
+             for s, d in ((src, dest), (sidecar_path(src), sidecar_path(dest)))]
+    writes = [(dest, src.read_bytes()) for src, dest in files
+              if not (dest.exists() and os.path.samefile(src, dest))]
+    for dest, data in writes:
+        write_atomic(dest, data)
 
 
 def load_descriptors(path: str | Path) -> DescriptorSet:

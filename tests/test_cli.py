@@ -491,6 +491,18 @@ class TestEvalCopies:
         assert self._eval(first / "queries.vprk", first / "references.vprk", first) == 0
         assert {p.name: p.read_bytes() for p in first.iterdir()} == before
 
+    def test_rerun_into_the_inputs_directory_with_roles_swapped(self, tmp_path, rng):
+        q = self._hand_written_set(tmp_path, rng, "q")
+        r = self._hand_written_set(tmp_path, rng, "r")
+        side = r.with_suffix(".csv")
+        side.write_text(side.read_text().replace("\nd", "\ne"))  # other ids than q's sidecar
+        out = tmp_path / "ev"
+        assert self._eval(q, r, out) == 0
+        assert self._eval(out / "references.vprk", out / "queries.vprk", out) == 0
+        for src, dest in ((r, "queries"), (q, "references")):
+            assert (out / f"{dest}.vprk").read_bytes() == src.read_bytes()
+            assert (out / f"{dest}.csv").read_bytes() == src.with_suffix(".csv").read_bytes()
+
     def test_failed_eval_writes_no_copies(self, tmp_path, rng):
         x = self._hand_written_set(tmp_path, rng)
         out = tmp_path / "ev"

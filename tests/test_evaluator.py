@@ -253,7 +253,7 @@ class TestLatitudeBand:
         expected = self.full_mask(queries, refs, radius)
         np.testing.assert_array_equal(gt.correct(queries, refs), expected)
         for i in range(len(queries)):  # one-row blocks
-            np.testing.assert_array_equal(gt.correct(queries.rows(i, i + 1), refs), expected[i:i + 1])
+            np.testing.assert_array_equal(gt.correct(queries.take([i]), refs), expected[i:i + 1])
 
     def test_poles_and_antimeridian(self):
         queries = located_set(np.array([[90.0, 0.0], [-90.0, 180.0], [0.0, 180.0]]))
@@ -280,6 +280,29 @@ class TestLatitudeBand:
         mask = GroundTruthMatcher(mode="geo", radius_m=300.0).correct(queries, refs)
         assert widths == [(2,)]  # references 1 and 3 lie in the band
         np.testing.assert_array_equal(mask, [[False, True, False, False], [False, True, False, False]])
+
+
+    def test_recall_takes_blocks_in_latitude_order(self, monkeypatch):
+        # queries in shuffled latitude order: a block of two in the given order would span
+        # the whole latitude range, and its band would keep every reference
+        refs = DescriptorSet(np.eye(10), [f"p{i}" for i in range(10)], np.arange(0.0, 91.0, 10.0),
+                             np.zeros(10), np.zeros(10, int))  # unit vector i at latitude 10 i
+        queries = refs.take([9, 0, 5, 1, 8, 2])
+        queries.ids[:] = [f"q{i}" for i in range(6)]
+        widths = []
+
+        def counted(a, b):
+            widths.append(np.shape(b[0]))
+            return haversine(a, b)
+
+        monkeypatch.setattr(evaluator, "haversine", counted)
+        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 2 * len(refs))
+        report = recall_at_k(queries, refs, GroundTruthMatcher(mode="geo", radius_m=25.0), [1])
+        assert widths == [(2,), (4,), (2,)]  # latitudes 0-10, 20-50 and 80-90
+        assert report.recall_at == {1: 1.0}
+        assert [t.query_id for t in report.per_query] == queries.ids
+        assert [t.retrieved for t in report.per_query] == [["p9"], ["p0"], ["p5"], ["p1"],
+                                                           ["p8"], ["p2"]]
 
 
 class TestRecallAtK:

@@ -18,6 +18,7 @@ from vprkit.tensorio import (
     load_checkpoint,
     load_descriptors,
     load_tensor,
+    read_tensor_stream,
     save_checkpoint,
     save_descriptors,
     save_tensor,
@@ -64,6 +65,26 @@ class TestTensorFormat:
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError, match="truncated"):
             load_tensor(path)
+
+    def test_payload_is_read_without_a_second_copy(self, tmp_path):
+        path = tmp_path / "t.vprk"
+        save_tensor(path, np.ones((1024, 1024)))  # 4 MB payload
+        tracemalloc.start()
+        try:
+            arr = load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes <= peak < 1.5 * arr.nbytes
+
+    def test_short_payload_read_rejected(self, rng):
+        class ShortRead(io.BytesIO):  # holds the payload, but one read delivers half of it
+            def readinto(self, buf):
+                view = memoryview(buf).cast("B")
+                return super().readinto(view[:len(view) // 2])
+
+        with pytest.raises(FormatError, match="shrank while reading payload"):
+            read_tensor_stream(ShortRead(tensor_bytes(rng.standard_normal((4, 4)))))
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         path = tmp_path / "t.vprk"
@@ -343,7 +364,7 @@ class TestAtomicWrites:
         "checkpoint": ("c.vprc", lambda d: save_checkpoint(
             d / "c.vprc", "pca", {"mean": np.zeros(3)}, {"epsilon": 1e-9})),
         "sidecar": ("s.csv", lambda d: save_descriptors(d / "s.vprk", TestAtomicWrites._set())),
-        "copy": ("copy.vprk", lambda d: copy_descriptors(d / "src.vprk", d / "copy.vprk")),
+        "copy": ("copy.vprk", lambda d: copy_descriptors([(d / "src.vprk", d / "copy.vprk")])),
     }
 
     @pytest.mark.parametrize("existing", [False, True])
