@@ -5,7 +5,13 @@ normalized by `embeddings.normalize_rows`. Conv-AP is a 1x1 convolution
 followed by adaptive average pooling onto a (rows, cols) grid; both are
 affine, so the head pools first and projects only the pooled cells, which
 equals project-then-pool. AVG is the 1x1-grid pooling path, so the
-identity-kernel 1x1-grid Conv-AP head equals it bit for bit. The head kind
+identity-kernel 1x1-grid Conv-AP head equals it bit for bit.
+
+Each head is a parameter-free stage (`Head.pool`: Conv-AP pools to its
+grid, AVG to 1x1, GeM clamps at zero since its exponent is trained)
+followed by the trainable part, whose forward and backward take the
+stage's output. The backbone is frozen, so training runs the stage once
+per database and each step only gathers rows of its output. The head kind
 is resolved only through `HEADS`; single-map functions are batch-of-one
 calls into the same code. Analytic backward passes return parameter
 gradients summed over the batch, checked against finite differences in
@@ -143,17 +149,16 @@ def adaptive_avg_pool(fmap: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return _pool(_one_map(fmap), rows, cols)[0]
 
 
-def _conv_ap_forward(params: ConvAPParams, fmaps: np.ndarray) -> np.ndarray:
+def _conv_ap_forward(params: ConvAPParams, pooled: np.ndarray) -> np.ndarray:
     # Flatten order: row-major over the pooling grid, channels fastest.
-    cells = _project(params, _pool(fmaps, *params.grid))
-    return normalize_rows(cells.reshape(len(fmaps), -1))
-
-
-def _conv_ap_backward(params: ConvAPParams, fmaps: np.ndarray, upstream: np.ndarray):
-    """Summed parameter gradients, and d<upstream, rows> / d projected cells."""
-    pooled = _pool(fmaps, *params.grid)
     cells = _project(params, pooled)
-    g_flat = _normalize_backward(cells.reshape(len(fmaps), -1), upstream)
+    return normalize_rows(cells.reshape(len(pooled), -1))
+
+
+def _conv_ap_backward(params: ConvAPParams, pooled: np.ndarray, upstream: np.ndarray):
+    """Summed parameter gradients, and d<upstream, rows> / d projected cells."""
+    cells = _project(params, pooled)
+    g_flat = _normalize_backward(cells.reshape(len(pooled), -1), upstream)
     g_flat = g_flat.reshape(-1, params.out_channels)
     grads = {"weight": g_flat.T @ pooled.reshape(-1, params.in_channels)}
     if params.bias is not None:
@@ -167,7 +172,7 @@ def conv_ap_forward(fmap: np.ndarray, params: ConvAPParams) -> np.ndarray:
     Output dimension is rows*cols*d. Flatten order is row-major over the
     pooling grid with channels fastest, and is stable across calls.
     """
-    return _conv_ap_forward(params, _one_map(fmap))[0]
+    return forward("conv_ap", params, np.asarray(fmap)[None])[0]
 
 
 @dataclass
@@ -181,7 +186,8 @@ def conv_ap_backward(
     fmap: np.ndarray, params: ConvAPParams, upstream: np.ndarray
 ) -> ConvApGradients:
     """Gradients of <upstream, conv_ap_forward(fmap)> w.r.t. weight, bias, fmap."""
-    grads, g_cells = _conv_ap_backward(params, _one_map(fmap), np.reshape(upstream, (1, -1)))
+    pooled = _pool(_one_map(fmap), *params.grid)
+    grads, g_cells = _conv_ap_backward(params, pooled, np.reshape(upstream, (1, -1)))
 
     # Through pooling: each input cell feeds exactly one bin, scaled by 1/bin size.
     g_pooled = g_cells[0] @ params.weight
@@ -197,23 +203,19 @@ def conv_ap_backward(
     return ConvApGradients(grads["weight"], grads.get("bias"), g_features)
 
 
-def _avg_forward(fmaps: np.ndarray) -> np.ndarray:
-    return normalize_rows(_pool(fmaps, 1, 1).reshape(len(fmaps), -1))
-
-
 def avg_pool(fmap: np.ndarray) -> np.ndarray:
     """Per-channel spatial mean, L2-normalized."""
-    return _avg_forward(_one_map(fmap))[0]
+    return forward("avg", None, np.asarray(fmap)[None])[0]
 
 
-def _gem_forward(params: GemParams, fmaps: np.ndarray) -> np.ndarray:
-    u = np.mean(np.maximum(fmaps, 0.0) ** params.power, axis=(1, 2))
+def _gem_forward(params: GemParams, x: np.ndarray) -> np.ndarray:
+    """GeM on maps already clamped at zero by its stage."""
+    u = np.mean(x**params.power, axis=(1, 2))
     return normalize_rows(u ** (1.0 / params.power))
 
 
-def _gem_backward(params: GemParams, fmaps: np.ndarray, upstream: np.ndarray):
+def _gem_backward(params: GemParams, x: np.ndarray, upstream: np.ndarray):
     p = params.power
-    x = np.maximum(fmaps, 0.0)
     u = np.mean(x**p, axis=(1, 2))
     m = u ** (1.0 / p)
 
@@ -235,12 +237,13 @@ def gem_pool(fmap: np.ndarray, params: GemParams) -> np.ndarray:
     Entries are clamped at zero first; p = 1 reduces to plain average
     pooling, large p approaches per-channel max pooling.
     """
-    return _gem_forward(params, _one_map(fmap))[0]
+    return forward("gem", params, np.asarray(fmap)[None])[0]
 
 
 def gem_pool_backward(fmap: np.ndarray, params: GemParams, upstream: np.ndarray) -> float:
     """d<upstream, gem_pool(fmap)> / d power."""
-    return float(_gem_backward(params, _one_map(fmap), np.reshape(upstream, (1, -1)))["power"][0])
+    grads = backward("gem", params, np.asarray(fmap)[None], np.reshape(upstream, (1, -1)))
+    return float(grads["power"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +273,13 @@ def _gem_from_arrays(arrays: dict[str, np.ndarray], grid) -> GemParams:
 
 @dataclass(frozen=True)
 class Head:
-    """One head kind: batch forward and backward, trainable arrays by name,
-    params rebuilt from arrays (clamped in place), and seeded init from a
-    config with out_channels, grid, use_bias and gem_power."""
+    """One head kind: the parameter-free stage `pool(params, fmaps)` (it reads
+    only the fixed grid, never a trainable array), batch forward and backward
+    on the stage's output, trainable arrays by name, params rebuilt from
+    arrays (clamped in place), and seeded init from a config with
+    out_channels, grid, use_bias and gem_power."""
 
+    pool: Callable
     forward: Callable
     backward: Callable
     arrays: Callable
@@ -283,8 +289,9 @@ class Head:
 
 HEADS: dict[str, Head] = {
     "conv_ap": Head(
+        pool=lambda params, fmaps: _pool(fmaps, *params.grid),
         forward=_conv_ap_forward,
-        backward=lambda params, fmaps, upstream: _conv_ap_backward(params, fmaps, upstream)[0],
+        backward=lambda params, pooled, upstream: _conv_ap_backward(params, pooled, upstream)[0],
         arrays=lambda params: {
             name: arr for name, arr in (("weight", params.weight), ("bias", params.bias))
             if arr is not None
@@ -293,6 +300,7 @@ HEADS: dict[str, Head] = {
         init=lambda c, cfg, rng: init_conv_ap(c, cfg.out_channels, cfg.grid, cfg.use_bias, rng),
     ),
     "gem": Head(
+        pool=lambda params, fmaps: np.maximum(fmaps, 0.0),
         forward=_gem_forward,
         backward=_gem_backward,
         arrays=lambda params: {"power": np.array([params.power])},
@@ -300,8 +308,9 @@ HEADS: dict[str, Head] = {
         init=lambda c, cfg, rng: GemParams(cfg.gem_power),
     ),
     "avg": Head(
-        forward=lambda params, fmaps: _avg_forward(fmaps),
-        backward=lambda params, fmaps, upstream: {},
+        pool=lambda params, fmaps: _pool(fmaps, 1, 1),
+        forward=lambda params, pooled: normalize_rows(pooled.reshape(len(pooled), -1)),
+        backward=lambda params, pooled, upstream: {},
         arrays=lambda params: {},
         from_arrays=lambda arrays, grid: None,
         init=lambda c, cfg, rng: None,
@@ -317,14 +326,23 @@ def head(kind: str) -> Head:
     return HEADS[kind]
 
 
+def pool(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
+    """The head's parameter-free stage on a checked (N, h, w, c) batch.
+
+    Its rows are what `Head.forward` and `Head.backward` take, so maps that
+    never change are pooled once and gathered by row afterwards.
+    """
+    return head(kind).pool(params, _check_maps(fmaps))
+
+
 def forward(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
     """(N, D) unit descriptors for an (N, h, w, c) batch."""
-    return head(kind).forward(params, _check_maps(fmaps))
+    return head(kind).forward(params, pool(kind, params, fmaps))
 
 
 def backward(kind: str, params, fmaps: np.ndarray, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Head parameter gradients of sum_n <upstream[n], forward(fmaps)[n]> ({} for avg)."""
-    return head(kind).backward(params, _check_maps(fmaps), upstream)
+    return head(kind).backward(params, pool(kind, params, fmaps), upstream)
 
 
 def trainable_arrays(kind: str, params) -> dict[str, np.ndarray]:

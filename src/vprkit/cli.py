@@ -7,7 +7,8 @@ from the artifacts alone. Exit status is 0 exactly when all requested
 artifacts were written.
 
 A database directory holds `manifest.csv` plus an optional rank-4
-`payloads.vprk` tensor row-aligned with the manifest.
+`payloads.vprk` tensor row-aligned with the manifest; it loads as the
+database's payload array, float32 as stored.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import places, tensorio, trainer
-from .errors import VprkitError
+from .errors import FormatError, VprkitError
 from .evaluator import (
     GroundTruthMatcher,
+    PCAModel,
     RecallReport,
     pca_transform_set,
     pca_whiten_fit,
@@ -173,11 +175,14 @@ def resolve_config(args) -> dict:
     return config
 
 
+def _write_text(path: Path, text: str) -> None:
+    tensorio.write_atomic(path, text.encode("utf-8"))
+
+
 def _write_resolved(config: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(config, indent=2, sort_keys=True) + "\n"
+    _write_text(out_dir / "resolved_config.json", text)
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +192,16 @@ def _write_resolved(config: dict, out_dir: Path) -> None:
 def save_db_dir(db: PlacesDB, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     places.write_manifest(db, out_dir / "manifest.csv")
-    payloads = [img.payload for p in db.places for img in p.images]
-    if all(p is not None for p in payloads) and payloads:
-        tensorio.save_tensor(out_dir / "payloads.vprk", np.stack(payloads))
-
-
-def _attach_payloads(db: PlacesDB, payload_file) -> None:
-    """Assign the maps of a rank-4 tensor to the manifest's images, in order."""
-    stack = tensorio.load_tensor(payload_file).astype(np.float64)
-    expected = db.num_images()
-    if stack.ndim != 4 or stack.shape[0] != expected:
-        raise VprkitError(
-            f"payload tensor has shape {stack.shape}, manifest lists {expected} maps"
-        )
-    images = (img for place in db.places for img in place.images)
-    for img, fmap in zip(images, stack):
-        img.payload = fmap
+    payloads = db.payloads_in_order()
+    if payloads is not None:
+        tensorio.save_tensor(out_dir / "payloads.vprk", payloads)
 
 
 def load_db_dir(path: Path) -> PlacesDB:
     """Read a database directory; each command checks the place sizes it needs."""
     db = places.ingest_manifest(path / "manifest.csv", allow_small_places=True)
     if (path / "payloads.vprk").exists():
-        _attach_payloads(db, path / "payloads.vprk")
+        db.attach_payloads(tensorio.load_tensor(path / "payloads.vprk"))
     return db
 
 
@@ -229,7 +221,7 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _descriptor_set(kind, params, items) -> DescriptorSet:
-    fmaps = np.stack([img.payload for _, img in items])
+    fmaps = places.gather_payloads([img for _, img in items])
     labels = np.array([pid for pid, _ in items])
     batch = embed_feature_maps(kind, params, fmaps, labels)
     return DescriptorSet(
@@ -273,7 +265,7 @@ def cmd_build_db(args) -> int:
     config = resolve_config(args)
     db = places.ingest_manifest(args.manifest, allow_small_places=args.allow_small_places)
     if args.payloads:
-        _attach_payloads(db, args.payloads)
+        db.attach_payloads(tensorio.load_tensor(args.payloads))
     out = Path(args.out)
     save_db_dir(db, out)
     _write_resolved(config, out)
@@ -291,9 +283,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trainer.save_train_checkpoint(out / "checkpoint.vprc", cfg, params)
-    (out / "trainlog.json").write_text(
-        json.dumps(log.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(out / "trainlog.json", json.dumps(log.to_dict(), indent=2) + "\n")
     _write_resolved(config, out)
     final = log.losses[-1] if log.losses else float("nan")
     print(f"trained {cfg.aggregator} for {cfg.max_epochs} epochs, final loss {final:.4f}")
@@ -328,11 +318,33 @@ def cmd_eval(args) -> int:
     else:
         tensorio.save_descriptors(out / "queries.vprk", query_set)
         tensorio.save_descriptors(out / "references.vprk", ref_set)
-    (out / "report.kv").write_text(report.to_kv_lines(), encoding="utf-8")
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+    _write_text(out / "report.kv", report.to_kv_lines())
+    _write_text(out / "report.txt", report.to_text())
     _write_resolved(config, out)
     print(report.to_text(), end="")
     return 0
+
+
+PCA_TENSOR_RANKS = {"mean": 1, "projection": 2, "eigenvalues": 1}
+
+
+def _load_pca_model(path) -> PCAModel:
+    """A PCA model checkpoint; FormatError names a missing or misshapen tensor."""
+    kind, tensors, mconf = tensorio.load_checkpoint(path)
+    if kind != "pca":
+        raise ConfigError(f"{path} is not a PCA model")
+    for name, rank in PCA_TENSOR_RANKS.items():
+        if name not in tensors:
+            raise FormatError(f"{path}: PCA model has no tensor {name!r}")
+        if tensors[name].ndim != rank:
+            raise FormatError(
+                f"{path}: PCA tensor {name!r} has shape {tensors[name].shape}, needs rank {rank}"
+            )
+    try:
+        return PCAModel(**{name: tensors[name] for name in PCA_TENSOR_RANKS},
+                        epsilon=float(mconf.get("epsilon", 1e-9)))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def cmd_reduce(args) -> int:
@@ -363,17 +375,7 @@ def cmd_reduce(args) -> int:
         if model is None:
             if not args.model:
                 raise ConfigError("reduce --apply needs --model (or --fit in the same run)")
-            kind, tensors, mconf = tensorio.load_checkpoint(args.model)
-            if kind != "pca":
-                raise ConfigError(f"{args.model} is not a PCA model")
-            from .evaluator import PCAModel
-
-            model = PCAModel(
-                tensors["mean"],
-                tensors["projection"],
-                tensors["eigenvalues"],
-                epsilon=float(mconf.get("epsilon", 1e-9)),
-            )
+            model = _load_pca_model(args.model)
         source = tensorio.load_descriptors(args.apply)
         reduced = pca_transform_set(model, source)
         tensorio.save_descriptors(out / "reduced.vprk", reduced)
@@ -431,8 +433,8 @@ def cmd_report(args) -> int:
     text, machine = report_table(reports)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "table.txt").write_text(text, encoding="utf-8")
-    (out / "table.kv").write_text(machine, encoding="utf-8")
+    _write_text(out / "table.txt", text)
+    _write_text(out / "table.kv", machine)
     _write_resolved(config, out)
     print(text, end="")
     return 0

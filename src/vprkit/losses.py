@@ -189,17 +189,32 @@ def triplet_loss(
     return LossOutput(float(value), _grad_from_similarity_weights(weights / len(trips), batch))
 
 
-def _softplus_logsumexp(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, softplus(logsumexp(x[mask])) = log(1 + sum exp(x)), and its gradient.
+def _softplus_logsumexp(
+    s: np.ndarray, mask: np.ndarray, scale: float, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, softplus(logsumexp of x_ij over mask[i]) = log(1 + sum exp(x_ij)),
+    with x = scale * (s - margin).
 
-    Exponentials are shifted by max(row max, 0) so none overflows, and the
-    gradient exp(x) / (1 + sum exp(x)) comes from the same shifted values.
+    Returns the (N,) row terms and the gradient d term_i / d x_ij at the
+    mask's entries, in row-major order (the order of `s[mask]`). Only those
+    entries are exponentiated: shifted by max(row max, 0) so none
+    overflows, with the gradient exp(x) / (1 + sum exp(x)) from the same
+    shifted values. Each row's total is a dense row sum over the scattered
+    exponentials, the summation order of a full (N, N) computation with
+    -inf outside the mask, so terms and gradients are bit-identical to it.
     """
-    x = np.where(mask, x, -np.inf)
-    shift = np.maximum(x.max(axis=1, keepdims=True), 0.0)
-    e = np.exp(x - shift)
-    total = e.sum(axis=1, keepdims=True)
-    return shift + np.log1p(np.expm1(-shift) + total), e / (np.exp(-shift) + total)
+    counts = np.count_nonzero(mask, axis=1)
+    x = scale * (s[mask] - margin)
+    filled = counts > 0
+    row_max = np.full(len(mask), -np.inf)
+    row_max[filled] = np.maximum.reduceat(x, (np.cumsum(counts) - counts)[filled])
+    shift = np.maximum(row_max, 0.0)
+    e = np.exp(x - np.repeat(shift, counts))
+    scattered = np.zeros(mask.shape)
+    scattered[mask] = e
+    total = scattered.sum(axis=1)
+    terms = shift + np.log1p(np.expm1(-shift) + total)
+    return terms, e / np.repeat(np.exp(-shift) + total, counts)
 
 
 def multi_similarity_loss(
@@ -222,16 +237,19 @@ def multi_similarity_loss(
     stays finite for any alpha and beta.
     """
     s = _resolve_sim(batch, sim)
-    pos, neg = pairs.positive, pairs.negative
+    pos, neg = np.asarray(pairs.positive, dtype=bool), np.asarray(pairs.negative, dtype=bool)
     if not (pos.any() or neg.any()):
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
     n = len(batch)
     a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
 
-    pos_terms, pos_weights = _softplus_logsumexp(-a * (s - m), pos)
-    neg_terms, neg_weights = _softplus_logsumexp(b * (s - m), neg)
+    pos_terms, pos_grad = _softplus_logsumexp(s, pos, -a, m)
+    neg_terms, neg_grad = _softplus_logsumexp(s, neg, b, m)
     value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
-    weights = (neg_weights - pos_weights) / n
+    weights = np.zeros_like(s)
+    weights[neg] = neg_grad
+    weights[pos] -= pos_grad
+    weights /= n
     return LossOutput(value, _grad_from_similarity_weights(weights, batch))
 
 

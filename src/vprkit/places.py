@@ -6,15 +6,17 @@ geographically disjoint at the resolution of a lat/lon grid cell
 (0.001 degrees by default, roughly 100 meters).
 
 Image payloads are dense feature maps (h, w, c); this module never touches
-pixels. Real data enters through a CSV manifest, desk-scale experiments
-use the seeded synthetic generator.
+pixels. A database keeps all of them in one (M, h, w, c) array and each
+image refers to its row, so a batch or an eval set is one `take`. Real
+data enters through a CSV manifest, desk-scale experiments use the seeded
+synthetic generator.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,11 @@ MANIFEST_HEADER = ["place_id", "image_ref", "lat", "lon", "bearing", "year", "mo
 
 @dataclass
 class ImageRecord:
-    """One image of a place: an opaque reference plus capture metadata."""
+    """One image of a place: an opaque reference plus capture metadata.
+
+    Its (h, w, c) feature map, if any, is row `row` of `store`, the
+    (M, h, w, c) payload array of its database.
+    """
 
     image_ref: str
     lat: float
@@ -40,7 +46,8 @@ class ImageRecord:
     bearing: float | None = None
     year: int = 0
     month: int = 1
-    payload: np.ndarray | None = None  # optional (h, w, c) feature map
+    store: np.ndarray | None = field(default=None, repr=False, compare=False)
+    row: int = 0
 
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
@@ -55,6 +62,18 @@ class ImageRecord:
     @property
     def date_stamp(self) -> tuple[int, int]:
         return (self.year, self.month)
+
+    @property
+    def payload(self) -> np.ndarray | None:
+        """The feature map as float64 (exact for a float32 store), or None."""
+        return None if self.store is None else self.store[self.row].astype(np.float64)
+
+    @payload.setter
+    def payload(self, fmap: None) -> None:
+        # maps enter only through a database's array (PlacesDB.attach_payloads)
+        if fmap is not None:
+            raise ValueError("a payload is a row of its database's array; only None detaches it")
+        self.store = None
 
 
 @dataclass
@@ -100,6 +119,40 @@ class PlacesDB:
 
     def num_images(self) -> int:
         return sum(len(p) for p in self.places)
+
+    def images(self) -> list[ImageRecord]:
+        """Every image, place by place."""
+        return [img for place in self.places for img in place.images]
+
+    @property
+    def payloads(self) -> np.ndarray | None:
+        """The (M, h, w, c) array whose rows the images' maps are; None unless all share one."""
+        return _shared_store(self.images())
+
+    def attach_payloads(self, stack: np.ndarray) -> None:
+        """Make a rank-4 array the payloads, row i for the i-th image in place order.
+
+        The array is kept as given (a float32 file load stays float32).
+        """
+        expected = self.num_images()
+        if stack.ndim != 4 or stack.shape[0] != expected:
+            raise ValueError(
+                f"payload tensor has shape {stack.shape}, manifest lists {expected} maps"
+            )
+        for row, img in enumerate(self.images()):
+            img.store, img.row = stack, row
+
+    def payloads_in_order(self) -> np.ndarray | None:
+        """The images' maps, row i for the i-th image in place order; None without `payloads`.
+
+        This is `payloads` itself when the images are its rows in order, as
+        in every database `attach_payloads` or `synth_places` built.
+        """
+        store = self.payloads
+        if store is None:
+            return None
+        rows = np.array([img.row for img in self.images()], dtype=np.intp)
+        return store if np.array_equal(rows, np.arange(len(store))) else store.take(rows, axis=0)
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
@@ -360,6 +413,7 @@ def synth_places(
     noise_std = _channel_noise_profile(cfg, c, rng)
     grid_cols = int(math.ceil(math.sqrt(num_places)))
 
+    stack = np.empty((num_places * images_per_place, h, w, c))
     places = []
     for pid in range(num_places):
         latent = np.maximum(_box_blur_circular(rng.standard_normal((h, w, c)), cfg.latent_blur), 0.0)
@@ -377,8 +431,9 @@ def synth_places(
             dx = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
             gain = 1.0 + cfg.gain * float(rng.uniform(-1.0, 1.0))
             channel_noise = rng.standard_normal(c) * noise_std
-            payload = np.roll(np.roll(latent, dy, axis=0), dx, axis=1) * gain
-            payload = payload + channel_noise[None, None, :]
+            row = pid * images_per_place + j
+            stack[row] = np.roll(np.roll(latent, dy, axis=0), dx, axis=1) * gain
+            stack[row] += channel_noise[None, None, :]
             # ~2 m of GPS jitter, well inside the 25 m match radius
             jitter_lat = float(rng.uniform(-2e-5, 2e-5))
             jitter_lon = float(rng.uniform(-2e-5, 2e-5))
@@ -390,7 +445,8 @@ def synth_places(
                     bearing=float(rng.uniform(0.0, 360.0)),
                     year=2010 + j // 12,
                     month=1 + j % 12,
-                    payload=payload,
+                    store=stack,
+                    row=row,
                 )
             )
         places.append(Place(pid, images))
@@ -420,12 +476,36 @@ class BatchSpec:
         return self.num_places * self.images_per_place
 
 
+def _shared_store(images: list[ImageRecord]) -> np.ndarray | None:
+    """The payload array every image is a row of; None if one has no map or they differ."""
+    store = images[0].store if images else None
+    if store is None or any(img.store is not store for img in images):
+        return None
+    return store
+
+
+def gather_payloads(images: list[ImageRecord]) -> np.ndarray:
+    """The images' maps as one float64 (N, h, w, c) array: one `take` from their shared store.
+
+    Converting float32 to float64 is exact, so the maps equal the stored values.
+    """
+    store = _shared_store(images)
+    if store is None:
+        raise ValueError("images do not share one payload array")
+    rows = np.fromiter((img.row for img in images), dtype=np.intp, count=len(images))
+    return store.take(rows, axis=0).astype(np.float64, copy=False)
+
+
 @dataclass
 class Batch:
-    """P*K sampled images, place by place, with their place ids as labels."""
+    """P*K sampled images, place by place, with their place ids as labels.
+
+    `index` holds the images' positions in the sampler's `images`.
+    """
 
     images: list[ImageRecord]
     labels: np.ndarray
+    index: np.ndarray
 
     def __len__(self) -> int:
         return len(self.images)
@@ -435,8 +515,8 @@ class Batch:
         return [img.image_ref for img in self.images]
 
     def feature_maps(self) -> np.ndarray:
-        """Stack payloads into one (P*K, h, w, c) array."""
-        return np.stack([img.payload for img in self.images])
+        """The images' maps as one (P*K, h, w, c) float64 array."""
+        return gather_payloads(self.images)
 
 
 class BatchSampler:
@@ -460,8 +540,14 @@ class BatchSampler:
             )
         for p in self.eligible:
             for img in p.images:
-                if img.payload is None:
+                if img.store is None:
                     raise SamplerError(f"place {p.place_id} image {img.image_ref!r} has no payload")
+        # every eligible image, place by place; a batch's `index` points into it
+        self.images = [img for p in self.eligible for img in p.images]
+        sizes = [len(p) for p in self.eligible]
+        self._first = np.cumsum([0] + sizes[:-1]).tolist()
+        self._sizes = sizes
+        self._place_ids = np.array([p.place_id for p in self.eligible], dtype=np.int64)
         self._rng = np.random.default_rng(spec.rng_seed)
 
     @property
@@ -473,14 +559,13 @@ class BatchSampler:
         p, k = self.spec.num_places, self.spec.images_per_place
         order = self._rng.permutation(len(self.eligible))
         for start in range(0, self.batches_per_epoch * p, p):
-            chunk = [self.eligible[i] for i in order[start : start + p]]
-            images = [
-                place.images[i]
-                for place in chunk
-                for i in self._rng.choice(len(place.images), size=k, replace=False)
-            ]
-            labels = np.repeat(np.array([place.place_id for place in chunk], dtype=np.int64), k)
-            yield Batch(images, labels)
+            chunk = order[start : start + p]
+            index = np.concatenate([
+                self._first[i] + self._rng.choice(self._sizes[i], size=k, replace=False)
+                for i in chunk.tolist()
+            ])
+            images = [self.images[j] for j in index.tolist()]
+            yield Batch(images, np.repeat(self._place_ids[chunk], k), index)
 
 
 def query_reference_split(

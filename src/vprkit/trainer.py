@@ -4,7 +4,9 @@ One step: sample a P x K batch, aggregate feature maps into unit-norm
 descriptors, form the similarity matrix, mine informative pairs, evaluate
 the loss and its gradient, and update the aggregation head with SGD
 (momentum plus L2 weight decay). The backbone is a frozen feature-map
-source, so the trainable state is just the head parameters.
+source, so the trainable state is just the head parameters, and the
+head's parameter-free stage (pooling) runs once over the training maps
+before the first step; each step gathers its batch's pooled rows.
 
 Runs are deterministic given the seeds: the update order is single
 threaded and every random draw goes through seeded generators.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import aggregators, losses, mining, tensorio
+from . import aggregators, losses, mining, places, tensorio
 from .embeddings import EmbeddingBatch, similarity_matrix
 from .errors import DivergenceError, FormatError
 from .places import BatchSampler, BatchSpec, PlacesDB
@@ -219,8 +221,12 @@ def train(db: PlacesDB, cfg: TrainConfig):
     """
     started = time.perf_counter()
     sampler = BatchSampler(db, cfg.batch_spec)
-    first = sampler.eligible[0].images[0].payload
-    params = init_aggregator(cfg, first.shape[2])
+    head = aggregators.head(cfg.aggregator)
+    fmaps = places.gather_payloads(sampler.images)
+    params = init_aggregator(cfg, fmaps.shape[3])
+    # checked and pooled once; row i belongs to sampler.images[i]
+    pooled = aggregators.pool(cfg.aggregator, params, fmaps)
+    del fmaps
     arrays = aggregators.trainable_arrays(cfg.aggregator, params)
     state = OptimizerState(
         learning_rate=cfg.initial_lr,
@@ -235,9 +241,9 @@ def train(db: PlacesDB, cfg: TrainConfig):
         state.learning_rate = lr_at_epoch(cfg, epoch)
         log.epoch_lrs.append((epoch, state.learning_rate))
         for batch in sampler.epoch():
-            params = aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid)
-            fmaps = batch.feature_maps()
-            ebatch = embed_feature_maps(cfg.aggregator, params, fmaps, batch.labels)
+            params = head.from_arrays(arrays, cfg.grid)
+            rows = pooled.take(batch.index, axis=0)
+            ebatch = EmbeddingBatch(head.forward(params, rows), batch.labels, normalized=True)
             sim = similarity_matrix(ebatch)
             mined = _mine(cfg, sim, batch.labels)
             out = _loss(cfg, ebatch, mined, sim)
@@ -245,7 +251,7 @@ def train(db: PlacesDB, cfg: TrainConfig):
                 raise DivergenceError(f"non-finite loss {out.value} at step {step}")
 
             if arrays:
-                grads = aggregators.backward(cfg.aggregator, params, fmaps, out.grad)
+                grads = head.backward(params, rows, out.grad)
                 sgd_step(arrays, grads, state)
 
             log.steps.append(
@@ -253,7 +259,7 @@ def train(db: PlacesDB, cfg: TrainConfig):
             )
             step += 1
 
-    params = aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid)
+    params = head.from_arrays(arrays, cfg.grid)
     log.wall_clock_s = time.perf_counter() - started
     return params, log
 
@@ -268,11 +274,29 @@ def save_train_checkpoint(path, cfg: TrainConfig, params) -> None:
 
 
 def load_train_checkpoint(path):
-    """Returns (kind, params, config echo dict)."""
+    """Returns (kind, params, config echo dict).
+
+    FormatError names a tensor the head needs but the file lacks, and a
+    stored tensor the head does not take in that shape.
+    """
     kind, tensors, config = tensorio.load_checkpoint(path)
     grid = config.get("grid", [2, 2])
     if not (
         isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)
     ):
         raise FormatError(f"{path}: grid must be a list of two positive ints, got {grid!r}")
-    return kind, aggregators.head(kind).from_arrays(tensors, tuple(grid)), config
+    head = aggregators.head(kind)
+    try:
+        params = head.from_arrays(tensors, tuple(grid))
+    except KeyError as exc:
+        raise FormatError(f"{path}: {kind} checkpoint has no tensor {exc.args[0]!r}") from exc
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"{path}: bad {kind} checkpoint tensors: {exc}") from exc
+    expected = head.arrays(params)
+    for name, arr in tensors.items():
+        if name not in expected or arr.shape != expected[name].shape:
+            wanted = expected[name].shape if name in expected else "no such tensor"
+            raise FormatError(
+                f"{path}: tensor {name!r} has shape {arr.shape}; a {kind} head takes {wanted}"
+            )
+    return kind, params, config

@@ -177,6 +177,19 @@ class TestBuildDb:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: payload tensor")
 
+    def test_train_on_a_nan_payload_fails_cleanly(self, tmp_path, capsys):
+        from vprkit.tensorio import load_tensor, save_tensor
+
+        db = synth(tmp_path)
+        stack = load_tensor(db / "payloads.vprk")
+        stack[6, 1, 2, 3] = np.nan  # a training image: the first of place 1
+        save_tensor(db / "payloads.vprk", stack)
+        capsys.readouterr()
+        rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"), *SMALL_TRAIN])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: feature map entries must be finite\n"
+        assert not (tmp_path / "run" / "checkpoint.vprc").exists()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
@@ -288,6 +301,37 @@ class TestMalformedCheckpoint:
         assert err.startswith("error:")
         assert "grid" in err
 
+    @staticmethod
+    def _eval_with_tensors(tmp_path, capsys, aggregator, edit):
+        from vprkit.tensorio import load_checkpoint, save_checkpoint
+
+        db = synth(tmp_path)
+        run_dir = tmp_path / "run"
+        rc = run_command(["train", "--db", str(db), "--out", str(run_dir), *SMALL_TRAIN,
+                          "--set", f"train.aggregator={aggregator}"])
+        assert rc == 0
+        path = run_dir / "checkpoint.vprc"
+        kind, tensors, config = load_checkpoint(path)
+        save_checkpoint(path, kind, edit(tensors), config)
+        capsys.readouterr()
+        rc = run_command(
+            ["eval", "--db", str(db), "--checkpoint", str(path), "--out", str(tmp_path / "eval")]
+        )
+        assert not (tmp_path / "eval" / "report.kv").exists()
+        return rc, capsys.readouterr().err
+
+    def test_conv_ap_without_weight_names_it(self, tmp_path, capsys):
+        rc, err = self._eval_with_tensors(tmp_path, capsys, "conv_ap",
+                                          lambda t: {"bias": t["bias"]})
+        assert rc == 1
+        assert err.startswith("error:") and "no tensor 'weight'" in err
+
+    def test_gem_power_with_two_entries_names_it(self, tmp_path, capsys):
+        rc, err = self._eval_with_tensors(tmp_path, capsys, "gem",
+                                          lambda t: {"power": np.repeat(t["power"], 2)})
+        assert rc == 1
+        assert err.startswith("error:") and "'power' has shape (2,)" in err
+
 
 class TestReduce:
     def test_fit_and_apply(self, tmp_path, rng):
@@ -341,6 +385,30 @@ class TestReduce:
 
     def test_no_action_fails(self, tmp_path):
         assert run_command(["reduce", "--out", str(tmp_path / "x")]) == 1
+
+    def test_model_without_mean_names_it(self, tmp_path, rng, capsys):
+        from vprkit.embeddings import normalize_rows
+        from vprkit.tensorio import load_checkpoint, save_checkpoint
+
+        ds = DescriptorSet(normalize_rows(rng.standard_normal((30, 8))),
+                           [f"d{i}" for i in range(30)], np.zeros(30), np.zeros(30), np.arange(30))
+        path = tmp_path / "x.vprk"
+        save_descriptors(path, ds)
+        fit_dir = tmp_path / "fit"
+        assert run_command(
+            ["reduce", "--fit", str(path), "--out", str(fit_dir), "--set", "pca.out_dim=3"]
+        ) == 0
+        model = fit_dir / "pca_model.vprc"
+        kind, tensors, config = load_checkpoint(model)
+        del tensors["mean"]
+        save_checkpoint(model, kind, tensors, config)
+        capsys.readouterr()
+        rc = run_command(["reduce", "--apply", str(path), "--model", str(model),
+                          "--out", str(tmp_path / "apply")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no tensor 'mean'" in err
+        assert not (tmp_path / "apply" / "reduced.vprk").exists()
 
 
 class TestReport:
@@ -518,3 +586,48 @@ class TestEvalCopies:
         assert self._eval(x, x, tmp_path / "ev") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "in.csv" in err and "lat nan" in err
+
+
+class TestAtomicTextArtifacts:
+    """A text artifact whose write fails halfway leaves its final name alone."""
+
+    @staticmethod
+    def _commands(tmp_path):
+        db = synth(tmp_path)
+        train = ["train", "--db", str(db), "--out", str(tmp_path / "run"), *SMALL_TRAIN]
+        assert run_command(train) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.vprc"
+        evaluate = ["eval", "--db", str(db), "--checkpoint", str(checkpoint),
+                    "--out", str(tmp_path / "eval")]
+        assert run_command(evaluate) == 0
+        report = ["report", str(tmp_path / "eval" / "report.kv"), "--out", str(tmp_path / "table")]
+        assert run_command(report) == 0
+        return {"run": train, "eval": evaluate, "table": report}
+
+    @pytest.mark.parametrize("out,target", [
+        ("run", "resolved_config.json"), ("run", "trainlog.json"),
+        ("eval", "report.kv"), ("eval", "report.txt"),
+        ("table", "table.txt"), ("table", "table.kv"),
+    ])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys, out, target):
+        from pathlib import Path
+
+        from test_tensorio import HalfWrite
+
+        argv = self._commands(tmp_path)[out]
+        final = tmp_path / out / target
+        final.write_bytes(b"old content")
+        real_open = Path.open
+
+        def half_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            writing = any(c in mode for c in "wxa")
+            return HalfWrite(fh) if writing and target in path.name else fh
+
+        monkeypatch.setattr(Path, "open", half_open)
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        monkeypatch.undo()
+        assert "No space left" in capsys.readouterr().err
+        assert final.read_bytes() == b"old content"
+        assert not [p.name for p in (tmp_path / out).iterdir() if p.name.startswith(".")]

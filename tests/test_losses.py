@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import balanced_labels, random_unit_rows
 from oracles import numeric_gradient, relative_error
@@ -287,6 +290,74 @@ class TestMultiSimilarity:
             out = multi_similarity_loss(batch, pairs, cfg)
             fd = fd_gradient(lambda b: multi_similarity_loss(b, pairs, cfg).value, batch)
             assert relative_error(out.grad, fd) < 1e-4
+
+
+def dense_softplus_logsumexp(x, mask):
+    """The MS row terms over the full (N, N) matrix: masked-out entries become -inf."""
+    x = np.where(mask, x, -np.inf)
+    shift = np.maximum(x.max(axis=1, keepdims=True), 0.0)
+    e = np.exp(x - shift)
+    total = e.sum(axis=1, keepdims=True)
+    return shift + np.log1p(np.expm1(-shift) + total), e / (np.exp(-shift) + total)
+
+
+def dense_multi_similarity(batch, pairs, cfg, sim):
+    """Value and row gradient of the MS loss with exp over every (N, N) entry."""
+    n = len(batch)
+    a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
+    pos_terms, pos_weights = dense_softplus_logsumexp(-a * (sim - m), pairs.positive)
+    neg_terms, neg_weights = dense_softplus_logsumexp(b * (sim - m), pairs.negative)
+    value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
+    weights = (neg_weights - pos_weights) / n
+    grad = (weights + weights.T) @ batch.rows
+    return value, grad - np.sum(grad * batch.rows, axis=1, keepdims=True) * batch.rows
+
+
+ROW_FILL = {"empty": 0.0, "full": 1.0, "sparse": 0.1, "half": 0.5}
+
+
+class TestMultiSimilarityOverMinedEntries:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        pos_fill=st.lists(st.sampled_from(sorted(ROW_FILL)), min_size=1, max_size=4),
+        neg_fill=st.lists(st.sampled_from(sorted(ROW_FILL)), min_size=1, max_size=4),
+        alpha=st.floats(0.1, 10.0),
+        beta=st.one_of(st.floats(0.1, 2000.0), st.sampled_from([50.0, 2000.0])),
+        margin=st.floats(-0.5, 1.0),
+    )
+    def test_bit_identical_to_dense(self, seed, n, pos_fill, neg_fill, alpha, beta, margin):
+        rng = np.random.default_rng(seed)
+        batch = EmbeddingBatch(random_unit_rows(rng, n, 6), np.zeros(n, dtype=int))
+        sim = similarity_matrix(batch)
+
+        def mask(fills):  # each row empty, full or partly filled, cycling through `fills`
+            p = np.array([ROW_FILL[fills[i % len(fills)]] for i in range(n)])
+            return rng.uniform(size=(n, n)) < p[:, None]
+
+        pairs = SimpleNamespace(positive=mask(pos_fill), negative=mask(neg_fill))
+        if not (pairs.positive.any() or pairs.negative.any()):
+            return
+        cfg = LossConfig(margin=margin, ms_alpha=alpha, ms_beta=beta)
+        out = multi_similarity_loss(batch, pairs, cfg, sim=sim)
+        value, grad = dense_multi_similarity(batch, pairs, cfg, sim)
+        assert np.float64(out.value).tobytes() == np.float64(value).tobytes()
+        assert out.grad.tobytes() == grad.tobytes()
+
+    def test_bit_identical_on_a_mined_pk400_batch(self, rng):
+        labels = balanced_labels(100, 4)
+        centers = np.repeat(rng.standard_normal((100, 64)), 4, axis=0)
+        batch = EmbeddingBatch(normalize_rows(rng.standard_normal((400, 64)) + 0.6 * centers),
+                               labels)
+        sim = similarity_matrix(batch)
+        cfg = LossConfig(margin=0.5, ms_alpha=2.0, ms_beta=50.0)
+        for pairs in (ms_mining(sim, labels, 0.1), enumerate_pairs(labels)):
+            assert pairs.negative.any()
+            out = multi_similarity_loss(batch, pairs, cfg, sim=sim)
+            value, grad = dense_multi_similarity(batch, pairs, cfg, sim)
+            assert out.value == value
+            assert out.grad.tobytes() == grad.tobytes()
 
 
 class TestWeakTriplet:

@@ -12,6 +12,7 @@ from vprkit.places import (
     ImageRecord,
     PlacesDB,
     SynthConfig,
+    gather_payloads,
     grid_cell,
     grid_group,
     haversine,
@@ -309,6 +310,67 @@ class TestBatchSampler:
         db.places[3].images[2].payload = None
         with pytest.raises(SamplerError, match="synth_00003_02"):
             BatchSampler(db, BatchSpec(4, 3, rng_seed=0))
+
+
+
+class TestPayloadStore:
+    def test_synth_keeps_float64_payloads(self):
+        db = synth_places(3, 5, shape=(4, 4, 3), rng_seed=2)
+        assert db.payloads.dtype == np.float64
+        assert db.payloads.shape == (15, 4, 4, 3)
+        assert not np.array_equal(db.payloads, db.payloads.astype(np.float32))  # unrounded
+        images = [img for p in db.places for img in p.images]
+        assert all(img.store is db.payloads for img in images)
+        assert [img.row for img in images] == list(range(15))
+        np.testing.assert_array_equal(images[7].payload, db.payloads[7])
+
+    def test_attached_float32_store_is_kept_and_read_exactly(self):
+        db = synth_places(3, 5, shape=(4, 4, 3), rng_seed=2)
+        stack = db.payloads.astype(np.float32)
+        db.attach_payloads(stack)
+        assert db.payloads is stack
+        img = db.places[1].images[2]
+        assert img.store is stack and img.row == 7
+        assert img.payload.dtype == np.float64
+        np.testing.assert_array_equal(img.payload, stack[7])
+
+    def test_attach_rejects_a_misaligned_array(self):
+        db = synth_places(3, 5, shape=(4, 4, 3), rng_seed=2)
+        with pytest.raises(ValueError, match="manifest lists 15 maps"):
+            db.attach_payloads(db.payloads[:-1])
+
+    def test_only_none_detaches_a_payload(self):
+        db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
+        img = db.places[0].images[0]
+        with pytest.raises(ValueError, match="row of its database"):
+            img.payload = np.zeros((3, 3, 2))
+        img.payload = None
+        assert img.payload is None
+
+    def test_payloads_in_order_of_a_view(self):
+        db = synth_places(4, 5, shape=(3, 3, 2), rng_seed=2)
+        assert db.payloads_in_order() is db.payloads
+        view = training_view(db, 2)
+        np.testing.assert_array_equal(
+            view.payloads_in_order(),
+            np.stack([img.payload for p in view.places for img in p.images]),
+        )
+        db.places[1].images[0].payload = None
+        assert db.payloads_in_order() is None
+
+    def test_gather_needs_one_shared_array(self):
+        a = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
+        b = synth_places(2, 4, shape=(3, 3, 2), rng_seed=3)
+        with pytest.raises(ValueError, match="share one payload array"):
+            gather_payloads([a.places[0].images[0], b.places[0].images[0]])
+        with pytest.raises(ValueError, match="share one payload array"):
+            gather_payloads([])
+
+    def test_batch_index_points_into_the_sampler_images(self):
+        db = tiny_db()
+        sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))
+        for batch in sampler.epoch():
+            assert all(sampler.images[i] is img for i, img in zip(batch.index, batch.images))
 
 
 class TestSplits:

@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+from vprkit import aggregators, trainer
 from vprkit.aggregators import trainable_arrays
 from vprkit.embeddings import similarity_matrix
 from vprkit.errors import DivergenceError
 from vprkit.losses import WeakTuple, weak_triplet_total
 from vprkit.mining import hardest_mining
-from vprkit.places import BatchSampler, BatchSpec, SynthConfig, synth_places
+from vprkit.places import BatchSampler, BatchSpec, SynthConfig, synth_places, training_view
 from vprkit.trainer import (
     OptimizerState,
     TrainConfig,
@@ -283,3 +286,64 @@ class TestCheckpoints:
         arrays = trainable_arrays("conv_ap", params)
         assert arrays["weight"].shape == (8, 8)
         assert arrays["bias"].shape == (8,)
+
+
+def per_step_reference(db, cfg):
+    """Training as one loop that stacks each batch's maps and runs the head on maps.
+
+    The trainer pools every training map once and gathers pooled rows per
+    step; this loop pools each batch again, in forward and in backward.
+    """
+    sampler = BatchSampler(db, cfg.batch_spec)
+    params = init_aggregator(cfg, sampler.images[0].payload.shape[2])
+    arrays = trainable_arrays(cfg.aggregator, params)
+    state = OptimizerState(
+        learning_rate=cfg.initial_lr,
+        momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay,
+        no_decay=() if cfg.decay_bias else ("bias",),
+    )
+    steps, epoch_lrs = [], []
+    for epoch in range(cfg.max_epochs):
+        state.learning_rate = lr_at_epoch(cfg, epoch)
+        epoch_lrs.append([epoch, state.learning_rate])
+        for batch in sampler.epoch():
+            params = aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid)
+            fmaps = np.stack([img.payload for img in batch.images])
+            ebatch = embed_feature_maps(cfg.aggregator, params, fmaps, batch.labels)
+            sim = similarity_matrix(ebatch)
+            mined = trainer._mine(cfg, sim, batch.labels)
+            out = trainer._loss(cfg, ebatch, mined, sim)
+            if arrays:
+                grads = aggregators.backward(cfg.aggregator, params, fmaps, out.grad)
+                sgd_step(arrays, grads, state)
+            steps.append({"step": len(steps), "epoch": epoch, "loss": float(out.value),
+                          **mined.stats()})
+    return aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid), steps, epoch_lrs
+
+
+class TestPooledOnceEqualsPerStep:
+    LOSSES = [("multi_similarity", "ms"), ("multi_similarity", "all"),
+              ("contrastive", "ms"), ("contrastive", "all"), ("triplet", "ohm"),
+              ("weak_triplet", "ohm")]
+
+    def check(self, tmp_path, db, cfg):
+        params, log = train(db, cfg)
+        ref_params, ref_steps, ref_lrs = per_step_reference(db, cfg)
+        logged = json.loads(json.dumps(log.to_dict()))
+        assert logged["steps"] == ref_steps
+        assert logged["epoch_lrs"] == ref_lrs
+        save_train_checkpoint(tmp_path / "pooled.vprc", cfg, params)
+        save_train_checkpoint(tmp_path / "per_step.vprc", cfg, ref_params)
+        assert (tmp_path / "pooled.vprc").read_bytes() == (tmp_path / "per_step.vprc").read_bytes()
+
+    @pytest.mark.parametrize("loss,miner", LOSSES)
+    @pytest.mark.parametrize("aggregator", ["conv_ap", "avg", "gem"])
+    def test_trainlog_and_checkpoint_bytes(self, tmp_path, aggregator, loss, miner):
+        cfg = small_cfg(aggregator=aggregator, loss=loss, miner=miner, max_epochs=3)
+        self.check(tmp_path, small_db(), cfg)
+
+    def test_float32_store(self, tmp_path):
+        db = small_db()
+        db.attach_payloads(db.payloads.astype(np.float32))
+        self.check(tmp_path, training_view(db, 2), small_cfg(max_epochs=3))
