@@ -351,8 +351,8 @@ def cmd_reduce(args) -> int:
     config = resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    wrote = False
-    model = None
+    if not (args.fit or args.apply):
+        raise ConfigError("reduce needs --fit and/or --apply")
     if args.fit:
         training = tensorio.load_descriptors(args.fit)
         model = pca_whiten_fit(
@@ -360,6 +360,13 @@ def cmd_reduce(args) -> int:
             int(config["pca"]["out_dim"]),
             epsilon=float(config["pca"]["epsilon"]),
         )
+    elif not args.model:
+        raise ConfigError("reduce --apply needs --model (or --fit in the same run)")
+    else:
+        model = _load_pca_model(args.model)
+    # everything is computed before anything is written: a failed run leaves no artifact
+    reduced = pca_transform_set(model, tensorio.load_descriptors(args.apply)) if args.apply else None
+    if args.fit:
         tensorio.save_checkpoint(
             out / "pca_model.vprc",
             "pca",
@@ -370,18 +377,8 @@ def cmd_reduce(args) -> int:
             },
             {"epsilon": model.epsilon, "out_dim": model.out_dim},
         )
-        wrote = True
-    if args.apply:
-        if model is None:
-            if not args.model:
-                raise ConfigError("reduce --apply needs --model (or --fit in the same run)")
-            model = _load_pca_model(args.model)
-        source = tensorio.load_descriptors(args.apply)
-        reduced = pca_transform_set(model, source)
+    if reduced is not None:
         tensorio.save_descriptors(out / "reduced.vprk", reduced)
-        wrote = True
-    if not wrote:
-        raise ConfigError("reduce needs --fit and/or --apply")
     _write_resolved(config, out)
     print(f"pca artifacts written to {out}")
     return 0

@@ -39,7 +39,8 @@ def normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
 
 
 def rows_are_unit(m: np.ndarray, tol: float = UNIT_TOL) -> bool:
-    norms = np.linalg.norm(np.asarray(m, dtype=np.float64), axis=1)
+    m = np.asarray(m, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))  # one pass: no (N, D) array of squares
     return bool(np.all(np.abs(norms - 1.0) <= tol))
 
 

@@ -86,21 +86,38 @@ def retrieve_topk(query: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
 def _best_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (B, R) score block, the k best columns by (score desc, index asc).
 
-    O(R + k log k) per row: a partial selection finds the k-th best score,
-    every column above it is kept, the smallest indices equal to it fill the
-    remaining slots, and only those k scores are sorted.
+    O(R + k log k) per row: a partial selection finds the k-th best score and
+    every column at or above it is kept. A row with more than k such columns
+    (a tie at the k-th place) keeps those above it and fills the remaining
+    slots with the smallest indices equal to it. Only the k kept scores are
+    sorted.
     """
     r = scores.shape[1]
-    kth = np.partition(scores, r - k, axis=1)[:, r - k, None]
+    part = np.partition(scores, r - k, axis=1)
+    kth = part[:, r - k, None]
+    # the partition puts every score below the k-th place to its left, so a
+    # row has more than k scores at or above kth exactly when one there equals it
+    tied = np.flatnonzero(part[:, :r - k].max(axis=1, initial=-np.inf) == kth[:, 0])
+    if len(tied) == len(scores):
+        keep = _first_k_at_or_above(scores, kth, k)
+    else:
+        keep = scores >= kth
+        if len(tied):
+            keep[tied] = _first_k_at_or_above(scores[tied], kth[tied], k)
+    # one flat scan: np.nonzero of a 2-D mask builds its row indices far more slowly
+    chosen = (np.flatnonzero(keep) % r).reshape(len(scores), k)
+    best_first = np.argsort(-np.take_along_axis(scores, chosen, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(chosen, best_first, axis=1)
+
+
+def _first_k_at_or_above(scores: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's scores above its kth, then its smallest indices equal to it, k in all."""
     above = scores > kth
     ties = scores == kth
     # fewer than k scores lie above kth and at least k at or above it, so
     # exactly k per row are kept, in ascending index order
     fill = k - np.count_nonzero(above, axis=1, keepdims=True)
-    keep = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= fill))
-    chosen = np.nonzero(keep)[1].reshape(len(scores), k)
-    best_first = np.argsort(-np.take_along_axis(scores, chosen, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(chosen, best_first, axis=1)
+    return above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= fill))
 
 
 @dataclass
@@ -248,6 +265,9 @@ class PCAModel:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         if self.projection.shape != (len(self.eigenvalues), len(self.mean)):
             raise ValueError("projection shape inconsistent with mean/eigenvalues")
+        for name in ("mean", "projection", "eigenvalues"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"PCA {name} has non-finite entries")
         if np.any(self.eigenvalues < 0):
             raise ValueError("eigenvalues must be nonnegative")
         if np.any(np.diff(self.eigenvalues) > 0):
@@ -269,13 +289,10 @@ class PCAModel:
 
 def _fix_eigenvector_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Columns flipped so the first non-negligible component is positive."""
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        nz = np.nonzero(np.abs(v) > tol)[0]
-        if len(nz) and v[nz[0]] < 0:
-            out[:, col] = -v
-    return out
+    first = np.argmax(np.abs(vectors) > tol, axis=0)  # row 0 for a column with none
+    # that component is negative and non-negligible only when it is below -tol
+    flip = vectors[first, np.arange(vectors.shape[1])] < -tol
+    return np.where(flip, -vectors, vectors)
 
 
 def pca_whiten_fit(training: np.ndarray, out_dim: int, epsilon: float = 1e-9) -> PCAModel:
@@ -294,6 +311,8 @@ def pca_whiten_fit(training: np.ndarray, out_dim: int, epsilon: float = 1e-9) ->
         raise ValueError(f"out_dim {out_dim} out of range for dimension {d}")
     if n <= out_dim:
         raise ValueError(f"need more than {out_dim} training samples, got {n}")
+    if not 0.0 <= epsilon < np.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
     mean = x.mean(axis=0)
     centered = x - mean

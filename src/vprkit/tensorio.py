@@ -139,6 +139,9 @@ class DescriptorSet:
         self.lons = np.asarray(self.lons, dtype=np.float64)
         self.place_ids = np.asarray(self.place_ids, dtype=np.int64)
         n = self.vectors.shape[0]
+        finite = np.isfinite(self.vectors)
+        if not finite.all():
+            raise ValueError(f"row {np.argwhere(~finite)[0, 0]}: descriptor has non-finite entries")
         if not (len(self.ids) == len(self.lats) == len(self.lons) == len(self.place_ids) == n):
             raise ValueError("metadata misaligned with vectors")
         # the rule of places.ImageRecord; NaN fails both comparisons
@@ -213,8 +216,9 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
         )
     try:
         return DescriptorSet(vectors, ids, np.array(lats), np.array(lons), np.array(pids))
-    except ValueError as exc:
-        raise FormatError(f"{side}: {exc}") from exc
+    except ValueError as exc:  # the vectors are checked first, then the sidecar's columns
+        culprit = side if np.isfinite(vectors).all() else Path(path)
+        raise FormatError(f"{culprit}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,77 @@ class TestReduce:
         assert not (tmp_path / "apply" / "reduced.vprk").exists()
 
 
+class TestNonFiniteReduce:
+    """Bad PCA inputs fail with exit 1 and an `error:` line, and write no artifact."""
+
+    @staticmethod
+    def _saved_set(tmp_path, rng, name="x", nan_row=None):
+        from vprkit.embeddings import normalize_rows
+        from vprkit.tensorio import save_tensor
+
+        vectors = normalize_rows(rng.standard_normal((30, 8)))
+        path = tmp_path / f"{name}.vprk"
+        save_descriptors(path, DescriptorSet(vectors, [f"d{i}" for i in range(30)],
+                                             np.zeros(30), np.zeros(30), np.arange(30)))
+        if nan_row is not None:
+            vectors[nan_row, 3] = np.nan
+            save_tensor(path, vectors)
+        return path
+
+    @staticmethod
+    def _reduce(capsys, *argv):
+        capsys.readouterr()
+        rc = run_command(["reduce", *argv])
+        return rc, capsys.readouterr().err
+
+    def test_negative_epsilon(self, tmp_path, rng, capsys):
+        path = self._saved_set(tmp_path, rng)
+        out = tmp_path / "pca"
+        rc, err = self._reduce(capsys, "--fit", str(path), "--apply", str(path), "--out", str(out),
+                               "--set", "pca.out_dim=3", "--set", "pca.epsilon=-1.0")
+        assert rc == 1
+        assert err.startswith("error:") and "epsilon" in err
+        assert not (out / "pca_model.vprc").exists() and not (out / "reduced.vprk").exists()
+
+    def test_model_with_nan_projection(self, tmp_path, rng, capsys):
+        from vprkit.tensorio import load_checkpoint, save_checkpoint
+
+        path = self._saved_set(tmp_path, rng)
+        fit_dir = tmp_path / "fit"
+        assert run_command(["reduce", "--fit", str(path), "--out", str(fit_dir),
+                            "--set", "pca.out_dim=3"]) == 0
+        model = fit_dir / "pca_model.vprc"
+        kind, tensors, config = load_checkpoint(model)
+        tensors["projection"][1, 2] = np.nan
+        save_checkpoint(model, kind, tensors, config)
+        out = tmp_path / "apply"
+        rc, err = self._reduce(capsys, "--apply", str(path), "--model", str(model),
+                               "--out", str(out))
+        assert rc == 1
+        assert err.startswith("error:") and "pca_model.vprc" in err and "projection" in err
+        assert not (out / "reduced.vprk").exists()
+
+    def test_apply_set_with_nan(self, tmp_path, rng, capsys):
+        fit = self._saved_set(tmp_path, rng, "fit")
+        bad = self._saved_set(tmp_path, rng, "bad", nan_row=4)
+        out = tmp_path / "pca"
+        rc, err = self._reduce(capsys, "--fit", str(fit), "--apply", str(bad), "--out", str(out),
+                               "--set", "pca.out_dim=3")
+        assert rc == 1
+        assert err.startswith("error:") and "bad.vprk: row 4" in err
+        # the model fitted before the bad set loaded is not written either
+        assert not (out / "pca_model.vprc").exists() and not (out / "reduced.vprk").exists()
+
+    def test_fit_set_with_nan(self, tmp_path, rng, capsys):
+        bad = self._saved_set(tmp_path, rng, "bad", nan_row=7)
+        out = tmp_path / "pca"
+        rc, err = self._reduce(capsys, "--fit", str(bad), "--out", str(out),
+                               "--set", "pca.out_dim=3")
+        assert rc == 1
+        assert err.startswith("error:") and "bad.vprk: row 7" in err and "rank" not in err
+        assert not (out / "pca_model.vprc").exists()
+
+
 class TestReport:
     def _write_report(self, path, label, values):
         rep = RecallReport(

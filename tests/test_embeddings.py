@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import random_unit_rows
 from vprkit.embeddings import (
+    UNIT_TOL,
     EmbeddingBatch,
     check_similarity,
     l2_normalize,
     normalize_rows,
+    rows_are_unit,
     similarity_matrix,
 )
 from vprkit.errors import ZeroNormError
@@ -114,3 +116,28 @@ class TestEmbeddingBatch:
         m[1] = 0.0
         with pytest.raises(ZeroNormError, match="row 1"):
             normalize_rows(m)
+
+
+class TestRowsAreUnit:
+    @staticmethod
+    def by_linalg_norm(m):
+        return bool(np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) <= UNIT_TOL))
+
+    def test_agrees_with_linalg_norm(self, rng):
+        unit = random_unit_rows(rng, 5, 16)
+        rows = [unit[0]] + [u * s for u, s in zip(unit[1:], (1 + 0.5e-6, 1 - 0.5e-6, 1 + 2e-6,
+                                                              1 - 2e-6))]
+        rows += [np.zeros(16), np.full(16, np.nan), np.where(np.arange(16) == 3, np.inf, 0.0),
+                 np.where(np.arange(16) == 5, -np.inf, unit[0])]
+        expected = [True, True, True, False, False, False, False, False, False]
+        for row, unit_norm in zip(rows, expected):
+            assert self.by_linalg_norm(row[None]) == unit_norm
+            assert rows_are_unit(row[None]) == unit_norm
+        m = np.array(rows)
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows) + 1):
+                assert rows_are_unit(m[i:j]) == self.by_linalg_norm(m[i:j])
+
+    def test_empty_set_is_unit(self):
+        empty = np.zeros((0, 8))
+        assert rows_are_unit(empty) and self.by_linalg_norm(empty)

@@ -12,6 +12,7 @@ from vprkit.embeddings import normalize_rows
 from vprkit.errors import ZeroNormError
 from vprkit.evaluator import (
     GroundTruthMatcher,
+    PCAModel,
     QueryTrace,
     RecallReport,
     pca_transform,
@@ -162,6 +163,87 @@ class TestPartialSelection:
         assert np.signbit(scores).any() and not np.signbit(scores).all()
         for k in range(1, 18):
             np.testing.assert_array_equal(evaluator._best_k(scores, k), np.tile(np.arange(k), (5, 1)))
+
+
+def with_excess_ties(row, k):
+    """A copy of a quantized row with more than k scores at or above its k-th best (k < len)."""
+    row = row.copy()
+    kth = np.sort(row)[::-1][k - 1]
+    if np.count_nonzero(row >= kth) == k:
+        # one score below the k-th best rises to it (a zero as the other signed
+        # zero), which leaves the k-th best where it was
+        row[np.flatnonzero(row < kth)[0]] = -kth if kth == 0 else kth
+    return row
+
+
+@st.composite
+def mixed_tie_blocks(draw, max_refs=40):
+    """Tie-free continuous rows and quantized rows, interleaved, with a drawn k."""
+    refs = draw(st.integers(2, max_refs))
+    # distinct scores in each row: a shuffled evenly spaced grid, shifted by a drawn offset
+    offset = draw(st.floats(-0.5, 0.5))
+    smooth = np.array([draw(st.permutations(range(refs))) for _ in range(draw(st.integers(1, 3)))])
+    smooth = (smooth + offset) / refs
+    levels = draw(st.sampled_from([SCORE_LEVELS, [-0.0, 0.0]]))
+    quantized = draw(arrays(np.float64, (draw(st.integers(1, 3)), refs),
+                            elements=st.sampled_from(levels)))
+    order = draw(st.permutations(range(len(smooth) + len(quantized))))
+    return smooth, quantized, order, draw(st.integers(1, refs))
+
+
+class TestSelectionPaths:
+    """_best_k runs the tie arithmetic only on rows with a tie at the k-th place."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mixed_tie_blocks())
+    def test_mixed_blocks_equal_stable_sort(self, case):
+        smooth, quantized, order, k = case
+        refs = smooth.shape[1]
+        for kk in {1, k, refs}:
+            tied = [with_excess_ties(row, kk) for row in quantized] if kk < refs else quantized
+            scores = np.vstack([smooth, tied])[list(order)]
+            kth = np.sort(scores, axis=1)[:, refs - kk, None]
+            excess = np.count_nonzero(scores >= kth, axis=1) > kk
+            # both paths in one call: every quantized row has excess ties, no smooth row has
+            assert excess.tolist() == [i >= len(smooth) and kk < refs for i in order]
+            np.testing.assert_array_equal(evaluator._best_k(scores, kk),
+                                          topk_by_stable_argsort(scores, kk))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = evaluator._first_k_at_or_above
+
+        def spy(scores, kth, k):
+            calls.append(scores)
+            return real(scores, kth, k)
+
+        monkeypatch.setattr(evaluator, "_first_k_at_or_above", spy)
+        return calls
+
+    def test_tie_free_rows_skip_the_tie_arithmetic(self, rng, monkeypatch):
+        calls = self._spy(monkeypatch)
+        scores = rng.standard_normal((6, 50))
+        scores[[1, 4]] = rng.choice([0.0, 0.5], size=(2, 50))
+        np.testing.assert_array_equal(evaluator._best_k(scores, 5),
+                                      topk_by_stable_argsort(scores, 5))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], scores[[1, 4]])
+
+    def test_all_tied_block_is_not_copied(self, rng, monkeypatch):
+        calls = self._spy(monkeypatch)
+        scores = rng.choice([-0.5, 0.0, 0.25, 0.5], size=(7, 60))
+        np.testing.assert_array_equal(evaluator._best_k(scores, 9),
+                                      topk_by_stable_argsort(scores, 9))
+        assert len(calls) == 1 and calls[0] is scores
+
+    def test_tie_free_block_makes_no_tie_call(self, rng, monkeypatch):
+        calls = self._spy(monkeypatch)
+        scores = rng.standard_normal((5, 30))
+        for k in (1, 7, 30):
+            np.testing.assert_array_equal(evaluator._best_k(scores, k),
+                                          topk_by_stable_argsort(scores, k))
+        assert calls == []
 
 
 class TestGroundTruth:
@@ -594,6 +676,20 @@ class TestPcaWhitening:
         with pytest.raises(ZeroNormError):
             pca_transform(model, model.mean)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, rng, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            pca_whiten_fit(rng.standard_normal((30, 5)), 3, epsilon=epsilon)
+
+    @pytest.mark.parametrize("name", ["mean", "projection", "eigenvalues"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_model_rejects_non_finite_tensors(self, rng, name, value):
+        model = pca_whiten_fit(rng.standard_normal((30, 5)), 3)
+        tensors = {n: getattr(model, n).copy() for n in ("mean", "projection", "eigenvalues")}
+        tensors[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"PCA {name} has non-finite entries"):
+            PCAModel(**tensors)
+
     def test_transform_set_keeps_metadata(self, rng):
         ds = make_set(rng, 30, 6)
         model = pca_whiten_fit(ds.vectors, 3)
@@ -617,3 +713,28 @@ class TestPcaWhitening:
         ds.vectors[2] = model.mean
         with pytest.raises(ZeroNormError):
             pca_transform_set(model, ds)
+
+
+def signs_by_column_loop(vectors, tol=1e-12):
+    """The column-at-a-time sign convention that `_fix_eigenvector_signs` replaced."""
+    out = vectors.copy()
+    for col in range(out.shape[1]):
+        v = out[:, col]
+        nz = np.nonzero(np.abs(v) > tol)[0]
+        if len(nz) and v[nz[0]] < 0:
+            out[:, col] = -v
+    return out
+
+
+class TestEigenvectorSigns:
+    def test_equals_column_loop(self, rng):
+        for trial in range(60):
+            d = int(rng.integers(1, 12))
+            v = rng.standard_normal((d, d))
+            # leading entries around the threshold, zero columns, all-tiny columns
+            v[: int(rng.integers(0, d + 1)), rng.integers(0, d, 3)] = rng.choice(
+                [0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12])
+            v[:, rng.integers(0, d)] = rng.choice([0.0, -0.0, 1e-12, -1e-12, -3e-13], size=d)
+            got = evaluator._fix_eigenvector_signs(v)
+            assert got.tobytes() == signs_by_column_loop(v).tobytes()  # signed zeros included
+

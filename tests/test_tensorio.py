@@ -305,6 +305,25 @@ class TestCoordinateRule:
             load_descriptors(path)
 
 
+class TestFiniteVectors:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_names_the_row(self, value):
+        vectors = np.eye(3)
+        vectors[2, 1] = value
+        with pytest.raises(ValueError, match="row 2: descriptor has non-finite entries"):
+            DescriptorSet(vectors, ["a", "b", "c"], np.zeros(3), np.zeros(3), np.arange(3))
+
+    def test_load_names_the_tensor_file(self, tmp_path):
+        path = tmp_path / "desc.vprk"
+        save_descriptors(path, DescriptorSet(np.eye(3), ["a", "b", "c"], np.zeros(3),
+                                             np.zeros(3), np.arange(3)))
+        vectors = np.eye(3)
+        vectors[1, 0] = np.nan
+        save_tensor(path, vectors)
+        with pytest.raises(FormatError, match=r"desc\.vprk: row 1: descriptor has non-finite"):
+            load_descriptors(path)
+
+
 def sidecar_row_by_row(ds: DescriptorSet) -> bytes:
     """The sidecar as written one `writerow` per descriptor."""
     text = io.StringIO(newline="")
