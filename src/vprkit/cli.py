@@ -97,8 +97,9 @@ FIXED_LENGTH_KEYS = ("train.grid",)
 def _check_schema(config: dict, template: dict, path: str = "") -> None:
     """Reject unknown keys and values whose type differs from the default's.
 
-    Exact type tests keep booleans out of numbers. Null defaults take null
-    or a number; list defaults (all lists of ints) take lists of ints.
+    Exact type tests keep booleans out of numbers; a number must be finite
+    as a float (no NaN, Infinity or larger integer). Null defaults take
+    null or a number; list defaults (all lists of ints) take lists of ints.
     """
     for key, value in config.items():
         where = f"{path}.{key}" if path else key
@@ -110,14 +111,15 @@ def _check_schema(config: dict, template: dict, path: str = "") -> None:
                 raise ConfigError(f"config key {where!r} must be a section")
             _check_schema(value, ref, where)
             continue
+        number = type(value) in (int, float) and abs(value) <= sys.float_info.max
         if ref is None:
-            ok, expected = value is None or type(value) in (int, float), "null or a number"
+            ok, expected = value is None or number, "null or a finite number"
         elif isinstance(ref, bool):
             ok, expected = isinstance(value, bool), "a boolean"
         elif isinstance(ref, int):
             ok, expected = type(value) is int, "an integer"
         elif isinstance(ref, float):
-            ok, expected = type(value) in (int, float), "a number"
+            ok, expected = number, "a finite number"
         elif isinstance(ref, list):
             ok = isinstance(value, list) and all(type(v) is int for v in value)
             expected = "a list of integers"

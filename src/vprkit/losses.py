@@ -253,35 +253,43 @@ def multi_similarity_loss(
     return LossOutput(value, _grad_from_similarity_weights(weights, batch))
 
 
-def _add_weak_weights(s: np.ndarray, weak: WeakTuple, margin: float, weights: np.ndarray) -> float:
-    """Add one tuple's d loss / d S into `weights` and return its loss value."""
-    if not weak.potential_positives:
-        raise ValueError("weak tuple has no potential positives")
-    row = s[weak.query]
-    pos = np.asarray(weak.potential_positives, dtype=np.intp)
-    neg = np.asarray(weak.definite_negatives, dtype=np.intp)
-    best = pos[np.argmax(row[pos])]
-    terms = row[neg] - row[best] + margin
-    hit = terms > 0.0
-    np.add.at(weights[weak.query], neg[hit], 1.0)
-    weights[weak.query, best] -= np.count_nonzero(hit)
-    return float(np.sum(terms[hit]))
+def _weak_triplet(batch, sim, query, pos, neg, cfg: LossConfig) -> LossOutput:
+    """Mean weak-triplet loss of queries `query` (T,) over (T, N) potential-positive
+    rows `pos` and definite-negative rows `neg` (bool, or a count per listing)."""
+    if len(query) == 0:
+        return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
+    rows = _resolve_sim(batch, sim)[query]
+    # argmax returns the first occurrence: ties go to the smaller index
+    best = np.where(pos, rows, -np.inf).argmax(axis=1)
+    terms = rows - rows[np.arange(len(query)), best][:, None] + cfg.margin
+    hits = np.where(terms > 0.0, neg, 0)
+    t, col = np.nonzero(hits)
+    n = len(batch)
+    # integer counts until the division, so the sums are exact in any order
+    weights = np.bincount(query[t] * n + col, weights=hits[t, col], minlength=n * n)
+    np.add.at(weights, query * n + best, -hits.sum(axis=1))
+    weights = weights.reshape(n, n) / len(query)
+    value = terms[t, col] @ hits[t, col] / len(query)
+    return LossOutput(float(value), _grad_from_similarity_weights(weights, batch))
 
 
 def weak_triplet_loss(
     batch: EmbeddingBatch,
-    weak: WeakTuple,
+    weak: WeakTuple | MinedSet | PairLabels,
     cfg: LossConfig,
     sim: np.ndarray | None = None,
 ) -> LossOutput:
-    """Triplet loss against the best potential positive of one query.
+    """Triplet loss against the best potential positive of each query.
 
-    The positive pair is the potential positive most similar to the query
-    (ties resolved toward the first listed); each definite negative
-    contributes a hinge term and the gradient flows only through the
-    selected positive.
+    `weak` is one WeakTuple, or a MinedSet or PairLabels whose rows with a
+    potential positive are the queries. Each definite negative adds a hinge
+    against the query's most similar potential positive (ties go to the
+    smaller index); the value is the mean over queries.
     """
-    return weak_triplet_total(batch, [weak], cfg, sim=sim)
+    if isinstance(weak, WeakTuple):
+        return weak_triplet_total(batch, [weak], cfg, sim=sim)
+    query = np.flatnonzero(weak.positive.any(axis=1))
+    return _weak_triplet(batch, sim, query, weak.positive[query], weak.negative[query], cfg)
 
 
 def weak_tuples_from_masks(pos: np.ndarray, neg: np.ndarray) -> list[WeakTuple]:
@@ -325,15 +333,13 @@ def weak_triplet_total(
     cfg: LossConfig,
     sim: np.ndarray | None = None,
 ) -> LossOutput:
-    """Mean of weak_triplet_loss over a list of tuples (batch-size independent).
-
-    The tuples' similarity weights are summed into one (N, N) matrix, so
-    the gradient is chained back to the rows once.
-    """
-    if not tuples:
-        return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
-    s = _resolve_sim(batch, sim)
-    weights = np.zeros_like(s)
-    value = sum(_add_weak_weights(s, weak, cfg.margin, weights) for weak in tuples)
-    weights /= len(tuples)
-    return LossOutput(value / len(tuples), _grad_from_similarity_weights(weights, batch))
+    """Mean of weak_triplet_loss over a list of tuples, each its own query row
+    (a repeated query too); a definite negative listed twice counts twice."""
+    query = np.array([weak.query for weak in tuples], dtype=np.intp)
+    pos, neg = np.zeros((2, len(tuples), len(batch)), dtype=np.intp)
+    for t, weak in enumerate(tuples):
+        if not weak.potential_positives:
+            raise ValueError("weak tuple has no potential positives")
+        pos[t, weak.potential_positives] = 1
+        neg[t] = np.bincount(weak.definite_negatives, minlength=len(batch))
+    return _weak_triplet(batch, sim, query, pos, neg, cfg)

@@ -568,6 +568,16 @@ class BatchSampler:
             yield Batch(images, np.repeat(self._place_ids[chunk], k), index)
 
 
+def _query_split(place: Place, queries_per_place: int) -> int:
+    """Index of a place's first held-out query: its last `queries_per_place` images."""
+    if queries_per_place < 1:
+        raise ValueError("queries_per_place must be >= 1")
+    if len(place) <= queries_per_place:
+        raise ValueError(f"place {place.place_id} has {len(place)} images, "
+                         f"cannot hold out {queries_per_place} queries")
+    return len(place) - queries_per_place
+
+
 def query_reference_split(
     db: PlacesDB, queries_per_place: int = 2
 ) -> tuple[list[tuple[int, ImageRecord]], list[tuple[int, ImageRecord]]]:
@@ -576,16 +586,9 @@ def query_reference_split(
     Returns (queries, references) as lists of (place_id, record). Every
     place keeps at least one reference image.
     """
-    if queries_per_place < 1:
-        raise ValueError("queries_per_place must be >= 1")
     queries, references = [], []
     for place in db.places:
-        if len(place) <= queries_per_place:
-            raise ValueError(
-                f"place {place.place_id} has {len(place)} images, cannot hold out "
-                f"{queries_per_place} queries"
-            )
-        split = len(place) - queries_per_place
+        split = _query_split(place, queries_per_place)
         references.extend((place.place_id, img) for img in place.images[:split])
         queries.extend((place.place_id, img) for img in place.images[split:])
     return queries, references
@@ -593,10 +596,5 @@ def query_reference_split(
 
 def training_view(db: PlacesDB, queries_per_place: int = 2) -> PlacesDB:
     """The database with held-out query images removed from every place."""
-    places = []
-    for place in db.places:
-        split = len(place) - queries_per_place
-        if split < 1:
-            raise ValueError(f"place {place.place_id} too small for the split")
-        places.append(Place(place.place_id, place.images[:split]))
+    places = [Place(p.place_id, p.images[: _query_split(p, queries_per_place)]) for p in db.places]
     return PlacesDB(places, cell_size_deg=db.cell_size_deg)

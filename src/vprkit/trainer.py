@@ -201,15 +201,8 @@ def _mine(cfg: TrainConfig, sim: np.ndarray, labels: np.ndarray) -> mining.Mined
 
 
 def _loss(cfg: TrainConfig, batch: EmbeddingBatch, mined, sim) -> losses.LossOutput:
-    lc = cfg.loss_config
-    if cfg.loss == "contrastive":
-        return losses.contrastive_loss(batch, mined, lc, sim=sim)
-    if cfg.loss == "triplet":
-        return losses.triplet_loss(batch, mined, lc, sim=sim)
-    if cfg.loss == "multi_similarity":
-        return losses.multi_similarity_loss(batch, mined, lc, sim=sim)
-    tuples = losses.weak_tuples_from_masks(mined.positive, mined.negative)
-    return losses.weak_triplet_total(batch, tuples, lc, sim=sim)
+    # `losses.<kind>_loss`, looked up per call: a replaced module attribute is the one called
+    return getattr(losses, f"{cfg.loss}_loss")(batch, mined, cfg.loss_config, sim=sim)
 
 
 def train(db: PlacesDB, cfg: TrainConfig):

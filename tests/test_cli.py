@@ -702,3 +702,40 @@ class TestAtomicTextArtifacts:
         assert "No space left" in capsys.readouterr().err
         assert final.read_bytes() == b"old content"
         assert not [p.name for p in (tmp_path / out).iterdir() if p.name.startswith(".")]
+
+
+class TestNonFiniteConfigNumbers:
+    @pytest.mark.parametrize("assignment", [
+        "train.miner_epsilon=NaN", "train.weight_decay=NaN", "train.lr_decay_factor=NaN",
+        "train.ms_alpha=Infinity", "train.margin=-Infinity", "train.initial_lr=1e999",
+        "train.miner_epsilon=1" + "0" * 400,  # an int no float can hold
+    ])
+    def test_set_rejects_them(self, tmp_path, capsys, assignment):
+        db = synth(tmp_path)
+        rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                          *SMALL_TRAIN, "--set", assignment])
+        assert rc == 1
+        assert assignment.partition("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_file_rejects_them(self, tmp_path, capsys):
+        db = synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"weight_decay": float("nan")}}), encoding="utf-8")
+        assert "NaN" in cfg.read_text(encoding="utf-8")
+        rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                          "--config", str(cfg), *SMALL_TRAIN])
+        assert rc == 1
+        assert "train.weight_decay" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+class TestTrainHoldOut:
+    @pytest.mark.parametrize("holdout", [0, -1])
+    def test_train_rejects_what_eval_rejects(self, tmp_path, capsys, holdout):
+        db = synth(tmp_path)
+        rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                          *SMALL_TRAIN, "--set", f"eval.queries_per_place={holdout}"])
+        assert rc == 1
+        assert "queries_per_place must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import balanced_labels, random_unit_rows
 from oracles import numeric_gradient, relative_error
+from vprkit import losses
 from vprkit.embeddings import EmbeddingBatch, normalize_rows, similarity_matrix
 from vprkit.losses import (
     LossConfig,
@@ -562,3 +563,129 @@ class TestWeakTupleBuilders:
             assert [(t.query, t.potential_positives, t.definite_negatives) for t in got] == (
                 by_scan(lats, lons, pr, nr)
             )
+
+
+def per_tuple_weak_triplet(batch, tuples, cfg, sim):
+    """Value, similarity weights and row gradient of the weak-triplet loss,
+    walking the tuples one at a time (the best positive is the first listed
+    of equal ones)."""
+    weights = np.zeros_like(sim)
+    if not tuples:
+        return 0.0, weights, np.zeros_like(batch.rows)
+    value = 0.0
+    for weak in tuples:
+        row = sim[weak.query]
+        pos = np.asarray(weak.potential_positives, dtype=np.intp)
+        neg = np.asarray(weak.definite_negatives, dtype=np.intp)
+        best = pos[np.argmax(row[pos])]
+        terms = row[neg] - row[best] + cfg.margin
+        hit = terms > 0.0
+        np.add.at(weights[weak.query], neg[hit], 1.0)
+        weights[weak.query, best] -= np.count_nonzero(hit)
+        value += float(np.sum(terms[hit]))
+    weights /= len(tuples)
+    grad = (weights + weights.T) @ batch.rows
+    grad = grad - np.sum(grad * batch.rows, axis=1, keepdims=True) * batch.rows
+    return value / len(tuples), weights, grad
+
+
+def weak_loss_and_weights(loss, batch, weak, cfg, sim):
+    """The loss output and the (N, N) similarity weights it chained to the rows."""
+    seen = []
+    chain = losses._grad_from_similarity_weights
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_grad_from_similarity_weights",
+                   lambda w, b: seen.append(w.copy()) or chain(w, b))
+        out = loss(batch, weak, cfg, sim=sim)
+    return out, (seen[0] if seen else np.zeros_like(sim))
+
+
+def assert_matches_per_tuple(out, weights, reference):
+    value, ref_weights, ref_grad = reference
+    assert abs(out.value - value) <= 1e-12 * abs(value)
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert out.grad.tobytes() == ref_grad.tobytes()
+
+
+class TestWeakTripletOverMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        num_tuples=st.integers(0, 12),
+        neg_fill=st.sampled_from(sorted(ROW_FILL)),
+        margin=st.floats(-0.5, 1.0),
+    )
+    def test_list_form_matches_per_tuple_loop(self, seed, n, num_tuples, neg_fill, margin):
+        rng = np.random.default_rng(seed)
+        batch = EmbeddingBatch(random_unit_rows(rng, n, 6), np.arange(n))
+        sim = similarity_matrix(batch)
+        tuples = []
+        for _ in range(num_tuples):
+            query = int(rng.integers(n))  # small n repeats queries
+            others = rng.permutation(np.delete(np.arange(n), query))  # unsorted
+            k = int(rng.integers(1, len(others) + 1))
+            rest = others[k:]
+            neg = rest[rng.uniform(size=len(rest)) < ROW_FILL[neg_fill]]  # may be empty
+            neg = rng.permutation(np.concatenate([neg, neg[: rng.integers(len(neg) + 1)]]))
+            tuples.append(WeakTuple(query, others[:k].tolist(), neg.tolist()))
+        if tuples:
+            tuples.append(tuples[0])  # a listed tuple repeated whole
+        cfg = LossConfig(margin=margin)
+        out, weights = weak_loss_and_weights(weak_triplet_total, batch, tuples, cfg, sim)
+        assert out.degenerate == (not tuples)
+        assert_matches_per_tuple(out, weights, per_tuple_weak_triplet(batch, tuples, cfg, sim))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        pos_fill=st.lists(st.sampled_from(sorted(ROW_FILL)), min_size=1, max_size=4),
+        neg_fill=st.lists(st.sampled_from(sorted(ROW_FILL)), min_size=1, max_size=4),
+        margin=st.floats(-0.5, 1.0),
+    )
+    def test_mask_form_matches_per_tuple_loop(self, seed, n, pos_fill, neg_fill, margin):
+        rng = np.random.default_rng(seed)
+        batch = EmbeddingBatch(random_unit_rows(rng, n, 6), np.zeros(n, dtype=int))
+        sim = similarity_matrix(batch)
+
+        def mask(fills):  # each row empty, full or partly filled, cycling through `fills`
+            p = np.array([ROW_FILL[fills[i % len(fills)]] for i in range(n)])
+            return (rng.uniform(size=(n, n)) < p[:, None]) & ~np.eye(n, dtype=bool)
+
+        pos = mask(pos_fill)
+        mined = MinedSet(pos, mask(neg_fill) & ~pos)
+        tuples = losses.weak_tuples_from_masks(mined.positive, mined.negative)
+        cfg = LossConfig(margin=margin)
+        out, weights = weak_loss_and_weights(weak_triplet_loss, batch, mined, cfg, sim)
+        assert out.degenerate == (not tuples)
+        assert_matches_per_tuple(out, weights, per_tuple_weak_triplet(batch, tuples, cfg, sim))
+
+    def test_pair_labels_and_mined_sets(self, rng):
+        batch = make_batch(rng, 4, 3, 6)
+        sim = similarity_matrix(batch)
+        cfg = LossConfig(margin=0.2)
+        for mined in (PairLabels.from_labels(batch.labels), enumerate_pairs(batch.labels),
+                      ms_mining(sim, batch.labels, 0.1), hardest_mining(sim, batch.labels)):
+            tuples = losses.weak_tuples_from_masks(mined.positive, mined.negative)
+            out, weights = weak_loss_and_weights(weak_triplet_loss, batch, mined, cfg, sim)
+            assert_matches_per_tuple(out, weights, per_tuple_weak_triplet(batch, tuples, cfg, sim))
+
+    def test_equal_potential_positives_pick_the_smaller_index(self, rng):
+        batch = EmbeddingBatch(random_unit_rows(rng, 5, 6), np.arange(5))
+        sim = np.eye(5)
+        sim[0, 1] = sim[1, 0] = sim[0, 2] = sim[2, 0] = 0.8
+        sim[0, 4] = sim[4, 0] = 0.75
+        cfg = LossConfig(margin=0.1)
+        pos, neg = np.zeros((2, 5, 5), dtype=bool)
+        pos[0, [1, 2]] = neg[0, 4] = True
+        for weak in (WeakTuple(0, [2, 1], [4]), MinedSet(pos, neg)):
+            out, weights = weak_loss_and_weights(weak_triplet_loss, batch, weak, cfg, sim)
+            assert out.value == pytest.approx(0.05, abs=1e-12)
+            assert weights[0, 1] == -1.0 and weights[0, 2] == 0.0 and weights[0, 4] == 1.0
+
+    def test_rows_without_a_potential_positive_are_not_queries(self, rng):
+        batch = EmbeddingBatch(random_unit_rows(rng, 4, 6), np.arange(4))
+        neg = ~np.eye(4, dtype=bool)
+        out = weak_triplet_loss(batch, MinedSet(np.zeros((4, 4), dtype=bool), neg), LossConfig())
+        assert out.degenerate and out.value == 0.0 and not out.grad.any()

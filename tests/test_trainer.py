@@ -347,3 +347,25 @@ class TestPooledOnceEqualsPerStep:
         db = small_db()
         db.attach_payloads(db.payloads.astype(np.float32))
         self.check(tmp_path, training_view(db, 2), small_cfg(max_epochs=3))
+
+
+class TestOneLossCall:
+    @pytest.mark.parametrize("loss,miner", [("contrastive", "ms"), ("triplet", "ohm"),
+                                            ("multi_similarity", "ms"), ("weak_triplet", "all")])
+    def test_looks_the_loss_up_at_call_time(self, monkeypatch, loss, miner):
+        from vprkit import losses
+
+        calls = []
+        monkeypatch.setattr(losses, f"{loss}_loss", lambda *a, **kw: calls.append((a, kw)))
+        cfg = small_cfg(loss=loss, miner=miner)
+        trainer._loss(cfg, "batch", "mined", "sim")
+        assert calls == [(("batch", "mined", cfg.loss_config), {"sim": "sim"})]
+
+    @pytest.mark.parametrize("miner", ["all", "ohm", "ms"])
+    def test_weak_triplet_training_builds_no_tuples(self, monkeypatch, miner):
+        def refuse(self):
+            raise AssertionError("a WeakTuple was built")
+
+        monkeypatch.setattr(WeakTuple, "__post_init__", refuse)
+        _, log = train(small_db(), small_cfg(loss="weak_triplet", miner=miner, max_epochs=2))
+        assert log.steps and all(np.isfinite(v) for v in log.losses)
