@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .embeddings import normalize_rows
+from .errors import FeatureMapError
 
 GEM_MIN_POWER = 1e-3
 
@@ -83,7 +84,8 @@ def _check_maps(fmaps: np.ndarray) -> np.ndarray:
     if fmaps.ndim != 4:
         raise ValueError(f"feature maps must be (N, h, w, c), got shape {fmaps.shape}")
     if not np.all(np.isfinite(fmaps)):
-        raise ValueError("feature map entries must be finite")
+        row = int(np.argmin(np.isfinite(fmaps).all(axis=(1, 2, 3))))
+        raise FeatureMapError(row, "feature map entries must be finite")
     return fmaps
 
 
@@ -330,7 +332,11 @@ def pool(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
     """The head's parameter-free stage on a checked (N, h, w, c) batch.
 
     Its rows are what `Head.forward` and `Head.backward` take, so maps that
-    never change are pooled once and gathered by row afterwards.
+    never change are pooled once and gathered by row afterwards. Every stage
+    is row by row and a fixed point of itself (a pooled cell pools to
+    itself, a clamped entry clamps to itself), so the stage can run in
+    blocks of rows, and `forward` on its output equals `forward` on the
+    maps, bit for bit. A non-finite map raises FeatureMapError with its row.
     """
     return head(kind).pool(params, _check_maps(fmaps))
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import places, tensorio, trainer
+from . import aggregators, places, tensorio, trainer
 from .errors import FormatError, VprkitError
 from .evaluator import (
     GroundTruthMatcher,
@@ -223,9 +223,13 @@ def _train_config(config: dict) -> TrainConfig:
 
 
 def _descriptor_set(kind, params, items) -> DescriptorSet:
-    fmaps = places.gather_payloads([img for _, img in items])
     labels = np.array([pid for pid, _ in items])
-    batch = embed_feature_maps(kind, params, fmaps, labels)
+    # Only the stage runs per block: a product's rows can round differently with
+    # the number of rows, so the trainable part runs once over the whole set. The
+    # stage is a fixed point of itself, so embedding its output gives the maps' rows.
+    pooled = places.stage_payloads([img for _, img in items], labels,
+                                   lambda fmaps: aggregators.pool(kind, params, fmaps))
+    batch = embed_feature_maps(kind, params, pooled, labels)
     return DescriptorSet(
         vectors=batch.rows,
         ids=[img.image_ref for _, img in items],
@@ -351,8 +355,6 @@ def _load_pca_model(path) -> PCAModel:
 
 def cmd_reduce(args) -> int:
     config = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not (args.fit or args.apply):
         raise ConfigError("reduce needs --fit and/or --apply")
     if args.fit:
@@ -366,8 +368,10 @@ def cmd_reduce(args) -> int:
         raise ConfigError("reduce --apply needs --model (or --fit in the same run)")
     else:
         model = _load_pca_model(args.model)
-    # everything is computed before anything is written: a failed run leaves no artifact
+    # everything is computed before the output directory is made: a failed run leaves nothing
     reduced = pca_transform_set(model, tensorio.load_descriptors(args.apply)) if args.apply else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.fit:
         tensorio.save_checkpoint(
             out / "pca_model.vprc",

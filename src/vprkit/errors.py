@@ -30,5 +30,17 @@ class DivergenceError(VprkitError):
     """Training produced a non-finite loss or gradient."""
 
 
+class FeatureMapError(VprkitError, ValueError):
+    """A feature map is invalid: `row` is its index in the batch checked.
+
+    The message names the map by `where`, by default its row.
+    """
+
+    def __init__(self, row: int, reason: str, where: str | None = None):
+        super().__init__(f"{where or f'map {row}'}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 class FormatError(VprkitError):
     """A binary tensor / checkpoint file is malformed."""

@@ -7,8 +7,9 @@ geographically disjoint at the resolution of a lat/lon grid cell
 
 Image payloads are dense feature maps (h, w, c); this module never touches
 pixels. A database keeps all of them in one (M, h, w, c) array and each
-image refers to its row, so a batch or an eval set is one `take`. Real
-data enters through a CSV manifest, desk-scale experiments use the seeded
+image refers to its row, so a batch is one `take`, and a stage over a
+whole set (`stage_payloads`) takes one block of rows at a time. Real data
+enters through a CSV manifest, desk-scale experiments use the seeded
 synthetic generator.
 """
 
@@ -18,13 +19,19 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import ManifestError, SamplerError
+from .errors import FeatureMapError, ManifestError, SamplerError
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
+
+# Float64 bytes of maps `stage_payloads` converts at a time. A block this size
+# stays in cache, and it bounds the memory a stage over a whole set needs
+# beyond the store and the stage's output.
+PAYLOAD_BLOCK_BYTES = 1 << 20
 
 # Mean Earth radius (IUGG), meters.
 EARTH_RADIUS_M = 6_371_008.8
@@ -489,11 +496,42 @@ def gather_payloads(images: list[ImageRecord]) -> np.ndarray:
 
     Converting float32 to float64 is exact, so the maps equal the stored values.
     """
+    store, rows = _store_rows(images)
+    return store.take(rows, axis=0).astype(np.float64, copy=False)
+
+
+def _store_rows(images: list[ImageRecord]) -> tuple[np.ndarray, np.ndarray]:
     store = _shared_store(images)
     if store is None:
         raise ValueError("images do not share one payload array")
-    rows = np.fromiter((img.row for img in images), dtype=np.intp, count=len(images))
-    return store.take(rows, axis=0).astype(np.float64, copy=False)
+    return store, np.fromiter((img.row for img in images), dtype=np.intp, count=len(images))
+
+
+def stage_payloads(images: list[ImageRecord], place_ids, stage: Callable) -> np.ndarray:
+    """`stage(gather_payloads(images))` for a row-wise stage, holding one block of maps at a time.
+
+    Each block is the float64 maps of as many images as fit in
+    PAYLOAD_BLOCK_BYTES (at least one): one `take` from the shared store,
+    converted exactly. `stage` checks and transforms a block; its rows go
+    into one preallocated output. A map the stage rejects with a
+    FeatureMapError is named by its image_ref and place id (`place_ids[i]`
+    is the place of `images[i]`).
+    """
+    store, rows = _store_rows(images)
+    step = max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
+    out = None
+    for lo in range(0, len(rows), step):
+        block = store.take(rows[lo : lo + step], axis=0).astype(np.float64)
+        try:
+            result = stage(block)
+        except FeatureMapError as exc:
+            row = lo + exc.row
+            where = f"image {images[row].image_ref!r} of place {place_ids[row]}"
+            raise FeatureMapError(row, exc.reason, where) from None
+        if out is None:
+            out = np.empty((len(rows),) + result.shape[1:], dtype=result.dtype)
+        out[lo : lo + step] = result
+    return out
 
 
 @dataclass
@@ -547,7 +585,8 @@ class BatchSampler:
         sizes = [len(p) for p in self.eligible]
         self._first = np.cumsum([0] + sizes[:-1]).tolist()
         self._sizes = sizes
-        self._place_ids = np.array([p.place_id for p in self.eligible], dtype=np.int64)
+        # the place id of each of `images`
+        self.labels = np.repeat(np.array([p.place_id for p in self.eligible], dtype=np.int64), sizes)
         self._rng = np.random.default_rng(spec.rng_seed)
 
     @property
@@ -565,7 +604,7 @@ class BatchSampler:
                 for i in chunk.tolist()
             ])
             images = [self.images[j] for j in index.tolist()]
-            yield Batch(images, np.repeat(self._place_ids[chunk], k), index)
+            yield Batch(images, self.labels[index], index)
 
 
 def _query_split(place: Place, queries_per_place: int) -> int:

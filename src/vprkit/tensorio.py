@@ -12,9 +12,11 @@ Tensor files are little-endian and self-describing:
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order).
 
-Every file this module writes goes through `write_atomic`: a temp file
-beside the target, then `os.replace`, so a write that fails partway never
-leaves a truncated file under the final name.
+Every file this module writes goes through `write_atomic_files`: a temp
+file beside each target, then `os.replace`, so a write that fails partway
+never leaves a truncated file under the final name. The files of one
+descriptor set are all written before any is replaced, so a failed write
+never pairs a new tensor with an old sidecar.
 
 Checkpoints wrap a JSON header (config echo plus tensor names) followed
 by one tensor blob per parameter:
@@ -55,20 +57,34 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return head + dims + arr.tobytes()
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write `data` to a temp file in `path`'s directory, then rename it onto `path`.
+def _write_new(path: Path, data: bytes) -> None:
+    with path.open("xb") as fh:
+        fh.write(data)
 
-    If the write fails, `path` keeps its old content (or stays absent) and
-    the temp file is removed.
+
+def write_atomic_files(files: list[tuple[str | Path, bytes]]) -> None:
+    """Write each (path, data) to a temp file in its path's directory, then rename them onto the paths.
+
+    No path is replaced before every temp file is written, so if a write
+    fails every path keeps its old content (or stays absent), and the temp
+    files are removed.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    moves = []
     try:
-        with tmp.open("xb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in files:
+            path = Path(path)
+            moves.append((path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp"), path))
+            _write_new(moves[-1][0], data)
+        for tmp, path in moves:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to a temp file in `path`'s directory, then rename it onto `path`."""
+    write_atomic_files([(path, data)])
 
 
 def save_tensor(path: str | Path, arr: np.ndarray) -> None:
@@ -165,28 +181,28 @@ def sidecar_path(tensor_path: str | Path) -> Path:
 
 
 def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
-    save_tensor(path, ds.vectors)
+    """The tensor and its sidecar, both written before either replaces its old file."""
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(SIDECAR_HEADER)
     writer.writerows(zip(ds.ids, map(repr, ds.lats.tolist()), map(repr, ds.lons.tolist()),
                          ds.place_ids.tolist()))
-    write_atomic(sidecar_path(path), text.getvalue().encode("utf-8"))
+    write_atomic_files([(path, tensor_bytes(ds.vectors)),
+                        (sidecar_path(path), text.getvalue().encode("utf-8"))])
 
 
 def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
     """Byte copies of descriptor sets, tensor and sidecar, given (source, destination) tensor paths.
 
     Every source is read before any destination is written, so a destination
-    that is also another copy's source still passes on its original bytes. A
-    file is never copied onto itself.
+    that is also another copy's source still passes on its original bytes,
+    and no destination is replaced before every one is written. A file is
+    never copied onto itself.
     """
     files = [(Path(s), Path(d)) for src, dest in copies
              for s, d in ((src, dest), (sidecar_path(src), sidecar_path(dest)))]
-    writes = [(dest, src.read_bytes()) for src, dest in files
-              if not (dest.exists() and os.path.samefile(src, dest))]
-    for dest, data in writes:
-        write_atomic(dest, data)
+    write_atomic_files([(dest, src.read_bytes()) for src, dest in files
+                        if not (dest.exists() and os.path.samefile(src, dest))])
 
 
 def load_descriptors(path: str | Path) -> DescriptorSet:

@@ -5,8 +5,9 @@ descriptors, form the similarity matrix, mine informative pairs, evaluate
 the loss and its gradient, and update the aggregation head with SGD
 (momentum plus L2 weight decay). The backbone is a frozen feature-map
 source, so the trainable state is just the head parameters, and the
-head's parameter-free stage (pooling) runs once over the training maps
-before the first step; each step gathers its batch's pooled rows.
+head's parameter-free stage (pooling) runs once over the training maps,
+in blocks of rows, before the first step; each step gathers its batch's
+pooled rows.
 
 Runs are deterministic given the seeds: the update order is single
 threaded and every random draw goes through seeded generators.
@@ -215,11 +216,10 @@ def train(db: PlacesDB, cfg: TrainConfig):
     started = time.perf_counter()
     sampler = BatchSampler(db, cfg.batch_spec)
     head = aggregators.head(cfg.aggregator)
-    fmaps = places.gather_payloads(sampler.images)
-    params = init_aggregator(cfg, fmaps.shape[3])
-    # checked and pooled once; row i belongs to sampler.images[i]
-    pooled = aggregators.pool(cfg.aggregator, params, fmaps)
-    del fmaps
+    params = init_aggregator(cfg, sampler.images[0].store.shape[3])
+    # checked and pooled once, block by block; row i belongs to sampler.images[i]
+    pooled = places.stage_payloads(sampler.images, sampler.labels,
+                                   lambda fmaps: aggregators.pool(cfg.aggregator, params, fmaps))
     arrays = aggregators.trainable_arrays(cfg.aggregator, params)
     state = OptimizerState(
         learning_rate=cfg.initial_lr,

@@ -187,7 +187,8 @@ class TestBuildDb:
         capsys.readouterr()
         rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"), *SMALL_TRAIN])
         assert rc == 1
-        assert capsys.readouterr().err == "error: feature map entries must be finite\n"
+        assert capsys.readouterr().err == (
+            "error: image 'synth_00001_00' of place 1: feature map entries must be finite\n")
         assert not (tmp_path / "run" / "checkpoint.vprc").exists()
 
 
@@ -480,6 +481,59 @@ class TestNonFiniteReduce:
         assert rc == 1
         assert err.startswith("error:") and "bad.vprk: row 7" in err and "rank" not in err
         assert not (out / "pca_model.vprc").exists()
+
+
+class TestNonFiniteMaps:
+    """A map with a NaN fails train and eval by name, and leaves no output directory."""
+
+    @pytest.mark.parametrize("aggregator", ["conv_ap", "avg", "gem"])
+    def test_train_and_eval_name_the_image(self, tmp_path, capsys, aggregator):
+        from vprkit.tensorio import load_tensor, save_tensor
+
+        db = synth(tmp_path)
+        head = ["--set", f"train.aggregator={aggregator}"]
+        run = tmp_path / "run"
+        assert run_command(["train", "--db", str(db), "--out", str(run), *SMALL_TRAIN, *head]) == 0
+        stack = load_tensor(db / "payloads.vprk")
+        stack[13, 4, 0, 7] = np.nan  # the second image of place 2: trained on and a reference
+        save_tensor(db / "payloads.vprk", stack)
+        message = "error: image 'synth_00002_01' of place 2: feature map entries must be finite\n"
+        for argv in (["train", "--db", str(db), *SMALL_TRAIN, *head],
+                     ["eval", "--db", str(db), "--checkpoint", str(run / "checkpoint.vprc")]):
+            out = tmp_path / f"{argv[0]}_out"
+            capsys.readouterr()
+            assert run_command([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == message
+            assert not out.exists()
+
+
+class TestReduceLeavesNoDirectory:
+    """A failed reduce makes no output directory."""
+
+    def test_no_action(self, tmp_path):
+        out = tmp_path / "x"
+        assert run_command(["reduce", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_apply_without_model(self, tmp_path, rng):
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        out = tmp_path / "pca"
+        assert run_command(["reduce", "--apply", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_fit_set_with_nan(self, tmp_path, rng):
+        bad = TestNonFiniteReduce._saved_set(tmp_path, rng, "bad", nan_row=2)
+        out = tmp_path / "pca"
+        assert run_command(["reduce", "--fit", str(bad), "--out", str(out),
+                            "--set", "pca.out_dim=3"]) == 1
+        assert not out.exists()
+
+    def test_missing_apply_set(self, tmp_path, rng):
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        out = tmp_path / "pca"
+        assert run_command(["reduce", "--fit", str(path), "--apply", str(tmp_path / "none.vprk"),
+                            "--out", str(out), "--set", "pca.out_dim=3"]) == 1
+        assert not out.exists()
 
 
 class TestReport:

@@ -408,9 +408,31 @@ class TestAtomicWrites:
         monkeypatch.undo()
 
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        if writer == "sidecar":  # the tensor half of the set was written before the sidecar failed
-            assert after.pop("s.vprk") == tensor_bytes(np.eye(3))
-        assert after == before
+        assert after == before  # for a set, the tensor half is not replaced either
+
+    @pytest.mark.parametrize("writer", ["save", "copy"])
+    def test_failed_sidecar_write_keeps_both_old_files(self, tmp_path, monkeypatch, writer):
+        from vprkit import tensorio
+
+        save_descriptors(tmp_path / "src.vprk", DescriptorSet(
+            np.ones((2, 3)), ["x", "y"], np.ones(2), np.ones(2), np.arange(2)))
+        save_descriptors(tmp_path / "s.vprk", self._set())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write = tensorio._write_new
+
+        def fail_on_csv(path, data):
+            if ".csv." in path.name:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_write(path, data)
+
+        monkeypatch.setattr(tensorio, "_write_new", fail_on_csv)
+        with pytest.raises(OSError, match="No space left"):
+            if writer == "save":
+                save_descriptors(tmp_path / "s.vprk", DescriptorSet(
+                    np.ones((1, 2)), ["z"], np.zeros(1), np.zeros(1), np.zeros(1)))
+            else:
+                copy_descriptors([(tmp_path / "src.vprk", tmp_path / "s.vprk")])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_write_replaces_existing_file(self, tmp_path, writer):
