@@ -55,7 +55,6 @@ from .places import (
     Place,
     PlacesDB,
     SynthConfig,
-    grid_group,
     haversine,
     ingest_manifest,
     synth_places,

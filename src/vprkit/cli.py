@@ -192,11 +192,13 @@ def _write_resolved(config: dict, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def save_db_dir(db: PlacesDB, out_dir: Path) -> None:
+    """Both files are written before either replaces its old file."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    places.write_manifest(db, out_dir / "manifest.csv")
+    files = [(out_dir / "manifest.csv", places.manifest_bytes(db))]
     payloads = db.payloads_in_order()
     if payloads is not None:
-        tensorio.save_tensor(out_dir / "payloads.vprk", payloads)
+        files.append((out_dir / "payloads.vprk", tensorio.tensor_bytes(payloads)))
+    tensorio.write_atomic_files(files)
 
 
 def load_db_dir(path: Path) -> PlacesDB:
@@ -245,21 +247,10 @@ def _descriptor_set(kind, params, items) -> DescriptorSet:
 
 def cmd_synth(args) -> int:
     config = resolve_config(args)
-    s = config["synth"]
-    db = places.synth_places(
-        num_places=int(s["num_places"]),
-        images_per_place=int(s["images_per_place"]),
-        shape=(int(s["height"]), int(s["width"]), int(s["channels"])),
-        perturbation=SynthConfig(
-            max_shift=int(s["max_shift"]),
-            gain=float(s["gain"]),
-            noise_sigma=float(s["noise_sigma"]),
-            latent_blur=int(s["latent_blur"]),
-            unstable_fraction=float(s["unstable_fraction"]),
-            noise_contrast=float(s["noise_contrast"]),
-        ),
-        rng_seed=int(config["seed"]),
-    )
+    s = dict(config["synth"])  # the keys not popped are SynthConfig's field names
+    shape = (s.pop("height"), s.pop("width"), s.pop("channels"))
+    db = places.synth_places(s.pop("num_places"), s.pop("images_per_place"), shape,
+                             SynthConfig(**s), rng_seed=int(config["seed"]))
     out = Path(args.out)
     save_db_dir(db, out)
     _write_resolved(config, out)
@@ -297,6 +288,8 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_sets(args, config):
+    if (args.queries or args.refs) and (args.db or args.checkpoint):
+        raise ConfigError("eval takes --queries/--refs or --db/--checkpoint, not both")
     if args.queries and args.refs:
         return tensorio.load_descriptors(args.queries), tensorio.load_descriptors(args.refs)
     if not args.db or not args.checkpoint:
@@ -357,6 +350,8 @@ def cmd_reduce(args) -> int:
     config = resolve_config(args)
     if not (args.fit or args.apply):
         raise ConfigError("reduce needs --fit and/or --apply")
+    if args.fit and args.model:
+        raise ConfigError("reduce takes --fit or --model, not both")
     if args.fit:
         training = tensorio.load_descriptors(args.fit)
         model = pca_whiten_fit(

@@ -19,29 +19,29 @@ NORM_EPS = 1e-12
 UNIT_TOL = 1e-6
 
 
-def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Return v / ||v||, raising ZeroNormError when ||v|| <= eps."""
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Return v / ||v||, raising ZeroNormError when ||v|| <= NORM_EPS."""
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
-    if n <= eps:
+    if n <= NORM_EPS:
         raise ZeroNormError(f"cannot normalize vector with norm {n:.3e}")
     return v / n
 
 
-def normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise L2 normalization of a 2-D array."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
-    if np.any(norms <= eps):
+    if np.any(norms <= NORM_EPS):
         bad = int(np.argmin(norms))
         raise ZeroNormError(f"row {bad} has norm {norms[bad]:.3e}")
     return m / norms[:, None]
 
 
-def rows_are_unit(m: np.ndarray, tol: float = UNIT_TOL) -> bool:
+def rows_are_unit(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))  # one pass: no (N, D) array of squares
-    return bool(np.all(np.abs(norms - 1.0) <= tol))
+    return bool(np.all(np.abs(norms - 1.0) <= UNIT_TOL))
 
 
 @dataclass
@@ -76,10 +76,6 @@ class EmbeddingBatch:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
 
 def similarity_matrix(batch: EmbeddingBatch) -> np.ndarray:
     """All pairwise inner products of a normalized batch, as an (N, N) array.
@@ -94,14 +90,14 @@ def similarity_matrix(batch: EmbeddingBatch) -> np.ndarray:
     return z @ z.T
 
 
-def check_similarity(s: np.ndarray, tol: float = UNIT_TOL) -> None:
+def check_similarity(s: np.ndarray) -> None:
     """Validate similarity-matrix invariants; raises ValueError on failure."""
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {s.shape}")
-    if not np.allclose(s, s.T, atol=tol):
+    if not np.allclose(s, s.T, atol=UNIT_TOL):
         raise ValueError("similarity matrix is not symmetric")
-    if not np.allclose(np.diag(s), 1.0, atol=tol):
+    if not np.allclose(np.diag(s), 1.0, atol=UNIT_TOL):
         raise ValueError("similarity matrix diagonal is not 1")
-    if np.any(s > 1.0 + tol) or np.any(s < -1.0 - tol):
+    if np.any(s > 1.0 + UNIT_TOL) or np.any(s < -1.0 - UNIT_TOL):
         raise ValueError("similarity entries outside [-1, 1]")

@@ -28,6 +28,8 @@ BLOCK_ENTRIES = 1 << 17  # (block, R) entries per recall_at_k query block: bound
 # degrees (about 0.1 m) added to the latitude band: far above the rounding of
 # haversine and of the band comparison, so no match falls outside the band
 BAND_SLACK_DEG = 1e-6
+# eigenvector components at or below this magnitude do not set a column's sign
+SIGN_TOL = 1e-12
 
 
 @dataclass
@@ -287,11 +289,11 @@ class PCAModel:
         return (x - self.mean) @ self.projection.T
 
 
-def _fix_eigenvector_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Columns flipped so the first non-negligible component is positive."""
-    first = np.argmax(np.abs(vectors) > tol, axis=0)  # row 0 for a column with none
-    # that component is negative and non-negligible only when it is below -tol
-    flip = vectors[first, np.arange(vectors.shape[1])] < -tol
+    first = np.argmax(np.abs(vectors) > SIGN_TOL, axis=0)  # row 0 for a column with none
+    # that component is negative and non-negligible only when it is below -SIGN_TOL
+    flip = vectors[first, np.arange(vectors.shape[1])] < -SIGN_TOL
     return np.where(flip, -vectors, vectors)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .embeddings import EmbeddingBatch, similarity_matrix
 from .mining import MinedSet, label_masks
-from .places import haversine
 
 
 @dataclass
@@ -292,39 +291,13 @@ def weak_triplet_loss(
     return _weak_triplet(batch, sim, query, weak.positive[query], weak.negative[query], cfg)
 
 
-def weak_tuples_from_masks(pos: np.ndarray, neg: np.ndarray) -> list[WeakTuple]:
-    """One weak tuple per row of (N, N) masks that has a potential positive."""
-    return [
-        WeakTuple(int(q), np.flatnonzero(pos[q]).tolist(), np.flatnonzero(neg[q]).tolist())
-        for q in np.flatnonzero(pos.any(axis=1))
-    ]
-
-
 def weak_tuples_from_labels(labels) -> list[WeakTuple]:
     """One in-batch weak tuple per anchor that has a positive and a negative."""
     same, diff, has_both = label_masks(labels)
-    return weak_tuples_from_masks(same & has_both[:, None], diff)
-
-
-def weak_tuples_from_geo(
-    lats,
-    lons,
-    positive_radius_m: float = 10.0,
-    negative_radius_m: float = 25.0,
-) -> list[WeakTuple]:
-    """Build weak tuples from raw geotags.
-
-    Potential positives lie within `positive_radius_m` of the query,
-    definite negatives beyond `negative_radius_m`; queries with no nearby
-    candidate are skipped.
-    """
-    lats = np.asarray(lats, dtype=float)
-    lons = np.asarray(lons, dtype=float)
-    d = haversine((lats[:, None], lons[:, None]), (lats, lons))
-    eye = np.eye(len(lats), dtype=bool)
-    pos = (d <= positive_radius_m) & ~eye
-    neg = (d >= negative_radius_m) & ~pos & ~eye
-    return weak_tuples_from_masks(pos, neg)
+    return [
+        WeakTuple(int(q), np.flatnonzero(same[q]).tolist(), np.flatnonzero(diff[q]).tolist())
+        for q in np.flatnonzero(has_both)
+    ]
 
 
 def weak_triplet_total(

@@ -3,7 +3,7 @@
 A *place* is a set of images depicting one physical location, tagged with
 a shared integer ID. A database is a set of places whose locations are
 geographically disjoint at the resolution of a lat/lon grid cell
-(0.001 degrees by default, roughly 100 meters).
+(0.001 degrees, roughly 100 meters).
 
 Image payloads are dense feature maps (h, w, c); this module never touches
 pixels. A database keeps all of them in one (M, h, w, c) array and each
@@ -16,6 +16,7 @@ synthetic generator.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,8 @@ from .errors import FeatureMapError, ManifestError, SamplerError
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
+# (lat, lon) of the south-west corner of the synthetic place grid
+SYNTH_ORIGIN = (45.0, 7.0)
 
 # Float64 bytes of maps `stage_payloads` converts at a time. A block this size
 # stays in cache, and it bounds the memory a stage over a whole set needs
@@ -114,7 +117,6 @@ class PlacesDB:
     """Immutable collection of geographically disjoint places."""
 
     places: list[Place]
-    cell_size_deg: float = DEFAULT_CELL_DEG
 
     def __post_init__(self):
         ids = [p.place_id for p in self.places]
@@ -170,7 +172,7 @@ class PlacesDB:
         """
         seen: dict[tuple[int, int], int] = {}
         for p in self.places:
-            cell = grid_cell(*p.centroid(), self.cell_size_deg)
+            cell = grid_cell(*p.centroid())
             if cell in seen:
                 raise ValueError(
                     f"places {seen[cell]} and {p.place_id} share grid cell {cell}"
@@ -224,11 +226,7 @@ def _parse_row(row: dict[str, str], line: int) -> tuple[int, ImageRecord]:
     return place_id, rec
 
 
-def ingest_manifest(
-    path: str | Path,
-    cell_size_deg: float = DEFAULT_CELL_DEG,
-    allow_small_places: bool = False,
-) -> PlacesDB:
+def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> PlacesDB:
     """Read a CSV manifest into a PlacesDB, grouping rows by place_id.
 
     The manifest is UTF-8 CSV with header
@@ -266,7 +264,7 @@ def ingest_manifest(
             grouped.setdefault(place_id, []).append(rec)
 
     places = [Place(pid, imgs) for pid, imgs in grouped.items()]
-    db = PlacesDB(places, cell_size_deg=cell_size_deg)
+    db = PlacesDB(places)
     try:
         if not allow_small_places:
             db.check_min_images()
@@ -276,57 +274,25 @@ def ingest_manifest(
     return db
 
 
-def write_manifest(db: PlacesDB, path: str | Path) -> None:
-    """Write a PlacesDB back out in the manifest CSV format."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for place in db.places:
-            for img in place.images:
-                writer.writerow(
-                    [
-                        place.place_id,
-                        img.image_ref,
-                        repr(img.lat),
-                        repr(img.lon),
-                        "" if img.bearing is None else repr(img.bearing),
-                        img.year,
-                        img.month,
-                    ]
-                )
-
-
-# ---------------------------------------------------------------------------
-# Grid-based place construction
-# ---------------------------------------------------------------------------
-
-def grid_group(
-    records: list[ImageRecord],
-    cell_size_deg: float = DEFAULT_CELL_DEG,
-    min_dates: int = MIN_IMAGES_PER_PLACE,
-) -> PlacesDB:
-    """Group loose image records into places by lat/lon grid cell.
-
-    A cell becomes a place only when its records carry at least
-    `min_dates` distinct (year, month) stamps, so every retained location
-    was seen at enough different dates. Place ids are assigned in sorted
-    cell order, which makes the grouping independent of input order.
-    """
-    if cell_size_deg <= 0:
-        raise ValueError("cell_size_deg must be positive")
-    if min_dates < 1:
-        raise ValueError("min_dates must be >= 1")
-    by_cell: dict[tuple[int, int], list[ImageRecord]] = {}
-    for rec in records:
-        by_cell.setdefault(grid_cell(rec.lat, rec.lon, cell_size_deg), []).append(rec)
-
-    kept = [
-        by_cell[cell]
-        for cell in sorted(by_cell)
-        if len({img.date_stamp for img in by_cell[cell]}) >= min_dates
-    ]
-    places = [Place(place_id, imgs) for place_id, imgs in enumerate(kept)]
-    return PlacesDB(places, cell_size_deg=cell_size_deg)
+def manifest_bytes(db: PlacesDB) -> bytes:
+    """A PlacesDB in the manifest CSV format, UTF-8 encoded."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(MANIFEST_HEADER)
+    for place in db.places:
+        for img in place.images:
+            writer.writerow(
+                [
+                    place.place_id,
+                    img.image_ref,
+                    repr(img.lat),
+                    repr(img.lon),
+                    "" if img.bearing is None else repr(img.bearing),
+                    img.year,
+                    img.month,
+                ]
+            )
+    return text.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +363,6 @@ def synth_places(
     shape: tuple[int, int, int] = (7, 7, 32),
     perturbation: SynthConfig | None = None,
     rng_seed: int = 0,
-    base_lat: float = 45.0,
-    base_lon: float = 7.0,
 ) -> PlacesDB:
     """Generate a deterministic synthetic PlacesDB with feature-map payloads.
 
@@ -430,8 +394,8 @@ def synth_places(
             latent = np.maximum(
                 _box_blur_circular(rng.standard_normal((h, w, c)), cfg.latent_blur), 0.0
             )
-        place_lat = base_lat + (pid // grid_cols) * DEFAULT_CELL_DEG + 0.0005
-        place_lon = base_lon + (pid % grid_cols) * DEFAULT_CELL_DEG + 0.0005
+        place_lat = SYNTH_ORIGIN[0] + (pid // grid_cols) * DEFAULT_CELL_DEG + 0.0005
+        place_lon = SYNTH_ORIGIN[1] + (pid % grid_cols) * DEFAULT_CELL_DEG + 0.0005
         images = []
         for j in range(images_per_place):
             dy = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
@@ -477,10 +441,6 @@ class BatchSpec:
             raise ValueError("need at least 2 places per batch for negatives")
         if self.images_per_place < 2:
             raise ValueError("need at least 2 images per place for positives")
-
-    @property
-    def batch_size(self) -> int:
-        return self.num_places * self.images_per_place
 
 
 def _shared_store(images: list[ImageRecord]) -> np.ndarray | None:
@@ -636,4 +596,4 @@ def query_reference_split(
 def training_view(db: PlacesDB, queries_per_place: int = 2) -> PlacesDB:
     """The database with held-out query images removed from every place."""
     places = [Place(p.place_id, p.images[: _query_split(p, queries_per_place)]) for p in db.places]
-    return PlacesDB(places, cell_size_deg=db.cell_size_deg)
+    return PlacesDB(places)

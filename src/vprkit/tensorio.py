@@ -220,11 +220,14 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
             for row in reader:
                 if not row:
                     continue
+                if len(row) != len(SIDECAR_HEADER):
+                    raise FormatError(f"{side}: line {reader.line_num}: expected "
+                                      f"{len(SIDECAR_HEADER)} fields, got {len(row)}")
                 ids.append(row[0])
                 lats.append(float(row[1]))
                 lons.append(float(row[2]))
                 pids.append(int(row[3]))
-        except (IndexError, ValueError, csv.Error) as exc:  # short row, bad number, bad text
+        except (ValueError, csv.Error) as exc:  # bad number, bad text
             raise FormatError(f"{side}: line {reader.line_num}: bad sidecar row: {exc}") from exc
     if len(ids) != vectors.shape[0]:
         raise FormatError(

@@ -130,15 +130,6 @@ class TrainConfig:
         out["grid"] = list(self.grid)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        data["batch_spec"] = BatchSpec(**data["batch_spec"])
-        if data.get("loss_config") is not None:
-            data["loss_config"] = losses.LossConfig(**data["loss_config"])
-        data["grid"] = tuple(data["grid"])
-        return cls(**data)
-
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Stepped decay: initial_lr * factor^(epoch // every)."""

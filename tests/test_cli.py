@@ -244,6 +244,31 @@ class TestTrainEval:
         assert run_command(["eval", "--out", str(tmp_path / "x")]) == 1
 
 
+class TestEvalInputFlags:
+    """eval reads one pair of inputs; a flag of the other pair is an error, not ignored."""
+
+    @staticmethod
+    def _fails(capsys, argv, out):
+        capsys.readouterr()
+        assert run_command([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: eval ")
+        assert not out.exists()
+
+    def test_queries_without_refs_next_to_db(self, tmp_path, capsys):
+        db = synth(tmp_path)
+        run_dir = tmp_path / "run"
+        assert run_command(["train", "--db", str(db), "--out", str(run_dir), *SMALL_TRAIN]) == 0
+        argv = ["eval", "--db", str(db), "--checkpoint", str(run_dir / "checkpoint.vprc"),
+                "--queries", str(tmp_path / "missing.vprk")]
+        self._fails(capsys, argv, tmp_path / "ev")
+
+    def test_sets_next_to_db_and_checkpoint(self, tmp_path, rng, capsys):
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        argv = ["eval", "--queries", str(path), "--refs", str(path),
+                "--db", str(tmp_path / "missing"), "--checkpoint", str(tmp_path / "missing.vprc")]
+        self._fails(capsys, argv, tmp_path / "ev")
+
+
 SMALL_PLACES = [
     "--set", "train.images_per_place=2",
     "--set", "eval.queries_per_place=1",
@@ -521,6 +546,16 @@ class TestReduceLeavesNoDirectory:
         assert run_command(["reduce", "--apply", str(path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_fit_with_model(self, tmp_path, rng, capsys):
+        # --fit learns the model, so a --model beside it would be ignored
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        out = tmp_path / "pca"
+        capsys.readouterr()
+        assert run_command(["reduce", "--fit", str(path), "--model", str(tmp_path / "missing.vprc"),
+                            "--out", str(out), "--set", "pca.out_dim=3"]) == 1
+        assert "--model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_set_with_nan(self, tmp_path, rng):
         bad = TestNonFiniteReduce._saved_set(tmp_path, rng, "bad", nan_row=2)
         out = tmp_path / "pca"
@@ -714,7 +749,7 @@ class TestEvalCopies:
 
 
 class TestAtomicTextArtifacts:
-    """A text artifact whose write fails halfway leaves its final name alone."""
+    """An artifact whose write fails halfway leaves its final name alone."""
 
     @staticmethod
     def _commands(tmp_path):
@@ -727,12 +762,17 @@ class TestAtomicTextArtifacts:
         assert run_command(evaluate) == 0
         report = ["report", str(tmp_path / "eval" / "report.kv"), "--out", str(tmp_path / "table")]
         assert run_command(report) == 0
-        return {"run": train, "eval": evaluate, "table": report}
+        synthesize = ["synth", "--out", str(db), "--seed", "7", *SMALL_SYNTH]
+        return {"db": synthesize, "run": train, "eval": evaluate, "table": report}
+
+    # a database directory's files are replaced together or not at all
+    DB_FILES = ("manifest.csv", "payloads.vprk")
 
     @pytest.mark.parametrize("out,target", [
         ("run", "resolved_config.json"), ("run", "trainlog.json"),
         ("eval", "report.kv"), ("eval", "report.txt"),
         ("table", "table.txt"), ("table", "table.kv"),
+        ("db", "manifest.csv"), ("db", "payloads.vprk"),
     ])
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys, out, target):
         from pathlib import Path
@@ -740,8 +780,9 @@ class TestAtomicTextArtifacts:
         from test_tensorio import HalfWrite
 
         argv = self._commands(tmp_path)[out]
-        final = tmp_path / out / target
-        final.write_bytes(b"old content")
+        kept = self.DB_FILES if out == "db" else (target,)
+        for name in kept:
+            (tmp_path / out / name).write_bytes(b"old content")
         real_open = Path.open
 
         def half_open(path, mode="r", *args, **kwargs):
@@ -754,7 +795,7 @@ class TestAtomicTextArtifacts:
         assert run_command(argv) == 1
         monkeypatch.undo()
         assert "No space left" in capsys.readouterr().err
-        assert final.read_bytes() == b"old content"
+        assert [(tmp_path / out / name).read_bytes() for name in kept] == [b"old content"] * len(kept)
         assert not [p.name for p in (tmp_path / out).iterdir() if p.name.startswith(".")]
 
 

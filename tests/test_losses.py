@@ -20,7 +20,6 @@ from vprkit.losses import (
     triplet_loss,
     weak_triplet_loss,
     weak_triplet_total,
-    weak_tuples_from_geo,
     weak_tuples_from_labels,
 )
 from vprkit.mining import MinedSet, enumerate_pairs, hardest_mining, ms_mining
@@ -521,48 +520,13 @@ class TestWeakTupleBuilders:
         assert tuples[0].potential_positives == [1]
         assert tuples[0].definite_negatives == [2, 3]
 
-    def test_from_geo_radii(self):
-        # point 1 is ~5.5 m east of point 0; point 2 is ~111 m north
-        lats = [0.0, 0.0, 0.001]
-        lons = [0.0, 0.00005, 0.0]
-        tuples = weak_tuples_from_geo(lats, lons, positive_radius_m=10.0, negative_radius_m=25.0)
-        t0 = tuples[0]
-        assert t0.query == 0
-        assert t0.potential_positives == [1]
-        assert t0.definite_negatives == [2]
 
-    def test_from_geo_matches_per_pair_scan(self, rng):
-        from vprkit.places import haversine
-
-        def by_scan(lats, lons, pr, nr):
-            out = []
-            for q in range(len(lats)):
-                pos, neg = [], []
-                for i in range(len(lats)):
-                    if i == q:
-                        continue
-                    d = haversine((lats[q], lons[q]), (lats[i], lons[i]))
-                    if d <= pr:
-                        pos.append(i)
-                    elif d >= nr:
-                        neg.append(i)
-                if pos:
-                    out.append((q, pos, neg))
-            return out
-
-        radii = [(10.0, 25.0), (25.0, 25.0), (30.0, 20.0), (0.0, 40.0)]
-        for trial in range(40):
-            n = int(rng.integers(1, 30))
-            # points within ~60 m of each other, some of them coincident
-            lats = 45.0 + rng.uniform(0.0, 0.0005, n)
-            lons = 7.0 + rng.uniform(0.0, 0.0005, n)
-            dup = rng.random(n) < 0.2
-            lats[dup], lons[dup] = lats[0], lons[0]
-            pr, nr = radii[trial % len(radii)]
-            got = weak_tuples_from_geo(lats, lons, positive_radius_m=pr, negative_radius_m=nr)
-            assert [(t.query, t.potential_positives, t.definite_negatives) for t in got] == (
-                by_scan(lats, lons, pr, nr)
-            )
+def tuples_from_masks(pos, neg):
+    """One weak tuple per row of (N, N) masks that has a potential positive."""
+    return [
+        WeakTuple(int(q), np.flatnonzero(pos[q]).tolist(), np.flatnonzero(neg[q]).tolist())
+        for q in np.flatnonzero(pos.any(axis=1))
+    ]
 
 
 def per_tuple_weak_triplet(batch, tuples, cfg, sim):
@@ -655,7 +619,7 @@ class TestWeakTripletOverMasks:
 
         pos = mask(pos_fill)
         mined = MinedSet(pos, mask(neg_fill) & ~pos)
-        tuples = losses.weak_tuples_from_masks(mined.positive, mined.negative)
+        tuples = tuples_from_masks(mined.positive, mined.negative)
         cfg = LossConfig(margin=margin)
         out, weights = weak_loss_and_weights(weak_triplet_loss, batch, mined, cfg, sim)
         assert out.degenerate == (not tuples)
@@ -667,7 +631,7 @@ class TestWeakTripletOverMasks:
         cfg = LossConfig(margin=0.2)
         for mined in (PairLabels.from_labels(batch.labels), enumerate_pairs(batch.labels),
                       ms_mining(sim, batch.labels, 0.1), hardest_mining(sim, batch.labels)):
-            tuples = losses.weak_tuples_from_masks(mined.positive, mined.negative)
+            tuples = tuples_from_masks(mined.positive, mined.negative)
             out, weights = weak_loss_and_weights(weak_triplet_loss, batch, mined, cfg, sim)
             assert_matches_per_tuple(out, weights, per_tuple_weak_triplet(batch, tuples, cfg, sim))
 

@@ -14,13 +14,12 @@ from vprkit.places import (
     SynthConfig,
     gather_payloads,
     grid_cell,
-    grid_group,
     haversine,
     ingest_manifest,
+    manifest_bytes,
     query_reference_split,
     synth_places,
     training_view,
-    write_manifest,
 )
 
 HEADER = "place_id,image_ref,lat,lon,bearing,year,month\n"
@@ -90,7 +89,7 @@ class TestIngestManifest:
         body = rows_for_place(0, 4, 48.1, 2.2) + rows_for_place(1, 5, 48.2, 2.3)
         db = ingest_manifest(write_csv(tmp_path, body))
         out = tmp_path / "again.csv"
-        write_manifest(db, out)
+        out.write_bytes(manifest_bytes(db))
         db2 = ingest_manifest(out)
         assert [p.place_id for p in db2.places] == [p.place_id for p in db.places]
         assert [len(p) for p in db2.places] == [len(p) for p in db.places]
@@ -99,63 +98,6 @@ class TestIngestManifest:
 class TestGridGroup:
     def test_cell_quantization_by_hand(self):
         assert grid_cell(48.85812, 2.29450, 0.001) == (48858, 2294)
-
-    def test_sparse_dates_cell_dropped(self):
-        recs = [
-            ImageRecord(f"i{k}", 10.0005, 20.0005, year=2015, month=1 + k)
-            for k in range(3)
-        ]
-        assert len(grid_group(recs, min_dates=4)) == 0
-
-    def test_empty_records_empty_db(self):
-        assert len(grid_group([], min_dates=4)) == 0
-
-    def test_grouping_by_cell(self):
-        recs = []
-        for cell in range(3):
-            for k in range(4):
-                recs.append(
-                    ImageRecord(
-                        f"c{cell}_{k}", 10.0 + cell * 0.001 + 0.0004, 20.0,
-                        year=2015, month=1 + k,
-                    )
-                )
-        db = grid_group(recs, min_dates=4)
-        assert len(db) == 3
-        assert [p.place_id for p in db.places] == [0, 1, 2]
-        db.check_disjoint()
-
-    def test_regrouping_is_identity(self, rng):
-        recs = []
-        for _ in range(120):
-            lat = float(rng.uniform(-5, 5))
-            lon = float(rng.uniform(-5, 5))
-            recs.append(
-                ImageRecord(
-                    f"r{len(recs)}", lat, lon,
-                    year=2010 + int(rng.integers(0, 8)),
-                    month=1 + int(rng.integers(0, 12)),
-                )
-            )
-        db = grid_group(recs, min_dates=1)
-        flattened = [img for p in db.places for img in p.images]
-        db2 = grid_group(flattened, min_dates=1)
-        groups1 = sorted(tuple(sorted(i.image_ref for i in p.images)) for p in db.places)
-        groups2 = sorted(tuple(sorted(i.image_ref for i in p.images)) for p in db2.places)
-        assert groups1 == groups2
-
-    def test_independent_of_input_order(self, rng):
-        recs = [
-            ImageRecord(f"r{i}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
-                        year=2015, month=1 + i % 12)
-            for i in range(50)
-        ]
-        shuffled = [recs[i] for i in rng.permutation(len(recs))]
-        a = grid_group(recs, min_dates=1)
-        b = grid_group(shuffled, min_dates=1)
-        ga = [(p.place_id, sorted(i.image_ref for i in p.images)) for p in a.places]
-        gb = [(p.place_id, sorted(i.image_ref for i in p.images)) for p in b.places]
-        assert ga == gb
 
 
 class TestHaversine:

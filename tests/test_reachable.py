@@ -1,0 +1,83 @@
+"""Every function, class and method in `src/vprkit` is reached from outside its definition.
+
+A name counts as reached when the code of `src/vprkit` (its re-exports in
+`__init__.py` aside), the acceptance suite, the oracles or the benchmark
+refers to it: as a name, an attribute, a keyword, an import or a string that
+is a dotted name (the benchmark's tracer names its targets in strings). The
+unit tests do not count, so a function only they call fails here, unless it
+is a kept test helper listed in KEPT.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vprkit"
+
+# names that only the unit tests reach, each kept on purpose
+KEPT = {
+    "is_empty": "tests read a mined set's emptiness through it",
+    "image_refs": "tests check which images a batch sampled through it",
+    "epoch_mean_loss": "tests check the per-epoch training loss through it",
+    "check_similarity": "tests check the similarity-matrix invariants with it",
+    "parse_report_lines": "tests read the machine lines of `report` back with it",
+    "distinct_dates": "tests check that synthetic places carry distinct dates with it",
+    "l2_normalize": "tests build reference descriptors with it",
+    "conv1x1_forward": "tests check Conv-AP's projection by hand with it",
+    "pca_transform": "tests check one-descriptor PCA against the set form with it",
+}
+
+
+def _sources() -> list[Path]:
+    return ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+            + [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "oracles.py"]
+            + list((ROOT / "bench").glob("*.py")))
+
+
+def referenced_names(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def reached_names() -> set[str]:
+    return set().union(*(referenced_names(p) for p in _sources()))
+
+
+def defined_names() -> dict[str, str]:
+    """Each function, class and method of the package, with where it is defined."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    out.setdefault(node.name, f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_every_definition_is_reached():
+    reached = reached_names()
+    unreached = {name: where for name, where in defined_names().items()
+                 if name not in reached and name not in KEPT}
+    assert unreached == {}
+
+
+def test_every_kept_name_is_defined_and_otherwise_unreached():
+    reached, defined = reached_names(), defined_names()
+    assert [name for name in KEPT if name not in defined or name in reached] == []

@@ -254,7 +254,8 @@ class TestTypedReadErrors:
         lines[line - 1] = text
         sidecar_path(path).write_text("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("row", ["d1,0.0,0.0", "d1", "d1,north,0.0,1", "d1,0.0,0.0,one"])
+    @pytest.mark.parametrize("row", ["d1,0.0,0.0", "d1", "d1,north,0.0,1", "d1,0.0,0.0,one",
+                                     "d1,0.0,0.0,1,extra"])
     def test_bad_sidecar_row_names_file_and_line(self, tmp_path, row):
         path = self._saved_set(tmp_path)
         self._replace_line(path, 3, row)
