@@ -1,21 +1,25 @@
 """Feature-map aggregation heads: Conv-AP, AVG, GeM, on whole batches.
 
-Every head maps an (N, h, w, c) batch of feature maps to (N, D) rows
-normalized by `embeddings.normalize_rows`. Conv-AP is a 1x1 convolution
-followed by adaptive average pooling onto a (rows, cols) grid; both are
-affine, so the head pools first and projects only the pooled cells, which
-equals project-then-pool. AVG is the 1x1-grid pooling path, so the
-identity-kernel 1x1-grid Conv-AP head equals it bit for bit.
+Every head maps an (N, h, w, c) batch of feature maps to (N, D) raw rows,
+and `forward` returns them normalized by `embeddings.unit_rows`. Conv-AP
+is a 1x1 convolution followed by adaptive average pooling onto a
+(rows, cols) grid; both are affine, so the head pools first and projects
+only the pooled cells, which equals project-then-pool. AVG is the 1x1-grid
+pooling path, so the identity-kernel 1x1-grid Conv-AP head equals it bit
+for bit.
 
 Each head is a parameter-free stage (`Head.pool`: Conv-AP pools to its
 grid, AVG to 1x1, GeM clamps at zero since its exponent is trained)
 followed by the trainable part, whose forward and backward take the
-stage's output. The backbone is frozen, so training runs the stage once
-per database and each step only gathers rows of its output. The head kind
-is resolved only through `HEADS`; single-map functions are batch-of-one
-calls into the same code. Analytic backward passes return parameter
-gradients summed over the batch, checked against finite differences in
-the test suite.
+stage's output. The trainable part stops before the L2 normalization: its
+forward returns the raw rows and its backward takes the gradient with
+respect to them, so a caller normalizes once and `normalize_backward`
+reuses the unit rows and norms. The backbone is frozen, so training runs
+the stage once per database and each step only gathers rows of its
+output. The head kind is resolved only through `HEADS`; single-map
+functions are batch-of-one calls into the same code. Analytic backward
+passes return parameter gradients summed over the batch, checked against
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embeddings import normalize_rows
+from .embeddings import unit_rows
 from .errors import FeatureMapError
 
 GEM_MIN_POWER = 1e-3
@@ -94,13 +98,12 @@ def _one_map(fmap: np.ndarray) -> np.ndarray:
     return _check_maps(np.asarray(fmap)[None])
 
 
-def _normalize_backward(raw: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Chain (N, D) upstream gradients through z = y / ||y|| row by row."""
+def normalize_backward(unit: np.ndarray, norms: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Chain (N, D) upstream gradients through z = y / ||y|| row by row, given
+    the unit rows z and (N, 1) norms ||y|| that `embeddings.unit_rows` returned."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != raw.shape:
-        raise ValueError(f"upstream has shape {upstream.shape}, expected {raw.shape}")
-    unit = normalize_rows(raw)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    if upstream.shape != unit.shape:
+        raise ValueError(f"upstream has shape {upstream.shape}, expected {unit.shape}")
     radial = np.sum(unit * upstream, axis=1, keepdims=True)
     return (upstream - unit * radial) / norms
 
@@ -153,19 +156,16 @@ def adaptive_avg_pool(fmap: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def _conv_ap_forward(params: ConvAPParams, pooled: np.ndarray) -> np.ndarray:
     # Flatten order: row-major over the pooling grid, channels fastest.
-    cells = _project(params, pooled)
-    return normalize_rows(cells.reshape(len(pooled), -1))
+    return _project(params, pooled).reshape(len(pooled), -1)
 
 
-def _conv_ap_backward(params: ConvAPParams, pooled: np.ndarray, upstream: np.ndarray):
-    """Summed parameter gradients, and d<upstream, rows> / d projected cells."""
-    cells = _project(params, pooled)
-    g_flat = _normalize_backward(cells.reshape(len(pooled), -1), upstream)
-    g_flat = g_flat.reshape(-1, params.out_channels)
-    grads = {"weight": g_flat.T @ pooled.reshape(-1, params.in_channels)}
+def _conv_ap_backward(params: ConvAPParams, pooled: np.ndarray, g_raw: np.ndarray):
+    """Parameter gradients summed over the batch, from d / d raw rows."""
+    g_cells = g_raw.reshape(-1, params.out_channels)
+    grads = {"weight": g_cells.T @ pooled.reshape(-1, params.in_channels)}
     if params.bias is not None:
-        grads["bias"] = g_flat.sum(axis=0)
-    return grads, g_flat.reshape(cells.shape)
+        grads["bias"] = g_cells.sum(axis=0)
+    return grads
 
 
 def conv_ap_forward(fmap: np.ndarray, params: ConvAPParams) -> np.ndarray:
@@ -189,12 +189,14 @@ def conv_ap_backward(
 ) -> ConvApGradients:
     """Gradients of <upstream, conv_ap_forward(fmap)> w.r.t. weight, bias, fmap."""
     pooled = _pool(_one_map(fmap), *params.grid)
-    grads, g_cells = _conv_ap_backward(params, pooled, np.reshape(upstream, (1, -1)))
+    g_raw = normalize_backward(*unit_rows(_conv_ap_forward(params, pooled)),
+                               np.reshape(upstream, (1, -1)))
+    grads = _conv_ap_backward(params, pooled, g_raw)
 
     # Through pooling: each input cell feeds exactly one bin, scaled by 1/bin size.
-    g_pooled = g_cells[0] @ params.weight
-    h, w = np.shape(fmap)[:2]
     rows, cols = params.grid
+    g_pooled = g_raw.reshape(rows, cols, params.out_channels) @ params.weight
+    h, w = np.shape(fmap)[:2]
     re = _bin_edges(h, rows)
     ce = _bin_edges(w, cols)
     g_features = np.empty((h, w, params.in_channels))
@@ -213,10 +215,10 @@ def avg_pool(fmap: np.ndarray) -> np.ndarray:
 def _gem_forward(params: GemParams, x: np.ndarray) -> np.ndarray:
     """GeM on maps already clamped at zero by its stage."""
     u = np.mean(x**params.power, axis=(1, 2))
-    return normalize_rows(u ** (1.0 / params.power))
+    return u ** (1.0 / params.power)
 
 
-def _gem_backward(params: GemParams, x: np.ndarray, upstream: np.ndarray):
+def _gem_backward(params: GemParams, x: np.ndarray, g_m: np.ndarray):
     p = params.power
     u = np.mean(x**p, axis=(1, 2))
     m = u ** (1.0 / p)
@@ -228,8 +230,6 @@ def _gem_backward(params: GemParams, x: np.ndarray, upstream: np.ndarray):
     dm_dp = np.zeros_like(m)
     pos = u > 0.0
     dm_dp[pos] = m[pos] * (-np.log(u[pos]) / p**2 + du_dp[pos] / (u[pos] * p))
-
-    g_m = _normalize_backward(m, upstream)
     return {"power": np.array([np.sum(g_m * dm_dp)])}
 
 
@@ -276,10 +276,11 @@ def _gem_from_arrays(arrays: dict[str, np.ndarray], grid) -> GemParams:
 @dataclass(frozen=True)
 class Head:
     """One head kind: the parameter-free stage `pool(params, fmaps)` (it reads
-    only the fixed grid, never a trainable array), batch forward and backward
-    on the stage's output, trainable arrays by name, params rebuilt from
-    arrays (clamped in place), and seeded init from a config with
-    out_channels, grid, use_bias and gem_power."""
+    only the fixed grid, never a trainable array), batch forward to raw rows
+    and backward from d / d raw rows, both on the stage's output, trainable
+    arrays by name, params rebuilt from arrays (clamped in place), and
+    seeded init from a config with out_channels, grid, use_bias and
+    gem_power."""
 
     pool: Callable
     forward: Callable
@@ -293,7 +294,7 @@ HEADS: dict[str, Head] = {
     "conv_ap": Head(
         pool=lambda params, fmaps: _pool(fmaps, *params.grid),
         forward=_conv_ap_forward,
-        backward=lambda params, pooled, upstream: _conv_ap_backward(params, pooled, upstream)[0],
+        backward=_conv_ap_backward,
         arrays=lambda params: {
             name: arr for name, arr in (("weight", params.weight), ("bias", params.bias))
             if arr is not None
@@ -311,8 +312,8 @@ HEADS: dict[str, Head] = {
     ),
     "avg": Head(
         pool=lambda params, fmaps: _pool(fmaps, 1, 1),
-        forward=lambda params, pooled: normalize_rows(pooled.reshape(len(pooled), -1)),
-        backward=lambda params, pooled, upstream: {},
+        forward=lambda params, pooled: pooled.reshape(len(pooled), -1),
+        backward=lambda params, pooled, g_raw: {},
         arrays=lambda params: {},
         from_arrays=lambda arrays, grid: None,
         init=lambda c, cfg, rng: None,
@@ -343,12 +344,15 @@ def pool(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
 
 def forward(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
     """(N, D) unit descriptors for an (N, h, w, c) batch."""
-    return head(kind).forward(params, pool(kind, params, fmaps))
+    return unit_rows(head(kind).forward(params, pool(kind, params, fmaps)))[0]
 
 
 def backward(kind: str, params, fmaps: np.ndarray, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Head parameter gradients of sum_n <upstream[n], forward(fmaps)[n]> ({} for avg)."""
-    return head(kind).backward(params, pool(kind, params, fmaps), upstream)
+    h = head(kind)
+    pooled = pool(kind, params, fmaps)
+    g_raw = normalize_backward(*unit_rows(h.forward(params, pooled)), upstream)
+    return h.backward(params, pooled, g_raw)
 
 
 def trainable_arrays(kind: str, params) -> dict[str, np.ndarray]:

@@ -28,14 +28,19 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization of a 2-D array."""
+def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise L2 normalization of a 2-D array, and its (N, 1) row norms."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(norms <= NORM_EPS):
         bad = int(np.argmin(norms))
-        raise ZeroNormError(f"row {bad} has norm {norms[bad]:.3e}")
-    return m / norms[:, None]
+        raise ZeroNormError(f"row {bad} has norm {norms[bad, 0]:.3e}")
+    return m / norms, norms
+
+
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise L2 normalization of a 2-D array."""
+    return unit_rows(m)[0]
 
 
 def rows_are_unit(m: np.ndarray) -> bool:

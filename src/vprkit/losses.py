@@ -29,7 +29,7 @@ class LossConfig:
     def __post_init__(self):
         if not np.isfinite(self.margin):
             raise ValueError("margin must be finite")
-        if self.ms_alpha <= 0 or self.ms_beta <= 0:
+        if not (self.ms_alpha > 0 and self.ms_beta > 0):  # NaN fails these comparisons too
             raise ValueError("ms_alpha and ms_beta must be positive")
 
 
@@ -129,6 +129,20 @@ def _resolve_sim(batch: EmbeddingBatch, sim: np.ndarray | None) -> np.ndarray:
     return sim
 
 
+def _flat_masks(n: int, pairs) -> list[np.ndarray]:
+    """Sorted flat row-major indices of the `positive` and `negative` masks.
+
+    Masks with an entry must be (n, n): a flat index into another shape
+    would name the wrong pairs. Masks without one are the empty set of any
+    batch, as `MinedSet()` is.
+    """
+    masks = [np.asarray(mask, dtype=bool) for mask in (pairs.positive, pairs.negative)]
+    if any(mask.shape != (n, n) for mask in masks) and any(mask.any() for mask in masks):
+        shapes = [mask.shape for mask in masks]
+        raise ValueError(f"mined masks have shapes {shapes}; a batch of {n} needs ({n}, {n})")
+    return [np.flatnonzero(mask) for mask in masks]
+
+
 def contrastive_loss(
     batch: EmbeddingBatch,
     pairs: MinedSet,
@@ -141,13 +155,18 @@ def contrastive_loss(
     negatives; the total is the mean over all mined pairs.
     """
     s = _resolve_sim(batch, sim)
-    total_pairs = np.count_nonzero(pairs.positive) + np.count_nonzero(pairs.negative)
+    pos, neg = _flat_masks(len(batch), pairs)
+    total_pairs = len(pos) + len(neg)
     if total_pairs == 0:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
 
-    active = pairs.negative & (s - cfg.margin > 0.0)
-    value = (np.sum(s[active] - cfg.margin) - np.sum(s[pairs.positive])) / total_pairs
-    weights = (active.astype(np.float64) - pairs.positive) / total_pairs
+    hinge = s.take(neg) - cfg.margin
+    hit = hinge > 0.0
+    value = (np.sum(hinge[hit]) - np.sum(s.take(pos))) / total_pairs
+    weights = np.zeros(s.size)
+    weights[neg[hit]] = 1.0
+    weights[pos] -= 1.0
+    weights = weights.reshape(s.shape) / total_pairs
     return LossOutput(float(value), _grad_from_similarity_weights(weights, batch))
 
 
@@ -189,29 +208,31 @@ def triplet_loss(
 
 
 def _softplus_logsumexp(
-    s: np.ndarray, mask: np.ndarray, scale: float, margin: float
+    s: np.ndarray, idx: np.ndarray, scale: float, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i, softplus(logsumexp of x_ij over mask[i]) = log(1 + sum exp(x_ij)),
-    with x = scale * (s - margin).
+    """Per row i, softplus(logsumexp of x_ij over the row's entries in idx)
+    = log(1 + sum exp(x_ij)), with x = scale * (s - margin).
 
-    Returns the (N,) row terms and the gradient d term_i / d x_ij at the
-    mask's entries, in row-major order (the order of `s[mask]`). Only those
-    entries are exponentiated: shifted by max(row max, 0) so none
+    `idx` holds sorted flat row-major indices into s. Returns the (N,) row
+    terms and the gradient d term_i / d x_ij at those entries, in idx order.
+    Only those entries are exponentiated: shifted by max(row max, 0) so none
     overflows, with the gradient exp(x) / (1 + sum exp(x)) from the same
     shifted values. Each row's total is a dense row sum over the scattered
     exponentials, the summation order of a full (N, N) computation with
-    -inf outside the mask, so terms and gradients are bit-identical to it.
+    -inf outside the entries, so terms and gradients are bit-identical to it.
     """
-    counts = np.count_nonzero(mask, axis=1)
-    x = scale * (s[mask] - margin)
+    n = len(s)
+    offsets = np.searchsorted(idx, np.arange(n + 1) * n)
+    counts = np.diff(offsets)
+    x = scale * (s.take(idx) - margin)
     filled = counts > 0
-    row_max = np.full(len(mask), -np.inf)
-    row_max[filled] = np.maximum.reduceat(x, (np.cumsum(counts) - counts)[filled])
+    row_max = np.full(n, -np.inf)
+    row_max[filled] = np.maximum.reduceat(x, offsets[:-1][filled])
     shift = np.maximum(row_max, 0.0)
     e = np.exp(x - np.repeat(shift, counts))
-    scattered = np.zeros(mask.shape)
-    scattered[mask] = e
-    total = scattered.sum(axis=1)
+    scattered = np.zeros(s.size)
+    scattered[idx] = e
+    total = scattered.reshape(s.shape).sum(axis=1)
     terms = shift + np.log1p(np.expm1(-shift) + total)
     return terms, e / np.repeat(np.exp(-shift) + total, counts)
 
@@ -236,8 +257,8 @@ def multi_similarity_loss(
     stays finite for any alpha and beta.
     """
     s = _resolve_sim(batch, sim)
-    pos, neg = np.asarray(pairs.positive, dtype=bool), np.asarray(pairs.negative, dtype=bool)
-    if not (pos.any() or neg.any()):
+    pos, neg = _flat_masks(len(batch), pairs)
+    if not (len(pos) or len(neg)):
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
     n = len(batch)
     a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
@@ -245,11 +266,12 @@ def multi_similarity_loss(
     pos_terms, pos_grad = _softplus_logsumexp(s, pos, -a, m)
     neg_terms, neg_grad = _softplus_logsumexp(s, neg, b, m)
     value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
-    weights = np.zeros_like(s)
+    weights = np.zeros(s.size)
     weights[neg] = neg_grad
+    # a subtraction from zero, as over the dense matrix: 0.0 - 0.0 is +0.0
     weights[pos] -= pos_grad
     weights /= n
-    return LossOutput(value, _grad_from_similarity_weights(weights, batch))
+    return LossOutput(value, _grad_from_similarity_weights(weights.reshape(s.shape), batch))
 
 
 def _weak_triplet(batch, sim, query, pos, neg, cfg: LossConfig) -> LossOutput:

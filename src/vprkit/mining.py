@@ -123,7 +123,7 @@ def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = 0.1) -> Mine
     negative similarity plus epsilon. Anchors lacking either set yield no
     pairs.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN fails this comparison too
         raise ValueError("epsilon must be >= 0")
     sim = np.asarray(sim, dtype=np.float64)
     same, diff, has_both = label_masks(labels)

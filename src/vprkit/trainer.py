@@ -1,13 +1,13 @@
 """Supervised training loop over balanced place batches.
 
-One step: sample a P x K batch, aggregate feature maps into unit-norm
-descriptors, form the similarity matrix, mine informative pairs, evaluate
-the loss and its gradient, and update the aggregation head with SGD
-(momentum plus L2 weight decay). The backbone is a frozen feature-map
-source, so the trainable state is just the head parameters, and the
-head's parameter-free stage (pooling) runs once over the training maps,
-in blocks of rows, before the first step; each step gathers its batch's
-pooled rows.
+One step: sample a P x K batch, aggregate feature maps into raw rows,
+normalize them once into unit-norm descriptors, form the similarity
+matrix, mine informative pairs, evaluate the loss and its gradient, and
+update the aggregation head with SGD (momentum plus L2 weight decay).
+The backbone is a frozen feature-map source, so the trainable state is
+just the head parameters, and the head's parameter-free stage (pooling)
+runs once over the training maps, in blocks of rows, before the first
+step; each step gathers its batch's pooled rows.
 
 Runs are deterministic given the seeds: the update order is single
 threaded and every random draw goes through seeded generators.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import aggregators, losses, mining, places, tensorio
-from .embeddings import EmbeddingBatch, similarity_matrix
+from .embeddings import EmbeddingBatch, similarity_matrix, unit_rows
 from .errors import DivergenceError, FormatError
 from .places import BatchSampler, BatchSpec, PlacesDB
 
@@ -40,11 +40,12 @@ class OptimizerState:
     no_decay: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        # written so that NaN fails each comparison
+        if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
 
 
@@ -114,12 +115,17 @@ class TrainConfig:
             raise ValueError("triplet loss needs a triplet miner; use miner='ohm'")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.initial_lr < 0:
+        # written so that NaN fails each comparison
+        if not self.initial_lr >= 0:
             raise ValueError("initial_lr must be >= 0")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
-        if self.lr_decay_factor <= 0:
+        if not self.lr_decay_factor > 0:
             raise ValueError("lr_decay_factor must be positive")
+        if not self.miner_epsilon >= 0:
+            raise ValueError("miner_epsilon must be >= 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.loss_config is None:
             self.loss_config = losses.default_loss_config(self.loss)
 
@@ -197,6 +203,25 @@ def _loss(cfg: TrainConfig, batch: EmbeddingBatch, mined, sim) -> losses.LossOut
     return getattr(losses, f"{cfg.loss}_loss")(batch, mined, cfg.loss_config, sim=sim)
 
 
+def _step(cfg: TrainConfig, head, params, rows, labels, arrays, state, step: int):
+    """One SGD step on a batch's pooled `rows`; returns the loss and the mined set's stats.
+
+    The raw rows are normalized once, for the loss and the head's backward.
+    Every per-step array is local, so none outlives the step.
+    """
+    unit, norms = unit_rows(head.forward(params, rows))
+    ebatch = EmbeddingBatch(unit, labels, normalized=True)
+    sim = similarity_matrix(ebatch)
+    mined = _mine(cfg, sim, labels)
+    out = _loss(cfg, ebatch, mined, sim)
+    if not np.isfinite(out.value):
+        raise DivergenceError(f"non-finite loss {out.value} at step {step}")
+    if arrays:
+        g_raw = aggregators.normalize_backward(unit, norms, out.grad)
+        sgd_step(arrays, head.backward(params, rows, g_raw), state)
+    return float(out.value), mined.stats()
+
+
 def train(db: PlacesDB, cfg: TrainConfig):
     """Run the full loop; returns (trained params, TrainLog).
 
@@ -226,21 +251,9 @@ def train(db: PlacesDB, cfg: TrainConfig):
         log.epoch_lrs.append((epoch, state.learning_rate))
         for batch in sampler.epoch():
             params = head.from_arrays(arrays, cfg.grid)
-            rows = pooled.take(batch.index, axis=0)
-            ebatch = EmbeddingBatch(head.forward(params, rows), batch.labels, normalized=True)
-            sim = similarity_matrix(ebatch)
-            mined = _mine(cfg, sim, batch.labels)
-            out = _loss(cfg, ebatch, mined, sim)
-            if not np.isfinite(out.value):
-                raise DivergenceError(f"non-finite loss {out.value} at step {step}")
-
-            if arrays:
-                grads = head.backward(params, rows, out.grad)
-                sgd_step(arrays, grads, state)
-
-            log.steps.append(
-                StepRecord(step=step, epoch=epoch, loss=float(out.value), **mined.stats())
-            )
+            loss, stats = _step(cfg, head, params, pooled.take(batch.index, axis=0),
+                                batch.labels, arrays, state, step)
+            log.steps.append(StepRecord(step=step, epoch=epoch, loss=loss, **stats))
             step += 1
 
     params = head.from_arrays(arrays, cfg.grid)

@@ -15,7 +15,7 @@ from vprkit.aggregators import (
     gem_pool_backward,
     init_conv_ap,
 )
-from vprkit.embeddings import l2_normalize
+from vprkit.embeddings import l2_normalize, normalize_rows, unit_rows
 
 
 class TestConv1x1:
@@ -370,3 +370,106 @@ class TestBatchedHead:
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown aggregator"):
             aggregators.forward("netvlad", None, rng.standard_normal((2, 3, 3, 4)))
+
+
+def _project(params, x):
+    out = x.reshape(-1, params.in_channels) @ params.weight.T
+    if params.bias is not None:
+        out += params.bias
+    return out.reshape(x.shape[:-1] + (params.out_channels,))
+
+
+def _normalize_backward(raw, upstream):
+    """d / d raw rows, normalizing the raw rows again."""
+    unit = normalize_rows(raw)
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    radial = np.sum(unit * upstream, axis=1, keepdims=True)
+    return (upstream - unit * radial) / norms
+
+
+def normalizing_forward(kind, params, pooled):
+    """Unit rows from the stage output, each head normalizing its own rows."""
+    if kind == "conv_ap":
+        return normalize_rows(_project(params, pooled).reshape(len(pooled), -1))
+    if kind == "gem":
+        return normalize_rows(np.mean(pooled**params.power, axis=(1, 2)) ** (1.0 / params.power))
+    return normalize_rows(pooled.reshape(len(pooled), -1))
+
+
+def reprojecting_backward(kind, params, pooled, upstream):
+    """Parameter gradients from the stage output, each head recomputing its raw
+    rows (Conv-AP re-projects the pooled cells) and normalizing them again."""
+    if kind == "conv_ap":
+        cells = _project(params, pooled)
+        g_flat = _normalize_backward(cells.reshape(len(pooled), -1), upstream)
+        g_flat = g_flat.reshape(-1, params.out_channels)
+        grads = {"weight": g_flat.T @ pooled.reshape(-1, params.in_channels)}
+        if params.bias is not None:
+            grads["bias"] = g_flat.sum(axis=0)
+        return grads
+    if kind == "gem":
+        p = params.power
+        u = np.mean(pooled**p, axis=(1, 2))
+        m = u ** (1.0 / p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xlog = np.where(pooled > 0.0,
+                            pooled**p * np.log(np.where(pooled > 0.0, pooled, 1.0)), 0.0)
+        du_dp = np.mean(xlog, axis=(1, 2))
+        dm_dp = np.zeros_like(m)
+        pos = u > 0.0
+        dm_dp[pos] = m[pos] * (-np.log(u[pos]) / p**2 + du_dp[pos] / (u[pos] * p))
+        return {"power": np.array([np.sum(_normalize_backward(m, upstream) * dm_dp)])}
+    return {}
+
+
+class TestRawRowHeads:
+    """Heads stop before the L2 normalization; composing them with one shared
+    normalization gives the bytes of heads that normalize (and, in backward,
+    re-project and re-normalize) on their own."""
+
+    def _cases(self, rng):
+        h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        c, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        n = int(rng.integers(1, 9))
+        grid = (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+        fmaps = rng.standard_normal((n, h, w, c))
+        with_zeros = np.where(rng.uniform(size=fmaps.shape) < 0.3, 0.0, np.abs(fmaps))
+        with_zeros[:, 0, 0, -1] = 1.0  # a nonzero GeM row, whose other channels may be all 0
+        for use_bias in (True, False):
+            bias = rng.standard_normal(d) if use_bias else None
+            yield "conv_ap", ConvAPParams(rng.standard_normal((d, c)), bias, grid), fmaps
+        yield "gem", GemParams(float(rng.uniform(0.5, 6.0))), np.abs(fmaps)
+        yield "gem", GemParams(float(rng.uniform(0.5, 6.0))), with_zeros
+        yield "avg", None, fmaps
+
+    def test_raw_forward_then_normalize_equals_normalizing_head(self, rng):
+        for _ in range(100):
+            for kind, params, fmaps in self._cases(rng):
+                pooled = aggregators.pool(kind, params, fmaps)
+                expected = normalizing_forward(kind, params, pooled).tobytes()
+                raw = aggregators.HEADS[kind].forward(params, pooled)
+                assert normalize_rows(raw).tobytes() == expected
+                assert aggregators.forward(kind, params, fmaps).tobytes() == expected
+
+    def test_backward_equals_reprojecting_backward(self, rng):
+        for _ in range(100):
+            for kind, params, fmaps in self._cases(rng):
+                pooled = aggregators.pool(kind, params, fmaps)
+                dim = normalizing_forward(kind, params, pooled).shape[1]
+                upstream = rng.standard_normal((len(fmaps), dim))
+                grads = aggregators.backward(kind, params, fmaps, upstream)
+                expected = reprojecting_backward(kind, params, pooled, upstream)
+                assert grads.keys() == expected.keys()
+                for name in expected:
+                    assert grads[name].tobytes() == expected[name].tobytes()
+
+    def test_unit_rows_and_norms_feed_normalize_backward(self, rng):
+        raw = rng.standard_normal((5, 7))
+        upstream = rng.standard_normal((5, 7))
+        unit, norms = unit_rows(raw)
+        assert unit.tobytes() == normalize_rows(raw).tobytes()
+        assert norms.tobytes() == np.linalg.norm(raw, axis=1, keepdims=True).tobytes()
+        g_raw = aggregators.normalize_backward(unit, norms, upstream)
+        assert g_raw.tobytes() == _normalize_backward(raw, upstream).tobytes()
+        with pytest.raises(ValueError):
+            aggregators.normalize_backward(unit, norms, upstream[:, :6])

@@ -653,3 +653,124 @@ class TestWeakTripletOverMasks:
         neg = ~np.eye(4, dtype=bool)
         out = weak_triplet_loss(batch, MinedSet(np.zeros((4, 4), dtype=bool), neg), LossConfig())
         assert out.degenerate and out.value == 0.0 and not out.grad.any()
+
+
+def mask_softplus_logsumexp(s, mask, scale, margin):
+    """The MS row terms and entry gradients found by boolean mask, not by flat index."""
+    counts = np.count_nonzero(mask, axis=1)
+    x = scale * (s[mask] - margin)
+    filled = counts > 0
+    row_max = np.full(len(mask), -np.inf)
+    row_max[filled] = np.maximum.reduceat(x, (np.cumsum(counts) - counts)[filled])
+    shift = np.maximum(row_max, 0.0)
+    e = np.exp(x - np.repeat(shift, counts))
+    scattered = np.zeros(mask.shape)
+    scattered[mask] = e
+    total = scattered.sum(axis=1)
+    terms = shift + np.log1p(np.expm1(-shift) + total)
+    return terms, e / np.repeat(np.exp(-shift) + total, counts)
+
+
+def chain_to_rows(weights, batch):
+    grad = (weights + weights.T) @ batch.rows
+    return grad - np.sum(grad * batch.rows, axis=1, keepdims=True) * batch.rows
+
+
+def mask_multi_similarity(batch, pairs, cfg, sim):
+    """Value, similarity weights and row gradient of the MS loss over boolean masks."""
+    pos, neg = pairs.positive, pairs.negative
+    n = len(batch)
+    a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
+    pos_terms, pos_grad = mask_softplus_logsumexp(sim, pos, -a, m)
+    neg_terms, neg_grad = mask_softplus_logsumexp(sim, neg, b, m)
+    value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
+    weights = np.zeros_like(sim)
+    weights[neg] = neg_grad
+    weights[pos] -= pos_grad
+    weights /= n
+    return value, weights, chain_to_rows(weights, batch)
+
+
+def mask_contrastive(batch, pairs, cfg, sim):
+    """Value, similarity weights and row gradient of the contrastive loss over boolean masks."""
+    total_pairs = np.count_nonzero(pairs.positive) + np.count_nonzero(pairs.negative)
+    active = pairs.negative & (sim - cfg.margin > 0.0)
+    value = (np.sum(sim[active] - cfg.margin) - np.sum(sim[pairs.positive])) / total_pairs
+    weights = (active.astype(np.float64) - pairs.positive) / total_pairs
+    return float(value), weights, chain_to_rows(weights, batch)
+
+
+class TestFlatIndexLossesEqualMaskLosses:
+    """The losses read mined entries by flat row-major index; over boolean masks
+    they give the same value, similarity weights and gradient bytes."""
+
+    LOSSES = [(multi_similarity_loss, mask_multi_similarity), (contrastive_loss, mask_contrastive)]
+    # 500 and 2000 make exp underflow to 0 at some entries, so signed zeros meet
+    SCALE = st.one_of(st.floats(0.1, 10.0), st.sampled_from([50.0, 500.0, 2000.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        places=st.integers(1, 8),
+        source=st.sampled_from(["pair_labels", "row_fill", "ms_mining"]),
+        pos_fill=st.lists(st.sampled_from(sorted(ROW_FILL)), min_size=1, max_size=4),
+        neg_fill=st.lists(st.sampled_from(sorted(ROW_FILL)), min_size=1, max_size=4),
+        alpha=SCALE,
+        beta=SCALE,
+        margin=st.floats(-0.5, 1.0),
+    )
+    def test_bytes_equal_mask_code(self, seed, n, places, source, pos_fill, neg_fill,
+                                   alpha, beta, margin):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, places, size=n)
+        batch = EmbeddingBatch(random_unit_rows(rng, n, 6), labels)
+        sim = similarity_matrix(batch)
+        if source == "pair_labels":
+            pairs = PairLabels.from_labels(labels)
+        elif source == "ms_mining":
+            pairs = ms_mining(sim, labels, float(rng.uniform(0.0, 0.5)))
+        else:  # each row empty, sparse, half or full, cycling through the fills
+            def fill(fills):
+                p = np.array([ROW_FILL[fills[i % len(fills)]] for i in range(n)])
+                return rng.uniform(size=(n, n)) < p[:, None]
+
+            same = labels[:, None] == labels[None, :]
+            np.fill_diagonal(same, False)
+            pairs = MinedSet(same & fill(pos_fill), ~same & fill(neg_fill))
+        cfg = LossConfig(margin=margin, ms_alpha=alpha, ms_beta=beta)
+        empty = not (pairs.positive.any() or pairs.negative.any())
+        for loss, reference in self.LOSSES:
+            out, weights = weak_loss_and_weights(loss, batch, pairs, cfg, sim)
+            assert out.degenerate == empty
+            if empty:
+                assert out.value == 0.0 and not out.grad.any()
+                continue
+            value, ref_weights, ref_grad = reference(batch, pairs, cfg, sim)
+            assert np.float64(out.value).tobytes() == np.float64(value).tobytes()
+            assert weights.tobytes() == ref_weights.tobytes()
+            assert out.grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss])
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 5), (30,), (5, 6, 1)])
+    def test_mask_of_the_wrong_shape_rejected(self, rng, loss, shape):
+        batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
+        good = PairLabels.from_labels(batch.labels)
+        wrong = np.ones(shape, dtype=bool)
+        for pairs in (MinedSet(wrong, good.negative), MinedSet(good.positive, wrong)):
+            with pytest.raises(ValueError, match="mined masks have shapes"):
+                loss(batch, pairs, LossConfig())
+
+    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss])
+    def test_empty_masks_of_any_shape_are_the_empty_set(self, rng, loss):
+        batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
+        for shape in [(0, 0), (3, 3), (5, 5)]:
+            empty = np.zeros(shape, dtype=bool)
+            assert loss(batch, MinedSet(empty, empty), LossConfig()).degenerate
+
+
+class TestNanHyperparametersRejected:
+    @pytest.mark.parametrize("field", ["ms_alpha", "ms_beta"])
+    def test_loss_config(self, field):
+        with pytest.raises(ValueError):
+            LossConfig(**{field: float("nan")})

@@ -207,3 +207,9 @@ class TestUnbalancedOracles:
             assert mined.positive_pairs == pos
             assert mined.negative_pairs == neg
             assert mined.skipped_anchors == hardest_triplets_by_scan(sim, labels)[1]
+
+
+def test_nan_epsilon_rejected():
+    # NaN fails every comparison, so a `< 0` check would let it through to an empty mined set
+    with pytest.raises(ValueError):
+        ms_mining(np.eye(2), np.array([0, 0]), epsilon=float("nan"))

@@ -364,3 +364,25 @@ class TestOneLossCall:
         monkeypatch.setattr(WeakTuple, "__post_init__", refuse)
         _, log = train(small_db(), small_cfg(loss="weak_triplet", miner=miner, max_epochs=2))
         assert log.steps and all(np.isfinite(v) for v in log.losses)
+
+
+class TestNanHyperparametersRejected:
+    """NaN fails every comparison, so each check is written to fail on it."""
+
+    @pytest.mark.parametrize(
+        "field", ["initial_lr", "lr_decay_factor", "miner_epsilon", "weight_decay"]
+    )
+    def test_train_config(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["miner_epsilon", "weight_decay"])
+    def test_train_config_negative(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: -0.1})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    def test_optimizer_state(self, field):
+        values = {"learning_rate": 0.1, "weight_decay": 0.001, field: float("nan")}
+        with pytest.raises(ValueError, match=field):
+            OptimizerState(**values)
