@@ -8,14 +8,8 @@ class VprkitError(Exception):
 class ManifestError(VprkitError):
     """A manifest file failed to parse or validate.
 
-    Carries the 1-based line number when the problem is tied to a row.
+    The message names the file and, when the problem is tied to a row, its line.
     """
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ZeroNormError(VprkitError):
@@ -43,4 +37,4 @@ class FeatureMapError(VprkitError, ValueError):
 
 
 class FormatError(VprkitError):
-    """A binary tensor / checkpoint file is malformed."""
+    """A tensor, checkpoint or descriptor sidecar file is malformed."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -25,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FeatureMapError, ManifestError, SamplerError
+from .tensorio import FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, read_table, read_text
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
@@ -39,7 +41,9 @@ PAYLOAD_BLOCK_BYTES = 1 << 20
 # Mean Earth radius (IUGG), meters.
 EARTH_RADIUS_M = 6_371_008.8
 
-MANIFEST_HEADER = ["place_id", "image_ref", "lat", "lon", "bearing", "year", "month"]
+MANIFEST_COLUMNS = {"place_id": INT64, "image_ref": TEXT, "lat": FLOAT64, "lon": FLOAT64,
+                    "bearing": FLOAT64_OR_BLANK, "year": INT64, "month": INT64}
+MANIFEST_HEADER = list(MANIFEST_COLUMNS)
 
 
 @dataclass
@@ -205,25 +209,70 @@ def haversine(a: tuple, b: tuple) -> np.ndarray:
 # Manifest ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_row(row: dict[str, str], line: int) -> tuple[int, ImageRecord]:
-    try:
-        place_id = int(row["place_id"])
-        lat = float(row["lat"])
-        lon = float(row["lon"])
-        bearing_raw = (row.get("bearing") or "").strip()
-        bearing = float(bearing_raw) if bearing_raw else None
-        year = int(row["year"])
-        month = int(row["month"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"cannot parse row: {exc}", line=line) from exc
-    image_ref = (row.get("image_ref") or "").strip()
-    if not image_ref:
-        raise ManifestError("empty image_ref", line=line)
-    try:
-        rec = ImageRecord(image_ref, lat, lon, bearing=bearing, year=year, month=month)
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _blank_rows_emptied(text: str) -> str:
+    """The manifest text with each row of blank fields after the header made one empty line.
+
+    The manifest skips such rows and the table reader skips empty lines; as
+    one record each, they still count towards line numbers. The rows are
+    found by tokenising, as a quoted field may span lines.
+    """
+    lines = _LINE.findall(text)
+    out, start = [], 0
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for fields in reader:
+        blank = start and not "".join(fields).strip()
+        out.extend(["\n"] if blank else lines[start:reader.line_num])
+        start = reader.line_num
+    return "".join(out)
+
+
+def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
+    """The manifest's images grouped by place id, places and images in file order.
+
+    The first row with a problem raises ManifestError naming the file and
+    the line, with the row's first problem in the order of the checks:
+    fields, numbers, image_ref, ImageRecord's ranges, duplicates.
+    """
+    text = read_text(path, ManifestError)
+    table = read_table(text, MANIFEST_COLUMNS)
+    # a row of blank fields always fails the reader (its place_id is no number)
+    if table.fault and (emptied := _blank_rows_emptied(text)) != text:
+        table = read_table(emptied, MANIFEST_COLUMNS)
+    if table.header is None:
+        raise ManifestError(f"{path}: line 1: empty file, expected header")
+    if [h.strip() for h in table.header] != MANIFEST_HEADER:
+        raise ManifestError(f"{path}: line 1: bad header {table.header!r}, "
+                            f"expected {','.join(MANIFEST_HEADER)}")
+    pids, refs, lats, lons, bearings, years, months = table.columns.values()
+    pids, refs = pids.tolist(), [ref.strip() for ref in refs]
+    problems = []  # (row, rank of the check, message)
+    if table.fault:
+        fault = table.fault
+        problems.append((fault.row, 0, f"cannot parse row: {fault.reason}" if fault.reason
+                         else f"expected {len(MANIFEST_HEADER)} fields, got {fault.fields}"))
+    if "" in refs:
+        problems.append((refs.index(""), 1, "empty image_ref"))
+    records: list[ImageRecord] = []
+    try:  # on a bad row, `records` holds the records of the rows before it
+        records.extend(map(ImageRecord, refs, lats.tolist(), lons.tolist(), bearings,
+                           years.tolist(), months.tolist()))
     except ValueError as exc:
-        raise ManifestError(str(exc), line=line) from exc
-    return place_id, rec
+        problems.append((len(records), 2, str(exc)))
+    keys = list(zip(pids, refs))
+    if len(set(keys)) < len(keys):
+        first: dict = {}
+        row = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
+        problems.append((row, 3, f"duplicate (place_id, image_ref) = {keys[row]}"))
+    if problems:
+        row, _, message = min(problems)
+        raise ManifestError(f"{path}: line {table.locate(row)[0] + 2}: {message}")
+    grouped: dict[int, list[ImageRecord]] = {}
+    for pid, record in zip(pids, records):
+        grouped.setdefault(pid, []).append(record)
+    return grouped
 
 
 def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> PlacesDB:
@@ -231,46 +280,22 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
 
     The manifest is UTF-8 CSV with header
     ``place_id,image_ref,lat,lon,bearing,year,month`` (bearing may be
-    empty). Places with fewer than 4 images are rejected unless
-    `allow_small_places` is set. Errors carry the offending line number.
+    empty); rows of blank fields are skipped. Places with fewer than 4
+    images are rejected unless `allow_small_places` is set. Errors name the
+    file and, for a row, its line: the row's index + 2, blank rows counted.
     """
     path = Path(path)
-    grouped: dict[int, list[ImageRecord]] = {}
-    seen_refs: set[tuple[int, str]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError("empty file, expected header", line=1)
-        if [h.strip() for h in header] != MANIFEST_HEADER:
-            raise ManifestError(
-                f"bad header {header!r}, expected {','.join(MANIFEST_HEADER)}", line=1
-            )
-        for line, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(MANIFEST_HEADER):
-                raise ManifestError(
-                    f"expected {len(MANIFEST_HEADER)} fields, got {len(raw)}", line=line
-                )
-            place_id, rec = _parse_row(dict(zip(MANIFEST_HEADER, raw)), line)
-            key = (place_id, rec.image_ref)
-            if key in seen_refs:
-                raise ManifestError(
-                    f"duplicate (place_id, image_ref) = {key}", line=line
-                )
-            seen_refs.add(key)
-            grouped.setdefault(place_id, []).append(rec)
-
-    places = [Place(pid, imgs) for pid, imgs in grouped.items()]
-    db = PlacesDB(places)
+    try:
+        grouped = _manifest_records(path)
+    except csv.Error as exc:  # a field beyond csv's size limit
+        raise ManifestError(f"{path}: {exc}") from exc
+    db = PlacesDB([Place(pid, imgs) for pid, imgs in grouped.items()])
     try:
         if not allow_small_places:
             db.check_min_images()
         db.check_disjoint()
     except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
+        raise ManifestError(f"{path}: {exc}") from exc
     return db
 
 

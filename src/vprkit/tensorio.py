@@ -10,7 +10,8 @@ Tensor files are little-endian and self-describing:
     payload row-major float32
 
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
-(``id,lat,lon,place_id``, one row per descriptor, same order).
+(``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
+and manifests are read by `read_table`, column by column in C.
 
 Every file this module writes goes through `write_atomic_files`: a temp
 file beside each target, then `os.replace`, so a write that fails partway
@@ -35,14 +36,16 @@ import io
 import json
 import math
 import os
+import re
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .aggregators import AGGREGATOR_KINDS
-from .errors import FormatError
+from .errors import FormatError, VprkitError
 
 TENSOR_MAGIC = b"VPRK"
 CHECKPOINT_MAGIC = b"VPRC"
@@ -118,7 +121,10 @@ def read_tensor_stream(fh) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
     count = math.prod(dims)  # exact: u32 dims may overflow an int64 product
     _check_left(fh, 4 * count, "payload")
-    arr = np.empty(dims, dtype="<f4")
+    try:
+        arr = np.empty(dims, dtype="<f4")
+    except ValueError as exc:  # more dims than numpy takes
+        raise FormatError(f"unsupported tensor rank {rank}: {exc}") from None
     if fh.readinto(arr) != arr.nbytes:  # straight into the array: no intermediate bytes copy
         raise FormatError("file shrank while reading payload")
     return arr
@@ -133,10 +139,167 @@ def load_tensor(path: str | Path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# CSV tables (descriptor sidecars, manifests)
+# ---------------------------------------------------------------------------
+
+# Column kinds of `read_table`. Numbers are ASCII decimal or exponent spellings
+# (floats also take inf and nan) with optional sign and surrounding whitespace.
+TEXT, INT64, FLOAT64, FLOAT64_OR_BLANK = "text", "int64", "float64", "float64 or blank"
+_STORED_AS = {TEXT: object, INT64: np.int64, FLOAT64: np.float64, FLOAT64_OR_BLANK: object}
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
+_NOT_LINE_BREAK = re.compile(r"[^\r\n]")
+
+
+def read_text(path: str | Path, error: type[VprkitError]) -> str:
+    """A file's UTF-8 text; other bytes raise `error`, naming the file and their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + len(_LINE_BREAK.findall(data, 0, exc.start))
+        raise error(f"{path}: line {line}: not UTF-8: {exc}") from None
+
+
+def _field_value(text: str, kind: str):
+    """One field by the rule of its kind; a number the C reader rejects raises ValueError.
+
+    Numbers are what Python's `int` and `float` take, less `_` separators
+    and non-ASCII digits, and an INT64 must fit in int64. A blank
+    FLOAT64_OR_BLANK is None.
+    """
+    if kind == TEXT:
+        return text
+    word = text.strip()
+    if kind == FLOAT64_OR_BLANK:
+        if not word:
+            return None
+        text = word
+    if not word.isascii() or "_" in word:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}" if kind == INT64
+                         else f"could not convert string to float: {text!r}")
+    if kind != INT64:
+        return float(text)
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer {word} does not fit in int64")
+    return value
+
+
+def _records(text: str):
+    """(record, line, fields) of each non-empty record after the header.
+
+    `record` counts the records after the header from 0, empty ones too;
+    `line` is the physical line the record ends on.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader, None)
+    for record, fields in enumerate(reader):
+        if fields:
+            yield record, reader.line_num, fields
+
+
+@dataclass
+class RowFault:
+    """The first data row `read_table` could not take.
+
+    `row` is its index among the data rows, `fields` its field count and
+    `reason` why a field did not convert (None when the count is wrong).
+    """
+
+    row: int
+    fields: int
+    reason: str | None
+
+
+@dataclass
+class Table:
+    """A CSV text's header and its data rows by column, up to `fault`, the first row that failed.
+
+    INT64 and FLOAT64 columns are arrays; TEXT and FLOAT64_OR_BLANK columns
+    are lists (a blank float is None).
+    """
+
+    text: str
+    header: list[str] | None
+    columns: dict
+    fault: RowFault | None
+
+    def locate(self, row: int) -> tuple[int, int]:
+        """(record, line) of data row `row`, as `_records` counts them; re-tokenises the text."""
+        where = (-1, 1)
+        for i, (record, line, _) in enumerate(_records(self.text)):
+            where = (record, line)
+            if i == row:
+                break
+        return where
+
+
+def read_table(text: str, columns: dict[str, str]) -> Table:
+    """CSV text as a header record and typed columns, tokenised and converted by numpy's C reader.
+
+    `columns` maps each column's name to its kind, in file order. Empty
+    lines are skipped. A quoted field may hold commas, doubled quotes and
+    line breaks; `#` is text. A row with another field count, or a field
+    its kind rejects, ends the columns and becomes `fault`: only then is
+    the text tokenised again, by `csv`, to find that row. This, and
+    `Table.locate`, raise csv.Error for a field beyond `csv.field_size_limit`.
+    """
+    fh = io.StringIO(text, newline="")
+    header = next(csv.reader(fh), None)
+    dtype = np.dtype([(name, _STORED_AS[kind]) for name, kind in columns.items()])
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an int field such as "3.0" through float, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.empty(0, dtype)  # header only: no call that would warn of no data
+            if _NOT_LINE_BREAK.search(text, fh.tell()):
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                                  ndmin=1)
+        table = {name: _column(rows[name], kind) for name, kind in columns.items()}
+    except (ValueError, DeprecationWarning) as exc:
+        return _scan(text, header, columns, exc)
+    return Table(text, header, table, None)
+
+
+def _column(fields: np.ndarray, kind: str):
+    """A column of `read_table` from the field values the C reader stored."""
+    if kind != FLOAT64_OR_BLANK:
+        return fields.tolist() if kind == TEXT else fields
+    words = [field.strip() for field in fields.tolist()]  # stored as text: converted here
+    joined = "".join(words)
+    if not joined.isascii() or "_" in joined:  # `float` would take what the C reader does not
+        raise ValueError("a number is spelled with a non-ASCII character or `_`")
+    return [float(word) if word else None for word in words]
+
+
+def _scan(text: str, header, columns: dict[str, str], exc: Exception) -> Table:
+    """The table up to the first row that failed, found field by field by the C reader's rules."""
+    values = []
+    for row, (_, _, fields) in enumerate(_records(text)):
+        if len(fields) != len(columns):
+            fault = RowFault(row, len(fields), None)
+            break
+        try:
+            values.append([_field_value(f, kind) for f, kind in zip(fields, columns.values())])
+        except ValueError as err:
+            fault = RowFault(row, len(fields), str(err))
+            break
+    else:  # the C reader rejected a row these rules take
+        fault = RowFault(len(values), len(columns), str(exc))
+    table = {}
+    by_column = zip(*values) if values else [()] * len(columns)
+    for (name, kind), column in zip(columns.items(), by_column):
+        stored_as = _STORED_AS[kind]
+        table[name] = list(column) if stored_as is object else np.array(column, dtype=stored_as)
+    return Table(text, header, table, fault)
+
+
+# ---------------------------------------------------------------------------
 # Descriptor sets (tensor + metadata sidecar)
 # ---------------------------------------------------------------------------
 
-SIDECAR_HEADER = ["id", "lat", "lon", "place_id"]
+SIDECAR_COLUMNS = {"id": TEXT, "lat": FLOAT64, "lon": FLOAT64, "place_id": INT64}
+SIDECAR_HEADER = list(SIDECAR_COLUMNS)
 
 
 @dataclass
@@ -205,36 +368,34 @@ def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
                         if not (dest.exists() and os.path.samefile(src, dest))])
 
 
+def _sidecar_columns(side: Path) -> dict:
+    """The sidecar's columns; a bad header or row raises FormatError naming the file and line."""
+    table = read_table(read_text(side, FormatError), SIDECAR_COLUMNS)
+    if table.header != SIDECAR_HEADER:
+        raise FormatError(f"bad sidecar header in {side}")
+    if table.fault:
+        fault = table.fault
+        problem = (f"bad sidecar row: {fault.reason}" if fault.reason
+                   else f"expected {len(SIDECAR_HEADER)} fields, got {fault.fields}")
+        raise FormatError(f"{side}: line {table.locate(fault.row)[1]}: {problem}")
+    return table.columns
+
+
 def load_descriptors(path: str | Path) -> DescriptorSet:
     vectors = load_tensor(path).astype(np.float64)
     if vectors.ndim != 2:
         raise FormatError(f"descriptor tensor must be rank 2, got rank {vectors.ndim}")
-    ids, lats, lons, pids = [], [], [], []
     side = sidecar_path(path)
-    with side.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != SIDECAR_HEADER:
-                raise FormatError(f"bad sidecar header in {side}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(SIDECAR_HEADER):
-                    raise FormatError(f"{side}: line {reader.line_num}: expected "
-                                      f"{len(SIDECAR_HEADER)} fields, got {len(row)}")
-                ids.append(row[0])
-                lats.append(float(row[1]))
-                lons.append(float(row[2]))
-                pids.append(int(row[3]))
-        except (ValueError, csv.Error) as exc:  # bad number, bad text
-            raise FormatError(f"{side}: line {reader.line_num}: bad sidecar row: {exc}") from exc
+    try:
+        ids, lats, lons, pids = _sidecar_columns(side).values()
+    except csv.Error as exc:  # a field beyond csv's size limit
+        raise FormatError(f"{side}: {exc}") from exc
     if len(ids) != vectors.shape[0]:
         raise FormatError(
             f"sidecar has {len(ids)} rows but tensor has {vectors.shape[0]}"
         )
     try:
-        return DescriptorSet(vectors, ids, np.array(lats), np.array(lons), np.array(pids))
+        return DescriptorSet(vectors, ids, lats, lons, pids)
     except ValueError as exc:  # the vectors are checked first, then the sidecar's columns
         culprit = side if np.isfinite(vectors).all() else Path(path)
         raise FormatError(f"{culprit}: {exc}") from exc
@@ -282,7 +443,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
             raise FormatError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(_read_exact(fh, hlen, "json header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"corrupt checkpoint header: {exc}") from exc
         _check_checkpoint_header(header)
         tensors = {}

@@ -660,6 +660,86 @@ class TestMalformedSidecar:
         assert "line 6" in err
 
 
+class TestRejectedTextInputs:
+    """A manifest or sidecar the readers reject ends the command with one `error:` line."""
+
+    BIG = b"99999999999999999999"  # a place id beyond int64
+
+    @staticmethod
+    def _fails(capsys, argv, *words):
+        capsys.readouterr()
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert all(word in err for word in words), err
+
+    @staticmethod
+    def _edit_manifest(db, old, new):
+        manifest = db / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(old, new))
+
+    def _trained_db(self, tmp_path):
+        db = synth(tmp_path)
+        run = tmp_path / "run"
+        assert run_command(["train", "--db", str(db), "--out", str(run), *SMALL_TRAIN]) == 0
+        return db, run / "checkpoint.vprc"
+
+    def _big_id_set(self, tmp_path, rng):
+        from vprkit.tensorio import sidecar_path
+
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        side = sidecar_path(path)
+        side.write_bytes(side.read_bytes().replace(b",3\r\n", b"," + self.BIG + b"\r\n"))
+        return path
+
+    def test_build_db_big_place_id(self, tmp_path, capsys):
+        src = synth(tmp_path, "src")
+        self._edit_manifest(src, b"\n0,", b"\n" + self.BIG + b",")
+        self._fails(capsys, ["build-db", "--manifest", str(src / "manifest.csv"),
+                             "--out", str(tmp_path / "db")],
+                    "manifest.csv: line 2: ", "does not fit in int64")
+
+    def test_train_big_place_id(self, tmp_path, capsys):
+        db = synth(tmp_path)
+        self._edit_manifest(db, b"\n1,", b"\n" + self.BIG + b",")
+        self._fails(capsys, ["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                             *SMALL_TRAIN], "manifest.csv: line 8: ", "int64")
+
+    def test_eval_db_big_place_id(self, tmp_path, capsys):
+        db, checkpoint = self._trained_db(tmp_path)
+        self._edit_manifest(db, b"\n0,", b"\n" + self.BIG + b",")
+        self._fails(capsys, ["eval", "--db", str(db), "--checkpoint", str(checkpoint),
+                             "--out", str(tmp_path / "ev")], "manifest.csv: line 2: ", "int64")
+
+    def test_eval_sidecar_big_place_id(self, tmp_path, rng, capsys):
+        path = self._big_id_set(tmp_path, rng)
+        self._fails(capsys, ["eval", "--queries", str(path), "--refs", str(path),
+                             "--out", str(tmp_path / "ev")], "x.csv: line 5: ", "int64")
+
+    def test_reduce_sidecar_big_place_id(self, tmp_path, rng, capsys):
+        path = self._big_id_set(tmp_path, rng)
+        self._fails(capsys, ["reduce", "--fit", str(path), "--out", str(tmp_path / "pca"),
+                             "--set", "pca.out_dim=2"], "x.csv: line 5: ", "int64")
+
+    def test_build_db_non_utf8_manifest(self, tmp_path, capsys):
+        src = synth(tmp_path, "src")
+        self._edit_manifest(src, b"synth_00001_00", b"synth_\xff")
+        self._fails(capsys, ["build-db", "--manifest", str(src / "manifest.csv"),
+                             "--out", str(tmp_path / "db")], "manifest.csv: line 8: not UTF-8")
+
+    def test_train_non_utf8_manifest(self, tmp_path, capsys):
+        db = synth(tmp_path)
+        self._edit_manifest(db, b"synth_00001_00", b"synth_\xff")
+        self._fails(capsys, ["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                             *SMALL_TRAIN], "manifest.csv: line 8: not UTF-8")
+
+    def test_eval_non_utf8_manifest(self, tmp_path, capsys):
+        db, checkpoint = self._trained_db(tmp_path)
+        self._edit_manifest(db, b"synth_00001_00", b"synth_\xff")
+        self._fails(capsys, ["eval", "--db", str(db), "--checkpoint", str(checkpoint),
+                             "--out", str(tmp_path / "ev")], "manifest.csv: line 8: not UTF-8")
+
+
 class TestEvalCopies:
     @staticmethod
     def _hand_written_set(tmp_path, rng, name="in"):
