@@ -194,10 +194,10 @@ def _write_resolved(config: dict, out_dir: Path) -> None:
 def save_db_dir(db: PlacesDB, out_dir: Path) -> None:
     """Both files are written before either replaces its old file."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [(out_dir / "manifest.csv", places.manifest_bytes(db))]
+    files = [(out_dir / "manifest.csv", [places.manifest_bytes(db)])]
     payloads = db.payloads_in_order()
     if payloads is not None:
-        files.append((out_dir / "payloads.vprk", tensorio.tensor_bytes(payloads)))
+        files.append((out_dir / "payloads.vprk", [tensorio.tensor_bytes(payloads)]))
     tensorio.write_atomic_files(files)
 
 

@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FeatureMapError, ManifestError, SamplerError
-from .tensorio import FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, read_table, read_text
+from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, lifted_field_limit, read_table,
+                       read_text, table_bytes)
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
@@ -222,10 +223,11 @@ def _blank_rows_emptied(text: str) -> str:
     lines = _LINE.findall(text)
     out, start = [], 0
     reader = csv.reader(io.StringIO(text, newline=""))
-    for fields in reader:
-        blank = start and not "".join(fields).strip()
-        out.extend(["\n"] if blank else lines[start:reader.line_num])
-        start = reader.line_num
+    with lifted_field_limit(text):
+        for fields in reader:
+            blank = start and not "".join(fields).strip()
+            out.extend(["\n"] if blank else lines[start:reader.line_num])
+            start = reader.line_num
     return "".join(out)
 
 
@@ -287,7 +289,7 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
     path = Path(path)
     try:
         grouped = _manifest_records(path)
-    except csv.Error as exc:  # a field beyond csv's size limit
+    except csv.Error as exc:  # csv before Python 3.11 rejects a NUL
         raise ManifestError(f"{path}: {exc}") from exc
     db = PlacesDB([Place(pid, imgs) for pid, imgs in grouped.items()])
     try:
@@ -301,23 +303,17 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
 
 def manifest_bytes(db: PlacesDB) -> bytes:
     """A PlacesDB in the manifest CSV format, UTF-8 encoded."""
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(MANIFEST_HEADER)
-    for place in db.places:
-        for img in place.images:
-            writer.writerow(
-                [
-                    place.place_id,
-                    img.image_ref,
-                    repr(img.lat),
-                    repr(img.lon),
-                    "" if img.bearing is None else repr(img.bearing),
-                    img.year,
-                    img.month,
-                ]
-            )
-    return text.getvalue().encode("utf-8")
+    images = db.images()
+    place_ids = [str(place.place_id) for place in db.places for _ in place.images]
+    return table_bytes(MANIFEST_HEADER, [
+        place_ids,
+        [img.image_ref for img in images],
+        [repr(img.lat) for img in images],
+        [repr(img.lon) for img in images],
+        ["" if img.bearing is None else repr(img.bearing) for img in images],
+        [str(img.year) for img in images],
+        [str(img.month) for img in images],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +348,8 @@ class SynthConfig:
     noise_contrast: float = 30.0
 
     def __post_init__(self):
-        if self.max_shift < 0 or self.gain < 0 or self.noise_sigma < 0:
-            raise ValueError("perturbation magnitudes must be nonnegative")
+        if self.max_shift < 0 or self.gain < 0 or self.noise_sigma < 0 or self.latent_blur < 0:
+            raise ValueError("perturbation magnitudes and latent_blur must be nonnegative")
         if not 0.0 <= self.unstable_fraction <= 1.0:
             raise ValueError("unstable_fraction must be in [0, 1]")
         if self.noise_contrast < 1.0:
@@ -371,13 +367,20 @@ def _channel_noise_profile(cfg: SynthConfig, channels: int, rng: np.random.Gener
 
 
 def _box_blur_circular(m: np.ndarray, passes: int) -> np.ndarray:
-    """Circular 3x3 box filter applied `passes` times along the two spatial axes."""
+    """Circular 3x3 box filter applied `passes` times along the two spatial axes.
+
+    A pass sums, from zero, the slices of a one-cell wrap padding: the map
+    circularly shifted by (dy, dx), for dy, then dx, in (-1, 0, 1).
+    """
+    h, w = m.shape[:2]
+    wrap_y, wrap_x = np.arange(-1, h + 1) % h, np.arange(-1, w + 1) % w
     out = m
     for _ in range(passes):
+        padded = out[wrap_y[:, None], wrap_x]
         acc = np.zeros_like(out)
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
-                acc += np.roll(np.roll(out, dy, axis=0), dx, axis=1)
+                acc += padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
         out = acc / 9.0
     return out
 
@@ -394,7 +397,8 @@ def synth_places(
     Places sit on a lat/lon grid one cell apart (so the DB is disjoint by
     construction); images of a place jitter by a couple of meters around
     the place center and carry distinct (year, month) stamps. The same
-    seed always produces a bit-identical database.
+    seed always produces a bit-identical database (the order of the draws
+    is in the README); a place's maps are built together from its draws.
     """
     if num_places < 1 or images_per_place < 1:
         raise ValueError("num_places and images_per_place must be >= 1")
@@ -409,42 +413,36 @@ def synth_places(
     noise_std = _channel_noise_profile(cfg, c, rng)
     grid_cols = int(math.ceil(math.sqrt(num_places)))
 
-    stack = np.empty((num_places * images_per_place, h, w, c))
+    k = images_per_place
+    stack = np.empty((num_places * k, h, w, c))
+    years, months = [2010 + j // 12 for j in range(k)], [1 + j % 12 for j in range(k)]
     places = []
     for pid in range(num_places):
-        latent = np.maximum(_box_blur_circular(rng.standard_normal((h, w, c)), cfg.latent_blur), 0.0)
-        while not np.any(latent > 0.0):
-            # tiny heavily-blurred maps can collapse to all-zero after the
-            # ReLU; redraw so every place has a usable (nonzero) latent
-            latent = np.maximum(
-                _box_blur_circular(rng.standard_normal((h, w, c)), cfg.latent_blur), 0.0
-            )
+        latent = np.zeros(())
+        while not np.any(latent > 0.0):  # tiny heavily-blurred maps can be all-zero after the ReLU
+            noise = rng.standard_normal((h, w, c))
+            latent = np.maximum(_box_blur_circular(noise, cfg.latent_blur), 0.0)
+        draws = [(rng.integers(-cfg.max_shift, cfg.max_shift + 1),
+                  rng.integers(-cfg.max_shift, cfg.max_shift + 1),
+                  rng.uniform(-1.0, 1.0),
+                  rng.standard_normal(c),
+                  rng.uniform(-2e-5, 2e-5),  # ~2 m of GPS jitter, well inside the 25 m match radius
+                  rng.uniform(-2e-5, 2e-5),
+                  rng.uniform(0.0, 360.0)) for _ in range(k)]
+        dy, dx, unit_gain, normal, jitter_lat, jitter_lon, bearing = map(np.array, zip(*draws))
+        # image j is the latent rolled by (dy[j], dx[j]): cell (y, x) is latent[y - dy, x - dx]
+        ys = (np.arange(h) - dy[:, None]) % h
+        xs = (np.arange(w) - dx[:, None]) % w
+        rows = stack[pid * k:(pid + 1) * k]
+        gain = 1.0 + float(cfg.gain) * unit_gain
+        np.multiply(latent[ys[:, :, None], xs[:, None, :]], gain[:, None, None, None], out=rows)
+        rows += (normal * noise_std)[:, None, None, :]
         place_lat = SYNTH_ORIGIN[0] + (pid // grid_cols) * DEFAULT_CELL_DEG + 0.0005
         place_lon = SYNTH_ORIGIN[1] + (pid % grid_cols) * DEFAULT_CELL_DEG + 0.0005
-        images = []
-        for j in range(images_per_place):
-            dy = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
-            dx = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
-            gain = 1.0 + cfg.gain * float(rng.uniform(-1.0, 1.0))
-            channel_noise = rng.standard_normal(c) * noise_std
-            row = pid * images_per_place + j
-            stack[row] = np.roll(np.roll(latent, dy, axis=0), dx, axis=1) * gain
-            stack[row] += channel_noise[None, None, :]
-            # ~2 m of GPS jitter, well inside the 25 m match radius
-            jitter_lat = float(rng.uniform(-2e-5, 2e-5))
-            jitter_lon = float(rng.uniform(-2e-5, 2e-5))
-            images.append(
-                ImageRecord(
-                    image_ref=f"synth_{pid:05d}_{j:02d}",
-                    lat=place_lat + jitter_lat,
-                    lon=place_lon + jitter_lon,
-                    bearing=float(rng.uniform(0.0, 360.0)),
-                    year=2010 + j // 12,
-                    month=1 + j % 12,
-                    store=stack,
-                    row=row,
-                )
-            )
+        refs = [f"synth_{pid:05d}_{j:02d}" for j in range(k)]
+        images = list(map(ImageRecord, refs, (place_lat + jitter_lat).tolist(),
+                          (place_lon + jitter_lon).tolist(), bearing.tolist(), years, months,
+                          [stack] * k, range(pid * k, (pid + 1) * k)))
         places.append(Place(pid, images))
     return PlacesDB(places)
 

@@ -11,7 +11,8 @@ Tensor files are little-endian and self-describing:
 
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
-and manifests are read by `read_table`, column by column in C.
+and manifests are read by `read_table`, column by column in C, and
+written by `table_bytes`, column by column.
 
 Every file this module writes goes through `write_atomic_files`: a temp
 file beside each target, then `os.replace`, so a write that fails partway
@@ -31,6 +32,7 @@ by one tensor blob per parameter:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -53,31 +55,44 @@ FORMAT_VERSION = 1
 DTYPE_F32 = 1
 
 
-def tensor_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    head = TENSOR_MAGIC + struct.pack("<HBB", FORMAT_VERSION, DTYPE_F32, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + dims + arr.tobytes()
+# Bytes of the float32 buffer a float64 read converts from, one block at a time.
+READ_BLOCK_BYTES = 1 << 16
 
 
-def _write_new(path: Path, data: bytes) -> None:
+def tensor_bytes(arr: np.ndarray) -> memoryview:
+    """A tensor file's bytes in one buffer, the payload converted to float32 straight into it.
+
+    A scalar is written as a rank-1 tensor of one entry.
+    """
+    arr = np.atleast_1d(arr)
+    head = TENSOR_MAGIC + struct.pack(f"<HBB{arr.ndim}I", FORMAT_VERSION, DTYPE_F32, arr.ndim,
+                                      *arr.shape)
+    blob = np.empty(len(head) + 4 * arr.size, np.uint8)
+    blob[:len(head)] = np.frombuffer(head, np.uint8)
+    blob[len(head):].view("<f4").reshape(arr.shape)[...] = arr
+    return memoryview(blob)
+
+
+def _write_new(path: Path, parts) -> None:
     with path.open("xb") as fh:
-        fh.write(data)
+        for part in parts:
+            fh.write(part)
 
 
-def write_atomic_files(files: list[tuple[str | Path, bytes]]) -> None:
-    """Write each (path, data) to a temp file in its path's directory, then rename them onto the paths.
+def write_atomic_files(files: list[tuple[str | Path, list]]) -> None:
+    """Write each (path, parts) to a temp file in its path's directory, then rename them onto the paths.
 
-    No path is replaced before every temp file is written, so if a write
-    fails every path keeps its old content (or stays absent), and the temp
-    files are removed.
+    `parts` are the file's bytes as buffers, written in order. No path is
+    replaced before every temp file is written, so if a write fails every
+    path keeps its old content (or stays absent), and the temp files are
+    removed.
     """
     moves = []
     try:
-        for path, data in files:
+        for path, parts in files:
             path = Path(path)
             moves.append((path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp"), path))
-            _write_new(moves[-1][0], data)
+            _write_new(moves[-1][0], parts)
         for tmp, path in moves:
             os.replace(tmp, path)
     finally:
@@ -85,9 +100,9 @@ def write_atomic_files(files: list[tuple[str | Path, bytes]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write `data` to a temp file in `path`'s directory, then rename it onto `path`."""
-    write_atomic_files([(path, data)])
+def write_atomic(path: str | Path, *parts) -> None:
+    """Write the buffers `parts` to a temp file beside `path`, then rename it onto `path`."""
+    write_atomic_files([(path, parts)])
 
 
 def save_tensor(path: str | Path, arr: np.ndarray) -> None:
@@ -109,30 +124,43 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
-def read_tensor_stream(fh) -> np.ndarray:
+def read_tensor_stream(fh, dtype="<f4") -> np.ndarray:
+    """The next tensor of a seekable file as `dtype`, the stored float32 or float64.
+
+    A little-endian float32 array is read straight into, any other through
+    one float32 buffer of at most READ_BLOCK_BYTES.
+    """
     magic = _read_exact(fh, 4, "magic")
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    version, dtype, rank = struct.unpack("<HBB", _read_exact(fh, 4, "header"))
+    version, tag, rank = struct.unpack("<HBB", _read_exact(fh, 4, "header"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    if dtype != DTYPE_F32:
-        raise FormatError(f"unsupported dtype tag {dtype}")
+    if tag != DTYPE_F32:
+        raise FormatError(f"unsupported dtype tag {tag}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
     count = math.prod(dims)  # exact: u32 dims may overflow an int64 product
     _check_left(fh, 4 * count, "payload")
     try:
-        arr = np.empty(dims, dtype="<f4")
+        arr = np.empty(dims, dtype=dtype)
     except ValueError as exc:  # more dims than numpy takes
         raise FormatError(f"unsupported tensor rank {rank}: {exc}") from None
-    if fh.readinto(arr) != arr.nbytes:  # straight into the array: no intermediate bytes copy
-        raise FormatError("file shrank while reading payload")
+    flat = arr.reshape(-1)
+    direct = arr.dtype == np.dtype("<f4")  # no intermediate copy at all
+    buf = flat if direct else np.empty(min(count, READ_BLOCK_BYTES // 4), "<f4")
+    for start in range(0, count, max(len(buf), 1)):
+        part = buf[:count - start]
+        if fh.readinto(part) != part.nbytes:
+            raise FormatError("file shrank while reading payload")
+        if not direct:
+            flat[start:start + len(part)] = part
     return arr
 
 
-def load_tensor(path: str | Path) -> np.ndarray:
+def load_tensor(path: str | Path, dtype="<f4") -> np.ndarray:
+    """A tensor file's array as `dtype` (see `read_tensor_stream`)."""
     with Path(path).open("rb") as fh:
-        arr = read_tensor_stream(fh)
+        arr = read_tensor_stream(fh, dtype)
         if fh.read(1):
             raise FormatError("trailing bytes after tensor payload")
     return arr
@@ -148,6 +176,33 @@ TEXT, INT64, FLOAT64, FLOAT64_OR_BLANK = "text", "int64", "float64", "float64 or
 _STORED_AS = {TEXT: object, INT64: np.int64, FLOAT64: np.float64, FLOAT64_OR_BLANK: object}
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 _NOT_LINE_BREAK = re.compile(r"[^\r\n]")
+_QUOTED = re.compile(r'[,"\r\n]')  # a field holding one of these is quoted
+
+
+def _quote(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"' if _QUOTED.search(field) else field
+
+
+def table_bytes(header: list[str], columns: list[list[str]]) -> bytes:
+    """UTF-8 CSV of a header and columns of text fields, as `csv.writer` writes it row by row.
+
+    A field holding `,`, `"`, CR or LF is quoted, its quotes doubled, and
+    every row ends in CR LF.
+    """
+    columns = [list(map(_quote, column)) if _QUOTED.search("".join(column)) else column
+               for column in columns]
+    rows = map(",".join, zip(*columns))
+    return "\r\n".join([",".join(map(_quote, header)), *rows, ""]).encode("utf-8")
+
+
+@contextlib.contextmanager
+def lifted_field_limit(text: str):
+    """csv's field size limit raised to the length of `text` (no field is longer), then restored."""
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
 
 
 def read_text(path: str | Path, error: type[VprkitError]) -> str:
@@ -189,7 +244,8 @@ def _records(text: str):
     """(record, line, fields) of each non-empty record after the header.
 
     `record` counts the records after the header from 0, empty ones too;
-    `line` is the physical line the record ends on.
+    `line` is the physical line the record ends on. Callers iterate under
+    `lifted_field_limit`.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader, None)
@@ -227,10 +283,11 @@ class Table:
     def locate(self, row: int) -> tuple[int, int]:
         """(record, line) of data row `row`, as `_records` counts them; re-tokenises the text."""
         where = (-1, 1)
-        for i, (record, line, _) in enumerate(_records(self.text)):
-            where = (record, line)
-            if i == row:
-                break
+        with lifted_field_limit(self.text):
+            for i, (record, line, _) in enumerate(_records(self.text)):
+                where = (record, line)
+                if i == row:
+                    break
         return where
 
 
@@ -241,11 +298,12 @@ def read_table(text: str, columns: dict[str, str]) -> Table:
     lines are skipped. A quoted field may hold commas, doubled quotes and
     line breaks; `#` is text. A row with another field count, or a field
     its kind rejects, ends the columns and becomes `fault`: only then is
-    the text tokenised again, by `csv`, to find that row. This, and
-    `Table.locate`, raise csv.Error for a field beyond `csv.field_size_limit`.
+    the text tokenised again, by `csv`, to find that row. The header and
+    that pass take fields of any length (`lifted_field_limit`).
     """
     fh = io.StringIO(text, newline="")
-    header = next(csv.reader(fh), None)
+    with lifted_field_limit(text):
+        header = next(csv.reader(fh), None)
     dtype = np.dtype([(name, _STORED_AS[kind]) for name, kind in columns.items()])
     try:
         with warnings.catch_warnings():
@@ -275,17 +333,18 @@ def _column(fields: np.ndarray, kind: str):
 def _scan(text: str, header, columns: dict[str, str], exc: Exception) -> Table:
     """The table up to the first row that failed, found field by field by the C reader's rules."""
     values = []
-    for row, (_, _, fields) in enumerate(_records(text)):
-        if len(fields) != len(columns):
-            fault = RowFault(row, len(fields), None)
-            break
-        try:
-            values.append([_field_value(f, kind) for f, kind in zip(fields, columns.values())])
-        except ValueError as err:
-            fault = RowFault(row, len(fields), str(err))
-            break
-    else:  # the C reader rejected a row these rules take
-        fault = RowFault(len(values), len(columns), str(exc))
+    with lifted_field_limit(text):
+        for row, (_, _, fields) in enumerate(_records(text)):
+            if len(fields) != len(columns):
+                fault = RowFault(row, len(fields), None)
+                break
+            try:
+                values.append([_field_value(f, kind) for f, kind in zip(fields, columns.values())])
+            except ValueError as err:
+                fault = RowFault(row, len(fields), str(err))
+                break
+        else:  # the C reader rejected a row these rules take
+            fault = RowFault(len(values), len(columns), str(exc))
     table = {}
     by_column = zip(*values) if values else [()] * len(columns)
     for (name, kind), column in zip(columns.items(), by_column):
@@ -318,9 +377,10 @@ class DescriptorSet:
         self.lons = np.asarray(self.lons, dtype=np.float64)
         self.place_ids = np.asarray(self.place_ids, dtype=np.int64)
         n = self.vectors.shape[0]
-        finite = np.isfinite(self.vectors)
-        if not finite.all():
-            raise ValueError(f"row {np.argwhere(~finite)[0, 0]}: descriptor has non-finite entries")
+        # the sum is finite unless an entry is not (or it leaves float64's range): no (N, D) mask
+        if not (np.isfinite(self.vectors.sum()) or np.isfinite(self.vectors).all()):
+            row = np.argwhere(~np.isfinite(self.vectors))[0, 0]
+            raise ValueError(f"row {row}: descriptor has non-finite entries")
         if not (len(self.ids) == len(self.lats) == len(self.lons) == len(self.place_ids) == n):
             raise ValueError("metadata misaligned with vectors")
         # the rule of places.ImageRecord; NaN fails both comparisons
@@ -345,13 +405,10 @@ def sidecar_path(tensor_path: str | Path) -> Path:
 
 def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
     """The tensor and its sidecar, both written before either replaces its old file."""
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(SIDECAR_HEADER)
-    writer.writerows(zip(ds.ids, map(repr, ds.lats.tolist()), map(repr, ds.lons.tolist()),
-                         ds.place_ids.tolist()))
-    write_atomic_files([(path, tensor_bytes(ds.vectors)),
-                        (sidecar_path(path), text.getvalue().encode("utf-8"))])
+    sidecar = table_bytes(SIDECAR_HEADER, [ds.ids, list(map(repr, ds.lats.tolist())),
+                                           list(map(repr, ds.lons.tolist())),
+                                           list(map(str, ds.place_ids.tolist()))])
+    write_atomic_files([(path, [tensor_bytes(ds.vectors)]), (sidecar_path(path), [sidecar])])
 
 
 def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
@@ -364,7 +421,7 @@ def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
     """
     files = [(Path(s), Path(d)) for src, dest in copies
              for s, d in ((src, dest), (sidecar_path(src), sidecar_path(dest)))]
-    write_atomic_files([(dest, src.read_bytes()) for src, dest in files
+    write_atomic_files([(dest, [src.read_bytes()]) for src, dest in files
                         if not (dest.exists() and os.path.samefile(src, dest))])
 
 
@@ -382,13 +439,13 @@ def _sidecar_columns(side: Path) -> dict:
 
 
 def load_descriptors(path: str | Path) -> DescriptorSet:
-    vectors = load_tensor(path).astype(np.float64)
+    vectors = load_tensor(path, np.float64)
     if vectors.ndim != 2:
         raise FormatError(f"descriptor tensor must be rank 2, got rank {vectors.ndim}")
     side = sidecar_path(path)
     try:
         ids, lats, lons, pids = _sidecar_columns(side).values()
-    except csv.Error as exc:  # a field beyond csv's size limit
+    except csv.Error as exc:  # csv before Python 3.11 rejects a NUL
         raise FormatError(f"{side}: {exc}") from exc
     if len(ids) != vectors.shape[0]:
         raise FormatError(
@@ -413,13 +470,8 @@ def save_checkpoint(path: str | Path, kind: str, tensors: dict[str, np.ndarray],
         "config": config,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<HI", FORMAT_VERSION, len(hbytes)))
-    buf.write(hbytes)
-    for name in header["tensors"]:
-        buf.write(tensor_bytes(tensors[name]))
-    write_atomic(path, buf.getvalue())
+    write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(hbytes)) + hbytes,
+                 *(tensor_bytes(tensors[name]) for name in header["tensors"]))
 
 
 def _check_checkpoint_header(header) -> None:
@@ -448,7 +500,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
         _check_checkpoint_header(header)
         tensors = {}
         for name in header["tensors"]:
-            tensors[name] = read_tensor_stream(fh).astype(np.float64)
+            tensors[name] = read_tensor_stream(fh, np.float64)
         if fh.read(1):
             raise FormatError("trailing bytes after checkpoint tensors")
     return header["aggregator"], tensors, header.get("config", {})

@@ -50,6 +50,16 @@ class TestSynthCommand:
         assert (a / "payloads.vprk").read_bytes() != (b / "payloads.vprk").read_bytes()
 
 
+    def test_negative_latent_blur_rejected(self, tmp_path, capsys):
+        out = tmp_path / "db"
+        capsys.readouterr()
+        rc = run_command(["synth", "--out", str(out), *SMALL_SYNTH, "--set", "synth.latent_blur=-1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "latent_blur" in err
+        assert not out.exists()
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         rc = run_command(

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vprkit.errors import FormatError
 from vprkit.tensorio import (
     CHECKPOINT_MAGIC,
     FORMAT_VERSION,
+    READ_BLOCK_BYTES,
     DescriptorSet,
     copy_descriptors,
     load_checkpoint,
@@ -23,6 +26,7 @@ from vprkit.tensorio import (
     save_descriptors,
     save_tensor,
     sidecar_path,
+    table_bytes,
     tensor_bytes,
 )
 
@@ -443,3 +447,130 @@ class TestAtomicWrites:
         write(tmp_path)
         assert (tmp_path / target).read_bytes() != b"old content"
         assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+def tensor_file_by_copies(arr) -> bytes:
+    """A tensor file as built with a float32 copy, its bytes and their concatenation."""
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    head = b"VPRK" + struct.pack("<HBB", FORMAT_VERSION, 1, arr.ndim)
+    return head + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+
+
+class TestWrittenTensorBytes:
+    ARRAYS = {
+        "rank 0": lambda rng: np.float64(rng.standard_normal()),
+        "zero-size dims": lambda rng: np.zeros((3, 0, 2)),
+        "empty rank 1": lambda rng: np.zeros(0, np.float32),
+        "non-contiguous": lambda rng: rng.standard_normal((6, 8)).astype(np.float32)[::2, 1::3],
+        "transposed float64": lambda rng: rng.standard_normal((5, 7)).T,
+        "float64 rank 4": lambda rng: rng.standard_normal((3, 2, 2, 5)) * 1e30,
+        "float32 with inf and nan": lambda rng: np.array([np.inf, -np.inf, np.nan, -0.0], np.float32),
+        "big-endian float32": lambda rng: rng.standard_normal((4, 3)).astype(">f4"),
+        "int": lambda rng: np.arange(-5, 5).reshape(2, 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    def test_file_equals_header_and_float32_bytes(self, rng, tmp_path, name):
+        arr = self.ARRAYS[name](rng)
+        save_tensor(tmp_path / "t.vprk", arr)
+        assert (tmp_path / "t.vprk").read_bytes() == tensor_file_by_copies(arr)
+        assert bytes(tensor_bytes(arr)) == tensor_file_by_copies(arr)
+
+    def test_descriptor_tensor(self, rng, tmp_path):
+        ds = DescriptorSet(rng.standard_normal((9, 5)), list("abcdefghi"), np.zeros(9), np.zeros(9),
+                           np.arange(9))
+        save_descriptors(tmp_path / "d.vprk", ds)
+        assert (tmp_path / "d.vprk").read_bytes() == tensor_file_by_copies(ds.vectors)
+
+    def test_checkpoint_container(self, rng, tmp_path):
+        tensors = {"weight": rng.standard_normal((4, 3)), "bias": np.zeros(0),
+                   "power": np.float64(3.0), "view": rng.standard_normal((6, 6))[::3, ::2]}
+        config = {"grid": [2, 2], "name": "ünï"}
+        save_checkpoint(tmp_path / "c.vprc", "conv_ap", tensors, config)
+        header = json.dumps({"format": FORMAT_VERSION, "aggregator": "conv_ap",
+                             "tensors": list(tensors), "config": config},
+                            sort_keys=True).encode("utf-8")
+        expected = (CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(header)) + header
+                    + b"".join(tensor_file_by_copies(t) for t in tensors.values()))
+        assert (tmp_path / "c.vprc").read_bytes() == expected
+
+
+class TestFloat64Reads:
+    def test_values_equal_a_float32_load_converted(self, rng, tmp_path):
+        for n in (0, 1, READ_BLOCK_BYTES // 4 - 1, READ_BLOCK_BYTES // 4, 3 * READ_BLOCK_BYTES // 4 + 5):
+            path = tmp_path / f"t{n}.vprk"
+            save_tensor(path, rng.standard_normal(n))
+            wide = load_tensor(path, np.float64)
+            assert wide.dtype == np.float64 and wide.shape == (n,)
+            assert wide.tobytes() == load_tensor(path).astype(np.float64).tobytes()
+
+    def test_descriptor_and_checkpoint_loads_are_float64(self, rng, tmp_path):
+        vectors = rng.standard_normal((700, 33))
+        save_descriptors(tmp_path / "d.vprk", DescriptorSet(
+            vectors, [str(i) for i in range(700)], np.zeros(700), np.zeros(700), np.arange(700)))
+        back = load_descriptors(tmp_path / "d.vprk").vectors
+        assert back.dtype == np.float64
+        assert back.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()
+        save_checkpoint(tmp_path / "c.vprc", "pca", {"mean": vectors}, {})
+        _, tensors, _ = load_checkpoint(tmp_path / "c.vprc")
+        assert tensors["mean"].tobytes() == back.tobytes()
+
+    def test_stored_payloads_stay_float32(self, rng, tmp_path):
+        save_tensor(tmp_path / "p.vprk", rng.standard_normal((2, 3, 3, 4)))
+        assert load_tensor(tmp_path / "p.vprk").dtype == np.float32
+
+    def test_peak_is_the_float64_array_and_one_buffer(self, tmp_path):
+        path = tmp_path / "d.vprk"
+        save_descriptors(path, DescriptorSet(np.ones((16, 65536)), [str(i) for i in range(16)],
+                                             np.zeros(16), np.zeros(16), np.arange(16)))
+        tracemalloc.start()
+        try:
+            vectors = load_descriptors(path).vectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the float64 array: the read buffer, and a few KiB for the sidecar and small objects
+        assert vectors.nbytes <= peak < vectors.nbytes + READ_BLOCK_BYTES + (1 << 14)
+
+    @pytest.mark.parametrize("cut", [1, 4, 4 * 40000])
+    def test_truncated_payload_rejected_before_any_read(self, tmp_path, cut):
+        path = tmp_path / "t.vprk"
+        save_tensor(path, np.ones((200, 400)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match="truncated file while reading payload"):
+            load_tensor(path, np.float64)
+
+    def test_short_read_in_a_later_block_rejected(self, rng):
+        class ShortSecondRead(io.BytesIO):  # the second payload block read delivers one byte less
+            reads = 0
+
+            def readinto(self, buf):
+                self.reads += 1
+                view = memoryview(buf).cast("B")
+                return super().readinto(view[:len(view) - (self.reads == 2)])
+
+        blob = bytes(tensor_bytes(rng.standard_normal((100, 400))))  # three payload blocks
+        with pytest.raises(FormatError, match="shrank while reading payload"):
+            read_tensor_stream(ShortSecondRead(blob), np.float64)
+
+
+class TestTableBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.text(alphabet=st.sampled_from(list(',"\r\n ab#\t\x00é')),
+                                          max_size=6), min_size=3, max_size=3), max_size=8),
+           header=st.lists(st.sampled_from(["id", "a,b", 'q"', "x y"]), min_size=3, max_size=3))
+    def test_equals_csv_writer(self, rows, header):
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(rows)
+        columns = [list(column) for column in zip(*rows)] if rows else [[], [], []]
+        assert table_bytes(header, columns) == text.getvalue().encode("utf-8")
+
+    def test_sidecar_field_quoting_reads_back(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "cr\rlf\r\n", "lf\n", "plain", ""]
+        n = len(ids)
+        save_descriptors(tmp_path / "d.vprk", DescriptorSet(np.ones((n, 2)), ids, np.zeros(n),
+                                                            np.zeros(n), np.arange(n)))
+        assert load_descriptors(tmp_path / "d.vprk").ids == ids
+

@@ -393,12 +393,12 @@ class TestTextEdges:
         big = "x" * (csv.field_size_limit() + 1)
         manifest = tmp_path / "m.csv"
         manifest.write_text(",".join(MANIFEST_HEADER) + f"\n0,{big},45,7,,2010,1\n0,b,91,7,,2010,1\n")
-        with pytest.raises(ManifestError, match="field larger than field limit"):
+        with pytest.raises(ManifestError, match=r"m\.csv: line 3: lat 91\.0 outside \[-90, 90\]$"):
             ingest_manifest(manifest, allow_small_places=True)
         path = tmp_path / "d.vprk"
         save_tensor(path, np.zeros((2, 1)))
         sidecar_path(path).write_text(f"id,lat,lon,place_id\n{big},0,0,1\nb,0,0,x\n")
-        with pytest.raises(FormatError, match="field larger than field limit"):
+        with pytest.raises(FormatError, match=r"d\.csv: line 3: bad sidecar row: .*'x'$"):
             load_descriptors(path)
 
     def test_non_utf8_manifest_names_file_and_line(self, tmp_path):
@@ -406,6 +406,18 @@ class TestTextEdges:
         path.write_bytes(",".join(MANIFEST_HEADER).encode() + b"\r\n0,a,45,7,,2010,1\r\n0,\xff,45,7,,2010,1\r\n")
         with pytest.raises(ManifestError, match=rf"^{path}: line 3: not UTF-8: "):
             ingest_manifest(path, allow_small_places=True)
+
+    def test_field_limit_restored(self, tmp_path):
+        before = csv.field_size_limit()
+        big = "x" * (before + 1)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(",".join(MANIFEST_HEADER) + f"\n0,{big},45,7,,2010,1\n0,b,45,7,,2010,x\n")
+        with pytest.raises(ManifestError, match="line 3"):
+            ingest_manifest(manifest, allow_small_places=True)
+        assert csv.field_size_limit() == before
+        manifest.write_text(",".join(MANIFEST_HEADER) + f"\n0,{big},45,7,,2010,1\n")
+        assert ingest_manifest(manifest, allow_small_places=True).images()[0].image_ref == big
+        assert csv.field_size_limit() == before
 
 
 # ---------------------------------------------------------------------------
