@@ -7,14 +7,18 @@ from the artifacts alone. Exit status is 0 exactly when all requested
 artifacts were written.
 
 A database directory holds `manifest.csv` plus an optional rank-4
-`payloads.vprk` tensor row-aligned with the manifest; it loads as the
-database's payload array, float32 as stored.
+`payloads.vprk` tensor row-aligned with the manifest; `train` and `eval`
+keep that file open as the database's payload store and read its maps
+block by block, float32 as stored, never all at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -201,12 +205,19 @@ def save_db_dir(db: PlacesDB, out_dir: Path) -> None:
     tensorio.write_atomic_files(files)
 
 
-def load_db_dir(path: Path) -> PlacesDB:
-    """Read a database directory; each command checks the place sizes it needs."""
+@contextlib.contextmanager
+def load_db_dir(path: Path):
+    """A database directory, its payload file held open as its store until the block ends.
+
+    Each command checks the place sizes it needs.
+    """
     db = places.ingest_manifest(path / "manifest.csv", allow_small_places=True)
-    if (path / "payloads.vprk").exists():
-        db.attach_payloads(tensorio.load_tensor(path / "payloads.vprk"))
-    return db
+    if not (path / "payloads.vprk").exists():
+        yield db
+        return
+    with tensorio.TensorRows(path / "payloads.vprk") as rows:
+        db.attach_payloads(rows)
+        yield db
 
 
 def _train_config(config: dict) -> TrainConfig:
@@ -273,10 +284,9 @@ def cmd_build_db(args) -> int:
 def cmd_train(args) -> int:
     config = resolve_config(args)
     cfg = _train_config(config)
-    db = load_db_dir(Path(args.db))
     holdout = int(config["eval"]["queries_per_place"])
-    train_db = places.training_view(db, holdout)
-    params, log = trainer.train(train_db, cfg)
+    with load_db_dir(Path(args.db)) as db:
+        params, log = trainer.train(places.training_view(db, holdout), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trainer.save_train_checkpoint(out / "checkpoint.vprc", cfg, params)
@@ -295,11 +305,11 @@ def _load_eval_sets(args, config):
     if not args.db or not args.checkpoint:
         raise ConfigError("eval needs either --queries/--refs or --db/--checkpoint")
     kind, params, _ = trainer.load_train_checkpoint(args.checkpoint)
-    db = load_db_dir(Path(args.db))
-    queries, refs = places.query_reference_split(
-        db, int(config["eval"]["queries_per_place"])
-    )
-    return _descriptor_set(kind, params, queries), _descriptor_set(kind, params, refs)
+    with load_db_dir(Path(args.db)) as db:
+        queries, refs = places.query_reference_split(
+            db, int(config["eval"]["queries_per_place"])
+        )
+        return _descriptor_set(kind, params, queries), _descriptor_set(kind, params, refs)
 
 
 def cmd_eval(args) -> int:
@@ -500,10 +510,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
+# glibc's mallopt parameters, and the threshold both are set to.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+ALLOC_THRESHOLD_BYTES = 32 << 20
+
+
+@functools.cache
+def _set_allocator_policy() -> None:
+    """Fix glibc malloc's mmap and trim thresholds at ALLOC_THRESHOLD_BYTES, once per process.
+
+    Left dynamic, glibc raises both after a large mapped block is freed, so
+    whether each training step's (N, N) temporaries reuse heap or are
+    mapped and faulted in afresh would depend on what ran earlier. Both are
+    fixed: a fixed mmap threshold alone leaves the trim threshold at
+    128 KiB, which returns freed heap after every step. Skipped where the C
+    library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # not ctypes.util.find_library: that runs a subprocess
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param in (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD):
+        mallopt(param, ALLOC_THRESHOLD_BYTES)
+
+
 def run_command(argv: list[str]) -> int:
     """Parse argv and execute; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    _set_allocator_policy()
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (VprkitError, ValueError, OSError, KeyError) as exc:

@@ -45,7 +45,7 @@ class GroundTruthMatcher:
     def __post_init__(self):
         if self.mode not in ("geo", "label"):
             raise ValueError(f"unknown ground-truth mode {self.mode!r}")
-        if self.radius_m < 0:
+        if not self.radius_m >= 0:  # NaN fails too
             raise ValueError("radius_m must be >= 0")
 
     def correct(self, queries: DescriptorSet, refs: DescriptorSet) -> np.ndarray:

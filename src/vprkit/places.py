@@ -6,11 +6,14 @@ geographically disjoint at the resolution of a lat/lon grid cell
 (0.001 degrees, roughly 100 meters).
 
 Image payloads are dense feature maps (h, w, c); this module never touches
-pixels. A database keeps all of them in one (M, h, w, c) array and each
-image refers to its row, so a batch is one `take`, and a stage over a
-whole set (`stage_payloads`) takes one block of rows at a time. Real data
-enters through a CSV manifest, desk-scale experiments use the seeded
-synthetic generator.
+pixels. A database's maps are the rows of one (M, h, w, c) store, either
+an array (`synth_places` builds one in float64) or a `tensorio.TensorRows`
+reading them from the open payload file, and each image refers to its
+row. A batch is one `take`, and a stage over a whole set
+(`stage_payloads`) takes one block of rows at a time, so a loaded
+database never holds all of its maps in memory. Real data enters through
+a CSV manifest, desk-scale experiments use the seeded synthetic
+generator.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FeatureMapError, ManifestError, SamplerError
-from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, lifted_field_limit, read_table,
-                       read_text, table_bytes)
+from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, lifted_field_limit,
+                       read_table, read_text, table_bytes)
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
@@ -36,7 +39,7 @@ SYNTH_ORIGIN = (45.0, 7.0)
 
 # Float64 bytes of maps `stage_payloads` converts at a time. A block this size
 # stays in cache, and it bounds the memory a stage over a whole set needs
-# beyond the store and the stage's output.
+# beyond an in-memory store and the stage's output.
 PAYLOAD_BLOCK_BYTES = 1 << 20
 
 # Mean Earth radius (IUGG), meters.
@@ -52,7 +55,8 @@ class ImageRecord:
     """One image of a place: an opaque reference plus capture metadata.
 
     Its (h, w, c) feature map, if any, is row `row` of `store`, the
-    (M, h, w, c) payload array of its database.
+    (M, h, w, c) payload store of its database: an array or a
+    `tensorio.TensorRows`.
     """
 
     image_ref: str
@@ -85,9 +89,9 @@ class ImageRecord:
 
     @payload.setter
     def payload(self, fmap: None) -> None:
-        # maps enter only through a database's array (PlacesDB.attach_payloads)
+        # maps enter only through a database's store (PlacesDB.attach_payloads)
         if fmap is not None:
-            raise ValueError("a payload is a row of its database's array; only None detaches it")
+            raise ValueError("a payload is a row of its database's store; only None detaches it")
         self.store = None
 
 
@@ -139,14 +143,18 @@ class PlacesDB:
         return [img for place in self.places for img in place.images]
 
     @property
-    def payloads(self) -> np.ndarray | None:
-        """The (M, h, w, c) array whose rows the images' maps are; None unless all share one."""
+    def payloads(self) -> np.ndarray | TensorRows | None:
+        """The (M, h, w, c) store whose rows the images' maps are; None unless all share one.
+
+        It is an array, or the `TensorRows` of a payload file.
+        """
         return _shared_store(self.images())
 
-    def attach_payloads(self, stack: np.ndarray) -> None:
-        """Make a rank-4 array the payloads, row i for the i-th image in place order.
+    def attach_payloads(self, stack: np.ndarray | TensorRows) -> None:
+        """Make a rank-4 store the payloads, row i for the i-th image in place order.
 
-        The array is kept as given (a float32 file load stays float32).
+        The store is kept as given: an array (a float32 file load stays
+        float32) or the `TensorRows` of an open payload file.
         """
         expected = self.num_images()
         if stack.ndim != 4 or stack.shape[0] != expected:
@@ -158,6 +166,8 @@ class PlacesDB:
 
     def payloads_in_order(self) -> np.ndarray | None:
         """The images' maps, row i for the i-th image in place order; None without `payloads`.
+
+        `payloads` must be an array.
 
         This is `payloads` itself when the images are its rows in order, as
         in every database `attach_payloads` or `synth_places` built.
@@ -348,11 +358,13 @@ class SynthConfig:
     noise_contrast: float = 30.0
 
     def __post_init__(self):
-        if self.max_shift < 0 or self.gain < 0 or self.noise_sigma < 0 or self.latent_blur < 0:
+        # written so that NaN fails each comparison
+        if not (self.max_shift >= 0 and self.gain >= 0 and self.noise_sigma >= 0
+                and self.latent_blur >= 0):
             raise ValueError("perturbation magnitudes and latent_blur must be nonnegative")
         if not 0.0 <= self.unstable_fraction <= 1.0:
             raise ValueError("unstable_fraction must be in [0, 1]")
-        if self.noise_contrast < 1.0:
+        if not self.noise_contrast >= 1.0:
             raise ValueError("noise_contrast must be >= 1")
 
 
@@ -466,8 +478,8 @@ class BatchSpec:
             raise ValueError("need at least 2 images per place for positives")
 
 
-def _shared_store(images: list[ImageRecord]) -> np.ndarray | None:
-    """The payload array every image is a row of; None if one has no map or they differ."""
+def _shared_store(images: list[ImageRecord]) -> np.ndarray | TensorRows | None:
+    """The payload store every image is a row of; None if one has no map or they differ."""
     store = images[0].store if images else None
     if store is None or any(img.store is not store for img in images):
         return None
@@ -483,7 +495,7 @@ def gather_payloads(images: list[ImageRecord]) -> np.ndarray:
     return store.take(rows, axis=0).astype(np.float64, copy=False)
 
 
-def _store_rows(images: list[ImageRecord]) -> tuple[np.ndarray, np.ndarray]:
+def _store_rows(images: list[ImageRecord]) -> tuple[np.ndarray | TensorRows, np.ndarray]:
     store = _shared_store(images)
     if store is None:
         raise ValueError("images do not share one payload array")
@@ -494,11 +506,11 @@ def stage_payloads(images: list[ImageRecord], place_ids, stage: Callable) -> np.
     """`stage(gather_payloads(images))` for a row-wise stage, holding one block of maps at a time.
 
     Each block is the float64 maps of as many images as fit in
-    PAYLOAD_BLOCK_BYTES (at least one): one `take` from the shared store,
-    converted exactly. `stage` checks and transforms a block; its rows go
-    into one preallocated output. A map the stage rejects with a
-    FeatureMapError is named by its image_ref and place id (`place_ids[i]`
-    is the place of `images[i]`).
+    PAYLOAD_BLOCK_BYTES (at least one): one `take` from the shared store
+    (from a `TensorRows`, a read of the file), converted exactly. `stage`
+    checks and transforms a block; its rows go into one preallocated
+    output. A map the stage rejects with a FeatureMapError is named by its
+    image_ref and place id (`place_ids[i]` is the place of `images[i]`).
     """
     store, rows = _store_rows(images)
     step = max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))

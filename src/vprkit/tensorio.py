@@ -9,6 +9,10 @@ Tensor files are little-endian and self-describing:
     dims    rank x u32
     payload row-major float32
 
+`load_tensor` reads a whole tensor; `TensorRows` keeps a checked file
+open and reads only the rows asked for, so a database's feature maps
+(`payloads.vprk`) never need to be in memory all at once.
+
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
 and manifests are read by `read_table`, column by column in C, and
@@ -124,12 +128,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
-def read_tensor_stream(fh, dtype="<f4") -> np.ndarray:
-    """The next tensor of a seekable file as `dtype`, the stored float32 or float64.
-
-    A little-endian float32 array is read straight into, any other through
-    one float32 buffer of at most READ_BLOCK_BYTES.
-    """
+def _read_dims(fh) -> tuple[int, ...]:
+    """A tensor's header from a seekable file, checked up to the payload's size; returns its dims."""
     magic = _read_exact(fh, 4, "magic")
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
@@ -139,13 +139,23 @@ def read_tensor_stream(fh, dtype="<f4") -> np.ndarray:
     if tag != DTYPE_F32:
         raise FormatError(f"unsupported dtype tag {tag}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-    count = math.prod(dims)  # exact: u32 dims may overflow an int64 product
-    _check_left(fh, 4 * count, "payload")
+    _check_left(fh, 4 * math.prod(dims), "payload")  # exact: u32 dims may overflow an int64 product
     try:
-        arr = np.empty(dims, dtype=dtype)
-    except ValueError as exc:  # more dims than numpy takes
+        np.empty((0,) * rank)  # numpy's rank limit, checked without allocating
+    except ValueError as exc:
         raise FormatError(f"unsupported tensor rank {rank}: {exc}") from None
+    return dims
+
+
+def read_tensor_stream(fh, dtype="<f4") -> np.ndarray:
+    """The next tensor of a seekable file as `dtype`, the stored float32 or float64.
+
+    A little-endian float32 array is read straight into, any other through
+    one float32 buffer of at most READ_BLOCK_BYTES.
+    """
+    arr = np.empty(_read_dims(fh), dtype=dtype)
     flat = arr.reshape(-1)
+    count = len(flat)
     direct = arr.dtype == np.dtype("<f4")  # no intermediate copy at all
     buf = flat if direct else np.empty(min(count, READ_BLOCK_BYTES // 4), "<f4")
     for start in range(0, count, max(len(buf), 1)):
@@ -164,6 +174,60 @@ def load_tensor(path: str | Path, dtype="<f4") -> np.ndarray:
         if fh.read(1):
             raise FormatError("trailing bytes after tensor payload")
     return arr
+
+
+class TensorRows:
+    """A tensor file held open, read row by row along its first axis.
+
+    Opening checks the file as `load_tensor` does, with the same
+    FormatErrors, and keeps the checked file open: every later read comes
+    from it, even if its path is replaced. `close` (or leaving a `with`
+    block) releases it.
+    """
+
+    def __init__(self, path: str | Path):
+        self._fh = Path(path).open("rb")
+        try:
+            self.shape = _read_dims(self._fh)
+            self._start = self._fh.tell()
+            self._row_bytes = 4 * math.prod(self.shape[1:])
+            if self._fh.seek(0, io.SEEK_END) > self._start + 4 * math.prod(self.shape):
+                raise FormatError("trailing bytes after tensor payload")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def take(self, rows, axis: int = 0) -> np.ndarray:
+        """The float32 rows at the indices `rows`, in that order: one read per run of consecutive rows."""
+        if axis != 0 or not self.shape:
+            raise ValueError("rows are taken along the first axis of a tensor of rank >= 1")
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        if len(rows) and not (0 <= rows.min() and rows.max() < self.shape[0]):
+            raise IndexError(f"row index out of range for {self.shape[0]} rows")
+        out = np.empty((len(rows), *self.shape[1:]), "<f4")
+        flat = out.reshape(len(rows), self._row_bytes // 4)
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # rows are >= 0
+        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+            self._fh.seek(self._start + int(rows[lo]) * self._row_bytes)
+            if self._fh.readinto(flat[lo:hi]) != flat[lo:hi].nbytes:
+                raise FormatError("file shrank while reading payload")
+        return out
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self.take([row])[0]
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "TensorRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------

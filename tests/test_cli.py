@@ -1,13 +1,17 @@
+import contextlib
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vprkit import cli, places
 from vprkit.cli import parse_report_lines, run_command
 from vprkit.evaluator import RecallReport
-from vprkit.tensorio import DescriptorSet, save_descriptors
+from vprkit.tensorio import DescriptorSet, load_tensor, save_descriptors
 
 SMALL_SYNTH = [
     "--set", "synth.num_places=12",
@@ -646,6 +650,34 @@ class TestEntryPoint:
         )
         assert result.returncode != 0
 
+    def test_one_parser_gives_each_parse_its_own_values(self):
+        first = cli._parser().parse_args(["synth", "--out", "a", "--set", "seed=1", "--set", "seed=2"])
+        second = cli._parser().parse_args(["synth", "--out", "b"])
+        assert (first.out, first.set, first.func) == ("a", ["seed=1", "seed=2"], cli.cmd_synth)
+        assert (second.out, second.set) == ("b", None)
+
+
+class TestAllocatorPolicy:
+    @staticmethod
+    def _policy_with(monkeypatch, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._set_allocator_policy.__wrapped__()  # uncached: the process-wide call already ran
+
+    def test_both_thresholds_fixed(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        self._policy_with(monkeypatch, Libc())
+        assert sorted(calls) == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 32 << 20)]
+
+    def test_skipped_without_mallopt(self, monkeypatch):
+        self._policy_with(monkeypatch, object())
+
 
 class TestMalformedSidecar:
     def test_reduce_fit_on_short_row_fails_cleanly(self, tmp_path, rng, capsys):
@@ -924,3 +956,50 @@ class TestTrainHoldOut:
         assert rc == 1
         assert "queries_per_place must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+class TestPayloadFileReads:
+    """`train` and `eval` read payloads.vprk block by block instead of loading it whole."""
+
+    @staticmethod
+    def _run(tmp_path, db, name):
+        """Artifacts of train then eval, by path; trainlog.json without its wall time."""
+        out = tmp_path / name
+        assert run_command(["train", "--db", str(db), "--out", str(out / "train"), *SMALL_TRAIN]) == 0
+        assert run_command(["eval", "--db", str(db), "--checkpoint",
+                            str(out / "train" / "checkpoint.vprc"), "--out", str(out / "eval")]) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        log = json.loads(files.pop(Path("train/trainlog.json")))
+        del log["wall_clock_s"]
+        return files, log
+
+    def test_same_bytes_as_from_the_loaded_array(self, tmp_path, monkeypatch):
+        db = synth(tmp_path)
+
+        @contextlib.contextmanager
+        def load_whole(path):  # the payload file loaded into one array, as the store
+            loaded = places.ingest_manifest(path / "manifest.csv", allow_small_places=True)
+            loaded.attach_payloads(load_tensor(path / "payloads.vprk"))
+            yield loaded
+
+        # a few maps per block, so a set's rows are read in many runs and blocks
+        monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", 8 * 5 * 5 * 8 * 5)
+        from_file = self._run(tmp_path, db, "rows")
+        monkeypatch.setattr(cli, "load_db_dir", load_whole)
+        assert self._run(tmp_path, db, "array") == from_file
+
+    def test_peak_memory_stays_below_the_payload_file(self, tmp_path):
+        db = synth(tmp_path, extra=["--set", "synth.height=12", "--set", "synth.width=12",
+                                    "--set", "synth.channels=256"])
+        size = (db / "payloads.vprk").stat().st_size  # 12 x 6 maps of 144 KiB: 10.6 MB
+        run_dir = tmp_path / "run"
+        for argv in (["train", "--db", str(db), "--out", str(run_dir), *SMALL_TRAIN],
+                     ["eval", "--db", str(db), "--checkpoint", str(run_dir / "checkpoint.vprc"),
+                      "--out", str(tmp_path / "eval")]):
+            tracemalloc.start()
+            try:
+                assert run_command(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < size

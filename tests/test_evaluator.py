@@ -262,6 +262,10 @@ class TestGroundTruth:
         assert matches[0].tolist() == [0]
         assert matches[1].tolist() == [1]
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius_m"):
+            GroundTruthMatcher(mode="geo", radius_m=float("nan"))
+
     def test_geo_25m_classifies_planted_pairs(self, rng):
         # references planted ~11 m and ~110 m away from each query
         for trial in range(100):

@@ -135,3 +135,8 @@ class TestSynthConfig:
 
     def test_zero_latent_blur_accepted(self):
         check_against_oracle(3, 2, (3, 3, 2), SynthConfig(latent_blur=0), seed=1)
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "gain", "noise_contrast"])
+    def test_nan_magnitude_rejected(self, field):
+        with pytest.raises(ValueError, match="must be"):
+            SynthConfig(**{field: math.nan})

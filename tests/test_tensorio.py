@@ -17,6 +17,7 @@ from vprkit.tensorio import (
     FORMAT_VERSION,
     READ_BLOCK_BYTES,
     DescriptorSet,
+    TensorRows,
     copy_descriptors,
     load_checkpoint,
     load_descriptors,
@@ -574,3 +575,78 @@ class TestTableBytes:
                                                             np.zeros(n), np.arange(n)))
         assert load_descriptors(tmp_path / "d.vprk").ids == ids
 
+
+def _tensor_head(dims, version=FORMAT_VERSION, tag=1):
+    return b"VPRK" + struct.pack(f"<HBB{len(dims)}I", version, tag, len(dims), *dims)
+
+
+_WHOLE = bytes(tensor_bytes(np.arange(16.0).reshape(4, 4)))
+# the files `load_tensor` rejects in the tests above, and the other checks of its header
+CORRUPT_TENSOR_FILES = {
+    "empty": b"",
+    "bad magic": b"NOPE" + bytes(12),
+    "short header": b"VPRK\x01",
+    "bad version": _tensor_head((3,), version=9) + bytes(12),
+    "bad dtype tag": _tensor_head((3,), tag=2) + bytes(12),
+    "dims cut short": _tensor_head((2, 3))[:-2],
+    "truncated payload": _WHOLE[:-8],
+    "dims beyond file": _tensor_head((4096, 4096)) + bytes(12),
+    "dims whose product overflows int64": _tensor_head((65536,) * 4) + bytes(8),
+    "rank beyond numpy's": _tensor_head((1,) * 65) + bytes(4),
+    "trailing bytes": _WHOLE + b"x",
+}
+
+
+class TestTensorRows:
+    @pytest.mark.parametrize("name", sorted(CORRUPT_TENSOR_FILES))
+    def test_open_rejects_what_load_tensor_rejects(self, tmp_path, name):
+        path = tmp_path / "t.vprk"
+        path.write_bytes(CORRUPT_TENSOR_FILES[name])
+        with pytest.raises(FormatError) as loaded:
+            load_tensor(path)
+        with pytest.raises(FormatError) as opened:
+            TensorRows(path)
+        assert str(opened.value) == str(loaded.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, 9), max_size=25))
+    def test_take_equals_indexing_the_loaded_array(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rows") / "t.vprk"
+        save_tensor(path, np.random.default_rng(len(rows)).standard_normal((10, 3, 2, 5)))
+        with TensorRows(path) as store:
+            taken = store.take(rows, axis=0)
+        expected = load_tensor(path)[rows]
+        assert taken.dtype == np.float32 and taken.shape == expected.shape
+        assert taken.tobytes() == expected.tobytes()
+
+    def test_rows_and_shape_of_a_map_store(self, rng, tmp_path):
+        path = tmp_path / "t.vprk"
+        save_tensor(path, rng.standard_normal((5, 2, 3, 4)))
+        whole = load_tensor(path)
+        with TensorRows(path) as store:
+            assert (store.shape, store.ndim) == ((5, 2, 3, 4), 4)
+            assert store[3].tobytes() == whole[3].tobytes()
+            for bad in ([5], [-1]):
+                with pytest.raises(IndexError):
+                    store.take(bad)
+            with pytest.raises(ValueError, match="first axis"):
+                store.take([0], axis=1)
+
+    def test_reads_come_from_the_file_opened(self, rng, tmp_path):
+        path = tmp_path / "t.vprk"
+        save_tensor(path, rng.standard_normal((4, 3)))
+        first = load_tensor(path)
+        with TensorRows(path) as store:
+            save_tensor(path, rng.standard_normal((4, 3)))  # a new file renamed onto the path
+            assert store.take([2, 0, 1]).tobytes() == first[[2, 0, 1]].tobytes()
+
+    def test_file_truncated_after_open_fails_at_take(self, rng, tmp_path):
+        path = tmp_path / "t.vprk"
+        whole = rng.standard_normal((64, 256)).astype(np.float32)  # 1 KiB rows, 64 KiB in all
+        save_tensor(path, whole)
+        with TensorRows(path) as store:
+            with path.open("r+b") as fh:
+                fh.truncate(path.stat().st_size - 4)
+            assert store.take([0]).tobytes() == whole[:1].tobytes()
+            with pytest.raises(FormatError, match="shrank while reading payload"):
+                store.take([62, 63])
