@@ -154,6 +154,8 @@ def _apply_set(config: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ConfigError(f"--set {key}: value nested too deeply") from None
     node = config
     parts = key.split(".")
     for part in parts[:-1]:
@@ -168,7 +170,10 @@ def _apply_set(config: dict, assignment: str) -> None:
 def resolve_config(args) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            loaded = json.loads(tensorio.read_text(args.config, ConfigError))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         _check_schema(loaded, DEFAULT_CONFIG)
@@ -437,7 +442,12 @@ def cmd_report(args) -> int:
     config = resolve_config(args)
     reports = []
     for path in args.results:
-        reports.append(RecallReport.from_kv_lines(Path(path).read_text(encoding="utf-8")))
+        try:
+            reports.append(RecallReport.from_kv_lines(tensorio.read_text(path, FormatError)))
+        except KeyError as exc:
+            raise FormatError(f"{path}: no {exc.args[0]!r} line") from None
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
     text, machine = report_table(reports)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -139,10 +139,13 @@ class RecallReport:
     label: str = ""
 
     def __post_init__(self):
+        if not self.ks or min(self.ks) < 1 or len(set(self.ks)) < len(self.ks):
+            raise ValueError("ks must be distinct positive integers")
         values = [self.recall_at[k] for k in sorted(self.ks)]
-        if any(v < 0.0 or v > 1.0 for v in values):
+        # written so that NaN fails both checks
+        if not all(0.0 <= v <= 1.0 for v in values):
             raise ValueError("recall values must lie in [0, 1]")
-        if any(b < a for a, b in zip(values, values[1:])):
+        if not all(a <= b for a, b in zip(values, values[1:])):
             raise ValueError("recall must be nondecreasing in k")
 
     def to_kv_lines(self) -> str:

@@ -57,33 +57,14 @@ class LossOutput:
     degenerate: bool = False
 
 
-@dataclass
-class PairLabels:
-    """Binary positive-pair indicator: I[i, j] = 1 iff labels match, i != j."""
-
-    indicator: np.ndarray
-
-    def __post_init__(self):
-        self.indicator = np.asarray(self.indicator, dtype=bool)
-        n = self.indicator.shape[0]
-        if self.indicator.shape != (n, n):
-            raise ValueError("indicator must be square")
-        if np.any(np.diag(self.indicator)):
-            raise ValueError("indicator diagonal must be zero")
-        if not np.array_equal(self.indicator, self.indicator.T):
-            raise ValueError("indicator must be symmetric")
-
-    @property
-    def positive(self) -> np.ndarray:
-        return self.indicator
-
-    @property
-    def negative(self) -> np.ndarray:
-        return ~self.indicator & ~np.eye(len(self.indicator), dtype=bool)
+class PairLabels(MinedSet):
+    """Full supervision as a mined set: every in-batch pair the labels define."""
 
     @classmethod
     def from_labels(cls, labels) -> "PairLabels":
-        return cls(label_masks(labels)[0])
+        """The masks of `mining.enumerate_pairs`; one label gives the empty 1 x 1 set."""
+        same, diff, _ = label_masks(labels)
+        return cls(same, diff)
 
 
 @dataclass
@@ -250,11 +231,10 @@ def multi_similarity_loss(
         (1/alpha) * log(1 + sum_{j in P_i} exp(-alpha (S_ij - m)))
       + (1/beta)  * log(1 + sum_{k in N_i} exp( beta  (S_ik - m)))
 
-    `pairs` is either PairLabels (full supervision) or a MinedSet whose
-    per-anchor sets were pre-filtered by a miner; both carry (N, N)
-    `positive` and `negative` masks. Anchors with empty sets contribute
-    zero. Each log term is evaluated as a softplus of a log-sum-exp, so it
-    stays finite for any alpha and beta.
+    `pairs` is a MinedSet: every in-batch pair, or the per-anchor sets a
+    miner kept. Anchors with empty sets contribute zero. Each log term is
+    evaluated as a softplus of a log-sum-exp, so it stays finite for any
+    alpha and beta.
     """
     s = _resolve_sim(batch, sim)
     pos, neg = _flat_masks(len(batch), pairs)
@@ -296,16 +276,16 @@ def _weak_triplet(batch, sim, query, pos, neg, cfg: LossConfig) -> LossOutput:
 
 def weak_triplet_loss(
     batch: EmbeddingBatch,
-    weak: WeakTuple | MinedSet | PairLabels,
+    weak: WeakTuple | MinedSet,
     cfg: LossConfig,
     sim: np.ndarray | None = None,
 ) -> LossOutput:
     """Triplet loss against the best potential positive of each query.
 
-    `weak` is one WeakTuple, or a MinedSet or PairLabels whose rows with a
-    potential positive are the queries. Each definite negative adds a hinge
-    against the query's most similar potential positive (ties go to the
-    smaller index); the value is the mean over queries.
+    `weak` is one WeakTuple, or a MinedSet whose rows with a potential
+    positive are the queries. Each definite negative adds a hinge against
+    the query's most similar potential positive (ties go to the smaller
+    index); the value is the mean over queries.
     """
     if isinstance(weak, WeakTuple):
         return weak_triplet_total(batch, [weak], cfg, sim=sim)

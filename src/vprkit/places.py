@@ -8,12 +8,12 @@ geographically disjoint at the resolution of a lat/lon grid cell
 Image payloads are dense feature maps (h, w, c); this module never touches
 pixels. A database's maps are the rows of one (M, h, w, c) store, either
 an array (`synth_places` builds one in float64) or a `tensorio.TensorRows`
-reading them from the open payload file, and each image refers to its
-row. A batch is one `take`, and a stage over a whole set
-(`stage_payloads`) takes one block of rows at a time, so a loaded
-database never holds all of its maps in memory. Real data enters through
-a CSV manifest, desk-scale experiments use the seeded synthetic
-generator.
+reading them from the open payload file. A store enters a database only
+through `PlacesDB.attach_payloads`, which points each image at its row.
+A batch is one `take`, and a stage over a whole set (`stage_payloads`)
+takes one block of rows at a time, so a loaded database never holds all
+of its maps in memory. Real data enters through a CSV manifest,
+desk-scale experiments use the seeded synthetic generator.
 """
 
 from __future__ import annotations
@@ -50,13 +50,14 @@ MANIFEST_COLUMNS = {"place_id": INT64, "image_ref": TEXT, "lat": FLOAT64, "lon":
 MANIFEST_HEADER = list(MANIFEST_COLUMNS)
 
 
-@dataclass
+@dataclass(slots=True)  # one record per image: slots keep it small, store and row set by __init__
 class ImageRecord:
     """One image of a place: an opaque reference plus capture metadata.
 
     Its (h, w, c) feature map, if any, is row `row` of `store`, the
     (M, h, w, c) payload store of its database: an array or a
-    `tensorio.TensorRows`.
+    `tensorio.TensorRows`. Both are set by `PlacesDB.attach_payloads`
+    alone, never passed to the constructor.
     """
 
     image_ref: str
@@ -65,8 +66,8 @@ class ImageRecord:
     bearing: float | None = None
     year: int = 0
     month: int = 1
-    store: np.ndarray | None = field(default=None, repr=False, compare=False)
-    row: int = 0
+    store: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    row: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
@@ -170,7 +171,7 @@ class PlacesDB:
         `payloads` must be an array.
 
         This is `payloads` itself when the images are its rows in order, as
-        in every database `attach_payloads` or `synth_places` built.
+        in every database `attach_payloads` built.
         """
         store = self.payloads
         if store is None:
@@ -453,10 +454,11 @@ def synth_places(
         place_lon = SYNTH_ORIGIN[1] + (pid % grid_cols) * DEFAULT_CELL_DEG + 0.0005
         refs = [f"synth_{pid:05d}_{j:02d}" for j in range(k)]
         images = list(map(ImageRecord, refs, (place_lat + jitter_lat).tolist(),
-                          (place_lon + jitter_lon).tolist(), bearing.tolist(), years, months,
-                          [stack] * k, range(pid * k, (pid + 1) * k)))
+                          (place_lon + jitter_lon).tolist(), bearing.tolist(), years, months))
         places.append(Place(pid, images))
-    return PlacesDB(places)
+    db = PlacesDB(places)
+    db.attach_payloads(stack)
+    return db
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +500,9 @@ def gather_payloads(images: list[ImageRecord]) -> np.ndarray:
 def _store_rows(images: list[ImageRecord]) -> tuple[np.ndarray | TensorRows, np.ndarray]:
     store = _shared_store(images)
     if store is None:
-        raise ValueError("images do not share one payload array")
+        bare = next((img for img in images if img.store is None), None)
+        raise ValueError("images do not share one payload array" if bare is None
+                         else f"image {bare.image_ref!r} has no payload")
     return store, np.fromiter((img.row for img in images), dtype=np.intp, count=len(images))
 
 

@@ -9,9 +9,11 @@ Tensor files are little-endian and self-describing:
     dims    rank x u32
     payload row-major float32
 
-`load_tensor` reads a whole tensor; `TensorRows` keeps a checked file
-open and reads only the rows asked for, so a database's feature maps
-(`payloads.vprk`) never need to be in memory all at once.
+A tensor file is opened as a `TensorRows`, which checks it and keeps it
+open; `load_tensor` reads it whole, `TensorRows.take` reads only the rows
+asked for, so a database's feature maps (`payloads.vprk`) never need to
+be in memory all at once. Every payload read, of a whole tensor or of a
+run of rows, goes through `read_into`.
 
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
@@ -57,6 +59,7 @@ TENSOR_MAGIC = b"VPRK"
 CHECKPOINT_MAGIC = b"VPRC"
 FORMAT_VERSION = 1
 DTYPE_F32 = 1
+F32 = np.dtype("<f4")  # the payload's in-memory dtype
 
 
 # Bytes of the float32 buffer a float64 read converts from, one block at a time.
@@ -147,42 +150,37 @@ def _read_dims(fh) -> tuple[int, ...]:
     return dims
 
 
-def read_tensor_stream(fh, dtype="<f4") -> np.ndarray:
-    """The next tensor of a seekable file as `dtype`, the stored float32 or float64.
+def read_into(fh, out: np.ndarray) -> np.ndarray:
+    """`out`, a C-contiguous float32 or float64 array, filled from the file's next float32 bytes.
 
     A little-endian float32 array is read straight into, any other through
     one float32 buffer of at most READ_BLOCK_BYTES.
     """
-    arr = np.empty(_read_dims(fh), dtype=dtype)
-    flat = arr.reshape(-1)
-    count = len(flat)
-    direct = arr.dtype == np.dtype("<f4")  # no intermediate copy at all
-    buf = flat if direct else np.empty(min(count, READ_BLOCK_BYTES // 4), "<f4")
-    for start in range(0, count, max(len(buf), 1)):
-        part = buf[:count - start]
+    flat = out.reshape(-1)
+    direct = out.dtype == F32  # no intermediate copy at all
+    buf = flat if direct else np.empty(min(flat.size, READ_BLOCK_BYTES // 4), F32)
+    for start in range(0, flat.size, buf.size or 1):
+        part = buf if direct else buf[:flat.size - start]
         if fh.readinto(part) != part.nbytes:
             raise FormatError("file shrank while reading payload")
         if not direct:
-            flat[start:start + len(part)] = part
-    return arr
+            flat[start:start + part.size] = part
+    return out
 
 
 def load_tensor(path: str | Path, dtype="<f4") -> np.ndarray:
-    """A tensor file's array as `dtype` (see `read_tensor_stream`)."""
-    with Path(path).open("rb") as fh:
-        arr = read_tensor_stream(fh, dtype)
-        if fh.read(1):
-            raise FormatError("trailing bytes after tensor payload")
-    return arr
+    """A tensor file's array as `dtype`, the stored float32 or float64 (see `TensorRows`)."""
+    with TensorRows(path) as rows:
+        return rows.read(dtype)
 
 
 class TensorRows:
-    """A tensor file held open, read row by row along its first axis.
+    """A tensor file held open, read whole or row by row along its first axis.
 
-    Opening checks the file as `load_tensor` does, with the same
-    FormatErrors, and keeps the checked file open: every later read comes
-    from it, even if its path is replaced. `close` (or leaving a `with`
-    block) releases it.
+    Opening checks the file's header and that its size is exactly the
+    header and payload, and keeps the checked file open: every later read
+    comes from it, even if its path is replaced. `close` (or leaving a
+    `with` block) releases it.
     """
 
     def __init__(self, path: str | Path):
@@ -208,14 +206,17 @@ class TensorRows:
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         if len(rows) and not (0 <= rows.min() and rows.max() < self.shape[0]):
             raise IndexError(f"row index out of range for {self.shape[0]} rows")
-        out = np.empty((len(rows), *self.shape[1:]), "<f4")
-        flat = out.reshape(len(rows), self._row_bytes // 4)
+        out = np.empty((len(rows), *self.shape[1:]), F32)
         starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # rows are >= 0
         for lo, hi in zip(starts, [*starts[1:], len(rows)]):
             self._fh.seek(self._start + int(rows[lo]) * self._row_bytes)
-            if self._fh.readinto(flat[lo:hi]) != flat[lo:hi].nbytes:
-                raise FormatError("file shrank while reading payload")
+            read_into(self._fh, out[lo:hi])
         return out
+
+    def read(self, dtype="<f4") -> np.ndarray:
+        """The whole tensor as `dtype` (see `read_into`)."""
+        self._fh.seek(self._start)
+        return read_into(self._fh, np.empty(self.shape, dtype))
 
     def __getitem__(self, row: int) -> np.ndarray:
         return self.take([row])[0]
@@ -564,7 +565,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
         _check_checkpoint_header(header)
         tensors = {}
         for name in header["tensors"]:
-            tensors[name] = read_tensor_stream(fh, np.float64)
+            tensors[name] = read_into(fh, np.empty(_read_dims(fh), np.float64))
         if fh.read(1):
             raise FormatError("trailing bytes after checkpoint tensors")
     return header["aggregator"], tensors, header.get("config", {})

@@ -86,7 +86,10 @@ def test_trained_checkpoints_do_not_depend_on_the_block_size(tmp_path, monkeypat
 def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, kind):
     # a 6 MB float32 store, 64 maps of 12 KB (float64) per block
     store = np.random.default_rng(0).standard_normal((512,) + (8, 8, 24)).astype(np.float32)
-    images = [places.ImageRecord(f"m{i}", 0.0, 0.0, store=store, row=i) for i in range(len(store))]
+    db = places.PlacesDB([places.Place(0, [places.ImageRecord(f"m{i}", 0.0, 0.0)
+                                           for i in range(len(store))])])
+    db.attach_payloads(store)
+    images = db.images()
     ids = np.zeros(len(images), int)
     block = 64 * 8 * 8 * 8 * 24
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block)

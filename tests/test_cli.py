@@ -146,6 +146,38 @@ class TestConfigHandling:
         assert "train.margin" in capsys.readouterr().err
 
 
+class TestUnparsableConfig:
+    """A config input that does not parse fails with one error line naming its source."""
+
+    @staticmethod
+    def _rejected(tmp_path, capsys, argv, source):
+        capsys.readouterr()
+        rc = run_command(["synth", "--out", str(tmp_path / "x"), *argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and source in err
+        assert not (tmp_path / "x").exists()
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        self._rejected(tmp_path, capsys, ["--config", str(cfg)], f"config file {cfg}: ")
+
+    def test_deeply_nested_set_value(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, ["--set", "seed=" + "[" * 50_000 + "]" * 50_000],
+                       "--set seed: ")
+
+    def test_truncated_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1', encoding="utf-8")
+        self._rejected(tmp_path, capsys, ["--config", str(cfg)], f"config file {cfg}: ")
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 1,\n "x": "\xff"}')
+        self._rejected(tmp_path, capsys, ["--config", str(cfg)], f"{cfg}: line 2: not UTF-8")
+
+
 class TestBuildDb:
     def test_manifest_roundtrip(self, tmp_path):
         src = synth(tmp_path, "src")
@@ -253,6 +285,18 @@ class TestTrainEval:
         assert rc == 0
         report = RecallReport.from_kv_lines((out / "report.kv").read_text())
         assert report.recall_at[1] == 1.0
+
+    def test_eval_on_a_db_without_payloads_names_an_image(self, tmp_path, capsys):
+        db = synth(tmp_path)
+        run = tmp_path / "run"
+        assert run_command(["train", "--db", str(db), "--out", str(run), *SMALL_TRAIN]) == 0
+        (db / "payloads.vprk").unlink()
+        capsys.readouterr()
+        rc = run_command(["eval", "--db", str(db), "--checkpoint", str(run / "checkpoint.vprc"),
+                          "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: image 'synth_00000_04' has no payload\n"
+        assert not (tmp_path / "eval").exists()
 
     def test_eval_requires_inputs(self, tmp_path):
         assert run_command(["eval", "--out", str(tmp_path / "x")]) == 1
@@ -623,6 +667,33 @@ class TestReport:
         assert parsed[("run_a", 1)] == values[0]  # exact round trip
         assert parsed[("run_a", 5)] == values[1]
         assert parsed[("run_a", 10)] == values[2]
+
+    def test_nan_recall_rejected(self, tmp_path, capsys):
+        path = tmp_path / "a.kv"
+        self._write_report(path, "a", [0.5, 0.6, 0.7])
+        path.write_text(path.read_text().replace("recall@1=0.5\n", "recall@1=nan\n"))
+        capsys.readouterr()
+        assert run_command(["report", str(path), "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: recall values must lie in [0, 1]\n"
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("key", ["ks", "recall@5"])
+    def test_missing_line_named(self, tmp_path, capsys, key):
+        path = tmp_path / "a.kv"
+        self._write_report(path, "a", [0.5, 0.6, 0.7])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(f"{key}=")))
+        capsys.readouterr()
+        assert run_command(["report", str(path), "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no {key!r} line\n"
+
+    @pytest.mark.parametrize("ks", ["", "0", "-1,5", "5,5"])
+    def test_ks_must_be_distinct_and_positive(self, tmp_path, capsys, ks):
+        path = tmp_path / "a.kv"
+        path.write_text(f"label=a\nks={ks}\nrecall@0=0.5\nrecall@-1=0.5\nrecall@5=0.6\n")
+        capsys.readouterr()
+        assert run_command(["report", str(path), "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: ks must be distinct positive integers\n"
 
     def test_inconsistent_ks_rejected(self, tmp_path):
         a = tmp_path / "a.kv"

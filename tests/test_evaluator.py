@@ -592,6 +592,11 @@ class TestRecallReportSerialization:
         with pytest.raises(ValueError):
             RecallReport(ks=[1, 5], recall_at={1: 0.9, 5: 0.5})
 
+    @pytest.mark.parametrize("recall_at", [{1: np.nan, 5: 1.0}, {1: 0.5, 5: np.nan}])
+    def test_nan_recall_rejected(self, recall_at):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            RecallReport(ks=[1, 5], recall_at=recall_at)
+
     def test_text_render(self):
         report = RecallReport(ks=[1, 5], recall_at={1: 0.5, 5: 0.75}, queries_evaluated=4)
         text = report.to_text()

@@ -172,6 +172,24 @@ class TestTriplet:
             checked += 1
 
 
+class TestPairLabels:
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.integers(0, 3), min_size=2, max_size=12))
+    def test_masks_equal_enumerate_pairs(self, labels):
+        pairs, full = PairLabels.from_labels(labels), enumerate_pairs(labels)
+        assert isinstance(pairs, MinedSet)
+        assert np.array_equal(pairs.positive, full.positive)
+        assert np.array_equal(pairs.negative, full.negative)
+
+    @pytest.mark.parametrize("loss", [contrastive_loss, multi_similarity_loss, weak_triplet_loss])
+    def test_one_label_is_the_empty_set(self, rng, loss):
+        batch = EmbeddingBatch(random_unit_rows(rng, 1, 4), np.array([3]))
+        pairs = PairLabels.from_labels(batch.labels)
+        assert pairs.positive.shape == pairs.negative.shape == (1, 1) and pairs.is_empty()
+        out = loss(batch, pairs, LossConfig())
+        assert out.degenerate and out.value == 0.0 and not out.grad.any()
+
+
 class TestMultiSimilarity:
     def test_single_positive_at_margin(self):
         cfg = LossConfig(margin=0.5, ms_alpha=2.0, ms_beta=50.0)

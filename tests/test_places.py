@@ -308,6 +308,18 @@ class TestPayloadStore:
         with pytest.raises(ValueError, match="share one payload array"):
             gather_payloads([])
 
+    def test_gather_names_an_image_without_a_payload(self):
+        db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
+        images = db.images()
+        images[5].payload = None
+        with pytest.raises(ValueError, match="^image 'synth_00001_01' has no payload$"):
+            gather_payloads(images)
+
+    @pytest.mark.parametrize("argument", [{"store": np.zeros((1, 2, 2, 1))}, {"row": 0}])
+    def test_store_and_row_are_set_only_by_attach_payloads(self, argument):
+        with pytest.raises(TypeError):
+            ImageRecord("x", 0.0, 0.0, **argument)
+
     def test_batch_index_points_into_the_sampler_images(self):
         db = tiny_db()
         sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))

@@ -22,7 +22,7 @@ from vprkit.tensorio import (
     load_checkpoint,
     load_descriptors,
     load_tensor,
-    read_tensor_stream,
+    read_into,
     save_checkpoint,
     save_descriptors,
     save_tensor,
@@ -89,7 +89,8 @@ class TestTensorFormat:
                 return super().readinto(view[:len(view) // 2])
 
         with pytest.raises(FormatError, match="shrank while reading payload"):
-            read_tensor_stream(ShortRead(tensor_bytes(rng.standard_normal((4, 4)))))
+            read_into(ShortRead(bytes(tensor_bytes(rng.standard_normal((4, 4))))[16:]),
+                      np.empty((4, 4), "<f4"))
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         path = tmp_path / "t.vprk"
@@ -550,9 +551,9 @@ class TestFloat64Reads:
                 view = memoryview(buf).cast("B")
                 return super().readinto(view[:len(view) - (self.reads == 2)])
 
-        blob = bytes(tensor_bytes(rng.standard_normal((100, 400))))  # three payload blocks
+        payload = bytes(tensor_bytes(rng.standard_normal((100, 400))))[16:]  # three blocks
         with pytest.raises(FormatError, match="shrank while reading payload"):
-            read_tensor_stream(ShortSecondRead(blob), np.float64)
+            read_into(ShortSecondRead(payload), np.empty((100, 400)))
 
 
 class TestTableBytes:
