@@ -99,12 +99,15 @@ FIXED_LENGTH_KEYS = ("train.grid",)
 
 
 def _check_schema(config: dict, template: dict, path: str = "") -> None:
-    """Reject unknown keys and values whose type differs from the default's.
+    """Reject unknown or missing keys and values whose type differs from the default's.
 
-    Exact type tests keep booleans out of numbers; a number must be finite
-    as a float (no NaN, Infinity or larger integer). Null defaults take
-    null or a number; list defaults (all lists of ints) take lists of ints.
+    A key is missing only when overrides replaced its section. Exact type
+    tests keep booleans out of numbers; a number must be finite as a float
+    (no NaN, Infinity or larger integer). Null defaults take null or a
+    number; list defaults (all lists of ints) take lists of ints.
     """
+    for key in (key for key in template if key not in config):
+        raise ConfigError(f"config key {f'{path}.{key}' if path else key!r} is missing")
     for key, value in config.items():
         where = f"{path}.{key}" if path else key
         if key not in template:
@@ -136,17 +139,17 @@ def _check_schema(config: dict, template: dict, path: str = "") -> None:
             raise ConfigError(f"config key {where!r} must be {expected}, got {value!r}")
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+def _merge_into(config: dict, override: dict) -> None:
+    """Merge `override` into `config` in place: a section key by key, any other value replaced."""
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(value, dict) and isinstance(config.get(key), dict):
+            _merge_into(config[key], value)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            config[key] = value
 
 
-def _apply_set(config: dict, assignment: str) -> None:
+def _set_override(assignment: str) -> dict:
+    """`--set a.b=v` as the one-key config `{"a": {"b": v}}`; v is JSON, else a string."""
     key, sep, raw = assignment.partition("=")
     if not sep:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
@@ -156,18 +159,13 @@ def _apply_set(config: dict, assignment: str) -> None:
         value = raw
     except RecursionError:
         raise ConfigError(f"--set {key}: value nested too deeply") from None
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config section {part!r} in --set {key}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {key!r} in --set")
-    node[parts[-1]] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 def resolve_config(args) -> dict:
+    """The defaults merged with the `--config` file, then each `--set`, then `--seed`; checked once."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         try:
@@ -176,13 +174,15 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        _check_schema(loaded, DEFAULT_CONFIG)
-        config = _deep_merge(config, loaded)
-    for assignment in getattr(args, "set", None) or []:
-        _apply_set(config, assignment)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    _check_schema(config, DEFAULT_CONFIG)
+        _merge_into(config, loaded)
+    try:  # a dotted key nests as deep as it has parts
+        for assignment in getattr(args, "set", None) or []:
+            _merge_into(config, _set_override(assignment))
+        if getattr(args, "seed", None) is not None:
+            config["seed"] = args.seed
+        _check_schema(config, DEFAULT_CONFIG)
+    except RecursionError:
+        raise ConfigError("config nested too deeply") from None
     return config
 
 
@@ -404,14 +404,11 @@ def report_table(results: list[RecallReport]) -> tuple[str, str]:
     """Multi-run table: rows sorted by label, one column per recall@k.
 
     Returns (text table, machine-readable lines). All reports must share
-    the same ks.
+    the same ks (`cmd_report` checks them).
     """
     if not results:
         raise ValueError("no results to report")
     ks = results[0].ks
-    for rep in results:
-        if rep.ks != ks:
-            raise ValueError(f"inconsistent ks: {rep.ks} vs {ks}")
     rows = sorted(results, key=lambda r: r.label)
     width = max(12, max(len(r.label) for r in rows) + 2)
     header = "run".ljust(width) + " ".join(f"{'R@' + str(k):>9s}" for k in ks)
@@ -448,6 +445,9 @@ def cmd_report(args) -> int:
             raise FormatError(f"{path}: no {exc.args[0]!r} line") from None
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        if reports[-1].ks != reports[0].ks:
+            raise FormatError(f"{path}: ks {reports[-1].ks} differ from {reports[0].ks} "
+                              f"in {args.results[0]}")
     text, machine = report_table(reports)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -100,12 +100,9 @@ def _best_k(scores: np.ndarray, k: int) -> np.ndarray:
     # the partition puts every score below the k-th place to its left, so a
     # row has more than k scores at or above kth exactly when one there equals it
     tied = np.flatnonzero(part[:, :r - k].max(axis=1, initial=-np.inf) == kth[:, 0])
-    if len(tied) == len(scores):
-        keep = _first_k_at_or_above(scores, kth, k)
-    else:
-        keep = scores >= kth
-        if len(tied):
-            keep[tied] = _first_k_at_or_above(scores[tied], kth[tied], k)
+    keep = scores >= kth
+    if len(tied):
+        keep[tied] = _first_k_at_or_above(scores[tied], kth[tied], k)
     # one flat scan: np.nonzero of a 2-D mask builds its row indices far more slowly
     chosen = (np.flatnonzero(keep) % r).reshape(len(scores), k)
     best_first = np.argsort(-np.take_along_axis(scores, chosen, axis=1), axis=1, kind="stable")

@@ -19,9 +19,7 @@ desk-scale experiments use the seeded synthetic generator.
 from __future__ import annotations
 
 import csv
-import io
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -29,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FeatureMapError, ManifestError, SamplerError
-from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, lifted_field_limit,
-                       read_table, read_text, table_bytes)
+from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, read_table, read_text,
+                       table_bytes)
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
@@ -221,27 +219,6 @@ def haversine(a: tuple, b: tuple) -> np.ndarray:
 # Manifest ingestion
 # ---------------------------------------------------------------------------
 
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
-def _blank_rows_emptied(text: str) -> str:
-    """The manifest text with each row of blank fields after the header made one empty line.
-
-    The manifest skips such rows and the table reader skips empty lines; as
-    one record each, they still count towards line numbers. The rows are
-    found by tokenising, as a quoted field may span lines.
-    """
-    lines = _LINE.findall(text)
-    out, start = [], 0
-    reader = csv.reader(io.StringIO(text, newline=""))
-    with lifted_field_limit(text):
-        for fields in reader:
-            blank = start and not "".join(fields).strip()
-            out.extend(["\n"] if blank else lines[start:reader.line_num])
-            start = reader.line_num
-    return "".join(out)
-
-
 def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
     """The manifest's images grouped by place id, places and images in file order.
 
@@ -249,11 +226,7 @@ def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
     the line, with the row's first problem in the order of the checks:
     fields, numbers, image_ref, ImageRecord's ranges, duplicates.
     """
-    text = read_text(path, ManifestError)
-    table = read_table(text, MANIFEST_COLUMNS)
-    # a row of blank fields always fails the reader (its place_id is no number)
-    if table.fault and (emptied := _blank_rows_emptied(text)) != text:
-        table = read_table(emptied, MANIFEST_COLUMNS)
+    table = read_table(read_text(path, ManifestError), MANIFEST_COLUMNS, skip_blank_rows=True)
     if table.header is None:
         raise ManifestError(f"{path}: line 1: empty file, expected header")
     if [h.strip() for h in table.header] != MANIFEST_HEADER:

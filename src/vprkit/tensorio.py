@@ -17,8 +17,9 @@ run of rows, goes through `read_into`.
 
 Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
-and manifests are read by `read_table`, column by column in C, and
-written by `table_bytes`, column by column.
+and manifests are read by `read_table`, column by column in C (a text the
+C reader fails on is read again by one `csv` pass, which finds its first
+bad row), and written by `table_bytes`, column by column.
 
 Every file this module writes goes through `write_atomic_files`: a temp
 file beside each target, then `os.replace`, so a write that fails partway
@@ -305,18 +306,19 @@ def _field_value(text: str, kind: str):
     return value
 
 
-def _records(text: str):
-    """(record, line, fields) of each non-empty record after the header.
+def _records(text: str, skip_blank_rows: bool):
+    """(record, line, fields) of each non-empty record after the header, csv's field limit lifted.
 
-    `record` counts the records after the header from 0, empty ones too;
-    `line` is the physical line the record ends on. Callers iterate under
-    `lifted_field_limit`.
+    `record` counts the records after the header from 0, skipped ones too;
+    `line` is the physical line the record ends on. With `skip_blank_rows`,
+    records whose fields are all blank are skipped as well.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader, None)
-    for record, fields in enumerate(reader):
-        if fields:
-            yield record, reader.line_num, fields
+    with lifted_field_limit(text):
+        next(reader, None)
+        for record, fields in enumerate(reader):
+            if fields and not (skip_blank_rows and not "".join(fields).strip()):
+                yield record, reader.line_num, fields
 
 
 @dataclass
@@ -344,27 +346,28 @@ class Table:
     header: list[str] | None
     columns: dict
     fault: RowFault | None
+    skip_blank_rows: bool
 
     def locate(self, row: int) -> tuple[int, int]:
         """(record, line) of data row `row`, as `_records` counts them; re-tokenises the text."""
         where = (-1, 1)
-        with lifted_field_limit(self.text):
-            for i, (record, line, _) in enumerate(_records(self.text)):
-                where = (record, line)
-                if i == row:
-                    break
+        for i, (record, line, _) in enumerate(_records(self.text, self.skip_blank_rows)):
+            where = (record, line)
+            if i == row:
+                break
         return where
 
 
-def read_table(text: str, columns: dict[str, str]) -> Table:
+def read_table(text: str, columns: dict[str, str], skip_blank_rows: bool = False) -> Table:
     """CSV text as a header record and typed columns, tokenised and converted by numpy's C reader.
 
     `columns` maps each column's name to its kind, in file order. Empty
     lines are skipped. A quoted field may hold commas, doubled quotes and
-    line breaks; `#` is text. A row with another field count, or a field
-    its kind rejects, ends the columns and becomes `fault`: only then is
-    the text tokenised again, by `csv`, to find that row. The header and
-    that pass take fields of any length (`lifted_field_limit`).
+    line breaks; `#` is text. Only when the C reader fails does `_scan`
+    read the text again, in one `csv` pass: the first row with another
+    field count, or a field its kind rejects, ends the columns as `fault`.
+    `skip_blank_rows` skips rows of blank fields in that pass (the C reader
+    rejects them if a column is a number). Fields may be of any length.
     """
     fh = io.StringIO(text, newline="")
     with lifted_field_limit(text):
@@ -379,9 +382,9 @@ def read_table(text: str, columns: dict[str, str]) -> Table:
                 rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                                   ndmin=1)
         table = {name: _column(rows[name], kind) for name, kind in columns.items()}
-    except (ValueError, DeprecationWarning) as exc:
-        return _scan(text, header, columns, exc)
-    return Table(text, header, table, None)
+    except (ValueError, DeprecationWarning):
+        return _scan(text, header, columns, skip_blank_rows)
+    return Table(text, header, table, None, skip_blank_rows)
 
 
 def _column(fields: np.ndarray, kind: str):
@@ -395,27 +398,24 @@ def _column(fields: np.ndarray, kind: str):
     return [float(word) if word else None for word in words]
 
 
-def _scan(text: str, header, columns: dict[str, str], exc: Exception) -> Table:
-    """The table up to the first row that failed, found field by field by the C reader's rules."""
-    values = []
-    with lifted_field_limit(text):
-        for row, (_, _, fields) in enumerate(_records(text)):
-            if len(fields) != len(columns):
-                fault = RowFault(row, len(fields), None)
-                break
-            try:
-                values.append([_field_value(f, kind) for f, kind in zip(fields, columns.values())])
-            except ValueError as err:
-                fault = RowFault(row, len(fields), str(err))
-                break
-        else:  # the C reader rejected a row these rules take
-            fault = RowFault(len(values), len(columns), str(exc))
+def _scan(text: str, header, columns: dict[str, str], skip_blank_rows: bool) -> Table:
+    """The table up to the first row that failed, read field by field by `_field_value`'s rules."""
+    values, fault = [], None
+    for row, (_, _, fields) in enumerate(_records(text, skip_blank_rows)):
+        if len(fields) != len(columns):
+            fault = RowFault(row, len(fields), None)
+            break
+        try:
+            values.append([_field_value(f, kind) for f, kind in zip(fields, columns.values())])
+        except ValueError as err:
+            fault = RowFault(row, len(fields), str(err))
+            break
     table = {}
     by_column = zip(*values) if values else [()] * len(columns)
     for (name, kind), column in zip(columns.items(), by_column):
         stored_as = _STORED_AS[kind]
         table[name] = list(column) if stored_as is object else np.array(column, dtype=stored_as)
-    return Table(text, header, table, fault)
+    return Table(text, header, table, fault, skip_blank_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,29 @@ class TestConfigHandling:
         assert rc == 1
         assert "train.margin" in capsys.readouterr().err
 
+    def test_set_section_value_merges_like_a_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"gain": 0.2}}), encoding="utf-8")
+        by_set = synth(tmp_path, "set", extra=["--set", 'synth={"gain": 0.2}'])
+        by_file = synth(tmp_path, "file", extra=["--config", str(cfg)])
+        resolved = (by_set / "resolved_config.json").read_bytes()
+        assert json.loads(resolved)["synth"] == dict(
+            cli.DEFAULT_CONFIG["synth"], num_places=12, images_per_place=6, height=5, width=5,
+            channels=8, gain=0.2)
+        assert resolved == (by_file / "resolved_config.json").read_bytes()
+
+    def test_unknown_set_key_named_by_its_dotted_name(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_command(["synth", "--out", str(tmp_path / "x"), "--set", "synth.bogus=1"]) == 1
+        assert "'synth.bogus'" in capsys.readouterr().err
+
+    def test_section_replaced_then_set_again_names_a_missing_key(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run_command(["synth", "--out", str(tmp_path / "x"), "--set", "synth=5",
+                          "--set", "synth.gain=0.2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config key 'synth.num_places' is missing\n"
+
 
 class TestUnparsableConfig:
     """A config input that does not parse fails with one error line naming its source."""
@@ -166,6 +189,11 @@ class TestUnparsableConfig:
     def test_deeply_nested_set_value(self, tmp_path, capsys):
         self._rejected(tmp_path, capsys, ["--set", "seed=" + "[" * 50_000 + "]" * 50_000],
                        "--set seed: ")
+
+    def test_deeply_dotted_set_key(self, tmp_path, capsys):
+        key = "seed" + ".a" * 50_000
+        self._rejected(tmp_path, capsys, ["--set", f"{key}=1", "--set", f"{key}=2"],
+                       "config nested too deeply")
 
     def test_truncated_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -702,6 +730,15 @@ class TestReport:
         rep = RecallReport(ks=[1, 2], recall_at={1: 0.5, 2: 0.6}, label="b")
         b.write_text(rep.to_kv_lines(), encoding="utf-8")
         assert run_command(["report", str(a), str(b), "--out", str(tmp_path / "t")]) == 1
+
+    def test_inconsistent_ks_names_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.kv", tmp_path / "b.kv"
+        a.write_text(RecallReport(ks=[1, 5], recall_at={1: 0.5, 5: 0.6}, label="a").to_kv_lines())
+        b.write_text(RecallReport(ks=[1], recall_at={1: 0.5}, label="b").to_kv_lines())
+        capsys.readouterr()
+        assert run_command(["report", str(a), str(b), "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"error: {b}: ks [1] differ from [1, 5] in {a}\n"
+        assert not (tmp_path / "t").exists()
 
 
 class TestEntryPoint:

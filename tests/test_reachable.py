@@ -6,6 +6,10 @@ refers to it: as a name, an attribute, a keyword, an import or a string that
 is a dotted name (the benchmark's tracer names its targets in strings). The
 unit tests do not count, so a function only they call fails here, unless it
 is a kept test helper listed in KEPT.
+
+A module-level constant of the package counts as reached only when one of
+those sources loads it, as a name or an attribute: its own assignment, or
+an import that nothing reads, does not keep it.
 """
 
 from __future__ import annotations
@@ -71,6 +75,32 @@ def defined_names() -> dict[str, str]:
     return out
 
 
+def loaded_names(path: Path) -> set[str]:
+    """The names a source loads, as a name or an attribute (not as an assignment's target)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def defined_constants(paths) -> dict[str, str]:
+    """Each name that a module's top-level assignments bind, dunder names aside, with where."""
+    out = {}
+    for path in sorted(paths):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for node in (n for target in targets for n in ast.walk(target)):
+                    if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                        out.setdefault(node.id, f"{path.name}:{stmt.lineno}")
+    return out
+
+
+def unloaded_constants(package: list[Path], sources: list[Path]) -> dict[str, str]:
+    loaded = set().union(*(loaded_names(p) for p in sources))
+    return {name: where for name, where in defined_constants(package).items()
+            if name not in loaded}
+
+
 def test_every_definition_is_reached():
     reached = reached_names()
     unreached = {name: where for name, where in defined_names().items()
@@ -81,3 +111,17 @@ def test_every_definition_is_reached():
 def test_every_kept_name_is_defined_and_otherwise_unreached():
     reached, defined = reached_names(), defined_names()
     assert [name for name in KEPT if name not in defined or name in reached] == []
+
+
+def test_every_constant_is_loaded():
+    assert unloaded_constants(list(PACKAGE.glob("*.py")), _sources()) == {}
+
+
+def test_a_constant_only_assigned_or_imported_is_flagged(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('import re\n_USED, _UNUSED = 1, re.compile("x")\n'
+                      "_ANNOTATED: int = _USED\n__all__ = []\n", encoding="utf-8")
+    user = tmp_path / "user.py"
+    user.write_text("from module import _ANNOTATED\n_USED = 2\n", encoding="utf-8")
+    assert unloaded_constants([module], [module, user]) == {
+        "_UNUSED": "module.py:2", "_ANNOTATED": "module.py:3"}

@@ -419,6 +419,33 @@ class TestTextEdges:
         assert ingest_manifest(manifest, allow_small_places=True).images()[0].image_ref == big
         assert csv.field_size_limit() == before
 
+    @pytest.mark.parametrize("row, problem", [
+        ("0,b,45,7,,2010,13", "month 13 outside [1, 12]"),
+        ("0,b,45,7,,2010,x", "cannot parse row: invalid literal for int() with base 10: 'x'"),
+        ("0,b,45,7", "expected 7 fields, got 4"),
+    ])
+    def test_blank_field_row_counts_towards_a_bad_rows_line(self, tmp_path, row, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(MANIFEST_HEADER) + f"\n0,a,45,7,,2010,1\n,,,,,,\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            ingest_manifest(path, allow_small_places=True)
+        assert str(info.value) == f"{path}: line 4: {problem}"
+
+    def test_manifest_whose_only_odd_rows_are_blank_fields_loads(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(MANIFEST_HEADER) + '\n,,,,,,\n0,a,45,7,,2010,1\n , \n""\n'
+                        "0,b,45,7,90,2011,2\n,,\n", encoding="utf-8")
+        db = ingest_manifest(path, allow_small_places=True)
+        assert [(img.image_ref, img.bearing) for img in db.images()] == [("a", None), ("b", 90.0)]
+
+    def test_sidecar_row_of_blank_fields_is_an_error(self, tmp_path):
+        path = tmp_path / "d.vprk"
+        save_tensor(path, np.zeros((1, 2)))
+        sidecar_path(path).write_text("id,lat,lon,place_id\n,,,\na,0,0,1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"d\.csv: line 2: bad sidecar row: .*''$"):
+            load_descriptors(path)
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing the I/O boundary
