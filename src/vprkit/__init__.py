@@ -31,7 +31,6 @@ from .evaluator import (
     GroundTruthMatcher,
     PCAModel,
     RecallReport,
-    pca_transform,
     pca_whiten_fit,
     recall_at_k,
     retrieve_topk,

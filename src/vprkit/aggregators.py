@@ -354,6 +354,3 @@ def backward(kind: str, params, fmaps: np.ndarray, upstream: np.ndarray) -> dict
     g_raw = normalize_backward(*unit_rows(h.forward(params, pooled)), upstream)
     return h.backward(params, pooled, g_raw)
 
-
-def trainable_arrays(kind: str, params) -> dict[str, np.ndarray]:
-    return head(kind).arrays(params)

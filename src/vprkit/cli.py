@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import functools
 import json
 import sys
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregators, places, tensorio, trainer
-from .errors import FormatError, VprkitError
+from .errors import FormatError, ManifestError, VprkitError
 from .evaluator import (
     GroundTruthMatcher,
     PCAModel,
@@ -217,6 +218,8 @@ def load_db_dir(path: Path):
     Each command checks the place sizes it needs.
     """
     db = places.ingest_manifest(path / "manifest.csv", allow_small_places=True)
+    if not db.num_images():
+        raise ManifestError(f"{path}: the database has no images")
     if not (path / "payloads.vprk").exists():
         yield db
         return
@@ -295,7 +298,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trainer.save_train_checkpoint(out / "checkpoint.vprc", cfg, params)
-    _write_text(out / "trainlog.json", json.dumps(log.to_dict(), indent=2) + "\n")
+    _write_text(out / "trainlog.json", json.dumps(dataclasses.asdict(log), indent=2) + "\n")
     _write_resolved(config, out)
     final = log.losses[-1] if log.losses else float("nan")
     print(f"trained {cfg.aggregator} for {cfg.max_epochs} epochs, final loss {final:.4f}")
@@ -424,17 +427,6 @@ def report_table(results: list[RecallReport]) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(machine) + "\n"
 
 
-def parse_report_lines(text: str) -> dict[tuple[str, int], float]:
-    """Parse the machine-readable table back into {(run, k): recall}."""
-    out = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        fields = dict(part.partition("=")[::2] for part in line.split())
-        out[(fields["run"], int(fields["k"]))] = float(fields["recall"])
-    return out
-
-
 def cmd_report(args) -> int:
     config = resolve_config(args)
     reports = []
@@ -474,7 +466,9 @@ def _add_common(sub):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vprkit", description="desk-scale place recognition experiments"
     )
@@ -518,12 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
 
 
 # glibc's mallopt parameters, and the threshold both are set to.

@@ -53,13 +53,12 @@ def rows_are_unit(m: np.ndarray) -> bool:
 class EmbeddingBatch:
     """N descriptors with aligned integer place labels.
 
-    `rows` is an (N, D) float64 array. When `normalized` is True every
-    row is unit norm (enforced at construction).
+    `rows` is an (N, D) float64 array of unit-norm rows (enforced at
+    construction).
     """
 
     rows: np.ndarray
     labels: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
@@ -70,13 +69,13 @@ class EmbeddingBatch:
             raise ValueError("labels must align with rows")
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("descriptor entries must be finite")
-        if self.normalized and not rows_are_unit(self.rows):
-            raise ValueError("rows flagged normalized but are not unit norm")
+        if not rows_are_unit(self.rows):
+            raise ValueError("rows are not unit norm")
 
     @classmethod
     def from_raw(cls, rows: np.ndarray, labels) -> "EmbeddingBatch":
         """Normalize raw row vectors onto the unit sphere."""
-        return cls(normalize_rows(rows), np.asarray(labels), normalized=True)
+        return cls(normalize_rows(rows), np.asarray(labels))
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -93,16 +92,3 @@ def similarity_matrix(batch: EmbeddingBatch) -> np.ndarray:
         raise ValueError("similarity_matrix requires unit-norm rows")
     z = np.asarray(batch.rows, dtype=np.float64)
     return z @ z.T
-
-
-def check_similarity(s: np.ndarray) -> None:
-    """Validate similarity-matrix invariants; raises ValueError on failure."""
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got {s.shape}")
-    if not np.allclose(s, s.T, atol=UNIT_TOL):
-        raise ValueError("similarity matrix is not symmetric")
-    if not np.allclose(np.diag(s), 1.0, atol=UNIT_TOL):
-        raise ValueError("similarity matrix diagonal is not 1")
-    if np.any(s > 1.0 + UNIT_TOL) or np.any(s < -1.0 - UNIT_TOL):
-        raise ValueError("similarity entries outside [-1, 1]")

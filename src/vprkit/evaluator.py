@@ -339,11 +339,6 @@ def _reduce_rows(model: PCAModel, x: np.ndarray) -> np.ndarray:
     return normalize_rows(model.whiten(x))
 
 
-def pca_transform(model: PCAModel, v: np.ndarray) -> np.ndarray:
-    """Project one descriptor and re-normalize to unit length."""
-    return _reduce_rows(model, np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
-
-
 def pca_transform_set(model: PCAModel, ds: DescriptorSet) -> DescriptorSet:
     """Project every descriptor in a set and re-normalize, keeping metadata."""
     return DescriptorSet(_reduce_rows(model, ds.vectors), ds.ids, ds.lats, ds.lons, ds.place_ids)

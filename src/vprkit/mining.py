@@ -53,9 +53,6 @@ class MinedSet:
             return None
         return list(map(tuple, self.triplet_index.tolist()))
 
-    def is_empty(self) -> bool:
-        return not (self.positive.any() or self.negative.any())
-
     def stats(self) -> dict[str, int]:
         return {
             "positives": int(np.count_nonzero(self.positive)),

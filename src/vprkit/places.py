@@ -8,8 +8,9 @@ geographically disjoint at the resolution of a lat/lon grid cell
 Image payloads are dense feature maps (h, w, c); this module never touches
 pixels. A database's maps are the rows of one (M, h, w, c) store, either
 an array (`synth_places` builds one in float64) or a `tensorio.TensorRows`
-reading them from the open payload file. A store enters a database only
-through `PlacesDB.attach_payloads`, which points each image at its row.
+reading them from the open payload file. Row i is the map of the
+manifest's i-th data row. A store enters a database only through
+`PlacesDB.attach_payloads`, which points each image at it.
 A batch is one `take`, and a stage over a whole set (`stage_payloads`)
 takes one block of rows at a time, so a loaded database never holds all
 of its maps in memory. Real data enters through a CSV manifest,
@@ -48,14 +49,15 @@ MANIFEST_COLUMNS = {"place_id": INT64, "image_ref": TEXT, "lat": FLOAT64, "lon":
 MANIFEST_HEADER = list(MANIFEST_COLUMNS)
 
 
-@dataclass(slots=True)  # one record per image: slots keep it small, store and row set by __init__
+@dataclass(slots=True)  # one record per image: slots keep it small
 class ImageRecord:
     """One image of a place: an opaque reference plus capture metadata.
 
     Its (h, w, c) feature map, if any, is row `row` of `store`, the
     (M, h, w, c) payload store of its database: an array or a
-    `tensorio.TensorRows`. Both are set by `PlacesDB.attach_payloads`
-    alone, never passed to the constructor.
+    `tensorio.TensorRows`. `row` is the image's data row in its manifest,
+    set when the database is read or synthesized; `store` is set by
+    `PlacesDB.attach_payloads`. Neither is passed to the constructor.
     """
 
     image_ref: str
@@ -78,20 +80,9 @@ class ImageRecord:
             raise ValueError(f"month {self.month} outside [1, 12]")
 
     @property
-    def date_stamp(self) -> tuple[int, int]:
-        return (self.year, self.month)
-
-    @property
     def payload(self) -> np.ndarray | None:
         """The feature map as float64 (exact for a float32 store), or None."""
         return None if self.store is None else self.store[self.row].astype(np.float64)
-
-    @payload.setter
-    def payload(self, fmap: None) -> None:
-        # maps enter only through a database's store (PlacesDB.attach_payloads)
-        if fmap is not None:
-            raise ValueError("a payload is a row of its database's store; only None detaches it")
-        self.store = None
 
 
 @dataclass
@@ -102,22 +93,19 @@ class Place:
     def __len__(self) -> int:
         return len(self.images)
 
-    def distinct_dates(self) -> int:
-        return len({img.date_stamp for img in self.images})
-
     def centroid(self) -> tuple[float, float]:
         lat = sum(img.lat for img in self.images) / len(self.images)
         lon = sum(img.lon for img in self.images) / len(self.images)
         return lat, lon
 
 
-def grid_cell(lat: float, lon: float, cell_size_deg: float = DEFAULT_CELL_DEG) -> tuple[int, int]:
-    """Quantize coordinates to a grid cell by floor division.
+def grid_cell(lat: float, lon: float) -> tuple[int, int]:
+    """Quantize coordinates to a DEFAULT_CELL_DEG grid cell by floor division.
 
     Floor is used (rather than rounding) so the assignment is deterministic
     and independent of the order records arrive in.
     """
-    return (math.floor(lat / cell_size_deg), math.floor(lon / cell_size_deg))
+    return (math.floor(lat / DEFAULT_CELL_DEG), math.floor(lon / DEFAULT_CELL_DEG))
 
 
 @dataclass
@@ -150,18 +138,20 @@ class PlacesDB:
         return _shared_store(self.images())
 
     def attach_payloads(self, stack: np.ndarray | TensorRows) -> None:
-        """Make a rank-4 store the payloads, row i for the i-th image in place order.
+        """Make a rank-4 store the payloads: row i is the map of the image from manifest row i.
 
         The store is kept as given: an array (a float32 file load stays
         float32) or the `TensorRows` of an open payload file.
         """
-        expected = self.num_images()
-        if stack.ndim != 4 or stack.shape[0] != expected:
+        images = self.images()
+        if stack.ndim != 4 or stack.shape[0] != len(images):
             raise ValueError(
-                f"payload tensor has shape {stack.shape}, manifest lists {expected} maps"
+                f"payload tensor has shape {stack.shape}, manifest lists {len(images)} maps"
             )
-        for row, img in enumerate(self.images()):
-            img.store, img.row = stack, row
+        if sorted(img.row for img in images) != list(range(len(images))):
+            raise ValueError("the images' rows are not manifest rows 0 to M-1, each once")
+        for img in images:
+            img.store = stack
 
     def payloads_in_order(self) -> np.ndarray | None:
         """The images' maps, row i for the i-th image in place order; None without `payloads`.
@@ -169,7 +159,7 @@ class PlacesDB:
         `payloads` must be an array.
 
         This is `payloads` itself when the images are its rows in order, as
-        in every database `attach_payloads` built.
+        in a synthesized database or one whose manifest lists places whole.
         """
         store = self.payloads
         if store is None:
@@ -256,7 +246,8 @@ def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
         row, _, message = min(problems)
         raise ManifestError(f"{path}: line {table.locate(row)[0] + 2}: {message}")
     grouped: dict[int, list[ImageRecord]] = {}
-    for pid, record in zip(pids, records):
+    for row, (pid, record) in enumerate(zip(pids, records)):
+        record.row = row
         grouped.setdefault(pid, []).append(record)
     return grouped
 
@@ -428,6 +419,8 @@ def synth_places(
         refs = [f"synth_{pid:05d}_{j:02d}" for j in range(k)]
         images = list(map(ImageRecord, refs, (place_lat + jitter_lat).tolist(),
                           (place_lon + jitter_lon).tolist(), bearing.tolist(), years, months))
+        for j, img in enumerate(images):
+            img.row = pid * k + j
         places.append(Place(pid, images))
     db = PlacesDB(places)
     db.attach_payloads(stack)
@@ -516,13 +509,6 @@ class Batch:
     images: list[ImageRecord]
     labels: np.ndarray
     index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    @property
-    def image_refs(self) -> list[str]:
-        return [img.image_ref for img in self.images]
 
     def feature_maps(self) -> np.ndarray:
         """The images' maps as one (P*K, h, w, c) float64 array."""

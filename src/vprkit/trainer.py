@@ -129,13 +129,6 @@ class TrainConfig:
         if self.loss_config is None:
             self.loss_config = losses.default_loss_config(self.loss)
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["batch_spec"] = asdict(self.batch_spec)
-        out["loss_config"] = asdict(self.loss_config)
-        out["grid"] = list(self.grid)
-        return out
-
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Stepped decay: initial_lr * factor^(epoch // every)."""
@@ -165,19 +158,6 @@ class TrainLog:
     def losses(self) -> list[float]:
         return [rec.loss for rec in self.steps]
 
-    def epoch_mean_loss(self, epoch: int) -> float:
-        vals = [rec.loss for rec in self.steps if rec.epoch == epoch]
-        if not vals:
-            raise ValueError(f"no steps logged for epoch {epoch}")
-        return float(np.mean(vals))
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": [asdict(rec) for rec in self.steps],
-            "epoch_lrs": [[e, lr] for e, lr in self.epoch_lrs],
-            "wall_clock_s": self.wall_clock_s,
-        }
-
 
 def init_aggregator(cfg: TrainConfig, in_channels: int):
     """Seeded parameter initialization for the configured head."""
@@ -187,7 +167,7 @@ def init_aggregator(cfg: TrainConfig, in_channels: int):
 
 def embed_feature_maps(kind: str, params, fmaps: np.ndarray, labels) -> EmbeddingBatch:
     """Run the aggregation head over stacked (N, h, w, c) feature maps."""
-    return EmbeddingBatch(aggregators.forward(kind, params, fmaps), labels, normalized=True)
+    return EmbeddingBatch(aggregators.forward(kind, params, fmaps), labels)
 
 
 def _mine(cfg: TrainConfig, sim: np.ndarray, labels: np.ndarray) -> mining.MinedSet:
@@ -210,7 +190,7 @@ def _step(cfg: TrainConfig, head, params, rows, labels, arrays, state, step: int
     Every per-step array is local, so none outlives the step.
     """
     unit, norms = unit_rows(head.forward(params, rows))
-    ebatch = EmbeddingBatch(unit, labels, normalized=True)
+    ebatch = EmbeddingBatch(unit, labels)
     sim = similarity_matrix(ebatch)
     mined = _mine(cfg, sim, labels)
     out = _loss(cfg, ebatch, mined, sim)
@@ -236,7 +216,7 @@ def train(db: PlacesDB, cfg: TrainConfig):
     # checked and pooled once, block by block; row i belongs to sampler.images[i]
     pooled = places.stage_payloads(sampler.images, sampler.labels,
                                    lambda fmaps: aggregators.pool(cfg.aggregator, params, fmaps))
-    arrays = aggregators.trainable_arrays(cfg.aggregator, params)
+    arrays = head.arrays(params)
     state = OptimizerState(
         learning_rate=cfg.initial_lr,
         momentum=cfg.momentum,
@@ -266,8 +246,8 @@ def train(db: PlacesDB, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 def save_train_checkpoint(path, cfg: TrainConfig, params) -> None:
-    tensors = aggregators.trainable_arrays(cfg.aggregator, params)
-    tensorio.save_checkpoint(path, cfg.aggregator, tensors, cfg.to_dict())
+    tensors = aggregators.head(cfg.aggregator).arrays(params)
+    tensorio.save_checkpoint(path, cfg.aggregator, tensors, asdict(cfg))
 
 
 def load_train_checkpoint(path):

@@ -88,6 +88,8 @@ def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, kind):
     store = np.random.default_rng(0).standard_normal((512,) + (8, 8, 24)).astype(np.float32)
     db = places.PlacesDB([places.Place(0, [places.ImageRecord(f"m{i}", 0.0, 0.0)
                                            for i in range(len(store))])])
+    for row, img in enumerate(db.images()):
+        img.row = row
     db.attach_payloads(store)
     images = db.images()
     ids = np.zeros(len(images), int)

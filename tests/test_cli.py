@@ -1,5 +1,7 @@
 import contextlib
 import json
+import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -9,9 +11,9 @@ import numpy as np
 import pytest
 
 from vprkit import cli, places
-from vprkit.cli import parse_report_lines, run_command
+from vprkit.cli import run_command
 from vprkit.evaluator import RecallReport
-from vprkit.tensorio import DescriptorSet, load_tensor, save_descriptors
+from vprkit.tensorio import DescriptorSet, load_tensor, save_descriptors, save_tensor
 
 SMALL_SYNTH = [
     "--set", "synth.num_places=12",
@@ -691,10 +693,9 @@ class TestReport:
         self._write_report(path, "run_a", values)
         out = tmp_path / "table"
         assert run_command(["report", str(path), "--out", str(out)]) == 0
-        parsed = parse_report_lines((out / "table.kv").read_text())
-        assert parsed[("run_a", 1)] == values[0]  # exact round trip
-        assert parsed[("run_a", 5)] == values[1]
-        assert parsed[("run_a", 10)] == values[2]
+        lines = (out / "table.kv").read_text().splitlines()
+        assert lines == [f"run=run_a k={k} recall={v!r}" for k, v in zip((1, 5, 10), values)]
+        assert [float(line.rpartition("=")[2]) for line in lines] == values  # exact round trip
 
     def test_nan_recall_rejected(self, tmp_path, capsys):
         path = tmp_path / "a.kv"
@@ -1111,3 +1112,123 @@ class TestPayloadFileReads:
             finally:
                 tracemalloc.stop()
             assert peak < size
+
+
+def interleave(db, out):
+    """A copy of a synth database directory whose manifest lists places round-robin.
+
+    Row i of its payload file is still the map of its manifest's row i. The
+    places first appear in their order, each one's images in theirs, so
+    grouping the rows by place gives back the synth directory.
+    """
+    header, *lines = (db / "manifest.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    k = int(json.loads((db / "resolved_config.json").read_text())["synth"]["images_per_place"])
+    order = [p * k + j for j in range(k) for p in range(len(lines) // k)]
+    out.mkdir()
+    (out / "manifest.csv").write_text(header + "".join(lines[i] for i in order), encoding="utf-8")
+    save_tensor(out / "payloads.vprk", load_tensor(db / "payloads.vprk")[order])
+    return out
+
+
+class TestManifestRowOrder:
+    """Row i of `payloads.vprk` is the map of manifest data row i, however places interleave."""
+
+    def test_build_db_keeps_each_map_with_its_row(self, tmp_path):
+        db = synth(tmp_path)
+        mixed = interleave(db, tmp_path / "mixed")
+        out = tmp_path / "rebuilt"
+        assert run_command(["build-db", "--manifest", str(mixed / "manifest.csv"),
+                            "--payloads", str(mixed / "payloads.vprk"), "--out", str(out)]) == 0
+        for name in ("manifest.csv", "payloads.vprk"):
+            assert (out / name).read_bytes() == (db / name).read_bytes()
+
+    def test_train_and_eval_read_each_map_by_its_row(self, tmp_path):
+        db = synth(tmp_path)
+        mixed = interleave(db, tmp_path / "mixed")
+
+        def run(db_dir, out):
+            assert run_command(["train", "--db", str(db_dir), "--out", str(out / "train"),
+                                *SMALL_TRAIN]) == 0
+            assert run_command(["eval", "--db", str(db_dir), "--checkpoint",
+                                str(out / "train" / "checkpoint.vprc"),
+                                "--out", str(out / "eval")]) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            log = json.loads(files.pop(Path("train/trainlog.json")))
+            del log["wall_clock_s"]
+            return files, log
+
+        assert run(mixed, tmp_path / "a" / "run") == run(db, tmp_path / "b" / "run")
+
+
+class TestEmptyDatabase:
+    def test_eval_names_a_database_without_images(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("place_id,image_ref,lat,lon,bearing,year,month\n", encoding="utf-8")
+        empty = tmp_path / "empty"
+        assert run_command(["build-db", "--manifest", str(manifest), "--out", str(empty)]) == 0
+        run = tmp_path / "run"
+        assert run_command(["train", "--db", str(synth(tmp_path)), "--out", str(run),
+                            *SMALL_TRAIN]) == 0
+        capsys.readouterr()
+        rc = run_command(["eval", "--db", str(empty), "--checkpoint", str(run / "checkpoint.vprc"),
+                          "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {empty}: the database has no images\n"
+        assert not (tmp_path / "eval").exists()
+
+
+class TestTrainArtifactLayout:
+    """The bytes of `trainlog.json` and of the checkpoint's config echo for one tiny run."""
+
+    TRAINLOG = """{
+  "steps": [
+    {
+      "step": 0,
+      "epoch": 0,
+      "loss": LOSS,
+      "positives": 12,
+      "negatives": 120,
+      "triplets": 0,
+      "skipped_anchors": 0
+    },
+    {
+      "step": 1,
+      "epoch": 0,
+      "loss": LOSS,
+      "positives": 12,
+      "negatives": 120,
+      "triplets": 0,
+      "skipped_anchors": 0
+    }
+  ],
+  "epoch_lrs": [
+    [
+      0,
+      0.03
+    ]
+  ],
+  "wall_clock_s": SECONDS
+}
+"""
+    HEADER = (
+        b'{"aggregator": "conv_ap", "config": {"aggregator": "conv_ap", "batch_spec": '
+        b'{"images_per_place": 2, "num_places": 6, "rng_seed": 7}, "decay_bias": true, '
+        b'"gem_power": 3.0, "grid": [2, 2], "initial_lr": 0.03, "loss": "multi_similarity", '
+        b'"loss_config": {"margin": 0.5, "ms_alpha": 2.0, "ms_beta": 50.0}, "lr_decay_every": 5, '
+        b'"lr_decay_factor": 0.3, "max_epochs": 1, "miner": "all", "miner_epsilon": 0.1, '
+        b'"momentum": 0.9, "out_channels": 8, "rng_seed": 8, "use_bias": true, '
+        b'"weight_decay": 0.001}, "format": 1, "tensors": ["weight", "bias"]}'
+    )
+
+    def test_trainlog_and_config_echo_bytes(self, tmp_path):
+        run = tmp_path / "run"
+        assert run_command(["train", "--db", str(synth(tmp_path)), "--out", str(run), "--seed", "7",
+                            "--set", "train.num_places=6", "--set", "train.images_per_place=2",
+                            "--set", "train.out_channels=8", "--set", "train.max_epochs=1",
+                            "--set", "train.miner=all"]) == 0
+        log = (run / "trainlog.json").read_text(encoding="utf-8")
+        masked = re.sub(r'("loss": )[-+.\de]+', r"\1LOSS", log)
+        assert re.sub(r'("wall_clock_s": )[-+.\de]+', r"\1SECONDS", masked) == self.TRAINLOG
+        raw = (run / "checkpoint.vprc").read_bytes()
+        (size,) = struct.unpack_from("<I", raw, 6)  # after the magic and the u16 version
+        assert raw[10:10 + size] == self.HEADER

@@ -7,7 +7,6 @@ from conftest import random_unit_rows
 from vprkit.embeddings import (
     UNIT_TOL,
     EmbeddingBatch,
-    check_similarity,
     l2_normalize,
     normalize_rows,
     rows_are_unit,
@@ -64,15 +63,19 @@ class TestSimilarityMatrix:
         assert s[0, 1] == pytest.approx(0.6, abs=1e-12)
 
     def test_unnormalized_input_rejected(self):
-        rows = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            similarity_matrix(EmbeddingBatch(rows, np.array([0, 1]), normalized=False))
+        batch = EmbeddingBatch(np.eye(2), np.array([0, 1]))
+        batch.rows = np.array([[1.0, 1.0], [0.0, 1.0]])  # past the constructor's check
+        with pytest.raises(ValueError, match="requires unit-norm rows"):
+            similarity_matrix(batch)
 
     def test_invariants_on_random_batches(self, rng):
         for _ in range(200):
             n, d = int(rng.integers(2, 12)), int(rng.integers(2, 16))
             batch = EmbeddingBatch(random_unit_rows(rng, n, d), np.arange(n))
-            check_similarity(similarity_matrix(batch))
+            s = similarity_matrix(batch)
+            np.testing.assert_allclose(s, s.T, rtol=0, atol=UNIT_TOL)
+            np.testing.assert_allclose(np.diag(s), 1.0, rtol=0, atol=UNIT_TOL)
+            assert np.all(np.abs(s) <= 1.0 + UNIT_TOL)
 
     def test_permutation_equivariance(self, rng):
         for _ in range(200):
@@ -105,7 +108,7 @@ class TestEmbeddingBatch:
 
     def test_normalized_flag_enforced(self):
         with pytest.raises(ValueError):
-            EmbeddingBatch(np.ones((2, 3)), np.arange(2), normalized=True)
+            EmbeddingBatch(np.ones((2, 3)), np.arange(2))
 
     def test_from_raw_normalizes(self, rng):
         batch = EmbeddingBatch.from_raw(rng.standard_normal((6, 4)) * 10, np.arange(6))

@@ -15,7 +15,6 @@ from vprkit.evaluator import (
     PCAModel,
     QueryTrace,
     RecallReport,
-    pca_transform,
     pca_transform_set,
     pca_whiten_fit,
     recall_at_k,
@@ -32,6 +31,12 @@ def make_set(rng, n, d, labels=None, lat0=10.0, lon0=20.0):
     lats = lat0 + 0.001 * np.arange(n)
     lons = np.full(n, lon0)
     return DescriptorSet(vectors, [f"x{i}" for i in range(n)], lats, lons, labels)
+
+
+def transform_one(model, v):
+    """`pca_transform_set` on the one-row set of descriptor v."""
+    one = DescriptorSet(np.reshape(v, (1, -1)), ["v"], [0.0], [0.0], [0])
+    return pca_transform_set(model, one).vectors[0]
 
 
 class TestRetrieveTopk:
@@ -616,7 +621,7 @@ class TestPcaWhitening:
         x = rng.standard_normal((520, 2048))
         model = pca_whiten_fit(x, 512)
         assert model.out_dim == 512
-        assert pca_transform(model, x[0]).shape == (512,)
+        assert transform_one(model, x[0]).shape == (512,)
 
     def test_whitened_covariance_identity_gaussian(self, rng):
         # anisotropic gaussian: whitening must still produce identity covariance
@@ -632,7 +637,7 @@ class TestPcaWhitening:
         x = rng.standard_normal((300, 5)) * np.array([4.0, 1.0, 0.5, 0.3, 0.2])
         model = pca_whiten_fit(x, 5)
         v = model.mean + 3.0 * model.projection[0] / np.linalg.norm(model.projection[0])
-        out = pca_transform(model, v)
+        out = transform_one(model, v)
         np.testing.assert_allclose(np.abs(out), np.eye(5)[0], atol=1e-9)
         assert out[0] > 0
 
@@ -640,7 +645,7 @@ class TestPcaWhitening:
         x = rng.standard_normal((100, 7))
         model = pca_whiten_fit(x, 4)
         for _ in range(50):
-            out = pca_transform(model, rng.standard_normal(7))
+            out = transform_one(model, rng.standard_normal(7))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
     def test_matches_svd_oracle(self, rng):
@@ -679,12 +684,12 @@ class TestPcaWhitening:
     def test_dimension_mismatch_rejected(self, rng):
         model = pca_whiten_fit(rng.standard_normal((30, 5)), 3)
         with pytest.raises(ValueError):
-            pca_transform(model, np.zeros(6))
+            transform_one(model, np.zeros(6))
 
     def test_zero_projection_rejected(self, rng):
         model = pca_whiten_fit(rng.standard_normal((30, 5)), 3)
         with pytest.raises(ZeroNormError):
-            pca_transform(model, model.mean)
+            transform_one(model, model.mean)
 
     @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, np.nan, np.inf])
     def test_bad_epsilon_rejected(self, rng, epsilon):
@@ -712,7 +717,7 @@ class TestPcaWhitening:
         ds = make_set(rng, 40, 9)
         model = pca_whiten_fit(rng.standard_normal((60, 9)), 5)
         reduced = pca_transform_set(model, ds).vectors
-        stacked = np.stack([pca_transform(model, row) for row in ds.vectors])
+        stacked = np.stack([transform_one(model, row) for row in ds.vectors])
         np.testing.assert_allclose(reduced, stacked, rtol=1e-12, atol=1e-12)
 
     def test_transform_set_rejects_bad_rows(self, rng):

@@ -185,7 +185,8 @@ class TestPairLabels:
     def test_one_label_is_the_empty_set(self, rng, loss):
         batch = EmbeddingBatch(random_unit_rows(rng, 1, 4), np.array([3]))
         pairs = PairLabels.from_labels(batch.labels)
-        assert pairs.positive.shape == pairs.negative.shape == (1, 1) and pairs.is_empty()
+        assert pairs.positive.shape == pairs.negative.shape == (1, 1) and not pairs.positive.any()
+        assert not pairs.negative.any()
         out = loss(batch, pairs, LossConfig())
         assert out.degenerate and out.value == 0.0 and not out.grad.any()
 
@@ -261,7 +262,7 @@ class TestMultiSimilarity:
             batch = make_batch(rng)
             sim = similarity_matrix(batch)
             mined = ms_mining(sim, batch.labels, 0.2)
-            if mined.is_empty():
+            if not (mined.positive.any() or mined.negative.any()):
                 continue
             out = multi_similarity_loss(batch, mined, cfg, sim=sim)
             fd = fd_gradient(lambda b: multi_similarity_loss(b, mined, cfg).value, batch)

@@ -10,6 +10,7 @@ from vprkit.places import (
     BatchSampler,
     BatchSpec,
     ImageRecord,
+    Place,
     PlacesDB,
     SynthConfig,
     gather_payloads,
@@ -97,7 +98,7 @@ class TestIngestManifest:
 
 class TestGridGroup:
     def test_cell_quantization_by_hand(self):
-        assert grid_cell(48.85812, 2.29450, 0.001) == (48858, 2294)
+        assert grid_cell(48.85812, 2.29450) == (48858, 2294)
 
 
 class TestHaversine:
@@ -171,7 +172,7 @@ class TestSynthPlaces:
 
     def test_distinct_dates(self):
         db = synth_places(2, 6, shape=(3, 3, 2), rng_seed=5)
-        assert all(p.distinct_dates() >= 4 for p in db.places)
+        assert all(len({(img.year, img.month) for img in p.images}) >= 4 for p in db.places)
 
 
 def tiny_db(num_places=12, images=5, seed=0):
@@ -183,7 +184,7 @@ class TestBatchSampler:
         db = tiny_db(num_places=110, images=4)
         sampler = BatchSampler(db, BatchSpec(100, 4, rng_seed=0))
         batch = next(sampler.epoch())
-        assert len(batch) == 400
+        assert len(batch.images) == 400
 
     def test_not_enough_places(self):
         db = tiny_db(num_places=5)
@@ -204,7 +205,7 @@ class TestBatchSampler:
         seq_b = [b for _ in range(3) for b in sampler_b.epoch()]
         assert len(seq_a) == len(seq_b)
         for ba, bb in zip(seq_a, seq_b):
-            assert ba.image_refs == bb.image_refs
+            assert [i.image_ref for i in ba.images] == [i.image_ref for i in bb.images]
             np.testing.assert_array_equal(ba.labels, bb.labels)
 
     def test_batch_structure_invariant(self):
@@ -230,7 +231,8 @@ class TestBatchSampler:
         db = tiny_db()
         sampler = BatchSampler(db, BatchSpec(6, 4, rng_seed=3))
         for batch in sampler.epoch():
-            assert len(set(batch.image_refs)) == len(batch.image_refs)
+            refs = [img.image_ref for img in batch.images]
+            assert len(set(refs)) == len(refs)
 
     def test_labels_and_maps_follow_the_sampled_images(self):
         db = tiny_db()
@@ -239,17 +241,16 @@ class TestBatchSampler:
         sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))
         for _ in range(3):
             for batch in sampler.epoch():
+                refs = [img.image_ref for img in batch.images]
                 assert batch.labels.dtype == np.int64
+                np.testing.assert_array_equal(batch.labels, [place_of[ref] for ref in refs])
                 np.testing.assert_array_equal(
-                    batch.labels, [place_of[ref] for ref in batch.image_refs]
-                )
-                np.testing.assert_array_equal(
-                    batch.feature_maps(), np.stack([payload_of[ref] for ref in batch.image_refs])
+                    batch.feature_maps(), np.stack([payload_of[ref] for ref in refs])
                 )
 
     def test_missing_payload_on_a_later_image_rejected(self):
         db = tiny_db()
-        db.places[3].images[2].payload = None
+        db.places[3].images[2].store = None
         with pytest.raises(SamplerError, match="synth_00003_02"):
             BatchSampler(db, BatchSpec(4, 3, rng_seed=0))
 
@@ -276,17 +277,33 @@ class TestPayloadStore:
         assert img.payload.dtype == np.float64
         np.testing.assert_array_equal(img.payload, stack[7])
 
+    def test_each_map_is_its_manifest_row(self, tmp_path):
+        body = "".join(f"{pid},{ref},{45 + pid / 100},7.0,,2015,1\n"
+                       for pid, ref in [(0, "a"), (1, "b"), (0, "c"), (1, "d")])
+        db = ingest_manifest(write_csv(tmp_path, body), allow_small_places=True)
+        db.attach_payloads(np.arange(4.0).reshape(4, 1, 1, 1))
+        assert {img.image_ref: float(img.payload[0, 0, 0]) for img in db.images()} == {
+            "a": 0.0, "b": 1.0, "c": 2.0, "d": 3.0}
+        np.testing.assert_array_equal(db.payloads_in_order().ravel(), [0.0, 2.0, 1.0, 3.0])
+
+    def test_attach_rejects_images_without_distinct_rows(self):
+        db = PlacesDB([Place(0, [ImageRecord(f"m{i}", 0.0, 0.0) for i in range(3)])])
+        with pytest.raises(ValueError, match="rows 0 to M-1, each once"):
+            db.attach_payloads(np.zeros((3, 1, 1, 1)))
+
     def test_attach_rejects_a_misaligned_array(self):
         db = synth_places(3, 5, shape=(4, 4, 3), rng_seed=2)
         with pytest.raises(ValueError, match="manifest lists 15 maps"):
             db.attach_payloads(db.payloads[:-1])
 
-    def test_only_none_detaches_a_payload(self):
+    def test_a_payload_is_read_only_and_detached_with_its_store(self):
         db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
         img = db.places[0].images[0]
-        with pytest.raises(ValueError, match="row of its database"):
+        with pytest.raises(AttributeError):
             img.payload = np.zeros((3, 3, 2))
-        img.payload = None
+        with pytest.raises(AttributeError):
+            img.payload = None
+        img.store = None
         assert img.payload is None
 
     def test_payloads_in_order_of_a_view(self):
@@ -297,7 +314,7 @@ class TestPayloadStore:
             view.payloads_in_order(),
             np.stack([img.payload for p in view.places for img in p.images]),
         )
-        db.places[1].images[0].payload = None
+        db.places[1].images[0].store = None
         assert db.payloads_in_order() is None
 
     def test_gather_needs_one_shared_array(self):
@@ -311,7 +328,7 @@ class TestPayloadStore:
     def test_gather_names_an_image_without_a_payload(self):
         db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
         images = db.images()
-        images[5].payload = None
+        images[5].store = None
         with pytest.raises(ValueError, match="^image 'synth_00001_01' has no payload$"):
             gather_payloads(images)
 
@@ -356,8 +373,6 @@ class TestDbValidation:
     def test_duplicate_place_ids_rejected(self):
         img = [ImageRecord(f"i{k}", 1.0, 1.0, year=2015, month=1 + k) for k in range(4)]
         img2 = [ImageRecord(f"j{k}", 2.0, 2.0, year=2015, month=1 + k) for k in range(4)]
-        from vprkit.places import Place
-
         with pytest.raises(ValueError, match="unique"):
             PlacesDB([Place(1, img), Place(1, img2)])
 
