@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregators, places, tensorio, trainer
-from .errors import FormatError, ManifestError, VprkitError
+from .errors import FormatError, VprkitError
 from .evaluator import (
     GroundTruthMatcher,
     PCAModel,
@@ -218,8 +218,6 @@ def load_db_dir(path: Path):
     Each command checks the place sizes it needs.
     """
     db = places.ingest_manifest(path / "manifest.csv", allow_small_places=True)
-    if not db.num_images():
-        raise ManifestError(f"{path}: the database has no images")
     if not (path / "payloads.vprk").exists():
         yield db
         return
@@ -243,21 +241,16 @@ def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(batch_spec=spec, loss_config=loss_config, rng_seed=seed + 1, **t)
 
 
-def _descriptor_set(kind, params, items) -> DescriptorSet:
-    labels = np.array([pid for pid, _ in items])
+def _descriptor_set(kind, params, db: PlacesDB, index) -> DescriptorSet:
+    """The descriptors of the images at the positions `index`, with their metadata."""
+    labels = db.place_ids[index]
     # Only the stage runs per block: a product's rows can round differently with
     # the number of rows, so the trainable part runs once over the whole set. The
     # stage is a fixed point of itself, so embedding its output gives the maps' rows.
-    pooled = places.stage_payloads([img for _, img in items], labels,
-                                   lambda fmaps: aggregators.pool(kind, params, fmaps))
+    pooled = places.stage_payloads(db, index, lambda fmaps: aggregators.pool(kind, params, fmaps))
     batch = embed_feature_maps(kind, params, pooled, labels)
-    return DescriptorSet(
-        vectors=batch.rows,
-        ids=[img.image_ref for _, img in items],
-        lats=np.array([img.lat for _, img in items]),
-        lons=np.array([img.lon for _, img in items]),
-        place_ids=labels,
-    )
+    return DescriptorSet(vectors=batch.rows, ids=db.image_refs[index].tolist(),
+                         lats=db.lats[index], lons=db.lons[index], place_ids=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +307,8 @@ def _load_eval_sets(args, config):
         raise ConfigError("eval needs either --queries/--refs or --db/--checkpoint")
     kind, params, _ = trainer.load_train_checkpoint(args.checkpoint)
     with load_db_dir(Path(args.db)) as db:
-        queries, refs = places.query_reference_split(
-            db, int(config["eval"]["queries_per_place"])
-        )
-        return _descriptor_set(kind, params, queries), _descriptor_set(kind, params, refs)
+        queries, refs = places.split_index(db, int(config["eval"]["queries_per_place"]))
+        return _descriptor_set(kind, params, db, queries), _descriptor_set(kind, params, db, refs)
 
 
 def cmd_eval(args) -> int:

@@ -5,16 +5,16 @@ a shared integer ID. A database is a set of places whose locations are
 geographically disjoint at the resolution of a lat/lon grid cell
 (0.001 degrees, roughly 100 meters).
 
-Image payloads are dense feature maps (h, w, c); this module never touches
-pixels. A database's maps are the rows of one (M, h, w, c) store, either
-an array (`synth_places` builds one in float64) or a `tensorio.TensorRows`
-reading them from the open payload file. Row i is the map of the
-manifest's i-th data row. A store enters a database only through
-`PlacesDB.attach_payloads`, which points each image at it.
-A batch is one `take`, and a stage over a whole set (`stage_payloads`)
-takes one block of rows at a time, so a loaded database never holds all
-of its maps in memory. Real data enters through a CSV manifest,
-desk-scale experiments use the seeded synthetic generator.
+A `PlacesDB` is columns, one entry per image, place by place, and one
+store of the images' (h, w, c) feature maps (never pixels): an array
+(`synth_places` builds one in float64) or a `tensorio.TensorRows` reading
+the open payload file. Store row i is the map of the manifest's i-th data
+row; a store enters through `PlacesDB.attach_payloads`. The code here works
+on columns and arrays of image positions; `Place` and `ImageRecord` are
+read-only views for callers that want objects. A batch is one `take` from
+the store, and `stage_payloads` takes one block of rows at a time, so a
+loaded database never holds all of its maps in memory. Real data enters
+through a CSV manifest, desk-scale experiments use the seeded generator.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FeatureMapError, ManifestError, SamplerError
-from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, read_table, read_text,
-                       table_bytes)
+from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, coordinate_checks,
+                       range_problems, read_table, read_text, table_bytes)
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
@@ -48,36 +48,24 @@ MANIFEST_COLUMNS = {"place_id": INT64, "image_ref": TEXT, "lat": FLOAT64, "lon":
                     "bearing": FLOAT64_OR_BLANK, "year": INT64, "month": INT64}
 MANIFEST_HEADER = list(MANIFEST_COLUMNS)
 
+# PlacesDB's columns, in constructor order, with their dtypes
+COLUMNS = {"place_ids": np.int64, "image_refs": object, "lats": np.float64, "lons": np.float64,
+           "bearings": np.float64, "years": np.int64, "months": np.int64, "rows": np.intp}
 
-@dataclass(slots=True)  # one record per image: slots keep it small
+
+@dataclass(frozen=True)
 class ImageRecord:
-    """One image of a place: an opaque reference plus capture metadata.
-
-    Its (h, w, c) feature map, if any, is row `row` of `store`, the
-    (M, h, w, c) payload store of its database: an array or a
-    `tensorio.TensorRows`. `row` is the image's data row in its manifest,
-    set when the database is read or synthesized; `store` is set by
-    `PlacesDB.attach_payloads`. Neither is passed to the constructor.
-    """
+    """One image of a place, a read-only view of its database's columns; its (h, w, c)
+    feature map, if any, is row `row` (its manifest data row) of the payload store `store`."""
 
     image_ref: str
     lat: float
     lon: float
-    bearing: float | None = None
-    year: int = 0
-    month: int = 1
-    store: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    row: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"lon {self.lon} outside [-180, 180]")
-        if self.bearing is not None and not 0.0 <= self.bearing < 360.0:
-            raise ValueError(f"bearing {self.bearing} outside [0, 360)")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month {self.month} outside [1, 12]")
+    bearing: float | None
+    year: int
+    month: int
+    store: np.ndarray | TensorRows | None = field(repr=False, compare=False)
+    row: int
 
     @property
     def payload(self) -> np.ndarray | None:
@@ -85,57 +73,93 @@ class ImageRecord:
         return None if self.store is None else self.store[self.row].astype(np.float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Place:
+    """One place's images, a read-only view of its database's columns."""
+
     place_id: int
-    images: list[ImageRecord]
+    images: tuple[ImageRecord, ...]
 
     def __len__(self) -> int:
         return len(self.images)
 
-    def centroid(self) -> tuple[float, float]:
-        lat = sum(img.lat for img in self.images) / len(self.images)
-        lon = sum(img.lon for img in self.images) / len(self.images)
-        return lat, lon
 
-
-def grid_cell(lat: float, lon: float) -> tuple[int, int]:
-    """Quantize coordinates to a DEFAULT_CELL_DEG grid cell by floor division.
+def grid_cell(lat, lon) -> tuple:
+    """Quantize coordinates (numbers or arrays) to DEFAULT_CELL_DEG grid cells by floor division.
 
     Floor is used (rather than rounding) so the assignment is deterministic
     and independent of the order records arrive in.
     """
-    return (math.floor(lat / DEFAULT_CELL_DEG), math.floor(lon / DEFAULT_CELL_DEG))
+    return tuple(np.floor(x / DEFAULT_CELL_DEG).astype(np.int64) for x in (lat, lon))
 
 
-@dataclass
+def _column_problems(lats, lons, bearings, blank, months) -> list[tuple[int, str]]:
+    """`range_problems` of lat, lon, bearing (where not `blank`) and month, in that order."""
+    return range_problems(coordinate_checks(lats, lons) + [
+        ("bearing", bearings, blank | ((bearings >= 0.0) & (bearings < 360.0)), "[0, 360)"),
+        ("month", months, (months >= 1) & (months <= 12), "[1, 12]")])
+
+
+@dataclass(eq=False)
 class PlacesDB:
-    """Immutable collection of geographically disjoint places."""
+    """Geographically disjoint places as columns: entry j of each is image j, place by place.
 
-    places: list[Place]
+    A blank bearing is NaN; `rows[j]` is image j's data row in its manifest and
+    its row of the (M, h, w, c) store `payloads` (an array, a `TensorRows` or
+    None). The constructor checks the ranges and that each place's images are
+    together: `sizes[p]` images from position `starts[p]`.
+    """
+
+    place_ids: np.ndarray
+    image_refs: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+    bearings: np.ndarray
+    years: np.ndarray
+    months: np.ndarray
+    rows: np.ndarray
+    payloads: np.ndarray | TensorRows | None = None
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = [p.place_id for p in self.places]
-        if len(ids) != len(set(ids)):
+        for name, dtype in COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype))
+        if len({len(getattr(self, name)) for name in COLUMNS}) > 1:
+            raise ValueError("the columns differ in length")
+        problems = _column_problems(self.lats, self.lons, self.bearings, np.isnan(self.bearings),
+                                    self.months)
+        if problems:
+            raise ValueError(problems[0][1])
+        ids = self.place_ids  # compared as integers: as float64, 2**62 + 1 == 2**62
+        self.starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]][: len(ids)])
+        self.sizes = np.diff(self.starts, append=len(ids))
+        if len(set(ids[self.starts].tolist())) < len(self.starts):
             raise ValueError("place ids are not unique")
 
     def __len__(self) -> int:
-        return len(self.places)
+        return len(self.starts)
 
     def num_images(self) -> int:
-        return sum(len(p) for p in self.places)
+        return len(self.rows)
 
     def images(self) -> list[ImageRecord]:
-        """Every image, place by place."""
-        return [img for place in self.places for img in place.images]
+        """Every image as an `ImageRecord` view, place by place."""
+        bearings = [None if math.isnan(b) else b for b in self.bearings.tolist()]
+        return list(map(ImageRecord, self.image_refs.tolist(), self.lats.tolist(),
+                        self.lons.tolist(), bearings, self.years.tolist(), self.months.tolist(),
+                        [self.payloads] * len(self.rows), self.rows.tolist()))
 
     @property
-    def payloads(self) -> np.ndarray | TensorRows | None:
-        """The (M, h, w, c) store whose rows the images' maps are; None unless all share one.
+    def places(self) -> list[Place]:
+        """Every place as a `Place` view, in order."""
+        images, starts = self.images(), self.starts.tolist()
+        return [Place(pid, tuple(images[lo : lo + n])) for pid, lo, n in
+                zip(self.place_ids[starts].tolist(), starts, self.sizes.tolist())]
 
-        It is an array, or the `TensorRows` of a payload file.
-        """
-        return _shared_store(self.images())
+    def take(self, index) -> PlacesDB:
+        """The images at the positions `index`, each place's still together, sharing `payloads`."""
+        return PlacesDB(*(getattr(self, name)[index] for name in COLUMNS), self.payloads)
 
     def attach_payloads(self, stack: np.ndarray | TensorRows) -> None:
         """Make a rank-4 store the payloads: row i is the map of the image from manifest row i.
@@ -143,52 +167,52 @@ class PlacesDB:
         The store is kept as given: an array (a float32 file load stays
         float32) or the `TensorRows` of an open payload file.
         """
-        images = self.images()
-        if stack.ndim != 4 or stack.shape[0] != len(images):
-            raise ValueError(
-                f"payload tensor has shape {stack.shape}, manifest lists {len(images)} maps"
-            )
-        if sorted(img.row for img in images) != list(range(len(images))):
+        if stack.ndim != 4 or stack.shape[0] != len(self.rows):
+            raise ValueError(f"payload tensor has shape {stack.shape}, "
+                             f"manifest lists {len(self.rows)} maps")
+        if not np.array_equal(np.sort(self.rows), np.arange(len(self.rows))):
             raise ValueError("the images' rows are not manifest rows 0 to M-1, each once")
-        for img in images:
-            img.store = stack
+        self.payloads = stack
 
     def payloads_in_order(self) -> np.ndarray | None:
-        """The images' maps, row i for the i-th image in place order; None without `payloads`.
+        """The images' maps, row i for the i-th image in place order, from an array `payloads`.
 
-        `payloads` must be an array.
-
-        This is `payloads` itself when the images are its rows in order, as
-        in a synthesized database or one whose manifest lists places whole.
+        None without `payloads`, and `payloads` itself when the images are its
+        rows in order (a synthesized database, or a manifest that lists places whole).
         """
-        store = self.payloads
-        if store is None:
-            return None
-        rows = np.array([img.row for img in self.images()], dtype=np.intp)
-        return store if np.array_equal(rows, np.arange(len(store))) else store.take(rows, axis=0)
+        if self.payloads is None or np.array_equal(self.rows, np.arange(len(self.payloads))):
+            return self.payloads
+        return self.payloads.take(self.rows, axis=0)
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
 
-        Grid-built databases satisfy this by construction; manifest-built
-        ones are checked here so a validated DB always means physically
-        distant places.
+        A centroid is summed left to right, as Python's `sum` adds (`np.add.reduceat`
+        pairs terms, which can move it across a cell edge). Grid-built databases are
+        disjoint by construction; manifest-built ones are checked here so a
+        validated DB always means physically distant places.
         """
+        by_size = np.argsort(-self.sizes, kind="stable")
+        starts, sizes = self.starts[by_size], self.sizes[by_size]
+        coords, sums = np.stack([self.lats, self.lons], axis=1), np.zeros((len(sizes), 2))
+        # at offset j, the places with more than j images are the first `live`
+        for j, live in enumerate(np.searchsorted(-sizes, -np.arange(sizes.max(initial=0)))):
+            sums[:live] += coords[starts[:live] + j]
+        centroids = np.empty_like(sums)
+        centroids[by_size] = sums / sizes[:, None]
         seen: dict[tuple[int, int], int] = {}
-        for p in self.places:
-            cell = grid_cell(*p.centroid())
+        cells = zip(*(cell.tolist() for cell in grid_cell(centroids[:, 0], centroids[:, 1])))
+        for pid, cell in zip(self.place_ids[self.starts].tolist(), cells):
             if cell in seen:
-                raise ValueError(
-                    f"places {seen[cell]} and {p.place_id} share grid cell {cell}"
-                )
-            seen[cell] = p.place_id
+                raise ValueError(f"places {seen[cell]} and {pid} share grid cell {cell}")
+            seen[cell] = pid
 
     def check_min_images(self) -> None:
-        for p in self.places:
-            if len(p) < MIN_IMAGES_PER_PLACE:
-                raise ValueError(
-                    f"place {p.place_id} has {len(p)} images, needs >= {MIN_IMAGES_PER_PLACE}"
-                )
+        small = np.flatnonzero(self.sizes < MIN_IMAGES_PER_PLACE)
+        if len(small):
+            i = small[0]
+            raise ValueError(f"place {self.place_ids[self.starts[i]]} has {self.sizes[i]} images, "
+                             f"needs >= {MIN_IMAGES_PER_PLACE}")
 
 
 def haversine(a: tuple, b: tuple) -> np.ndarray:
@@ -209,12 +233,13 @@ def haversine(a: tuple, b: tuple) -> np.ndarray:
 # Manifest ingestion
 # ---------------------------------------------------------------------------
 
-def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
-    """The manifest's images grouped by place id, places and images in file order.
+def _manifest_columns(path: Path) -> list:
+    """The manifest's columns in file order, as PlacesDB takes them (less `rows`).
 
     The first row with a problem raises ManifestError naming the file and
     the line, with the row's first problem in the order of the checks:
-    fields, numbers, image_ref, ImageRecord's ranges, duplicates.
+    fields, numbers, image_ref, lat, lon, bearing, month, duplicates; so
+    does a manifest without rows.
     """
     table = read_table(read_text(path, ManifestError), MANIFEST_COLUMNS, skip_blank_rows=True)
     if table.header is None:
@@ -223,7 +248,7 @@ def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
         raise ManifestError(f"{path}: line 1: bad header {table.header!r}, "
                             f"expected {','.join(MANIFEST_HEADER)}")
     pids, refs, lats, lons, bearings, years, months = table.columns.values()
-    pids, refs = pids.tolist(), [ref.strip() for ref in refs]
+    refs = [ref.strip() for ref in refs]
     problems = []  # (row, rank of the check, message)
     if table.fault:
         fault = table.fault
@@ -231,25 +256,21 @@ def _manifest_records(path: Path) -> dict[int, list[ImageRecord]]:
                          else f"expected {len(MANIFEST_HEADER)} fields, got {fault.fields}"))
     if "" in refs:
         problems.append((refs.index(""), 1, "empty image_ref"))
-    records: list[ImageRecord] = []
-    try:  # on a bad row, `records` holds the records of the rows before it
-        records.extend(map(ImageRecord, refs, lats.tolist(), lons.tolist(), bearings,
-                           years.tolist(), months.tolist()))
-    except ValueError as exc:
-        problems.append((len(records), 2, str(exc)))
-    keys = list(zip(pids, refs))
+    blank = np.array([b is None for b in bearings], bool)
+    bearings = np.array(bearings, np.float64)  # a blank (None) is NaN
+    problems += [(row, 2 + rank, message) for rank, (row, message)
+                 in enumerate(_column_problems(lats, lons, bearings, blank, months))]
+    keys = list(zip(pids.tolist(), refs))
     if len(set(keys)) < len(keys):
         first: dict = {}
         row = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
-        problems.append((row, 3, f"duplicate (place_id, image_ref) = {keys[row]}"))
+        problems.append((row, 6, f"duplicate (place_id, image_ref) = {keys[row]}"))
     if problems:
         row, _, message = min(problems)
         raise ManifestError(f"{path}: line {table.locate(row)[0] + 2}: {message}")
-    grouped: dict[int, list[ImageRecord]] = {}
-    for row, (pid, record) in enumerate(zip(pids, records)):
-        record.row = row
-        grouped.setdefault(pid, []).append(record)
-    return grouped
+    if not refs:
+        raise ManifestError(f"{path}: the manifest lists no images")
+    return [pids, np.array(refs, object), lats, lons, bearings, years, months]
 
 
 def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> PlacesDB:
@@ -257,16 +278,20 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
 
     The manifest is UTF-8 CSV with header
     ``place_id,image_ref,lat,lon,bearing,year,month`` (bearing may be
-    empty); rows of blank fields are skipped. Places with fewer than 4
-    images are rejected unless `allow_small_places` is set. Errors name the
-    file and, for a row, its line: the row's index + 2, blank rows counted.
+    empty); rows of blank fields are skipped, and a manifest must list at
+    least one image. Places come in the order they first appear, each
+    one's images in file order. Places with fewer than 4 images are
+    rejected unless `allow_small_places` is set. Errors name the file and,
+    for a row, its line: the row's index + 2, blank rows counted.
     """
     path = Path(path)
     try:
-        grouped = _manifest_records(path)
+        columns = _manifest_columns(path)
     except csv.Error as exc:  # csv before Python 3.11 rejects a NUL
         raise ManifestError(f"{path}: {exc}") from exc
-    db = PlacesDB([Place(pid, imgs) for pid, imgs in grouped.items()])
+    _, first, place = np.unique(columns[0], return_index=True, return_inverse=True)
+    order = np.argsort(first[place], kind="stable")  # by each place's first row, then by row
+    db = PlacesDB(*(column[order] for column in columns), order)
     try:
         if not allow_small_places:
             db.check_min_images()
@@ -278,16 +303,14 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
 
 def manifest_bytes(db: PlacesDB) -> bytes:
     """A PlacesDB in the manifest CSV format, UTF-8 encoded."""
-    images = db.images()
-    place_ids = [str(place.place_id) for place in db.places for _ in place.images]
     return table_bytes(MANIFEST_HEADER, [
-        place_ids,
-        [img.image_ref for img in images],
-        [repr(img.lat) for img in images],
-        [repr(img.lon) for img in images],
-        ["" if img.bearing is None else repr(img.bearing) for img in images],
-        [str(img.year) for img in images],
-        [str(img.month) for img in images],
+        list(map(str, db.place_ids.tolist())),
+        db.image_refs.tolist(),
+        list(map(repr, db.lats.tolist())),
+        list(map(repr, db.lons.tolist())),
+        ["" if math.isnan(b) else repr(b) for b in db.bearings.tolist()],
+        list(map(str, db.years.tolist())),
+        list(map(str, db.months.tolist())),
     ])
 
 
@@ -391,9 +414,9 @@ def synth_places(
     grid_cols = int(math.ceil(math.sqrt(num_places)))
 
     k = images_per_place
-    stack = np.empty((num_places * k, h, w, c))
-    years, months = [2010 + j // 12 for j in range(k)], [1 + j % 12 for j in range(k)]
-    places = []
+    n = num_places * k
+    stack = np.empty((n, h, w, c))
+    lats, lons, bearings = np.empty(n), np.empty(n), np.empty(n)
     for pid in range(num_places):
         latent = np.zeros(())
         while not np.any(latent > 0.0):  # tiny heavily-blurred maps can be all-zero after the ReLU
@@ -410,19 +433,19 @@ def synth_places(
         # image j is the latent rolled by (dy[j], dx[j]): cell (y, x) is latent[y - dy, x - dx]
         ys = (np.arange(h) - dy[:, None]) % h
         xs = (np.arange(w) - dx[:, None]) % w
-        rows = stack[pid * k:(pid + 1) * k]
+        place = slice(pid * k, (pid + 1) * k)
         gain = 1.0 + float(cfg.gain) * unit_gain
-        np.multiply(latent[ys[:, :, None], xs[:, None, :]], gain[:, None, None, None], out=rows)
-        rows += (normal * noise_std)[:, None, None, :]
-        place_lat = SYNTH_ORIGIN[0] + (pid // grid_cols) * DEFAULT_CELL_DEG + 0.0005
-        place_lon = SYNTH_ORIGIN[1] + (pid % grid_cols) * DEFAULT_CELL_DEG + 0.0005
-        refs = [f"synth_{pid:05d}_{j:02d}" for j in range(k)]
-        images = list(map(ImageRecord, refs, (place_lat + jitter_lat).tolist(),
-                          (place_lon + jitter_lon).tolist(), bearing.tolist(), years, months))
-        for j, img in enumerate(images):
-            img.row = pid * k + j
-        places.append(Place(pid, images))
-    db = PlacesDB(places)
+        np.multiply(latent[ys[:, :, None], xs[:, None, :]], gain[:, None, None, None],
+                    out=stack[place])
+        stack[place] += (normal * noise_std)[:, None, None, :]
+        lats[place] = SYNTH_ORIGIN[0] + (pid // grid_cols) * DEFAULT_CELL_DEG + 0.0005 + jitter_lat
+        lons[place] = SYNTH_ORIGIN[1] + (pid % grid_cols) * DEFAULT_CELL_DEG + 0.0005 + jitter_lon
+        bearings[place] = bearing
+    j = np.arange(k)
+    db = PlacesDB(np.repeat(np.arange(num_places), k),
+                  [f"synth_{pid:05d}_{i:02d}" for pid in range(num_places) for i in range(k)],
+                  lats, lons, bearings, np.tile(2010 + j // 12, num_places),
+                  np.tile(1 + j % 12, num_places), np.arange(n))
     db.attach_payloads(stack)
     return db
 
@@ -446,43 +469,20 @@ class BatchSpec:
             raise ValueError("need at least 2 images per place for positives")
 
 
-def _shared_store(images: list[ImageRecord]) -> np.ndarray | TensorRows | None:
-    """The payload store every image is a row of; None if one has no map or they differ."""
-    store = images[0].store if images else None
-    if store is None or any(img.store is not store for img in images):
-        return None
-    return store
+def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
+    """The row-wise `stage` of the maps of the images at the positions `index`, block by block.
 
-
-def gather_payloads(images: list[ImageRecord]) -> np.ndarray:
-    """The images' maps as one float64 (N, h, w, c) array: one `take` from their shared store.
-
-    Converting float32 to float64 is exact, so the maps equal the stored values.
+    A block is the float64 maps of as many images as fit in
+    PAYLOAD_BLOCK_BYTES (at least one): one `take` from the store (from a
+    `TensorRows`, a read of the file), converted exactly. Its stage rows go
+    into one output; a map the stage rejects with a FeatureMapError is
+    named by its image_ref and place id.
     """
-    store, rows = _store_rows(images)
-    return store.take(rows, axis=0).astype(np.float64, copy=False)
-
-
-def _store_rows(images: list[ImageRecord]) -> tuple[np.ndarray | TensorRows, np.ndarray]:
-    store = _shared_store(images)
-    if store is None:
-        bare = next((img for img in images if img.store is None), None)
-        raise ValueError("images do not share one payload array" if bare is None
-                         else f"image {bare.image_ref!r} has no payload")
-    return store, np.fromiter((img.row for img in images), dtype=np.intp, count=len(images))
-
-
-def stage_payloads(images: list[ImageRecord], place_ids, stage: Callable) -> np.ndarray:
-    """`stage(gather_payloads(images))` for a row-wise stage, holding one block of maps at a time.
-
-    Each block is the float64 maps of as many images as fit in
-    PAYLOAD_BLOCK_BYTES (at least one): one `take` from the shared store
-    (from a `TensorRows`, a read of the file), converted exactly. `stage`
-    checks and transforms a block; its rows go into one preallocated
-    output. A map the stage rejects with a FeatureMapError is named by its
-    image_ref and place id (`place_ids[i]` is the place of `images[i]`).
-    """
-    store, rows = _store_rows(images)
+    store, index = db.payloads, np.asarray(index, np.intp)
+    if store is None or not len(index):
+        raise ValueError(f"image {db.image_refs[index[0]]!r} has no payload" if len(index)
+                         else "no images to stage")
+    rows = db.rows[index]
     step = max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
     out = None
     for lo in range(0, len(rows), step):
@@ -490,9 +490,9 @@ def stage_payloads(images: list[ImageRecord], place_ids, stage: Callable) -> np.
         try:
             result = stage(block)
         except FeatureMapError as exc:
-            row = lo + exc.row
-            where = f"image {images[row].image_ref!r} of place {place_ids[row]}"
-            raise FeatureMapError(row, exc.reason, where) from None
+            at = index[lo + exc.row]
+            where = f"image {db.image_refs[at]!r} of place {db.place_ids[at]}"
+            raise FeatureMapError(lo + exc.row, exc.reason, where) from None
         if out is None:
             out = np.empty((len(rows),) + result.shape[1:], dtype=result.dtype)
         out[lo : lo + step] = result
@@ -503,16 +503,17 @@ def stage_payloads(images: list[ImageRecord], place_ids, stage: Callable) -> np.
 class Batch:
     """P*K sampled images, place by place, with their place ids as labels.
 
-    `index` holds the images' positions in the sampler's `images`.
+    `index` holds their positions in the sampler's `index`, `rows` their rows of `store`.
     """
 
-    images: list[ImageRecord]
     labels: np.ndarray
     index: np.ndarray
+    rows: np.ndarray
+    store: np.ndarray | TensorRows = field(repr=False)
 
     def feature_maps(self) -> np.ndarray:
-        """The images' maps as one (P*K, h, w, c) float64 array."""
-        return gather_payloads(self.images)
+        """The images' maps as one (P*K, h, w, c) float64 array (the conversion is exact)."""
+        return self.store.take(self.rows, axis=0).astype(np.float64, copy=False)
 
 
 class BatchSampler:
@@ -528,70 +529,66 @@ class BatchSampler:
 
     def __init__(self, db: PlacesDB, spec: BatchSpec):
         self.spec = spec
-        self.eligible = [p for p in db.places if len(p) >= spec.images_per_place]
-        if len(self.eligible) < spec.num_places:
+        eligible = np.flatnonzero(db.sizes >= spec.images_per_place)
+        if len(eligible) < spec.num_places:
             raise SamplerError(
-                f"only {len(self.eligible)} places have >= {spec.images_per_place} "
+                f"only {len(eligible)} places have >= {spec.images_per_place} "
                 f"images, need {spec.num_places}"
             )
-        for p in self.eligible:
-            for img in p.images:
-                if img.store is None:
-                    raise SamplerError(f"place {p.place_id} image {img.image_ref!r} has no payload")
-        # every eligible image, place by place; a batch's `index` points into it
-        self.images = [img for p in self.eligible for img in p.images]
-        sizes = [len(p) for p in self.eligible]
-        self._first = np.cumsum([0] + sizes[:-1]).tolist()
-        self._sizes = sizes
-        # the place id of each of `images`
-        self.labels = np.repeat(np.array([p.place_id for p in self.eligible], dtype=np.int64), sizes)
+        # the positions of every eligible image, place by place; a batch's `index` points into it
+        self.index = np.flatnonzero(np.repeat(db.sizes >= spec.images_per_place, db.sizes))
+        sizes = db.sizes[eligible]
+        first = np.cumsum(sizes) - sizes
+        if db.payloads is None:
+            i = self.index[0]
+            raise SamplerError(f"place {db.place_ids[i]} image {db.image_refs[i]!r} has no payload")
+        self.store, self.rows = db.payloads, db.rows[self.index]
+        # the place id of each image of `index`
+        self.labels = db.place_ids[self.index]
+        self._first, self._sizes = first.tolist(), sizes.tolist()
         self._rng = np.random.default_rng(spec.rng_seed)
 
     @property
     def batches_per_epoch(self) -> int:
-        return len(self.eligible) // self.spec.num_places
+        return len(self._sizes) // self.spec.num_places
 
     def epoch(self):
         """Yield the batches of one fresh epoch."""
         p, k = self.spec.num_places, self.spec.images_per_place
-        order = self._rng.permutation(len(self.eligible))
+        order = self._rng.permutation(len(self._sizes))
         for start in range(0, self.batches_per_epoch * p, p):
             chunk = order[start : start + p]
             index = np.concatenate([
                 self._first[i] + self._rng.choice(self._sizes[i], size=k, replace=False)
                 for i in chunk.tolist()
             ])
-            images = [self.images[j] for j in index.tolist()]
-            yield Batch(images, self.labels[index], index)
+            yield Batch(self.labels[index], index, self.rows[index], self.store)
 
 
-def _query_split(place: Place, queries_per_place: int) -> int:
-    """Index of a place's first held-out query: its last `queries_per_place` images."""
+def split_index(db: PlacesDB, queries_per_place: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the queries, each place's last images, and of the references.
+
+    Every place keeps at least one reference image.
+    """
     if queries_per_place < 1:
         raise ValueError("queries_per_place must be >= 1")
-    if len(place) <= queries_per_place:
-        raise ValueError(f"place {place.place_id} has {len(place)} images, "
+    small = np.flatnonzero(db.sizes <= queries_per_place)
+    if len(small):
+        i = small[0]
+        raise ValueError(f"place {db.place_ids[db.starts[i]]} has {db.sizes[i]} images, "
                          f"cannot hold out {queries_per_place} queries")
-    return len(place) - queries_per_place
+    ends = np.repeat(db.starts + db.sizes, db.sizes)
+    query = np.arange(len(ends)) >= ends - queries_per_place
+    return np.flatnonzero(query), np.flatnonzero(~query)
 
 
-def query_reference_split(
-    db: PlacesDB, queries_per_place: int = 2
-) -> tuple[list[tuple[int, ImageRecord]], list[tuple[int, ImageRecord]]]:
-    """Deterministically hold out the last images of each place as queries.
-
-    Returns (queries, references) as lists of (place_id, record). Every
-    place keeps at least one reference image.
-    """
-    queries, references = [], []
-    for place in db.places:
-        split = _query_split(place, queries_per_place)
-        references.extend((place.place_id, img) for img in place.images[:split])
-        queries.extend((place.place_id, img) for img in place.images[split:])
-    return queries, references
+def query_reference_split(db: PlacesDB, queries_per_place: int = 2) -> tuple[list, list]:
+    """The queries and references of `split_index` as lists of (place_id, ImageRecord)."""
+    images, pids = db.images(), db.place_ids.tolist()
+    return tuple([(pids[i], images[i]) for i in index.tolist()]
+                 for index in split_index(db, queries_per_place))
 
 
 def training_view(db: PlacesDB, queries_per_place: int = 2) -> PlacesDB:
     """The database with held-out query images removed from every place."""
-    places = [Place(p.place_id, p.images[: _query_split(p, queries_per_place)]) for p in db.places]
-    return PlacesDB(places)
+    return db.take(split_index(db, queries_per_place)[1])

@@ -426,6 +426,19 @@ SIDECAR_COLUMNS = {"id": TEXT, "lat": FLOAT64, "lon": FLOAT64, "place_id": INT64
 SIDECAR_HEADER = list(SIDECAR_COLUMNS)
 
 
+def range_problems(checks) -> list[tuple[int, str]]:
+    """(row, message) of the first row that fails each (name, values, in_range, span) check."""
+    return [(int(bad[0]), f"{name} {values[bad[0]]} outside {span}")
+            for name, values, in_range, span in checks for bad in [np.flatnonzero(~in_range)]
+            if len(bad)]
+
+
+def coordinate_checks(lats: np.ndarray, lons: np.ndarray) -> list[tuple]:
+    """`range_problems` checks of latitudes and longitudes; NaN fails both comparisons."""
+    return [("lat", lats, (lats >= -90.0) & (lats <= 90.0), "[-90, 90]"),
+            ("lon", lons, (lons >= -180.0) & (lons <= 180.0), "[-180, 180]")]
+
+
 @dataclass
 class DescriptorSet:
     """N descriptors with aligned retrieval metadata."""
@@ -448,12 +461,9 @@ class DescriptorSet:
             raise ValueError(f"row {row}: descriptor has non-finite entries")
         if not (len(self.ids) == len(self.lats) == len(self.lons) == len(self.place_ids) == n):
             raise ValueError("metadata misaligned with vectors")
-        # the rule of places.ImageRecord; NaN fails both comparisons
-        for name, values, bound in (("lat", self.lats, 90.0), ("lon", self.lons, 180.0)):
-            bad = np.flatnonzero(~((values >= -bound) & (values <= bound)))
-            if len(bad):
-                raise ValueError(f"row {bad[0]}: {name} {values[bad[0]]} outside "
-                                 f"[{-bound:g}, {bound:g}]")
+        problems = range_problems(coordinate_checks(self.lats, self.lons))
+        if problems:
+            raise ValueError("row {}: {}".format(*problems[0]))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]

@@ -212,9 +212,9 @@ def train(db: PlacesDB, cfg: TrainConfig):
     started = time.perf_counter()
     sampler = BatchSampler(db, cfg.batch_spec)
     head = aggregators.head(cfg.aggregator)
-    params = init_aggregator(cfg, sampler.images[0].store.shape[3])
-    # checked and pooled once, block by block; row i belongs to sampler.images[i]
-    pooled = places.stage_payloads(sampler.images, sampler.labels,
+    params = init_aggregator(cfg, db.payloads.shape[3])
+    # checked and pooled once, block by block; row i belongs to image sampler.index[i]
+    pooled = places.stage_payloads(db, sampler.index,
                                    lambda fmaps: aggregators.pool(cfg.aggregator, params, fmaps))
     arrays = head.arrays(params)
     state = OptimizerState(

@@ -12,8 +12,7 @@ from vprkit.errors import FeatureMapError
 from vprkit.losses import LossConfig
 from vprkit.places import (
     BatchSpec,
-    gather_payloads,
-    query_reference_split,
+    split_index,
     stage_payloads,
     synth_places,
     training_view,
@@ -42,15 +41,21 @@ def stage(kind):
     return lambda fmaps: aggregators.pool(kind, HEADS[kind], fmaps)
 
 
+def maps_of(db, index):
+    """The float64 maps of the images at the positions `index`, one image view at a time."""
+    images = db.images()
+    return np.stack([images[i].payload for i in index])
+
+
 @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
 @pytest.mark.parametrize("kind", sorted(HEADS))
 def test_pooled_rows_equal_the_whole_array_stage(monkeypatch, kind, block_bytes):
-    db = loaded_db()
-    images = training_view(db, 2).images()[::-1]  # rows out of store order
-    assert len(images) % 3 != 0
-    whole = aggregators.pool(kind, HEADS[kind], gather_payloads(images))
+    view = training_view(loaded_db(), 2)
+    index = np.arange(view.num_images())[::-1]  # rows out of store order
+    assert len(index) % 3 != 0
+    whole = aggregators.pool(kind, HEADS[kind], maps_of(view, index))
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block_bytes)
-    blocked = stage_payloads(images, np.zeros(len(images), int), stage(kind))
+    blocked = stage_payloads(view, index, stage(kind))
     assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
     assert blocked.tobytes() == whole.tobytes()
 
@@ -60,11 +65,10 @@ def test_pooled_rows_equal_the_whole_array_stage(monkeypatch, kind, block_bytes)
 def test_eval_descriptors_equal_the_whole_array_forward(monkeypatch, kind, block_bytes):
     db = loaded_db()
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block_bytes)
-    for items in query_reference_split(db, 2):
-        assert len(items) % 3 != 0
-        images, labels = [img for _, img in items], np.array([pid for pid, _ in items])
-        whole = embed_feature_maps(kind, HEADS[kind], gather_payloads(images), labels).rows
-        assert _descriptor_set(kind, HEADS[kind], items).vectors.tobytes() == whole.tobytes()
+    for index in split_index(db, 2):
+        assert len(index) % 3 != 0
+        whole = embed_feature_maps(kind, HEADS[kind], maps_of(db, index), db.place_ids[index]).rows
+        assert _descriptor_set(kind, HEADS[kind], db, index).vectors.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["conv_ap", "gem"])
@@ -86,19 +90,17 @@ def test_trained_checkpoints_do_not_depend_on_the_block_size(tmp_path, monkeypat
 def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, kind):
     # a 6 MB float32 store, 64 maps of 12 KB (float64) per block
     store = np.random.default_rng(0).standard_normal((512,) + (8, 8, 24)).astype(np.float32)
-    db = places.PlacesDB([places.Place(0, [places.ImageRecord(f"m{i}", 0.0, 0.0)
-                                           for i in range(len(store))])])
-    for row, img in enumerate(db.images()):
-        img.row = row
+    n = len(store)
+    db = places.PlacesDB(np.zeros(n), [f"m{i}" for i in range(n)], np.zeros(n), np.zeros(n),
+                         np.full(n, np.nan), np.full(n, 2015), np.ones(n), np.arange(n))
     db.attach_payloads(store)
-    images = db.images()
-    ids = np.zeros(len(images), int)
+    index = np.arange(n)
     block = 64 * 8 * 8 * 8 * 24
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block)
     params = ConvAPParams(np.ones((3, 24)), grid=(2, 2)) if kind == "conv_ap" else HEADS[kind]
 
     def run():
-        return stage_payloads(images, ids, lambda fmaps: aggregators.pool(kind, params, fmaps))
+        return stage_payloads(db, index, lambda fmaps: aggregators.pool(kind, params, fmaps))
 
     out = run()  # first calls allocate their caches outside the traced run
     tracemalloc.start()
@@ -117,13 +119,12 @@ def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, kind):
 def test_a_rejected_map_is_named_by_image_and_place(monkeypatch, block_bytes):
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block_bytes)
     db = loaded_db()
-    items = query_reference_split(db, 2)[1]
+    refs = split_index(db, 2)[1]
     db.payloads[db.places[3].images[1].row, 0, 2, 1] = np.inf
-    images, labels = [img for _, img in items], np.array([pid for pid, _ in items])
     with pytest.raises(FeatureMapError, match="^image 'synth_00003_01' of place 3: feature map"):
-        stage_payloads(images, labels, stage("avg"))
-    with pytest.raises(ValueError, match="share one payload array"):
-        stage_payloads([], [], stage("avg"))
+        stage_payloads(db, refs, stage("avg"))
+    with pytest.raises(ValueError, match="^no images to stage$"):
+        stage_payloads(db, [], stage("avg"))
 
 
 def test_check_reports_the_first_bad_row():

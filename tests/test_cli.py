@@ -1164,8 +1164,13 @@ class TestEmptyDatabase:
     def test_eval_names_a_database_without_images(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("place_id,image_ref,lat,lon,bearing,year,month\n", encoding="utf-8")
-        empty = tmp_path / "empty"
-        assert run_command(["build-db", "--manifest", str(manifest), "--out", str(empty)]) == 0
+        assert run_command(["build-db", "--manifest", str(manifest), "--out",
+                            str(tmp_path / "built")]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: the manifest lists no images\n"
+        assert not (tmp_path / "built").exists()
+        empty = tmp_path / "empty"  # a database directory written by hand
+        empty.mkdir()
+        (empty / "manifest.csv").write_bytes(manifest.read_bytes())
         run = tmp_path / "run"
         assert run_command(["train", "--db", str(synth(tmp_path)), "--out", str(run),
                             *SMALL_TRAIN]) == 0
@@ -1173,7 +1178,8 @@ class TestEmptyDatabase:
         rc = run_command(["eval", "--db", str(empty), "--checkpoint", str(run / "checkpoint.vprc"),
                           "--out", str(tmp_path / "eval")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {empty}: the database has no images\n"
+        assert capsys.readouterr().err == (
+            f"error: {empty / 'manifest.csv'}: the manifest lists no images\n")
         assert not (tmp_path / "eval").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ from vprkit.errors import ManifestError, SamplerError
 from vprkit.places import (
     BatchSampler,
     BatchSpec,
-    ImageRecord,
-    Place,
     PlacesDB,
     SynthConfig,
-    gather_payloads,
     grid_cell,
     haversine,
     ingest_manifest,
     manifest_bytes,
     query_reference_split,
+    split_index,
+    stage_payloads,
     synth_places,
     training_view,
 )
@@ -38,10 +38,19 @@ def rows_for_place(pid, count, lat, lon):
     )
 
 
+def column_db(place_ids, lats=0.0, lons=0.0, bearings=np.nan, months=1, rows=None):
+    """A PlacesDB from its columns; a number stands for that value in every row."""
+    n = len(place_ids)
+    return PlacesDB(place_ids, [f"i{k}" for k in range(n)], np.broadcast_to(lats, n),
+                    np.broadcast_to(lons, n), np.broadcast_to(bearings, n), np.full(n, 2015),
+                    np.broadcast_to(months, n), np.arange(n) if rows is None else rows)
+
+
 class TestIngestManifest:
-    def test_empty_manifest_gives_empty_db(self, tmp_path):
-        db = ingest_manifest(write_csv(tmp_path, ""))
-        assert len(db) == 0
+    def test_empty_manifest_rejected(self, tmp_path):
+        path = write_csv(tmp_path, ",,,,,,\n")
+        with pytest.raises(ManifestError, match=f"^{path}: the manifest lists no images$"):
+            ingest_manifest(path, allow_small_places=True)
 
     def test_small_place_rejected_by_name(self, tmp_path):
         path = write_csv(tmp_path, rows_for_place(7, 3, 48.1, 2.2))
@@ -184,7 +193,8 @@ class TestBatchSampler:
         db = tiny_db(num_places=110, images=4)
         sampler = BatchSampler(db, BatchSpec(100, 4, rng_seed=0))
         batch = next(sampler.epoch())
-        assert len(batch.images) == 400
+        assert len(batch.index) == 400
+        assert batch.feature_maps().shape == (400, 3, 3, 2)
 
     def test_not_enough_places(self):
         db = tiny_db(num_places=5)
@@ -205,7 +215,7 @@ class TestBatchSampler:
         seq_b = [b for _ in range(3) for b in sampler_b.epoch()]
         assert len(seq_a) == len(seq_b)
         for ba, bb in zip(seq_a, seq_b):
-            assert [i.image_ref for i in ba.images] == [i.image_ref for i in bb.images]
+            np.testing.assert_array_equal(sampler_a.index[ba.index], sampler_b.index[bb.index])
             np.testing.assert_array_equal(ba.labels, bb.labels)
 
     def test_batch_structure_invariant(self):
@@ -231,7 +241,7 @@ class TestBatchSampler:
         db = tiny_db()
         sampler = BatchSampler(db, BatchSpec(6, 4, rng_seed=3))
         for batch in sampler.epoch():
-            refs = [img.image_ref for img in batch.images]
+            refs = db.image_refs[sampler.index[batch.index]].tolist()
             assert len(set(refs)) == len(refs)
 
     def test_labels_and_maps_follow_the_sampled_images(self):
@@ -241,19 +251,19 @@ class TestBatchSampler:
         sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))
         for _ in range(3):
             for batch in sampler.epoch():
-                refs = [img.image_ref for img in batch.images]
+                refs = db.image_refs[sampler.index[batch.index]].tolist()
                 assert batch.labels.dtype == np.int64
                 np.testing.assert_array_equal(batch.labels, [place_of[ref] for ref in refs])
                 np.testing.assert_array_equal(
                     batch.feature_maps(), np.stack([payload_of[ref] for ref in refs])
                 )
 
-    def test_missing_payload_on_a_later_image_rejected(self):
+    def test_database_without_payloads_rejected_by_its_first_eligible_image(self):
         db = tiny_db()
-        db.places[3].images[2].store = None
-        with pytest.raises(SamplerError, match="synth_00003_02"):
-            BatchSampler(db, BatchSpec(4, 3, rng_seed=0))
-
+        db = db.take(np.flatnonzero(db.place_ids != 0)[2:])  # no place 0; place 1 keeps 3 images
+        db.payloads = None
+        with pytest.raises(SamplerError, match="^place 2 image 'synth_00002_00' has no payload$"):
+            BatchSampler(db, BatchSpec(4, 4, rng_seed=0))
 
 
 class TestPayloadStore:
@@ -287,7 +297,7 @@ class TestPayloadStore:
         np.testing.assert_array_equal(db.payloads_in_order().ravel(), [0.0, 2.0, 1.0, 3.0])
 
     def test_attach_rejects_images_without_distinct_rows(self):
-        db = PlacesDB([Place(0, [ImageRecord(f"m{i}", 0.0, 0.0) for i in range(3)])])
+        db = column_db([0, 0, 0], rows=[0, 2, 0])
         with pytest.raises(ValueError, match="rows 0 to M-1, each once"):
             db.attach_payloads(np.zeros((3, 1, 1, 1)))
 
@@ -303,8 +313,10 @@ class TestPayloadStore:
             img.payload = np.zeros((3, 3, 2))
         with pytest.raises(AttributeError):
             img.payload = None
-        img.store = None
-        assert img.payload is None
+        with pytest.raises(AttributeError):
+            img.store = None
+        db.payloads = None
+        assert [img.payload for img in db.images()] == [None] * 8
 
     def test_payloads_in_order_of_a_view(self):
         db = synth_places(4, 5, shape=(3, 3, 2), rng_seed=2)
@@ -314,34 +326,23 @@ class TestPayloadStore:
             view.payloads_in_order(),
             np.stack([img.payload for p in view.places for img in p.images]),
         )
-        db.places[1].images[0].store = None
+        db.payloads = None
         assert db.payloads_in_order() is None
-
-    def test_gather_needs_one_shared_array(self):
-        a = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
-        b = synth_places(2, 4, shape=(3, 3, 2), rng_seed=3)
-        with pytest.raises(ValueError, match="share one payload array"):
-            gather_payloads([a.places[0].images[0], b.places[0].images[0]])
-        with pytest.raises(ValueError, match="share one payload array"):
-            gather_payloads([])
 
     def test_gather_names_an_image_without_a_payload(self):
         db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
-        images = db.images()
-        images[5].store = None
+        db.payloads = None
         with pytest.raises(ValueError, match="^image 'synth_00001_01' has no payload$"):
-            gather_payloads(images)
-
-    @pytest.mark.parametrize("argument", [{"store": np.zeros((1, 2, 2, 1))}, {"row": 0}])
-    def test_store_and_row_are_set_only_by_attach_payloads(self, argument):
-        with pytest.raises(TypeError):
-            ImageRecord("x", 0.0, 0.0, **argument)
+            stage_payloads(db, [5, 6], lambda fmaps: fmaps)
 
     def test_batch_index_points_into_the_sampler_images(self):
         db = tiny_db()
         sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))
         for batch in sampler.epoch():
-            assert all(sampler.images[i] is img for i, img in zip(batch.index, batch.images))
+            at = sampler.index[batch.index]
+            np.testing.assert_array_equal(batch.rows, db.rows[at])
+            np.testing.assert_array_equal(batch.labels, db.place_ids[at])
+            assert batch.store is db.payloads
 
 
 class TestSplits:
@@ -368,13 +369,29 @@ class TestSplits:
         with pytest.raises(ValueError):
             query_reference_split(db, 4)
 
+    def test_split_of_uneven_places(self):
+        db = column_db([5, 5, 5, 9, 9, 2, 2, 2, 2])
+        queries, refs = split_index(db, 1)
+        assert queries.tolist() == [2, 4, 8] and refs.tolist() == [0, 1, 3, 5, 6, 7]
+        view = training_view(db, 1)
+        assert [(p.place_id, len(p)) for p in view.places] == [(5, 2), (9, 1), (2, 3)]
+        with pytest.raises(ValueError, match="^place 9 has 2 images, cannot hold out 2 queries$"):
+            split_index(db, 2)
+
 
 class TestDbValidation:
     def test_duplicate_place_ids_rejected(self):
-        img = [ImageRecord(f"i{k}", 1.0, 1.0, year=2015, month=1 + k) for k in range(4)]
-        img2 = [ImageRecord(f"j{k}", 2.0, 2.0, year=2015, month=1 + k) for k in range(4)]
         with pytest.raises(ValueError, match="unique"):
-            PlacesDB([Place(1, img), Place(1, img2)])
+            column_db([1, 1, 1, 1, 2, 1, 1, 1, 1], lats=[1.0] * 4 + [3.0] + [2.0] * 4)
+
+    def test_place_ids_compared_as_integers(self):
+        db = column_db([2**62, 2**62 + 1, 2**62 + 1])
+        assert [(p.place_id, len(p)) for p in db.places] == [(2**62, 1), (2**62 + 1, 2)]
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            PlacesDB([0, 0], ["a", "b"], [0.0] * 2, [0.0] * 2, [np.nan] * 2, [2015] * 2, [1] * 2,
+                     [0])
 
     def test_shift_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -382,8 +399,47 @@ class TestDbValidation:
 
     def test_invalid_month_rejected(self):
         with pytest.raises(ValueError, match="month"):
-            ImageRecord("x", 0.0, 0.0, year=2015, month=13)
+            column_db([0], months=13)
 
     def test_bearing_range(self):
         with pytest.raises(ValueError, match="bearing"):
-            ImageRecord("x", 0.0, 0.0, bearing=360.0, year=2015, month=1)
+            column_db([0], bearings=360.0)
+        assert column_db([0]).images()[0].bearing is None  # NaN is a blank bearing
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("lats", 91.0, "lat 91.0 outside [-90, 90]"),
+        ("lons", np.nan, "lon nan outside [-180, 180]"),
+        ("bearings", -1.0, "bearing -1.0 outside [0, 360)"),
+        ("months", 0, "month 0 outside [1, 12]")])
+    def test_range_messages(self, column, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            column_db([0, 0], **{column: [0 if column == "months" else 0.0, value]})
+
+
+class TestCentroidSummation:
+    """A centroid is each coordinate summed left to right, as Python's `sum` adds it."""
+
+    def near_edge(self):
+        # seeded search: 12 latitudes within 1e-12 of 48.888, a cell edge, whose mean floors
+        # to cell 48887 summed left to right and to 48888 summed as `np.add.reduceat` pairs them
+        lats = 48.888 + np.random.default_rng(221).uniform(-1e-12, 1e-12, 12)
+        assert grid_cell(sum(lats.tolist()) / 12, 0.0)[0] == 48887
+        assert grid_cell(np.add.reduceat(lats, [0])[0] / 12, 0.0)[0] == 48888
+        return lats
+
+    def test_cell_of_a_centroid_near_an_edge(self):
+        lats = self.near_edge()
+        db = column_db([0] * 12 + [1] * 4, lats=np.concatenate([lats, [48.8875] * 4]),
+                       lons=2.2005)
+        with pytest.raises(ValueError, match=r"^places 0 and 1 share grid cell \(48887, 2200\)$"):
+            db.check_disjoint()
+        column_db([0] * 12 + [1] * 4, lats=np.concatenate([lats, [48.8885] * 4]),
+                  lons=2.2005).check_disjoint()
+
+    def test_through_a_manifest(self, tmp_path):
+        lats = self.near_edge().tolist()
+        body = "".join(f"7,a{i},{lat!r},2.2005,,2015,1\n" for i, lat in enumerate(lats))
+        path = write_csv(tmp_path, body + rows_for_place(3, 4, 48.8875, 2.2005))
+        with pytest.raises(ManifestError, match=r"places 7 and 3 share grid cell \(48887, 2200\)$"):
+            ingest_manifest(path)
+

@@ -2,8 +2,11 @@
 
 `old_manifest` and `old_sidecar` are the row-at-a-time readers that the C
 column reader replaced, kept here as oracles with their number parsing as
-a parameter. With Python's `int` and `float` they read as before; with
-`ascii_int` and `ascii_float` they apply the column reader's rule, which
+a parameter. `old_manifest` is self-contained: it checks each row's ranges,
+groups rows by place id in a dict, and sums each centroid with Python's
+`sum`, where `ingest_manifest` works on columns. With Python's `int` and
+`float` they read as before; with `ascii_int` and `ascii_float` they apply
+the column reader's rule, which
 differs only where a number is spelled with `_` separators or non-ASCII
 digits, or an integer does not fit in int64. Every generated file must
 load to the same values, bit for bit and in the same order, or fail with
@@ -27,9 +30,6 @@ from hypothesis import strategies as st
 from vprkit.errors import FormatError, ManifestError, VprkitError
 from vprkit.places import (
     MANIFEST_HEADER,
-    ImageRecord,
-    Place,
-    PlacesDB,
     ingest_manifest,
     manifest_bytes,
     synth_places,
@@ -92,14 +92,18 @@ def _old_parse_row(row, line, to_int, to_float):
     image_ref = (row.get("image_ref") or "").strip()
     if not image_ref:
         raise OldManifestError("empty image_ref", line=line)
-    try:
-        rec = ImageRecord(image_ref, lat, lon, bearing=bearing, year=year, month=month)
-    except ValueError as exc:
-        raise OldManifestError(str(exc), line=line) from exc
-    return place_id, rec
+    for name, value, ok, span in (
+            ("lat", lat, -90.0 <= lat <= 90.0, "[-90, 90]"),
+            ("lon", lon, -180.0 <= lon <= 180.0, "[-180, 180]"),
+            ("bearing", bearing, bearing is None or 0.0 <= bearing < 360.0, "[0, 360)"),
+            ("month", month, 1 <= month <= 12, "[1, 12]")):
+        if not ok:
+            raise OldManifestError(f"{name} {value} outside {span}", line=line)
+    return place_id, (image_ref, lat, lon, bearing, year, month)
 
 
 def old_manifest(path, allow_small_places, to_int=int, to_float=float):
+    """The manifest's places as `db_values` lists them, or OldManifestError."""
     grouped, seen_refs = {}, set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -117,19 +121,26 @@ def old_manifest(path, allow_small_places, to_int=int, to_float=float):
                 raise OldManifestError(
                     f"expected {len(MANIFEST_HEADER)} fields, got {len(raw)}", line=line)
             place_id, rec = _old_parse_row(dict(zip(MANIFEST_HEADER, raw)), line, to_int, to_float)
-            key = (place_id, rec.image_ref)
+            key = (place_id, rec[0])
             if key in seen_refs:
                 raise OldManifestError(f"duplicate (place_id, image_ref) = {key}", line=line)
             seen_refs.add(key)
             grouped.setdefault(place_id, []).append(rec)
-    db = PlacesDB([Place(pid, imgs) for pid, imgs in grouped.items()])
-    try:
-        if not allow_small_places:
-            db.check_min_images()
-        db.check_disjoint()
-    except ValueError as exc:
-        raise OldManifestError(str(exc)) from exc
-    return db
+    if not grouped:
+        raise OldManifestError("the manifest lists no images")
+    for pid, recs in grouped.items():
+        if len(recs) < 4 and not allow_small_places:
+            raise OldManifestError(f"place {pid} has {len(recs)} images, needs >= 4")
+    seen = {}
+    for pid, recs in grouped.items():
+        cell = tuple(math.floor(sum(rec[k] for rec in recs) / len(recs) / 0.001) for k in (1, 2))
+        if cell in seen:
+            raise OldManifestError(f"places {seen[cell]} and {pid} share grid cell {cell}")
+        seen[cell] = pid
+    return [(pid, [(ref, struct.pack("<d", lat), struct.pack("<d", lon),
+                    None if bearing is None else struct.pack("<d", bearing), year, month)
+                   for ref, lat, lon, bearing, year, month in recs])
+            for pid, recs in grouped.items()]
 
 
 def old_sidecar(path, rows, to_int=int, to_float=float):
@@ -228,27 +239,33 @@ RAW_LINES = ["", "", "", "   ", "\t", " , ,", ",,,,,,", ",,,", '""', '" ",""', '
 
 @st.composite
 def manifest_case(draw):
-    """(text, allow_small_places) of a manifest with 1-4 places near each other."""
-    places = draw(st.integers(1, 4))
+    """(text, allow_small_places) of a manifest with 1-4 places near each other.
+
+    Rows of different places interleave; place ids count up from 0 or from
+    2**62, where consecutive ids are equal as float64. A "range" row has
+    one to four columns out of range.
+    """
+    places, first_id = draw(st.integers(1, 4)), draw(st.sampled_from([0, 2**62]))
     rows = [MANIFEST_HEADER]
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 19)) == 0:
             rows.append(draw(st.sampled_from(RAW_LINES)))
             continue
-        pid = draw(st.integers(0, places - 1))
+        place = draw(st.integers(0, places - 1))
+        pid = first_id + place
         mutation = draw(st.sampled_from([None] * 12 + ["field", "number", "range", "duplicate"]))
-        lat = 45.0 + pid * 0.01 + draw(st.floats(0.0, 9e-4))
+        lat = 45.0 + place * 0.01 + draw(st.floats(0.0, 9e-4))
         lon = 7.0 + draw(st.floats(0.0, 9e-4))
         ref = draw(IDS)
         bearing = draw(st.none() | st.floats(0.0, 359.99))
         year, month = draw(st.integers(1990, 2030)), draw(st.integers(1, 12))
         if mutation == "range":
-            which = draw(st.sampled_from(["lat", "lon", "bearing", "month"]))
-            lat = 90.5 if which == "lat" else lat
-            lon = -181.0 if which == "lon" else lon
-            bearing = draw(st.sampled_from([360.0, -1.0, float("nan")])) if which == "bearing" \
+            which = draw(st.sets(st.sampled_from(["lat", "lon", "bearing", "month"]), min_size=1))
+            lat = 90.5 if "lat" in which else lat
+            lon = -181.0 if "lon" in which else lon
+            bearing = draw(st.sampled_from([360.0, -1.0, float("nan")])) if "bearing" in which \
                 else bearing
-            month = draw(st.sampled_from([0, 13])) if which == "month" else month
+            month = draw(st.sampled_from([0, 13])) if "month" in which else month
         bad = draw(st.integers(0, 5)) if mutation == "number" else None
         row = [draw(number_field(pid, int, bad == 0)), ref,
                draw(number_field(lat, float, bad == 1)), draw(number_field(lon, float, bad == 2)),
@@ -314,21 +331,22 @@ class TestManifestAgainstRowLoop:
         path = tmp_path / "manifest.csv"
         path.write_bytes(text.encode("utf-8"))
         new = outcome(lambda: db_values(ingest_manifest(path, allow_small)))
-        strict = outcome(lambda: db_values(old_manifest(path, allow_small, ascii_int, ascii_float)))
+        strict = outcome(lambda: old_manifest(path, allow_small, ascii_int, ascii_float))
         if strict[0] == "ok":
             assert new == strict
         else:
             assert new == ("error", ManifestError, f"{path}: {strict[2]}")
         if not any(spelling in text for spelling in OLD_ONLY):
-            assert outcome(lambda: db_values(old_manifest(path, allow_small))) == strict
+            assert outcome(lambda: old_manifest(path, allow_small)) == strict
 
     def test_written_manifest_reads_back(self, tmp_path):
         db = synth_places(6, 4, shape=(3, 3, 1), rng_seed=3)
-        db.places[1].images[2].bearing = None
+        db.bearings[6] = np.nan  # a blank bearing: place 1, image 2
         path = tmp_path / "m.csv"
         path.write_bytes(manifest_bytes(db))
         assert db_values(ingest_manifest(path)) == db_values(db)
-        assert db_values(ingest_manifest(path)) == db_values(old_manifest(path, False))
+        assert db.places[1].images[2].bearing is None
+        assert db_values(ingest_manifest(path)) == old_manifest(path, False)
 
 
 class TestSidecarAgainstRowLoop:
@@ -353,6 +371,7 @@ class TestSidecarAgainstRowLoop:
 
 class TestTextEdges:
     def test_header_only_files_load_empty_without_a_warning(self, tmp_path):
+        # a sidecar loads as an empty set; a manifest of no images is an error of its own
         manifest = tmp_path / "m.csv"
         manifest.write_text(",".join(MANIFEST_HEADER) + "\r\n\r\n")
         path = tmp_path / "d.vprk"
@@ -360,7 +379,8 @@ class TestTextEdges:
         sidecar_path(path).write_text(",".join(SIDECAR_HEADER) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(ingest_manifest(manifest)) == 0
+            with pytest.raises(ManifestError, match=f"^{manifest}: the manifest lists no images$"):
+                ingest_manifest(manifest)
             assert len(load_descriptors(path)) == 0
 
     def test_hash_and_quotes_stay_in_ids(self, tmp_path):

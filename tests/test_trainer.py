@@ -293,7 +293,8 @@ def per_step_reference(db, cfg):
     step; this loop pools each batch again, in forward and in backward.
     """
     sampler = BatchSampler(db, cfg.batch_spec)
-    params = init_aggregator(cfg, sampler.images[0].payload.shape[2])
+    images = db.images()
+    params = init_aggregator(cfg, images[0].payload.shape[2])
     arrays = aggregators.head(cfg.aggregator).arrays(params)
     state = OptimizerState(
         learning_rate=cfg.initial_lr,
@@ -307,7 +308,7 @@ def per_step_reference(db, cfg):
         epoch_lrs.append([epoch, state.learning_rate])
         for batch in sampler.epoch():
             params = aggregators.head(cfg.aggregator).from_arrays(arrays, cfg.grid)
-            fmaps = np.stack([img.payload for img in batch.images])
+            fmaps = np.stack([images[i].payload for i in sampler.index[batch.index]])
             ebatch = embed_feature_maps(cfg.aggregator, params, fmaps, batch.labels)
             sim = similarity_matrix(ebatch)
             mined = trainer._mine(cfg, sim, batch.labels)
