@@ -1,10 +1,11 @@
 """Experiment command line: synth, build-db, train, eval, reduce, report.
 
-Every run is driven by a declarative JSON config (defaults below, file
-via --config, overrides via repeatable --set key=value) and writes its
-fully resolved config next to its outputs, so results are reproducible
-from the artifacts alone. Exit status is 0 exactly when all requested
-artifacts were written.
+Every run is driven by a declarative JSON config (`DEFAULT_CONFIG`, whose
+defaults come from the dataclasses that take them: SynthConfig,
+TrainConfig, LossConfig and PCAModel; file via --config, overrides via
+repeatable --set key=value) and writes its fully resolved config next to
+its outputs, so results are reproducible from the artifacts alone. Exit
+status is 0 exactly when all requested artifacts were written.
 
 A database directory holds `manifest.csv` plus an optional rank-4
 `payloads.vprk` tensor row-aligned with the manifest; `train` and `eval`
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import ctypes
 import dataclasses
 import functools
@@ -29,6 +29,7 @@ import numpy as np
 from . import aggregators, places, tensorio, trainer
 from .errors import FormatError, VprkitError
 from .evaluator import (
+    DEFAULT_GEO_RADIUS_M,
     GroundTruthMatcher,
     PCAModel,
     RecallReport,
@@ -41,6 +42,15 @@ from .places import BatchSpec, PlacesDB, SynthConfig
 from .tensorio import DescriptorSet
 from .trainer import TrainConfig, embed_feature_maps
 
+
+def _defaults(cls, *skip: str) -> dict:
+    """The declared defaults of dataclass `cls`'s fields, except `skip` and fields without one."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.name not in skip and f.default is not dataclasses.MISSING}
+
+
+# Each default is declared once, by the dataclass or constant that uses it; the
+# values written here are the ones no dataclass holds.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "synth": {
@@ -49,44 +59,24 @@ DEFAULT_CONFIG: dict = {
         "height": 7,
         "width": 7,
         "channels": 32,
-        "max_shift": 2,
-        "gain": 0.3,
-        "noise_sigma": 0.1,
-        "latent_blur": 2,
-        "unstable_fraction": 0.25,
-        "noise_contrast": 30.0,
+        **_defaults(SynthConfig),
     },
     "train": {
         "num_places": 8,
         "images_per_place": 4,
-        "aggregator": "conv_ap",
-        "out_channels": 64,
-        "grid": [2, 2],
-        "use_bias": True,
-        "gem_power": 3.0,
-        "loss": "multi_similarity",
-        "margin": None,
-        "ms_alpha": 2.0,
-        "ms_beta": 50.0,
-        "miner": "ms",
-        "miner_epsilon": 0.1,
-        "initial_lr": 0.03,
-        "lr_decay_factor": 0.3,
-        "lr_decay_every": 5,
-        "max_epochs": 15,
-        "momentum": 0.9,
-        "weight_decay": 0.001,
-        "decay_bias": True,
+        **_defaults(TrainConfig, "loss_config", "rng_seed"),
+        "margin": None,  # null: the loss's own margin
+        **_defaults(LossConfig, "margin"),
     },
     "eval": {
         "queries_per_place": 2,
         "ground_truth": "label",
-        "radius_m": 25.0,
+        "radius_m": DEFAULT_GEO_RADIUS_M,
         "ks": [1, 5, 10],
     },
     "pca": {
         "out_dim": 64,
-        "epsilon": 1e-9,
+        **_defaults(PCAModel),
     },
 }
 
@@ -95,17 +85,14 @@ class ConfigError(VprkitError):
     pass
 
 
-# list keys whose length is fixed by their default
-FIXED_LENGTH_KEYS = ("train.grid",)
-
-
 def _check_schema(config: dict, template: dict, path: str = "") -> None:
     """Reject unknown or missing keys and values whose type differs from the default's.
 
     A key is missing only when overrides replaced its section. Exact type
     tests keep booleans out of numbers; a number must be finite as a float
     (no NaN, Infinity or larger integer). Null defaults take null or a
-    number; list defaults (all lists of ints) take lists of ints.
+    number; list and tuple defaults (all of ints) take lists of ints, of the
+    tuple's length for a tuple.
     """
     for key in (key for key in template if key not in config):
         raise ConfigError(f"config key {f'{path}.{key}' if path else key!r} is missing")
@@ -128,10 +115,10 @@ def _check_schema(config: dict, template: dict, path: str = "") -> None:
             ok, expected = type(value) is int, "an integer"
         elif isinstance(ref, float):
             ok, expected = number, "a finite number"
-        elif isinstance(ref, list):
+        elif isinstance(ref, (list, tuple)):
             ok = isinstance(value, list) and all(type(v) is int for v in value)
             expected = "a list of integers"
-            if where in FIXED_LENGTH_KEYS:
+            if isinstance(ref, tuple):
                 ok = ok and len(value) == len(ref)
                 expected = f"a list of {len(ref)} integers"
         else:
@@ -167,7 +154,7 @@ def _set_override(assignment: str) -> dict:
 
 def resolve_config(args) -> dict:
     """The defaults merged with the `--config` file, then each `--set`, then `--seed`; checked once."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    config = json.loads(json.dumps(DEFAULT_CONFIG))  # JSON types: a tuple default becomes a list
     if getattr(args, "config", None):
         try:
             loaded = json.loads(tensorio.read_text(args.config, ConfigError))
@@ -350,7 +337,7 @@ def _load_pca_model(path) -> PCAModel:
             )
     try:
         return PCAModel(**{name: tensors[name] for name in PCA_TENSOR_RANKS},
-                        epsilon=float(mconf.get("epsilon", 1e-9)))
+                        epsilon=float(mconf.get("epsilon", PCAModel.epsilon)))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -202,6 +202,9 @@ def recall_at_k(
         raise ValueError("empty query set")
     if len(refs) == 0:
         raise ValueError("empty reference set")
+    if queries.vectors.shape[1] != refs.vectors.shape[1]:
+        raise ValueError(f"query descriptors have dim {queries.vectors.shape[1]}, "
+                         f"references have dim {refs.vectors.shape[1]}")
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be positive integers")
     ks = sorted(set(int(k) for k in ks))
@@ -297,7 +300,8 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(flip, -vectors, vectors)
 
 
-def pca_whiten_fit(training: np.ndarray, out_dim: int, epsilon: float = 1e-9) -> PCAModel:
+def pca_whiten_fit(training: np.ndarray, out_dim: int,
+                   epsilon: float = PCAModel.epsilon) -> PCAModel:
     """Learn a whitening transform from training descriptors.
 
     Centers the data, eigendecomposes the sample covariance (n-1

@@ -34,13 +34,11 @@ class LossConfig:
 
 
 def default_loss_config(kind: str) -> LossConfig:
-    """Conventional defaults: the margins differ per loss family."""
-    if kind == "contrastive":
-        return LossConfig(margin=0.5)
+    """Conventional defaults: the triplet losses take margin 0.1, the others LossConfig's own."""
     if kind in ("triplet", "weak_triplet"):
         return LossConfig(margin=0.1)
-    if kind == "multi_similarity":
-        return LossConfig(margin=0.5, ms_alpha=2.0, ms_beta=50.0)
+    if kind in ("contrastive", "multi_similarity"):
+        return LossConfig()
     raise ValueError(f"unknown loss kind {kind!r}")
 
 

@@ -98,7 +98,7 @@ class TrainConfig:
     initial_lr: float = 0.03
     lr_decay_factor: float = 0.3
     lr_decay_every: int = 5
-    max_epochs: int = 30
+    max_epochs: int = 15
     momentum: float = 0.9
     weight_decay: float = 0.001
     decay_bias: bool = True
@@ -257,7 +257,7 @@ def load_train_checkpoint(path):
     stored tensor the head does not take in that shape.
     """
     kind, tensors, config = tensorio.load_checkpoint(path)
-    grid = config.get("grid", [2, 2])
+    grid = config.get("grid", list(TrainConfig.grid))
     if not (
         isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)
     ):

@@ -356,6 +356,23 @@ class TestEvalInputFlags:
                 "--db", str(tmp_path / "missing"), "--checkpoint", str(tmp_path / "missing.vprc")]
         self._fails(capsys, argv, tmp_path / "ev")
 
+    def test_sets_of_different_widths(self, tmp_path, rng, capsys):
+        from vprkit.embeddings import normalize_rows
+
+        paths = []
+        for name, dim in (("q", 8), ("r", 16)):
+            paths.append(tmp_path / f"{name}.vprk")
+            save_descriptors(paths[-1], DescriptorSet(
+                normalize_rows(rng.standard_normal((6, dim))), [f"{name}{i}" for i in range(6)],
+                np.zeros(6), np.zeros(6), np.arange(6)))
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        assert run_command(["eval", "--queries", str(paths[0]), "--refs", str(paths[1]),
+                            "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: query descriptors have dim 8, references have dim 16\n")
+        assert not out.exists()
+
 
 SMALL_PLACES = [
     "--set", "train.images_per_place=2",
@@ -1181,6 +1198,71 @@ class TestEmptyDatabase:
         assert capsys.readouterr().err == (
             f"error: {empty / 'manifest.csv'}: the manifest lists no images\n")
         assert not (tmp_path / "eval").exists()
+
+
+class TestDefaultConfig:
+    """The defaults a run without overrides records: a changed dataclass default shows here."""
+
+    RESOLVED = """{
+  "eval": {
+    "ground_truth": "label",
+    "ks": [
+      1,
+      5,
+      10
+    ],
+    "queries_per_place": 2,
+    "radius_m": 25.0
+  },
+  "pca": {
+    "epsilon": 1e-09,
+    "out_dim": 64
+  },
+  "seed": 0,
+  "synth": {
+    "channels": 32,
+    "gain": 0.3,
+    "height": 7,
+    "images_per_place": 8,
+    "latent_blur": 2,
+    "max_shift": 2,
+    "noise_contrast": 30.0,
+    "noise_sigma": 0.1,
+    "num_places": 64,
+    "unstable_fraction": 0.25,
+    "width": 7
+  },
+  "train": {
+    "aggregator": "conv_ap",
+    "decay_bias": true,
+    "gem_power": 3.0,
+    "grid": [
+      2,
+      2
+    ],
+    "images_per_place": 4,
+    "initial_lr": 0.03,
+    "loss": "multi_similarity",
+    "lr_decay_every": 5,
+    "lr_decay_factor": 0.3,
+    "margin": null,
+    "max_epochs": 15,
+    "miner": "ms",
+    "miner_epsilon": 0.1,
+    "momentum": 0.9,
+    "ms_alpha": 2.0,
+    "ms_beta": 50.0,
+    "num_places": 8,
+    "out_channels": 64,
+    "use_bias": true,
+    "weight_decay": 0.001
+  }
+}
+"""
+
+    def test_resolved_config_of_a_run_without_overrides(self, tmp_path):
+        assert run_command(["synth", "--out", str(tmp_path / "db")]) == 0
+        assert (tmp_path / "db" / "resolved_config.json").read_text(encoding="utf-8") == self.RESOLVED
 
 
 class TestTrainArtifactLayout:
