@@ -69,8 +69,8 @@ DEFAULT_CONFIG: dict = {
         **_defaults(LossConfig, "margin"),
     },
     "eval": {
-        "queries_per_place": 2,
-        "ground_truth": "label",
+        "queries_per_place": places.DEFAULT_QUERIES_PER_PLACE,
+        "ground_truth": GroundTruthMatcher.mode,
         "radius_m": DEFAULT_GEO_RADIUS_M,
         "ks": [1, 5, 10],
     },

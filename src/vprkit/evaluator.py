@@ -6,11 +6,13 @@ place labels or from a geodesic radius around each query (25 m by
 default). Queries with no correct reference at all are excluded from the
 recall denominator and reported separately.
 
-Geo ground truth is exact but pruned: a great-circle distance is at least
-EARTH_RADIUS_M times the latitude difference, so only references inside
-a query block's latitude band (widened by the radius) are measured. The
-ground truth takes the queries in latitude order, which keeps each
-block's band narrow whatever order the queries arrive in.
+Recall reads the ground truth at each query's retrieved references; only a
+query without a hit there is scanned against every reference, to learn
+whether it has a match at all. The geo scan is exact but pruned: a
+great-circle distance is at least EARTH_RADIUS_M times the latitude
+difference, so only references inside a query block's latitude band
+(widened by the radius) are measured. The scan takes its queries in
+latitude order, which keeps each band narrow whatever their given order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .places import EARTH_RADIUS_M, haversine
 from .tensorio import DescriptorSet
 
 DEFAULT_GEO_RADIUS_M = 25.0
-BLOCK_ENTRIES = 1 << 17  # (block, R) entries per recall_at_k query block: bounds its memory
+BLOCK_ENTRIES = 1 << 17  # (block, R) entries per query block of retrieval and of the geo scan
 # degrees (about 0.1 m) added to the latitude band: far above the rounding of
 # haversine and of the band comparison, so no match falls outside the band
 BAND_SLACK_DEG = 1e-6
@@ -39,7 +41,7 @@ class GroundTruthMatcher:
     mode "label": same place_id. mode "geo": within radius_m meters.
     """
 
-    mode: str = "geo"
+    mode: str = "label"
     radius_m: float = DEFAULT_GEO_RADIUS_M
 
     def __post_init__(self):
@@ -62,6 +64,24 @@ class GroundTruthMatcher:
         mask[:, band] = dists <= self.radius_m
         return mask
 
+    def found(self, queries: DescriptorSet, refs: DescriptorSet,
+              top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`correct` read at the (Q, k) reference indices `top`, and whether each query has a match."""
+        if self.mode == "label":
+            hits = refs.place_ids[top] == queries.place_ids[:, None]
+            return hits, np.isin(queries.place_ids, refs.place_ids)
+        hits = haversine((queries.lats[:, None], queries.lons[:, None]),
+                         (refs.lats[top], refs.lons[top])) <= self.radius_m
+        has_match = hits.any(axis=1)
+        # only a query without a hit in its top k is scanned, in latitude order
+        missed = np.flatnonzero(~has_match)
+        missed = missed[np.argsort(queries.lats[missed], kind="stable")]
+        rows = max(1, BLOCK_ENTRIES // (len(refs) or 1))
+        for lo in range(0, len(missed), rows):
+            idx = missed[lo:lo + rows]
+            has_match[idx] = self.correct(queries.take(idx), refs).any(axis=1)
+        return hits, has_match
+
     def matches(self, queries: DescriptorSet, refs: DescriptorSet) -> list[np.ndarray]:
         """Per query, the array of correct reference indices."""
         return [np.flatnonzero(row) for row in self.correct(queries, refs)]
@@ -70,18 +90,21 @@ class GroundTruthMatcher:
 def retrieve_topk(query: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k most cosine-similar reference rows, best first.
 
-    `query` is one (D,) descriptor, giving (k,) indices, or a (B, D) block
-    of them, giving (B, k). Both sides must be unit norm. Ties resolve
-    toward the smaller index.
+    `query` is one (D,) descriptor, giving (k,) indices, or (Q, D) of them,
+    giving (Q, k), scored in blocks of about BLOCK_ENTRIES scores. Both sides
+    must be unit norm (checked once). Ties resolve toward the smaller index.
     """
     refs = np.asarray(refs, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    block = np.atleast_2d(query)
+    queries = np.atleast_2d(query)
     if not 1 <= k <= refs.shape[0]:
         raise ValueError(f"k={k} out of range for {refs.shape[0]} references")
-    if not rows_are_unit(refs) or not rows_are_unit(block):
+    if not rows_are_unit(refs) or not rows_are_unit(queries):
         raise ValueError("retrieve_topk requires unit-norm descriptors")
-    order = _best_k(block @ refs.T, k)
+    order = np.empty((len(queries), k), dtype=np.intp)
+    rows = max(1, BLOCK_ENTRIES // len(refs))
+    for lo in range(0, len(queries), rows):
+        order[lo:lo + rows] = _best_k(queries[lo:lo + rows] @ refs.T, k)
     return order if query.ndim == 2 else order[0]
 
 
@@ -211,19 +234,8 @@ def recall_at_k(
     max_k = min(max(ks), len(refs))
 
     ref_ids = np.asarray(refs.ids, dtype=object)
-    rows = max(1, BLOCK_ENTRIES // len(refs))
-    top = np.concatenate([retrieve_topk(queries.vectors[lo:lo + rows], refs.vectors, max_k)
-                          for lo in range(0, len(queries), rows)])
-    # the ground truth visits the queries in latitude order, so a block's geo
-    # band spans only its own rows' latitudes, whatever order the queries are in
-    by_lat = np.argsort(queries.lats, kind="stable")
-    has_match = np.empty(len(queries), dtype=bool)
-    hits = np.empty(top.shape, dtype=bool)
-    for lo in range(0, len(queries), rows):
-        idx = by_lat[lo:lo + rows]
-        correct = gt.correct(queries.take(idx), refs)
-        has_match[idx] = correct.any(axis=1)
-        hits[idx] = np.take_along_axis(correct, top[idx], axis=1)
+    top = retrieve_topk(queries.vectors, refs.vectors, max_k)
+    hits, has_match = gt.found(queries, refs, top)
     # 1-based rank of the first correct reference; 0 when none is in the top max_k
     ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
     traces = [

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MS_EPSILON = 0.1  # ms_mining's margin around an anchor's hardest opposite similarity
+
 
 def _pair_list(mask: np.ndarray) -> list[tuple[int, int]]:
     rows, cols = np.nonzero(mask)
@@ -111,7 +113,7 @@ def hardest_mining(sim: np.ndarray, labels: np.ndarray) -> MinedSet:
     )
 
 
-def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = 0.1) -> MinedSet:
+def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = MS_EPSILON) -> MinedSet:
     """Keep pairs that are informative relative to the opposite set.
 
     Per anchor i, a negative (i, k) survives iff its similarity exceeds

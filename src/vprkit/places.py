@@ -33,6 +33,7 @@ from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, coord
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
+DEFAULT_QUERIES_PER_PLACE = 2  # each place's last images, held out as queries
 # (lat, lon) of the south-west corner of the synthetic place grid
 SYNTH_ORIGIN = (45.0, 7.0)
 
@@ -565,7 +566,8 @@ class BatchSampler:
             yield Batch(self.labels[index], index, self.rows[index], self.store)
 
 
-def split_index(db: PlacesDB, queries_per_place: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def split_index(db: PlacesDB,
+                queries_per_place: int = DEFAULT_QUERIES_PER_PLACE) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the queries, each place's last images, and of the references.
 
     Every place keeps at least one reference image.
@@ -582,13 +584,14 @@ def split_index(db: PlacesDB, queries_per_place: int = 2) -> tuple[np.ndarray, n
     return np.flatnonzero(query), np.flatnonzero(~query)
 
 
-def query_reference_split(db: PlacesDB, queries_per_place: int = 2) -> tuple[list, list]:
+def query_reference_split(db: PlacesDB,
+                          queries_per_place: int = DEFAULT_QUERIES_PER_PLACE) -> tuple[list, list]:
     """The queries and references of `split_index` as lists of (place_id, ImageRecord)."""
     images, pids = db.images(), db.place_ids.tolist()
     return tuple([(pids[i], images[i]) for i in index.tolist()]
                  for index in split_index(db, queries_per_place))
 
 
-def training_view(db: PlacesDB, queries_per_place: int = 2) -> PlacesDB:
+def training_view(db: PlacesDB, queries_per_place: int = DEFAULT_QUERIES_PER_PLACE) -> PlacesDB:
     """The database with held-out query images removed from every place."""
     return db.take(split_index(db, queries_per_place)[1])

@@ -94,7 +94,7 @@ class TrainConfig:
     loss: str = "multi_similarity"
     loss_config: losses.LossConfig | None = None
     miner: str = "ms"
-    miner_epsilon: float = 0.1
+    miner_epsilon: float = mining.MS_EPSILON
     initial_lr: float = 0.03
     lr_decay_factor: float = 0.3
     lr_decay_every: int = 5

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,40 @@ class TestRetrieveTopkBlock:
             retrieve_topk(bad, refs, 2)
         with pytest.raises(ValueError):
             retrieve_topk(block, 2.0 * refs, 2)
+
+    def test_blocks_equal_row_calls_and_check_the_references_once(self, rng, monkeypatch):
+        d = 6
+        refs = np.eye(d)[rng.integers(0, d, 30)]  # one-hot rows: exact ties, broken by index
+        queries = np.vstack([np.eye(d)[rng.integers(0, d, 5)], random_unit_rows(rng, 6, d)])
+        by_row = {k: [retrieve_topk(q, refs, k) for q in queries] for k in (1, 7, 30)}
+        checked, blocks = [], []
+
+        def rows_are_unit(m):
+            checked.append(len(m))
+            return real_check(m)
+
+        def best_k(scores, k):
+            blocks.append(len(scores))
+            return real_best_k(scores, k)
+
+        real_check, real_best_k = evaluator.rows_are_unit, evaluator._best_k
+        monkeypatch.setattr(evaluator, "rows_are_unit", rows_are_unit)
+        monkeypatch.setattr(evaluator, "_best_k", best_k)
+        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * len(refs))
+        for k, rows in by_row.items():
+            checked.clear()
+            blocks.clear()
+            top = retrieve_topk(queries, refs, k)
+            assert top.dtype == np.intp
+            np.testing.assert_array_equal(top, np.stack(rows))
+            assert checked == [len(refs), len(queries)]
+            assert blocks == [3, 3, 3, 2]
+
+    def test_empty_query_block(self, rng):
+        refs = random_unit_rows(rng, 5, 4)
+        for k in (1, 5):
+            top = retrieve_topk(np.zeros((0, 4)), refs, k)
+            assert top.shape == (0, k) and top.dtype == np.intp
 
 
 def topk_by_stable_argsort(scores, k):
@@ -374,27 +410,85 @@ class TestLatitudeBand:
         np.testing.assert_array_equal(mask, [[False, True, False, False], [False, True, False, False]])
 
 
-    def test_recall_takes_blocks_in_latitude_order(self, monkeypatch):
-        # queries in shuffled latitude order: a block of two in the given order would span
-        # the whole latitude range, and its band would keep every reference
+    def test_recall_band_scans_only_queries_without_a_hit(self, monkeypatch):
         refs = DescriptorSet(np.eye(10), [f"p{i}" for i in range(10)], np.arange(0.0, 91.0, 10.0),
                              np.zeros(10), np.zeros(10, int))  # unit vector i at latitude 10 i
-        queries = refs.take([9, 0, 5, 1, 8, 2])
-        queries.ids[:] = [f"q{i}" for i in range(6)]
-        widths = []
+        # queries in shuffled latitude order; q0 sits on p7 but looks like p3, so its
+        # match lies outside its top 5, and q2 at latitude 45 has no match at all
+        queries = refs.take([3, 9, 4, 0, 5])
+        queries.ids[:] = [f"q{i}" for i in range(5)]
+        queries.lats[[0, 2]] = [70.0, 45.0]
+        widths, scanned = [], []
 
         def counted(a, b):
             widths.append(np.shape(b[0]))
             return haversine(a, b)
 
+        def correct(self, qs, rs):
+            scanned.append(qs.ids)
+            return real_correct(self, qs, rs)
+
+        real_correct = GroundTruthMatcher.correct
         monkeypatch.setattr(evaluator, "haversine", counted)
-        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 2 * len(refs))
-        report = recall_at_k(queries, refs, GroundTruthMatcher(mode="geo", radius_m=25.0), [1])
-        assert widths == [(2,), (4,), (2,)]  # latitudes 0-10, 20-50 and 80-90
-        assert report.recall_at == {1: 1.0}
+        monkeypatch.setattr(GroundTruthMatcher, "correct", correct)
+        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", len(refs))  # one-row scan blocks
+        report = recall_at_k(queries, refs, GroundTruthMatcher(mode="geo", radius_m=25.0), [1, 5])
+        # the (Q, k) retrieved references, then the two queries without a hit in
+        # latitude order: no reference lies in q2's band, one (p7) in q0's
+        assert widths == [(5, 5), (0,), (1,)]
+        assert scanned == [["q2"], ["q0"]]
+        assert report.recall_at == {1: 0.75, 5: 0.75}
+        assert (report.queries_evaluated, report.queries_excluded) == (4, 1)
         assert [t.query_id for t in report.per_query] == queries.ids
-        assert [t.retrieved for t in report.per_query] == [["p9"], ["p0"], ["p5"], ["p1"],
-                                                           ["p8"], ["p2"]]
+        assert [t.first_correct_rank for t in report.per_query] == [None, 1, None, 1, 1]
+        assert report.per_query[0].retrieved == ["p3", "p0", "p1", "p2", "p4"]
+        assert report.per_query[2].retrieved == []
+
+
+@st.composite
+def top_indices(draw, q, r):
+    """A (q, k) index matrix into r references: from retrieve_topk, drawn freely, or k = r."""
+    source = draw(st.sampled_from(["retrieve", "arbitrary", "all"]) if r else st.just("arbitrary"))
+    if source == "arbitrary":
+        k = draw(st.integers(0 if r == 0 else 1, r))
+        return draw(arrays(np.intp, (q, k), elements=st.integers(0, max(r - 1, 0))))
+    k = r if source == "all" else draw(st.integers(1, r))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return retrieve_topk(random_unit_rows(rng, q, 4), random_unit_rows(rng, r, 4), k)
+
+
+class TestFoundAtTopK:
+    """GroundTruthMatcher.found equals the full ground-truth mask read at top."""
+
+    @staticmethod
+    def check(gt, queries, refs, top, full):
+        r = len(refs)
+        # the default budget, one-row and three-row scan blocks
+        for budget in (evaluator.BLOCK_ENTRIES, 1, 3 * max(r, 1)):
+            with mock.patch.object(evaluator, "BLOCK_ENTRIES", budget):
+                hits, has_match = gt.found(queries, refs, top)
+            np.testing.assert_array_equal(hits, np.take_along_axis(full, top, axis=1))
+            np.testing.assert_array_equal(has_match, full.any(axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=geo_case(), data=st.data())
+    def test_geo_equals_full_mask_at_top(self, case, data):
+        q_points, r_points, radius = case
+        queries, refs = located_set(q_points), located_set(r_points)
+        top = data.draw(top_indices(len(queries), len(refs)))
+        self.check(GroundTruthMatcher(mode="geo", radius_m=radius), queries, refs, top,
+                   TestLatitudeBand.full_mask(queries, refs, radius))
+
+    @settings(max_examples=200, deadline=None)
+    @given(q_labels=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+           r_labels=st.lists(st.integers(0, 6), max_size=12), data=st.data())
+    def test_label_equals_full_mask_at_top(self, q_labels, r_labels, data):
+        queries = located_set(np.zeros((len(q_labels), 2)))
+        refs = located_set(np.zeros((len(r_labels), 2)))
+        queries.place_ids[:], refs.place_ids[:] = q_labels, r_labels
+        top = data.draw(top_indices(len(queries), len(refs)))
+        self.check(GroundTruthMatcher(mode="label"), queries, refs, top,
+                   queries.place_ids[:, None] == refs.place_ids[None, :])
 
 
 class TestRecallAtK:
@@ -524,11 +618,12 @@ class TestBlockedRecall:
     def check(self, monkeypatch, queries, refs, gt, match_sets, ks):
         calls = []
 
-        def counted(query, ref_vectors, k):
-            calls.append(len(query))
-            return retrieve_topk(query, ref_vectors, k)
+        def counted(scores, k):
+            calls.append(len(scores))
+            return best_k(scores, k)
 
-        monkeypatch.setattr(evaluator, "retrieve_topk", counted)
+        best_k = evaluator._best_k
+        monkeypatch.setattr(evaluator, "_best_k", counted)
         expected, evaluated, excluded = recall_by_hand(
             queries.vectors, refs.vectors, match_sets, ks
         )
