@@ -255,7 +255,7 @@ def gem_pool_backward(fmap: np.ndarray, params: GemParams, upstream: np.ndarray)
 def init_conv_ap(
     in_channels: int,
     out_channels: int,
-    grid: tuple[int, int] = (2, 2),
+    grid: tuple[int, int] = ConvAPParams.grid,
     use_bias: bool = True,
     rng: np.random.Generator | None = None,
 ) -> ConvAPParams:

@@ -30,6 +30,7 @@ from . import aggregators, places, tensorio, trainer
 from .errors import FormatError, VprkitError
 from .evaluator import (
     DEFAULT_GEO_RADIUS_M,
+    PCA_TENSOR_RANKS,
     GroundTruthMatcher,
     PCAModel,
     RecallReport,
@@ -56,9 +57,7 @@ DEFAULT_CONFIG: dict = {
     "synth": {
         "num_places": 64,
         "images_per_place": 8,
-        "height": 7,
-        "width": 7,
-        "channels": 32,
+        **dict(zip(("height", "width", "channels"), places.DEFAULT_SYNTH_SHAPE)),
         **_defaults(SynthConfig),
     },
     "train": {
@@ -171,6 +170,8 @@ def resolve_config(args) -> dict:
         _check_schema(config, DEFAULT_CONFIG)
     except RecursionError:
         raise ConfigError("config nested too deeply") from None
+    if config["seed"] < 0:
+        raise ConfigError(f"config key 'seed' must be >= 0, got {config['seed']}")
     return config
 
 
@@ -320,21 +321,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-PCA_TENSOR_RANKS = {"mean": 1, "projection": 2, "eigenvalues": 1}
-
-
 def _load_pca_model(path) -> PCAModel:
-    """A PCA model checkpoint; FormatError names a missing or misshapen tensor."""
+    """A PCA model checkpoint; FormatError names another kind, a missing tensor or a bad one."""
     kind, tensors, mconf = tensorio.load_checkpoint(path)
     if kind != "pca":
-        raise ConfigError(f"{path} is not a PCA model")
-    for name, rank in PCA_TENSOR_RANKS.items():
+        raise FormatError(f"{path}: checkpoint of kind {kind!r} is not a PCA model")
+    for name in PCA_TENSOR_RANKS:
         if name not in tensors:
             raise FormatError(f"{path}: PCA model has no tensor {name!r}")
-        if tensors[name].ndim != rank:
-            raise FormatError(
-                f"{path}: PCA tensor {name!r} has shape {tensors[name].shape}, needs rank {rank}"
-            )
     try:
         return PCAModel(**{name: tensors[name] for name in PCA_TENSOR_RANKS},
                         epsilon=float(mconf.get("epsilon", PCAModel.epsilon)))
@@ -355,6 +349,9 @@ def cmd_reduce(args) -> int:
             int(config["pca"]["out_dim"]),
             epsilon=float(config["pca"]["epsilon"]),
         )
+        # applied as saved: the checkpoint stores each tensor as float32
+        model = PCAModel(**{name: getattr(model, name).astype(np.float32)
+                            for name in PCA_TENSOR_RANKS}, epsilon=model.epsilon)
     elif not args.model:
         raise ConfigError("reduce --apply needs --model (or --fit in the same run)")
     else:
@@ -367,11 +364,7 @@ def cmd_reduce(args) -> int:
         tensorio.save_checkpoint(
             out / "pca_model.vprc",
             "pca",
-            {
-                "mean": model.mean,
-                "projection": model.projection,
-                "eigenvalues": model.eigenvalues,
-            },
+            {name: getattr(model, name) for name in PCA_TENSOR_RANKS},
             {"epsilon": model.epsilon, "out_dim": model.out_dim},
         )
     if reduced is not None:

@@ -261,6 +261,10 @@ def recall_at_k(
 # PCA + whitening
 # ---------------------------------------------------------------------------
 
+# a PCA model's tensors, in the order its checkpoint stores them, with their ranks
+PCA_TENSOR_RANKS = {"mean": 1, "projection": 2, "eigenvalues": 1}
+
+
 @dataclass
 class PCAModel:
     """Whitening projection learned from a training sample.
@@ -277,12 +281,14 @@ class PCAModel:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.projection = np.asarray(self.projection, dtype=np.float64)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
+        for name, rank in PCA_TENSOR_RANKS.items():
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.ndim != rank:
+                raise ValueError(f"PCA tensor {name!r} has shape {value.shape}, needs rank {rank}")
+            setattr(self, name, value)
         if self.projection.shape != (len(self.eigenvalues), len(self.mean)):
             raise ValueError("projection shape inconsistent with mean/eigenvalues")
-        for name in ("mean", "projection", "eigenvalues"):
+        for name in PCA_TENSOR_RANKS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"PCA {name} has non-finite entries")
         if np.any(self.eigenvalues < 0):

@@ -33,13 +33,15 @@ class LossConfig:
             raise ValueError("ms_alpha and ms_beta must be positive")
 
 
+# the loss kinds; kind `k` is computed by `<k>_loss`
+LOSS_KINDS = ("contrastive", "triplet", "multi_similarity", "weak_triplet")
+
+
 def default_loss_config(kind: str) -> LossConfig:
     """Conventional defaults: the triplet losses take margin 0.1, the others LossConfig's own."""
-    if kind in ("triplet", "weak_triplet"):
-        return LossConfig(margin=0.1)
-    if kind in ("contrastive", "multi_similarity"):
-        return LossConfig()
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return LossConfig(margin=0.1) if kind.endswith("triplet") else LossConfig()
 
 
 @dataclass

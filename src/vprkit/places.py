@@ -36,6 +36,7 @@ MIN_IMAGES_PER_PLACE = 4
 DEFAULT_QUERIES_PER_PLACE = 2  # each place's last images, held out as queries
 # (lat, lon) of the south-west corner of the synthetic place grid
 SYNTH_ORIGIN = (45.0, 7.0)
+DEFAULT_SYNTH_SHAPE = (7, 7, 32)  # (height, width, channels) of a synthetic feature map
 
 # Float64 bytes of maps `stage_payloads` converts at a time. A block this size
 # stays in cache, and it bounds the memory a stage over a whole set needs
@@ -389,7 +390,7 @@ def _box_blur_circular(m: np.ndarray, passes: int) -> np.ndarray:
 def synth_places(
     num_places: int,
     images_per_place: int,
-    shape: tuple[int, int, int] = (7, 7, 32),
+    shape: tuple[int, int, int] = DEFAULT_SYNTH_SHAPE,
     perturbation: SynthConfig | None = None,
     rng_seed: int = 0,
 ) -> PlacesDB:

@@ -25,7 +25,6 @@ from .embeddings import EmbeddingBatch, similarity_matrix, unit_rows
 from .errors import DivergenceError, FormatError
 from .places import BatchSampler, BatchSpec, PlacesDB
 
-LOSS_KINDS = ("contrastive", "triplet", "multi_similarity", "weak_triplet")
 MINER_KINDS = ("all", "ohm", "ms")
 
 
@@ -88,9 +87,9 @@ class TrainConfig:
     batch_spec: BatchSpec
     aggregator: str = "conv_ap"
     out_channels: int = 64
-    grid: tuple[int, int] = (2, 2)
+    grid: tuple[int, int] = aggregators.ConvAPParams.grid
     use_bias: bool = True
-    gem_power: float = 3.0
+    gem_power: float = aggregators.GemParams.power
     loss: str = "multi_similarity"
     loss_config: losses.LossConfig | None = None
     miner: str = "ms"
@@ -99,15 +98,15 @@ class TrainConfig:
     lr_decay_factor: float = 0.3
     lr_decay_every: int = 5
     max_epochs: int = 15
-    momentum: float = 0.9
-    weight_decay: float = 0.001
+    momentum: float = OptimizerState.momentum
+    weight_decay: float = OptimizerState.weight_decay
     decay_bias: bool = True
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.aggregator not in aggregators.AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.loss not in LOSS_KINDS:
+        if self.loss not in losses.LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.miner not in MINER_KINDS:
             raise ValueError(f"unknown miner {self.miner!r}")
@@ -253,10 +252,12 @@ def save_train_checkpoint(path, cfg: TrainConfig, params) -> None:
 def load_train_checkpoint(path):
     """Returns (kind, params, config echo dict).
 
-    FormatError names a tensor the head needs but the file lacks, and a
-    stored tensor the head does not take in that shape.
+    FormatError names a kind that is no head, a tensor the head needs but
+    the file lacks, and a stored tensor the head does not take in that shape.
     """
     kind, tensors, config = tensorio.load_checkpoint(path)
+    if kind not in aggregators.AGGREGATOR_KINDS:
+        raise FormatError(f"{path}: checkpoint of kind {kind!r} is not an aggregation head")
     grid = config.get("grid", list(TrainConfig.grid))
     if not (
         isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)

@@ -171,6 +171,27 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error: config key 'synth.num_places' is missing\n"
 
 
+class TestNegativeSeed:
+    """A negative seed is rejected by name for every command, before any output is written."""
+
+    @pytest.mark.parametrize("argv", [["synth"], ["build-db", "--manifest", "m.csv"],
+                                      ["train", "--db", "db"], ["eval"], ["reduce"],
+                                      ["report", "report.kv"]], ids=lambda argv: argv[0])
+    def test_seed_flag(self, tmp_path, capsys, argv):
+        capsys.readouterr()
+        assert run_command([*argv, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: config key 'seed' must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3}), encoding="utf-8")
+        capsys.readouterr()
+        assert run_command(["synth", "--out", str(tmp_path / "db"), "--config", str(cfg)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()
+
+
 class TestUnparsableConfig:
     """A config input that does not parse fails with one error line naming its source."""
 
@@ -464,6 +485,38 @@ class TestMalformedCheckpoint:
         assert err.startswith("error:") and "'power' has shape (2,)" in err
 
 
+class TestCheckpointKinds:
+    """Each loader takes only its own checkpoint kind, and names the file and the kind it got."""
+
+    def test_eval_with_a_pca_model(self, tmp_path, rng, capsys):
+        db = synth(tmp_path)
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        assert run_command(["reduce", "--fit", str(path), "--out", str(tmp_path / "pca"),
+                            "--set", "pca.out_dim=3"]) == 0
+        model = tmp_path / "pca" / "pca_model.vprc"
+        capsys.readouterr()
+        rc = run_command(["eval", "--db", str(db), "--checkpoint", str(model),
+                          "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: checkpoint of kind 'pca' is not an aggregation head\n")
+        assert not (tmp_path / "eval").exists()
+
+    def test_reduce_with_a_head_checkpoint(self, tmp_path, rng, capsys):
+        db = synth(tmp_path)
+        assert run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                            *SMALL_TRAIN]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.vprc"
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        capsys.readouterr()
+        rc = run_command(["reduce", "--apply", str(path), "--model", str(checkpoint),
+                          "--out", str(tmp_path / "apply")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: checkpoint of kind 'conv_ap' is not a PCA model\n")
+        assert not (tmp_path / "apply").exists()
+
+
 class TestReduce:
     def test_fit_and_apply(self, tmp_path, rng):
         from vprkit.embeddings import normalize_rows
@@ -513,6 +566,33 @@ class TestReduce:
             ]
         ) == 0
         assert load_descriptors(apply_dir / "reduced.vprk").vectors.shape == (30, 3)
+
+    def test_fit_and_apply_equals_apply_with_the_saved_model(self, tmp_path, rng):
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        fit_dir, apply_dir = tmp_path / "fit", tmp_path / "apply"
+        assert run_command(["reduce", "--fit", str(path), "--apply", str(path),
+                            "--out", str(fit_dir), "--set", "pca.out_dim=3"]) == 0
+        assert run_command(["reduce", "--apply", str(path),
+                            "--model", str(fit_dir / "pca_model.vprc"),
+                            "--out", str(apply_dir)]) == 0
+        for name in ("reduced.vprk", "reduced.csv"):
+            assert (fit_dir / name).read_bytes() == (apply_dir / name).read_bytes()
+
+    def test_model_with_a_tensor_of_the_wrong_rank(self, tmp_path, rng, capsys):
+        from vprkit.tensorio import load_checkpoint, save_checkpoint
+
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        assert run_command(["reduce", "--fit", str(path), "--out", str(tmp_path / "fit"),
+                            "--set", "pca.out_dim=3"]) == 0
+        model = tmp_path / "fit" / "pca_model.vprc"
+        kind, tensors, config = load_checkpoint(model)
+        save_checkpoint(model, kind, {**tensors, "eigenvalues": tensors["eigenvalues"][:, None]},
+                        config)
+        capsys.readouterr()
+        assert run_command(["reduce", "--apply", str(path), "--model", str(model),
+                            "--out", str(tmp_path / "apply")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: PCA tensor 'eigenvalues' has shape (3, 1), needs rank 1\n")
 
     def test_no_action_fails(self, tmp_path):
         assert run_command(["reduce", "--out", str(tmp_path / "x")]) == 1

@@ -800,6 +800,15 @@ class TestPcaWhitening:
         with pytest.raises(ValueError, match=f"PCA {name} has non-finite entries"):
             PCAModel(**tensors)
 
+    @pytest.mark.parametrize("name, shape", [("mean", (1, 3)), ("projection", (6,)),
+                                             ("eigenvalues", (2, 1))])
+    def test_model_rejects_tensors_of_the_wrong_rank(self, name, shape):
+        tensors = {"mean": np.zeros(3), "projection": np.ones((2, 3)),
+                   "eigenvalues": np.array([2.0, 1.0])}
+        tensors[name] = np.ones(shape)
+        with pytest.raises(ValueError, match=rf"PCA tensor '{name}' has shape .*, needs rank"):
+            PCAModel(**tensors)
+
     def test_transform_set_keeps_metadata(self, rng):
         ds = make_set(rng, 30, 6)
         model = pca_whiten_fit(ds.vectors, 3)

@@ -10,12 +10,17 @@ is a test reference listed in KEPT.
 A module-level constant of the package counts as reached only when one of
 those sources loads it, as a name or an attribute: its own assignment, or
 an import that nothing reads, does not keep it.
+
+A default is declared once: no two declarations of the package (dataclass
+fields or function parameters) give the same name the same literal default,
+None, booleans, 0 and "" aside. The second one reads the first instead.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,3 +124,52 @@ def test_a_constant_only_assigned_or_imported_is_flagged(tmp_path):
     user.write_text("from module import _ANNOTATED\n_USED = 2\n", encoding="utf-8")
     assert unloaded_constants([module], [module, user]) == {
         "_UNUSED": "module.py:2", "_ANNOTATED": "module.py:3"}
+
+
+# defaults too common to mean one decision
+TRIVIAL_DEFAULTS = (None, True, False, 0, "")
+
+
+def literal_defaults(path: Path):
+    """(name, repr of the value, where) for each class field and parameter with a literal default."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef):
+            pairs = [(stmt.target.id, stmt.value) for stmt in node.body
+                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                     and stmt.value is not None]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            pairs = list(zip((a.arg for a in positional[len(positional) - len(args.defaults):]),
+                             args.defaults))
+            pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        else:
+            continue
+        for name, default in pairs:
+            try:
+                value = ast.literal_eval(default)
+            except ValueError:  # a name or an expression: read from where it is declared
+                continue
+            if not any(type(value) is type(t) and value == t for t in TRIVIAL_DEFAULTS):
+                yield name, repr(value), f"{path.name}:{default.lineno}"
+
+
+def repeated_defaults(paths) -> dict[tuple[str, str], list[str]]:
+    where = defaultdict(list)
+    for path in sorted(paths):
+        for name, value, at in literal_defaults(path):
+            where[name, value].append(at)
+    return {key: ats for key, ats in where.items() if len(ats) > 1}
+
+
+def test_every_default_is_declared_once():
+    assert repeated_defaults(PACKAGE.glob("*.py")) == {}
+
+
+def test_a_repeated_literal_default_is_flagged(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from dataclasses import dataclass\n\n@dataclass\nclass A:\n"
+                      "    grid: tuple = (2, 2)\n    seed: int = 0\n    name: str = ''\n\n"
+                      "def f(grid=(2, 2), *, seed=0, name='', rate=A.grid, flag=True):\n"
+                      "    pass\n\ndef g(flag=True, rate=0.5):\n    pass\n", encoding="utf-8")
+    assert repeated_defaults([module]) == {("grid", "(2, 2)"): ["module.py:5", "module.py:9"]}

@@ -192,8 +192,9 @@ class TestCheckpointContainer:
         with pytest.raises(FormatError, match="tensors"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("kind", [None, "netvlad", ["conv_ap"]])
+    @pytest.mark.parametrize("kind", [None, 3, ["conv_ap"]])
     def test_unknown_aggregator_rejected(self, tmp_path, kind):
+        # a kind that is not a string; which strings are known is up to each loader
         header = {"format": FORMAT_VERSION, "tensors": [], "config": {}}
         if kind is not None:
             header["aggregator"] = kind
@@ -328,6 +329,17 @@ class TestFiniteVectors:
         vectors[1, 0] = np.nan
         save_tensor(path, vectors)
         with pytest.raises(FormatError, match=r"desc\.vprk: row 1: descriptor has non-finite"):
+            load_descriptors(path)
+
+    def test_signalling_nan_is_a_non_finite_row(self, tmp_path):
+        # float32 0x7f800001 is a signalling NaN: widening it to float64 raises "invalid"
+        path = tmp_path / "desc.vprk"
+        save_descriptors(path, DescriptorSet(np.eye(3), ["a", "b", "c"], np.zeros(3),
+                                             np.zeros(3), np.arange(3)))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"desc\.vprk: row 2: descriptor has non-finite"):
             load_descriptors(path)
 
 

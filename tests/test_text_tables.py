@@ -534,6 +534,16 @@ class TestReadersRaiseOnlyTypedErrors:
         with pytest.raises(FormatError, match="rank 70"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("load", [load_tensor, lambda path: load_tensor(path, np.float64)],
+                             ids=["float32", "float64"])
+    def test_empty_tensor_beyond_numpy(self, tmp_path, load):
+        # no payload, but numpy refuses any shape whose nonzero dims overflow its size
+        path = tmp_path / "t.vprk"
+        path.write_bytes(b"VPRK" + struct.pack("<HBB3I", FORMAT_VERSION, 1, 3, 0, 2**32 - 1,
+                                               2**32 - 1))
+        with pytest.raises(FormatError, match="unsupported tensor of rank 3"):
+            load(path)
+
     def test_deeply_nested_checkpoint_header(self, tmp_path):
         header = b"[" * 100_000 + b"]" * 100_000
         path = tmp_path / "c.vprc"

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from vprkit import aggregators, trainer
+from vprkit import aggregators, tensorio, trainer
 from vprkit.embeddings import similarity_matrix
-from vprkit.errors import DivergenceError
+from vprkit.errors import DivergenceError, FormatError
 from vprkit.losses import WeakTuple, weak_triplet_total
 from vprkit.mining import hardest_mining
 from vprkit.places import BatchSampler, BatchSpec, SynthConfig, synth_places, training_view
@@ -277,6 +277,13 @@ class TestCheckpoints:
         kind, loaded, _ = load_train_checkpoint(path)
         assert kind == "gem"
         assert loaded.power == pytest.approx(params.power, abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["netvlad", "pca"])
+    def test_kind_that_is_no_head_rejected(self, tmp_path, kind):
+        path = tmp_path / "c.vprc"
+        tensorio.save_checkpoint(path, kind, {"mean": np.zeros(3)}, {})
+        with pytest.raises(FormatError, match=f"c.vprc: checkpoint of kind '{kind}' is not an"):
+            load_train_checkpoint(path)
 
     def test_trainable_arrays_shapes(self):
         cfg = small_cfg()
