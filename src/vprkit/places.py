@@ -19,7 +19,6 @@ through a CSV manifest, desk-scale experiments use the seeded generator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import FeatureMapError, ManifestError, SamplerError
 from .tensorio import (FLOAT64, FLOAT64_OR_BLANK, INT64, TEXT, TensorRows, coordinate_checks,
-                       range_problems, read_table, read_text, table_bytes)
+                       range_problems, read_table, table_bytes)
 
 DEFAULT_CELL_DEG = 0.001
 MIN_IMAGES_PER_PLACE = 4
@@ -72,7 +71,7 @@ class ImageRecord:
     @property
     def payload(self) -> np.ndarray | None:
         """The feature map as float64 (exact for a float32 store), or None."""
-        return None if self.store is None else self.store[self.row].astype(np.float64)
+        return None if self.store is None else _widened(self.store.take([self.row], axis=0)[0])
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,12 @@ class Place:
 
     def __len__(self) -> int:
         return len(self.images)
+
+
+def _widened(maps: np.ndarray) -> np.ndarray:
+    """Maps as float64, exact for float32; a signalling NaN widens to a quiet one, silently."""
+    with np.errstate(invalid="ignore"):
+        return maps.astype(np.float64, copy=False)
 
 
 def grid_cell(lat, lon) -> tuple:
@@ -177,19 +182,22 @@ class PlacesDB:
         self.payloads = stack
 
     def payloads_in_order(self) -> np.ndarray | None:
-        """The images' maps, row i for the i-th image in place order, from an array `payloads`.
+        """The images' maps as an array, row i for the i-th image in place order.
 
-        None without `payloads`, and `payloads` itself when the images are its
-        rows in order (a synthesized database, or a manifest that lists places whole).
+        None without `payloads`, and `payloads` itself when it is an array whose
+        rows are the images in order (a synthesized database, or a manifest that
+        lists places whole); a `TensorRows` store is read.
         """
-        if self.payloads is None or np.array_equal(self.rows, np.arange(len(self.payloads))):
-            return self.payloads
-        return self.payloads.take(self.rows, axis=0)
+        store = self.payloads
+        if store is None or (isinstance(store, np.ndarray)
+                             and np.array_equal(self.rows, np.arange(store.shape[0]))):
+            return store
+        return store.take(self.rows, axis=0)
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
 
-        A centroid is summed left to right, as Python's `sum` adds (`np.add.reduceat`
+        A centroid is summed by plain left-to-right float addition (`np.add.reduceat`
         pairs terms, which can move it across a cell edge). Grid-built databases are
         disjoint by construction; manifest-built ones are checked here so a
         validated DB always means physically distant places.
@@ -240,36 +248,21 @@ def _manifest_columns(path: Path) -> list:
 
     The first row with a problem raises ManifestError naming the file and
     the line, with the row's first problem in the order of the checks:
-    fields, numbers, image_ref, lat, lon, bearing, month, duplicates; so
-    does a manifest without rows.
+    fields, numbers, image_ref, lat, lon, bearing, month, duplicates.
     """
-    table = read_table(read_text(path, ManifestError), MANIFEST_COLUMNS, skip_blank_rows=True)
-    if table.header is None:
-        raise ManifestError(f"{path}: line 1: empty file, expected header")
-    if [h.strip() for h in table.header] != MANIFEST_HEADER:
-        raise ManifestError(f"{path}: line 1: bad header {table.header!r}, "
-                            f"expected {','.join(MANIFEST_HEADER)}")
+    table = read_table(path, MANIFEST_COLUMNS, ManifestError, skip_blank_rows=True)
     pids, refs, lats, lons, bearings, years, months = table.columns.values()
     refs = [ref.strip() for ref in refs]
-    problems = []  # (row, rank of the check, message)
-    if table.fault:
-        fault = table.fault
-        problems.append((fault.row, 0, f"cannot parse row: {fault.reason}" if fault.reason
-                         else f"expected {len(MANIFEST_HEADER)} fields, got {fault.fields}"))
-    if "" in refs:
-        problems.append((refs.index(""), 1, "empty image_ref"))
+    problems = [(refs.index(""), "empty image_ref")] if "" in refs else []
     blank = np.array([b is None for b in bearings], bool)
     bearings = np.array(bearings, np.float64)  # a blank (None) is NaN
-    problems += [(row, 2 + rank, message) for rank, (row, message)
-                 in enumerate(_column_problems(lats, lons, bearings, blank, months))]
+    problems += _column_problems(lats, lons, bearings, blank, months)
     keys = list(zip(pids.tolist(), refs))
     if len(set(keys)) < len(keys):
         first: dict = {}
         row = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
-        problems.append((row, 6, f"duplicate (place_id, image_ref) = {keys[row]}"))
-    if problems:
-        row, _, message = min(problems)
-        raise ManifestError(f"{path}: line {table.locate(row)[0] + 2}: {message}")
+        problems.append((row, f"duplicate (place_id, image_ref) = {keys[row]}"))
+    table.raise_first(problems)
     if not refs:
         raise ManifestError(f"{path}: the manifest lists no images")
     return [pids, np.array(refs, object), lats, lons, bearings, years, months]
@@ -284,13 +277,10 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
     least one image. Places come in the order they first appear, each
     one's images in file order. Places with fewer than 4 images are
     rejected unless `allow_small_places` is set. Errors name the file and,
-    for a row, its line: the row's index + 2, blank rows counted.
+    for a row, the physical line its record ends on.
     """
     path = Path(path)
-    try:
-        columns = _manifest_columns(path)
-    except csv.Error as exc:  # csv before Python 3.11 rejects a NUL
-        raise ManifestError(f"{path}: {exc}") from exc
+    columns = _manifest_columns(path)
     _, first, place = np.unique(columns[0], return_index=True, return_inverse=True)
     order = np.argsort(first[place], kind="stable")  # by each place's first row, then by row
     db = PlacesDB(*(column[order] for column in columns), order)
@@ -488,7 +478,7 @@ def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     step = max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
     out = None
     for lo in range(0, len(rows), step):
-        block = store.take(rows[lo : lo + step], axis=0).astype(np.float64)
+        block = _widened(store.take(rows[lo : lo + step], axis=0))
         try:
             result = stage(block)
         except FeatureMapError as exc:
@@ -515,7 +505,7 @@ class Batch:
 
     def feature_maps(self) -> np.ndarray:
         """The images' maps as one (P*K, h, w, c) float64 array (the conversion is exact)."""
-        return self.store.take(self.rows, axis=0).astype(np.float64, copy=False)
+        return _widened(self.store.take(self.rows, axis=0))
 
 
 class BatchSampler:

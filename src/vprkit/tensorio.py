@@ -19,7 +19,9 @@ Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
 and manifests are read by `read_table`, column by column in C (a text the
 C reader fails on is read again by one `csv` pass, which finds its first
-bad row), and written by `table_bytes`, column by column.
+bad row), and written by `table_bytes`, column by column. One rule checks
+both headers, and `Table.raise_first` names a row's first problem by the
+physical line of its record.
 
 Every file this module writes goes through `write_atomic_files`: a temp
 file beside each target, then `os.replace`, so a write that fails partway
@@ -42,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -150,6 +153,15 @@ def _read_dims(fh) -> tuple[int, ...]:
     return dims
 
 
+@contextlib.contextmanager
+def _named(path: str | Path):
+    """A FormatError raised in the block is raised again with the file's path in front."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def read_into(fh, out: np.ndarray) -> np.ndarray:
     """`out`, a C-contiguous float32 or float64 array, filled from the file's next float32 bytes.
 
@@ -179,19 +191,20 @@ class TensorRows:
     """A tensor file held open, read whole or row by row along its first axis.
 
     Opening checks the file's header and that its size is exactly the
-    header and payload, and keeps the checked file open: every later read
-    comes from it, even if its path is replaced. `close` (or leaving a
-    `with` block) releases it.
+    header and payload (a FormatError names the file), and keeps the
+    checked file open: every later read comes from it, even if its path
+    is replaced. `close` (or leaving a `with` block) releases it.
     """
 
     def __init__(self, path: str | Path):
         self._fh = Path(path).open("rb")
         try:
-            self.shape = _read_dims(self._fh)
-            self._start = self._fh.tell()
-            self._row_bytes = 4 * math.prod(self.shape[1:])
-            if self._fh.seek(0, io.SEEK_END) > self._start + 4 * math.prod(self.shape):
-                raise FormatError("trailing bytes after tensor payload")
+            with _named(path):
+                self.shape = _read_dims(self._fh)
+                self._start = self._fh.tell()
+                self._row_bytes = 4 * math.prod(self.shape[1:])
+                if self._fh.seek(0, io.SEEK_END) > self._start + 4 * math.prod(self.shape):
+                    raise FormatError("trailing bytes after tensor payload")
         except BaseException:
             self._fh.close()
             raise
@@ -262,11 +275,14 @@ def table_bytes(header: list[str], columns: list[list[str]]) -> bytes:
 
 
 @contextlib.contextmanager
-def lifted_field_limit(text: str):
-    """csv's field size limit raised to the length of `text` (no field is longer), then restored."""
+def _csv_pass(text: str, path: str | Path, error: type[VprkitError]):
+    """csv's field size limit raised to the length of `text` (no field is longer), then restored;
+    a csv.Error (csv before Python 3.11 rejects a NUL) raises `error` naming the file."""
     limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     try:
         yield
+    except csv.Error as exc:
+        raise error(f"{path}: {exc}") from exc
     finally:
         csv.field_size_limit(limit)
 
@@ -307,84 +323,85 @@ def _field_value(text: str, kind: str):
 
 
 def _records(text: str, skip_blank_rows: bool):
-    """(record, line, fields) of each non-empty record after the header, csv's field limit lifted.
+    """(line, fields) of each non-empty record after the header; a record ends on physical `line`.
 
-    `record` counts the records after the header from 0, skipped ones too;
-    `line` is the physical line the record ends on. With `skip_blank_rows`,
-    records whose fields are all blank are skipped as well.
+    With `skip_blank_rows`, records whose fields are all blank are skipped as well.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
-    with lifted_field_limit(text):
-        next(reader, None)
-        for record, fields in enumerate(reader):
-            if fields and not (skip_blank_rows and not "".join(fields).strip()):
-                yield record, reader.line_num, fields
-
-
-@dataclass
-class RowFault:
-    """The first data row `read_table` could not take.
-
-    `row` is its index among the data rows, `fields` its field count and
-    `reason` why a field did not convert (None when the count is wrong).
-    """
-
-    row: int
-    fields: int
-    reason: str | None
+    next(reader, None)
+    for fields in reader:
+        if fields and not (skip_blank_rows and not "".join(fields).strip()):
+            yield reader.line_num, fields
 
 
 @dataclass
 class Table:
-    """A CSV text's header and its data rows by column, up to `fault`, the first row that failed.
+    """A CSV file's data rows by column, up to `fault`, (row, message) of the first row that failed.
 
     INT64 and FLOAT64 columns are arrays; TEXT and FLOAT64_OR_BLANK columns
     are lists (a blank float is None).
     """
 
+    path: str | Path
+    error: type[VprkitError]
     text: str
-    header: list[str] | None
-    columns: dict
-    fault: RowFault | None
     skip_blank_rows: bool
+    columns: dict
+    fault: tuple[int, str] | None
 
-    def locate(self, row: int) -> tuple[int, int]:
-        """(record, line) of data row `row`, as `_records` counts them; re-tokenises the text."""
-        where = (-1, 1)
-        for i, (record, line, _) in enumerate(_records(self.text, self.skip_blank_rows)):
-            where = (record, line)
-            if i == row:
-                break
-        return where
+    def raise_first(self, problems: list[tuple[int, str]]) -> None:
+        """Raise `error` for the first row with a problem, if there is one.
+
+        `problems` are the caller's (row, message) in the order of its
+        checks, all in rows before the fault's; a row's first problem is
+        raised. The message is `<file>: line N: <problem>`, N the physical
+        line the row's record ends on, found by tokenising the text again.
+        """
+        problems = [*problems, self.fault] if self.fault else problems
+        if problems:
+            row, _, message = min((row, rank, message)
+                                  for rank, (row, message) in enumerate(problems))
+            with _csv_pass(self.text, self.path, self.error):
+                records = _records(self.text, self.skip_blank_rows)
+                line, _ = next(itertools.islice(records, row, None))
+            raise self.error(f"{self.path}: line {line}: {message}")
 
 
-def read_table(text: str, columns: dict[str, str], skip_blank_rows: bool = False) -> Table:
-    """CSV text as a header record and typed columns, tokenised and converted by numpy's C reader.
+def read_table(path: str | Path, columns: dict[str, str], error: type[VprkitError],
+               skip_blank_rows: bool = False) -> Table:
+    """A UTF-8 CSV file's data rows as typed columns, tokenised and converted by numpy's C reader.
 
-    `columns` maps each column's name to its kind, in file order. Empty
-    lines are skipped. A quoted field may hold commas, doubled quotes and
-    line breaks; `#` is text. Only when the C reader fails does `_scan`
-    read the text again, in one `csv` pass: the first row with another
-    field count, or a field its kind rejects, ends the columns as `fault`.
+    `columns` maps each column's name to its kind, in file order; the
+    header must hold those names, each stripped of surrounding whitespace,
+    or `error` names the file and line 1. Empty lines are skipped. A
+    quoted field may hold commas, doubled quotes and line breaks; `#` is
+    text. Only when the C reader fails does `_scan` read the text again, in
+    one `csv` pass: the first row with another field count, or a field its
+    kind rejects, ends the columns as the table's `fault`.
     `skip_blank_rows` skips rows of blank fields in that pass (the C reader
     rejects them if a column is a number). Fields may be of any length.
     """
+    text = read_text(path, error)
     fh = io.StringIO(text, newline="")
-    with lifted_field_limit(text):
+    with _csv_pass(text, path, error):
         header = next(csv.reader(fh), None)
-    dtype = np.dtype([(name, _STORED_AS[kind]) for name, kind in columns.items()])
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads an int field such as "3.0" through float, with this warning
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.empty(0, dtype)  # header only: no call that would warn of no data
-            if _NOT_LINE_BREAK.search(text, fh.tell()):
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                                  ndmin=1)
-        table = {name: _column(rows[name], kind) for name, kind in columns.items()}
-    except (ValueError, DeprecationWarning):
-        return _scan(text, header, columns, skip_blank_rows)
-    return Table(text, header, table, None, skip_blank_rows)
+        if header is None:
+            raise error(f"{path}: line 1: empty file, expected header")
+        if [name.strip() for name in header] != list(columns):
+            raise error(f"{path}: line 1: bad header {header!r}, expected {','.join(columns)}")
+        dtype = np.dtype([(name, _STORED_AS[kind]) for name, kind in columns.items()])
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 reads an int field such as "3.0" through float, with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.empty(0, dtype)  # header only: no call that would warn of no data
+                if _NOT_LINE_BREAK.search(text, fh.tell()):
+                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                      comments=None, ndmin=1)
+            table, fault = {name: _column(rows[name], kind) for name, kind in columns.items()}, None
+        except (ValueError, DeprecationWarning):
+            table, fault = _scan(text, columns, skip_blank_rows)
+    return Table(path, error, text, skip_blank_rows, table, fault)
 
 
 def _column(fields: np.ndarray, kind: str):
@@ -398,24 +415,27 @@ def _column(fields: np.ndarray, kind: str):
     return [float(word) if word else None for word in words]
 
 
-def _scan(text: str, header, columns: dict[str, str], skip_blank_rows: bool) -> Table:
-    """The table up to the first row that failed, read field by field by `_field_value`'s rules."""
+def _scan(text: str, columns: dict[str, str], skip_blank_rows: bool) -> tuple[dict, tuple | None]:
+    """The columns up to the first row that failed, and (row, message) of that row or None.
+
+    Fields are read one by one by `_field_value`'s rules.
+    """
     values, fault = [], None
-    for row, (_, _, fields) in enumerate(_records(text, skip_blank_rows)):
+    for row, (_, fields) in enumerate(_records(text, skip_blank_rows)):
         if len(fields) != len(columns):
-            fault = RowFault(row, len(fields), None)
+            fault = (row, f"expected {len(columns)} fields, got {len(fields)}")
             break
         try:
             values.append([_field_value(f, kind) for f, kind in zip(fields, columns.values())])
         except ValueError as err:
-            fault = RowFault(row, len(fields), str(err))
+            fault = (row, f"cannot parse row: {err}")
             break
     table = {}
     by_column = zip(*values) if values else [()] * len(columns)
     for (name, kind), column in zip(columns.items(), by_column):
         stored_as = _STORED_AS[kind]
         table[name] = list(column) if stored_as is object else np.array(column, dtype=stored_as)
-    return Table(text, header, table, fault, skip_blank_rows)
+    return table, fault
 
 
 # ---------------------------------------------------------------------------
@@ -500,37 +520,22 @@ def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
                         if not (dest.exists() and os.path.samefile(src, dest))])
 
 
-def _sidecar_columns(side: Path) -> dict:
-    """The sidecar's columns; a bad header or row raises FormatError naming the file and line."""
-    table = read_table(read_text(side, FormatError), SIDECAR_COLUMNS)
-    if table.header != SIDECAR_HEADER:
-        raise FormatError(f"bad sidecar header in {side}")
-    if table.fault:
-        fault = table.fault
-        problem = (f"bad sidecar row: {fault.reason}" if fault.reason
-                   else f"expected {len(SIDECAR_HEADER)} fields, got {fault.fields}")
-        raise FormatError(f"{side}: line {table.locate(fault.row)[1]}: {problem}")
-    return table.columns
-
-
 def load_descriptors(path: str | Path) -> DescriptorSet:
+    """A descriptor set; a FormatError names the file and, for a sidecar row, its line."""
     vectors = load_tensor(path, np.float64)
     if vectors.ndim != 2:
-        raise FormatError(f"descriptor tensor must be rank 2, got rank {vectors.ndim}")
+        raise FormatError(f"{path}: descriptor tensor must be rank 2, got rank {vectors.ndim}")
     side = sidecar_path(path)
-    try:
-        ids, lats, lons, pids = _sidecar_columns(side).values()
-    except csv.Error as exc:  # csv before Python 3.11 rejects a NUL
-        raise FormatError(f"{side}: {exc}") from exc
+    table = read_table(side, SIDECAR_COLUMNS, FormatError)
+    ids, lats, lons, pids = table.columns.values()
+    table.raise_first(range_problems(coordinate_checks(lats, lons)))
     if len(ids) != vectors.shape[0]:
-        raise FormatError(
-            f"sidecar has {len(ids)} rows but tensor has {vectors.shape[0]}"
-        )
+        raise FormatError(f"{side}: sidecar has {len(ids)} rows but tensor {path} has "
+                          f"{vectors.shape[0]}")
     try:
         return DescriptorSet(vectors, ids, lats, lons, pids)
-    except ValueError as exc:  # the vectors are checked first, then the sidecar's columns
-        culprit = side if np.isfinite(vectors).all() else Path(path)
-        raise FormatError(f"{culprit}: {exc}") from exc
+    except ValueError as exc:  # the sidecar is checked: only a non-finite vector is left
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +565,8 @@ def _check_checkpoint_header(header) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]:
-    """Returns (aggregator kind, tensors by name, config echo)."""
-    with Path(path).open("rb") as fh:
+    """Returns (aggregator kind, tensors by name, config echo); a FormatError names the file."""
+    with _named(path), Path(path).open("rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")

@@ -716,6 +716,40 @@ class TestNonFiniteMaps:
             assert capsys.readouterr().err == message
             assert not out.exists()
 
+    def test_signalling_nan_fails_eval_with_one_error_line(self, tmp_path, capsys):
+        # float32 0x7f800001 is a signalling NaN: widening it to float64 raises "invalid"
+        db = synth(tmp_path)
+        run = tmp_path / "run"
+        assert run_command(["train", "--db", str(db), "--out", str(run), *SMALL_TRAIN]) == 0
+        payloads = db / "payloads.vprk"
+        payloads.write_bytes(payloads.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
+        capsys.readouterr()
+        assert run_command(["eval", "--db", str(db), "--checkpoint", str(run / "checkpoint.vprc"),
+                            "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == (
+            "error: image 'synth_00011_05' of place 11: feature map entries must be finite\n")
+
+
+class TestBinaryReadErrorsNameTheFile:
+    def test_eval_queries_with_bad_magic(self, tmp_path, rng, capsys):
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        bad = tmp_path / "q.vprk"
+        bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        path.with_suffix(".csv").replace(bad.with_suffix(".csv"))
+        capsys.readouterr()
+        assert run_command(["eval", "--queries", str(bad), "--refs", str(path),
+                            "--out", str(tmp_path / "ev")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: bad magic b'XXXX', expected b'VPRK'\n"
+
+    def test_reduce_model_with_bad_magic(self, tmp_path, rng, capsys):
+        path = TestNonFiniteReduce._saved_set(tmp_path, rng)
+        model = tmp_path / "m.vprc"
+        model.write_bytes(b"XXXX" + bytes(16))
+        capsys.readouterr()
+        assert run_command(["reduce", "--apply", str(path), "--model", str(model),
+                            "--out", str(tmp_path / "pca")]) == 1
+        assert capsys.readouterr().err == f"error: {model}: bad magic b'XXXX', expected b'VPRC'\n"
+
 
 class TestReduceLeavesNoDirectory:
     """A failed reduce makes no output directory."""
@@ -1238,6 +1272,16 @@ class TestManifestRowOrder:
                             "--payloads", str(mixed / "payloads.vprk"), "--out", str(out)]) == 0
         for name in ("manifest.csv", "payloads.vprk"):
             assert (out / name).read_bytes() == (db / name).read_bytes()
+
+    @pytest.mark.parametrize("source", ["synth", "interleaved"])
+    def test_saving_a_loaded_directory(self, tmp_path, source):
+        # its payload store is the open file; saved, the places' rows come together
+        db = synth(tmp_path)
+        src = db if source == "synth" else interleave(db, tmp_path / "mixed")
+        with cli.load_db_dir(src) as loaded:
+            cli.save_db_dir(loaded, tmp_path / "copy")
+        for name in ("manifest.csv", "payloads.vprk"):
+            assert (tmp_path / "copy" / name).read_bytes() == (db / name).read_bytes()
 
     def test_train_and_eval_read_each_map_by_its_row(self, tmp_path):
         db = synth(tmp_path)

@@ -417,13 +417,16 @@ class TestDbValidation:
 
 
 class TestCentroidSummation:
-    """A centroid is each coordinate summed left to right, as Python's `sum` adds it."""
+    """A centroid is each coordinate summed by plain left-to-right float addition."""
 
     def near_edge(self):
         # seeded search: 12 latitudes within 1e-12 of 48.888, a cell edge, whose mean floors
         # to cell 48887 summed left to right and to 48888 summed as `np.add.reduceat` pairs them
         lats = 48.888 + np.random.default_rng(221).uniform(-1e-12, 1e-12, 12)
-        assert grid_cell(sum(lats.tolist()) / 12, 0.0)[0] == 48887
+        total = 0.0  # not Python's `sum`, which compensates rounding from Python 3.12
+        for lat in lats.tolist():
+            total += lat
+        assert grid_cell(total / 12, 0.0)[0] == 48887
         assert grid_cell(np.add.reduceat(lats, [0])[0] / 12, 0.0)[0] == 48888
         return lats
 

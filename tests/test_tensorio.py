@@ -309,7 +309,7 @@ class TestCoordinateRule:
         lines = sidecar_path(path).read_text().splitlines()
         lines[2] = row
         sidecar_path(path).write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=rf"desc\.csv: row 1: {field} {value}"):
+        with pytest.raises(FormatError, match=rf"desc\.csv: line 3: {field} {float(value)} outside "):
             load_descriptors(path)
 
 

@@ -3,16 +3,18 @@
 `old_manifest` and `old_sidecar` are the row-at-a-time readers that the C
 column reader replaced, kept here as oracles with their number parsing as
 a parameter. `old_manifest` is self-contained: it checks each row's ranges,
-groups rows by place id in a dict, and sums each centroid with Python's
-`sum`, where `ingest_manifest` works on columns. With Python's `int` and
-`float` they read as before; with `ascii_int` and `ascii_float` they apply
-the column reader's rule, which
-differs only where a number is spelled with `_` separators or non-ASCII
-digits, or an integer does not fit in int64. Every generated file must
+groups rows by place id in a dict, and sums each centroid by plain
+left-to-right float addition, where `ingest_manifest` works on columns.
+With Python's `int` and `float` they read as before; with `ascii_int` and
+`ascii_float` they apply the column reader's rule, which differs only
+where a number is spelled with `_` separators or non-ASCII digits, or an
+integer does not fit in int64. Every generated file must
 load to the same values, bit for bit and in the same order, or fail with
 the same error class, line and message as the oracle under the new rule
 (a manifest's message now starts with its path); and the oracle under the
-old rule must agree with it unless the file holds such a number.
+old rule must agree with it unless the file holds such a number. Both
+oracles name a bad row by the physical line csv reports for its record,
+check a header's names stripped, and check a row's ranges as they read it.
 """
 
 import csv
@@ -102,6 +104,14 @@ def _old_parse_row(row, line, to_int, to_float):
     return place_id, (image_ref, lat, lon, bearing, year, month)
 
 
+def left_to_right(values):
+    """The plain float sum of `values` in order (Python 3.12's `sum` compensates rounding)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def old_manifest(path, allow_small_places, to_int=int, to_float=float):
     """The manifest's places as `db_values` lists them, or OldManifestError."""
     grouped, seen_refs = {}, set()
@@ -114,7 +124,8 @@ def old_manifest(path, allow_small_places, to_int=int, to_float=float):
         if [h.strip() for h in header] != MANIFEST_HEADER:
             raise OldManifestError(
                 f"bad header {header!r}, expected {','.join(MANIFEST_HEADER)}", line=1)
-        for line, raw in enumerate(reader, start=2):
+        for raw in reader:
+            line = reader.line_num
             if not raw or all(not c.strip() for c in raw):
                 continue
             if len(raw) != len(MANIFEST_HEADER):
@@ -133,7 +144,8 @@ def old_manifest(path, allow_small_places, to_int=int, to_float=float):
             raise OldManifestError(f"place {pid} has {len(recs)} images, needs >= 4")
     seen = {}
     for pid, recs in grouped.items():
-        cell = tuple(math.floor(sum(rec[k] for rec in recs) / len(recs) / 0.001) for k in (1, 2))
+        cell = tuple(math.floor(left_to_right(rec[k] for rec in recs) / len(recs) / 0.001)
+                     for k in (1, 2))
         if cell in seen:
             raise OldManifestError(f"places {seen[cell]} and {pid} share grid cell {cell}")
         seen[cell] = pid
@@ -151,8 +163,11 @@ def old_sidecar(path, rows, to_int=int, to_float=float):
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header != SIDECAR_HEADER:
-                raise FormatError(f"bad sidecar header in {side}")
+            if header is None:
+                raise FormatError(f"{side}: line 1: empty file, expected header")
+            if [h.strip() for h in header] != SIDECAR_HEADER:
+                raise FormatError(f"{side}: line 1: bad header {header!r}, "
+                                  f"expected {','.join(SIDECAR_HEADER)}")
             for row in reader:
                 if not row:
                     continue
@@ -163,14 +178,15 @@ def old_sidecar(path, rows, to_int=int, to_float=float):
                 lats.append(to_float(row[1]))
                 lons.append(to_float(row[2]))
                 pids.append(to_int(row[3]))
+                for name, value, span in (("lat", lats[-1], 90.0), ("lon", lons[-1], 180.0)):
+                    if not -span <= value <= span:
+                        raise FormatError(f"{side}: line {reader.line_num}: {name} {value} "
+                                          f"outside [{-span:g}, {span:g}]")
         except (ValueError, csv.Error) as exc:
-            raise FormatError(f"{side}: line {reader.line_num}: bad sidecar row: {exc}") from exc
+            raise FormatError(f"{side}: line {reader.line_num}: cannot parse row: {exc}") from exc
     if len(ids) != rows:
-        raise FormatError(f"sidecar has {len(ids)} rows but tensor has {rows}")
-    try:
-        ds = DescriptorSet(np.zeros((rows, 2)), ids, np.array(lats), np.array(lons), np.array(pids))
-    except ValueError as exc:
-        raise FormatError(f"{side}: {exc}") from exc
+        raise FormatError(f"{side}: sidecar has {len(ids)} rows but tensor {path} has {rows}")
+    ds = DescriptorSet(np.zeros((rows, 2)), ids, np.array(lats), np.array(lons), np.array(pids))
     return ds.ids, ds.lats, ds.lons, ds.place_ids
 
 
@@ -418,7 +434,7 @@ class TestTextEdges:
         path = tmp_path / "d.vprk"
         save_tensor(path, np.zeros((2, 1)))
         sidecar_path(path).write_text(f"id,lat,lon,place_id\n{big},0,0,1\nb,0,0,x\n")
-        with pytest.raises(FormatError, match=r"d\.csv: line 3: bad sidecar row: .*'x'$"):
+        with pytest.raises(FormatError, match=r"d\.csv: line 3: cannot parse row: .*'x'$"):
             load_descriptors(path)
 
     def test_non_utf8_manifest_names_file_and_line(self, tmp_path):
@@ -459,11 +475,83 @@ class TestTextEdges:
         db = ingest_manifest(path, allow_small_places=True)
         assert [(img.image_ref, img.bearing) for img in db.images()] == [("a", None), ("b", 90.0)]
 
+    @pytest.mark.parametrize("row, problem", [
+        ("0,f,45,7,,2010,13", "month 13 outside [1, 12]"),
+        ("0,f,45,7,,x,1", "cannot parse row: invalid literal for int() with base 10: 'x'"),
+        ("0,f,45,7", "expected 7 fields, got 4"),
+        ("0,,45,7,,2010,1", "empty image_ref"),
+    ])
+    def test_bad_row_after_a_two_line_ref_names_its_physical_line(self, tmp_path, row, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(MANIFEST_HEADER) + '\n0,a,45,7,,2010,1\n0,b,45,7,,2010,1\n'
+                        f'0,"c\nd",45,7,,2010,1\n0,e,45,7,,2010,1\n{row}\n', encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            ingest_manifest(path, allow_small_places=True)
+        assert str(info.value) == f"{path}: line 7: {problem}"
+
+    def test_sidecar_range_error_names_its_line(self, tmp_path):
+        path = tmp_path / "d.vprk"
+        save_tensor(path, np.zeros((3, 1)))
+        sidecar_path(path).write_text('id,lat,lon,place_id\n"a\nb",0,0,1\nc,200,0,2\nd,0,0,3\n',
+                                      encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_descriptors(path)
+        assert str(info.value) == f"{sidecar_path(path)}: line 4: lat 200.0 outside [-90, 90]"
+
+    @pytest.mark.parametrize("kind", ["manifest", "sidecar"])
+    def test_one_header_rule(self, tmp_path, kind):
+        if kind == "manifest":
+            path, header = tmp_path / "m.csv", MANIFEST_HEADER
+            row, read = "0,a,45,7,,2010,1\n", lambda: ingest_manifest(path, allow_small_places=True)
+        else:
+            path, header = tmp_path / "d.csv", SIDECAR_HEADER
+            row, read = "a,45,7,1\n", lambda: load_descriptors(path.with_suffix(".vprk"))
+            save_tensor(path.with_suffix(".vprk"), np.zeros((1, 2)))
+        path.write_text(" " + ", ".join(header) + " \n" + row, encoding="utf-8")
+        read()  # names are compared stripped
+        path.write_text("")
+        with pytest.raises(VprkitError) as info:
+            read()
+        assert str(info.value) == f"{path}: line 1: empty file, expected header"
+        path.write_text(",".join(header[:-1]) + "\n" + row, encoding="utf-8")
+        with pytest.raises(VprkitError) as info:
+            read()
+        assert str(info.value) == (f"{path}: line 1: bad header {header[:-1]!r}, "
+                                   f"expected {','.join(header)}")
+
+    @pytest.mark.parametrize("row", ["0,b,91,7,,2010,1", "0,b,x,7,,2010,1"])
+    def test_csv_error_names_the_file(self, tmp_path, monkeypatch, row):
+        # csv before Python 3.11 rejects a line holding a NUL; numpy's C reader takes it
+        real = csv.reader
+
+        def reader(lines, *args, **kwargs):
+            def checked():
+                for line in lines:
+                    if "\0" in line:
+                        raise csv.Error("line contains NUL")
+                    yield line
+            return real(checked(), *args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", reader)
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(MANIFEST_HEADER) + f"\n0,a\0,45,7,,2010,1\n{row}\n")
+        with pytest.raises(ManifestError) as info:
+            ingest_manifest(path, allow_small_places=True)
+        assert str(info.value) == f"{path}: line contains NUL"
+
+    def test_row_count_error_names_both_files(self, tmp_path):
+        path = tmp_path / "d.vprk"
+        save_tensor(path, np.zeros((2, 1)))
+        sidecar_path(path).write_text("id,lat,lon,place_id\na,0,0,1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_descriptors(path)
+        assert str(info.value) == f"{sidecar_path(path)}: sidecar has 1 rows but tensor {path} has 2"
+
     def test_sidecar_row_of_blank_fields_is_an_error(self, tmp_path):
         path = tmp_path / "d.vprk"
         save_tensor(path, np.zeros((1, 2)))
         sidecar_path(path).write_text("id,lat,lon,place_id\n,,,\na,0,0,1\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r"d\.csv: line 2: bad sidecar row: .*''$"):
+        with pytest.raises(FormatError, match=r"d\.csv: line 2: cannot parse row: .*''$"):
             load_descriptors(path)
 
 
@@ -493,10 +581,16 @@ def _valid_files(directory: Path) -> dict[str, tuple[Path, callable]]:
 
 
 def _only_typed_errors(read, path):
+    """`read(path)` returns, or raises a VprkitError whose message starts with the file's path.
+
+    A descriptor set whose sidecar and tensor differ in rows is named by
+    both files, the sidecar first.
+    """
     try:
         read(path)
-    except VprkitError:
-        pass
+    except VprkitError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: ") or f" tensor {path} has " in message, message
 
 
 FORMATS = ["tensor", "checkpoint", "descriptor tensor", "sidecar", "manifest"]
