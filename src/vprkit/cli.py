@@ -10,7 +10,7 @@ status is 0 exactly when all requested artifacts were written.
 A database directory holds `manifest.csv` plus an optional rank-4
 `payloads.vprk` tensor row-aligned with the manifest; `train` and `eval`
 keep that file open as the database's payload store and read its maps
-block by block, float32 as stored, never all at once.
+block by block as stored, never all at once.
 """
 
 from __future__ import annotations
@@ -24,19 +24,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import aggregators, places, tensorio, trainer
 from .errors import FormatError, VprkitError
 from .evaluator import (
     DEFAULT_GEO_RADIUS_M,
-    PCA_TENSOR_RANKS,
     GroundTruthMatcher,
     PCAModel,
     RecallReport,
+    load_pca_model,
     pca_transform_set,
     pca_whiten_fit,
     recall_at_k,
+    save_pca_model,
 )
 from .losses import LossConfig, default_loss_config
 from .places import BatchSpec, PlacesDB, SynthConfig
@@ -50,6 +49,8 @@ def _defaults(cls, *skip: str) -> dict:
             if f.name not in skip and f.default is not dataclasses.MISSING}
 
 
+SYNTH_SHAPE_KEYS = ("height", "width", "channels")  # the `synth` keys of a map's shape
+
 # Each default is declared once, by the dataclass or constant that uses it; the
 # values written here are the ones no dataclass holds.
 DEFAULT_CONFIG: dict = {
@@ -57,7 +58,7 @@ DEFAULT_CONFIG: dict = {
     "synth": {
         "num_places": 64,
         "images_per_place": 8,
-        **dict(zip(("height", "width", "channels"), places.DEFAULT_SYNTH_SHAPE)),
+        **dict(zip(SYNTH_SHAPE_KEYS, places.DEFAULT_SYNTH_SHAPE)),
         **_defaults(SynthConfig),
     },
     "train": {
@@ -248,7 +249,7 @@ def _descriptor_set(kind, params, db: PlacesDB, index) -> DescriptorSet:
 def cmd_synth(args) -> int:
     config = resolve_config(args)
     s = dict(config["synth"])  # the keys not popped are SynthConfig's field names
-    shape = (s.pop("height"), s.pop("width"), s.pop("channels"))
+    shape = tuple(s.pop(key) for key in SYNTH_SHAPE_KEYS)
     db = places.synth_places(s.pop("num_places"), s.pop("images_per_place"), shape,
                              SynthConfig(**s), rng_seed=int(config["seed"]))
     out = Path(args.out)
@@ -321,21 +322,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_pca_model(path) -> PCAModel:
-    """A PCA model checkpoint; FormatError names another kind, a missing tensor or a bad one."""
-    kind, tensors, mconf = tensorio.load_checkpoint(path)
-    if kind != "pca":
-        raise FormatError(f"{path}: checkpoint of kind {kind!r} is not a PCA model")
-    for name in PCA_TENSOR_RANKS:
-        if name not in tensors:
-            raise FormatError(f"{path}: PCA model has no tensor {name!r}")
-    try:
-        return PCAModel(**{name: tensors[name] for name in PCA_TENSOR_RANKS},
-                        epsilon=float(mconf.get("epsilon", PCAModel.epsilon)))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def cmd_reduce(args) -> int:
     config = resolve_config(args)
     if not (args.fit or args.apply):
@@ -344,29 +330,22 @@ def cmd_reduce(args) -> int:
         raise ConfigError("reduce takes --fit or --model, not both")
     if args.fit:
         training = tensorio.load_descriptors(args.fit)
+        # applied as saved, so `--apply --model` on the saved file gives the same bytes
         model = pca_whiten_fit(
             training.vectors,
             int(config["pca"]["out_dim"]),
             epsilon=float(config["pca"]["epsilon"]),
-        )
-        # applied as saved: the checkpoint stores each tensor as float32
-        model = PCAModel(**{name: getattr(model, name).astype(np.float32)
-                            for name in PCA_TENSOR_RANKS}, epsilon=model.epsilon)
+        ).as_saved()
     elif not args.model:
         raise ConfigError("reduce --apply needs --model (or --fit in the same run)")
     else:
-        model = _load_pca_model(args.model)
+        model = load_pca_model(args.model)
     # everything is computed before the output directory is made: a failed run leaves nothing
     reduced = pca_transform_set(model, tensorio.load_descriptors(args.apply)) if args.apply else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.fit:
-        tensorio.save_checkpoint(
-            out / "pca_model.vprc",
-            "pca",
-            {name: getattr(model, name) for name in PCA_TENSOR_RANKS},
-            {"epsilon": model.epsilon, "out_dim": model.out_dim},
-        )
+        save_pca_model(out / "pca_model.vprc", model)
     if reduced is not None:
         tensorio.save_descriptors(out / "reduced.vprk", reduced)
     _write_resolved(config, out)

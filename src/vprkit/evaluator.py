@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensorio
 from .embeddings import normalize_rows, rows_are_unit
+from .errors import FormatError
 from .places import EARTH_RADIUS_M, haversine
 from .tensorio import DescriptorSet
 
@@ -308,6 +310,31 @@ class PCAModel:
         """Centered, whitened coordinates (no final normalization)."""
         x = np.asarray(x, dtype=np.float64)
         return (x - self.mean) @ self.projection.T
+
+    def as_saved(self) -> "PCAModel":
+        """The model as `save_pca_model` stores it: each tensor rounded to float32."""
+        return PCAModel(**{name: getattr(self, name).astype(np.float32)
+                           for name in PCA_TENSOR_RANKS}, epsilon=self.epsilon)
+
+
+def save_pca_model(path, model: PCAModel) -> None:
+    """Write `model` to `path`: a checkpoint of kind "pca", tensors in `PCA_TENSOR_RANKS` order."""
+    tensorio.save_checkpoint(path, "pca", {name: getattr(model, name) for name in PCA_TENSOR_RANKS},
+                             {"epsilon": model.epsilon, "out_dim": model.out_dim})
+
+
+def load_pca_model(path) -> PCAModel:
+    """A PCA model checkpoint; FormatError names another kind, a missing tensor or a bad one."""
+    kind, tensors, mconf = tensorio.load_checkpoint(path)
+    if kind != "pca":
+        raise FormatError(f"{path}: checkpoint of kind {kind!r} is not a PCA model")
+    try:
+        return PCAModel(**{name: tensors[name] for name in PCA_TENSOR_RANKS},
+                        epsilon=float(mconf.get("epsilon", PCAModel.epsilon)))
+    except KeyError as exc:
+        raise FormatError(f"{path}: PCA model has no tensor {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:

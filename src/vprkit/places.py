@@ -47,7 +47,6 @@ EARTH_RADIUS_M = 6_371_008.8
 
 MANIFEST_COLUMNS = {"place_id": INT64, "image_ref": TEXT, "lat": FLOAT64, "lon": FLOAT64,
                     "bearing": FLOAT64_OR_BLANK, "year": INT64, "month": INT64}
-MANIFEST_HEADER = list(MANIFEST_COLUMNS)
 
 # PlacesDB's columns, in constructor order, with their dtypes
 COLUMNS = {"place_ids": np.int64, "image_refs": object, "lats": np.float64, "lons": np.float64,
@@ -294,16 +293,9 @@ def ingest_manifest(path: str | Path, allow_small_places: bool = False) -> Place
 
 
 def manifest_bytes(db: PlacesDB) -> bytes:
-    """A PlacesDB in the manifest CSV format, UTF-8 encoded."""
-    return table_bytes(MANIFEST_HEADER, [
-        list(map(str, db.place_ids.tolist())),
-        db.image_refs.tolist(),
-        list(map(repr, db.lats.tolist())),
-        list(map(repr, db.lons.tolist())),
-        ["" if math.isnan(b) else repr(b) for b in db.bearings.tolist()],
-        list(map(str, db.years.tolist())),
-        list(map(str, db.months.tolist())),
-    ])
+    """A PlacesDB in the manifest CSV format, UTF-8 encoded (a NaN bearing is blank)."""
+    return table_bytes(MANIFEST_COLUMNS, [db.place_ids, db.image_refs, db.lats, db.lons,
+                                          db.bearings, db.years, db.months])
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ Descriptor sets pair a rank-2 tensor file with a CSV sidecar
 (``id,lat,lon,place_id``, one row per descriptor, same order). Sidecars
 and manifests are read by `read_table`, column by column in C (a text the
 C reader fails on is read again by one `csv` pass, which finds its first
-bad row), and written by `table_bytes`, column by column. One rule checks
-both headers, and `Table.raise_first` names a row's first problem by the
-physical line of its record.
+bad row), and written by `table_bytes`, column by column, both by the kinds
+a format declares. One rule checks both headers, and `Table.raise_first`
+names a row's first problem by the physical line of its record.
 
 Every file this module writes goes through `write_atomic_files`: a temp
 file beside each target, then `os.replace`, so a write that fails partway
@@ -191,12 +191,13 @@ class TensorRows:
     """A tensor file held open, read whole or row by row along its first axis.
 
     Opening checks the file's header and that its size is exactly the
-    header and payload (a FormatError names the file), and keeps the
-    checked file open: every later read comes from it, even if its path
-    is replaced. `close` (or leaving a `with` block) releases it.
+    header and payload (a FormatError, then or at a read, names the file),
+    and keeps the checked file open: every later read comes from it, even
+    if its path is replaced. `close` (or leaving a `with` block) releases it.
     """
 
     def __init__(self, path: str | Path):
+        self._path = path
         self._fh = Path(path).open("rb")
         try:
             with _named(path):
@@ -222,18 +223,17 @@ class TensorRows:
             raise IndexError(f"row index out of range for {self.shape[0]} rows")
         out = np.empty((len(rows), *self.shape[1:]), F32)
         starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # rows are >= 0
-        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
-            self._fh.seek(self._start + int(rows[lo]) * self._row_bytes)
-            read_into(self._fh, out[lo:hi])
+        with _named(self._path):
+            for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+                self._fh.seek(self._start + int(rows[lo]) * self._row_bytes)
+                read_into(self._fh, out[lo:hi])
         return out
 
     def read(self, dtype=F32) -> np.ndarray:
         """The whole tensor as `dtype` (see `read_into`)."""
         self._fh.seek(self._start)
-        return read_into(self._fh, np.empty(self.shape, dtype))
-
-    def __getitem__(self, row: int) -> np.ndarray:
-        return self.take([row])[0]
+        with _named(self._path):
+            return read_into(self._fh, np.empty(self.shape, dtype))
 
     def close(self) -> None:
         self._fh.close()
@@ -249,10 +249,13 @@ class TensorRows:
 # CSV tables (descriptor sidecars, manifests)
 # ---------------------------------------------------------------------------
 
-# Column kinds of `read_table`. Numbers are ASCII decimal or exponent spellings
+# Column kinds of `read_table` and `table_bytes`. Numbers are ASCII decimal or exponent spellings
 # (floats also take inf and nan) with optional sign and surrounding whitespace.
 TEXT, INT64, FLOAT64, FLOAT64_OR_BLANK = "text", "int64", "float64", "float64 or blank"
 _STORED_AS = {TEXT: object, INT64: np.int64, FLOAT64: np.float64, FLOAT64_OR_BLANK: object}
+# how `table_bytes` writes a value of each kind, text that `read_table` reads back bit for bit
+_WRITTEN_AS = {TEXT: str, INT64: str, FLOAT64: repr,
+               FLOAT64_OR_BLANK: lambda value: "" if math.isnan(value) else repr(value)}
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 _NOT_LINE_BREAK = re.compile(r"[^\r\n]")
 _QUOTED = re.compile(r'[,"\r\n]')  # a field holding one of these is quoted
@@ -262,16 +265,19 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"' if _QUOTED.search(field) else field
 
 
-def table_bytes(header: list[str], columns: list[list[str]]) -> bytes:
-    """UTF-8 CSV of a header and columns of text fields, as `csv.writer` writes it row by row.
+def table_bytes(columns: dict[str, str], values: list) -> bytes:
+    """UTF-8 CSV of columns of `values`, each written by its kind, as `csv.writer` writes it.
 
+    `columns` maps each column's name to its kind, as `read_table` takes it.
     A field holding `,`, `"`, CR or LF is quoted, its quotes doubled, and
     every row ends in CR LF.
     """
-    columns = [list(map(_quote, column)) if _QUOTED.search("".join(column)) else column
-               for column in columns]
-    rows = map(",".join, zip(*columns))
-    return "\r\n".join([",".join(map(_quote, header)), *rows, ""]).encode("utf-8")
+    texts = [list(map(_WRITTEN_AS[kind], np.asarray(column, object).tolist()))
+             for column, kind in zip(values, columns.values())]
+    texts = [list(map(_quote, column)) if _QUOTED.search("".join(column)) else column
+             for column in texts]
+    rows = map(",".join, zip(*texts))
+    return "\r\n".join([",".join(map(_quote, columns)), *rows, ""]).encode("utf-8")
 
 
 @contextlib.contextmanager
@@ -405,14 +411,10 @@ def read_table(path: str | Path, columns: dict[str, str], error: type[VprkitErro
 
 
 def _column(fields: np.ndarray, kind: str):
-    """A column of `read_table` from the field values the C reader stored."""
+    """A column of `read_table` from the fields the C reader stored (FLOAT64_OR_BLANK as text)."""
     if kind != FLOAT64_OR_BLANK:
         return fields.tolist() if kind == TEXT else fields
-    words = [field.strip() for field in fields.tolist()]  # stored as text: converted here
-    joined = "".join(words)
-    if not joined.isascii() or "_" in joined:  # `float` would take what the C reader does not
-        raise ValueError("a number is spelled with a non-ASCII character or `_`")
-    return [float(word) if word else None for word in words]
+    return [_field_value(field, kind) for field in fields.tolist()]
 
 
 def _scan(text: str, columns: dict[str, str], skip_blank_rows: bool) -> tuple[dict, tuple | None]:
@@ -443,7 +445,6 @@ def _scan(text: str, columns: dict[str, str], skip_blank_rows: bool) -> tuple[di
 # ---------------------------------------------------------------------------
 
 SIDECAR_COLUMNS = {"id": TEXT, "lat": FLOAT64, "lon": FLOAT64, "place_id": INT64}
-SIDECAR_HEADER = list(SIDECAR_COLUMNS)
 
 
 def range_problems(checks) -> list[tuple[int, str]]:
@@ -500,9 +501,7 @@ def sidecar_path(tensor_path: str | Path) -> Path:
 
 def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
     """The tensor and its sidecar, both written before either replaces its old file."""
-    sidecar = table_bytes(SIDECAR_HEADER, [ds.ids, list(map(repr, ds.lats.tolist())),
-                                           list(map(repr, ds.lons.tolist())),
-                                           list(map(str, ds.place_ids.tolist()))])
+    sidecar = table_bytes(SIDECAR_COLUMNS, [ds.ids, ds.lats, ds.lons, ds.place_ids])
     write_atomic_files([(path, [tensor_bytes(ds.vectors)]), (sidecar_path(path), [sidecar])])
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from vprkit.places import (
     DEFAULT_CELL_DEG,
-    MANIFEST_HEADER,
+    MANIFEST_COLUMNS,
     SYNTH_ORIGIN,
     SynthConfig,
     _channel_noise_profile,
@@ -71,7 +71,7 @@ def synth_row_by_row(num_places, images_per_place, shape, cfg, seed):
 def manifest_row_by_row(records) -> bytes:
     text = io.StringIO(newline="")
     writer = csv.writer(text)
-    writer.writerow(MANIFEST_HEADER)
+    writer.writerow(MANIFEST_COLUMNS)
     for pid, ref, lat, lon, bearing, year, month in records:
         writer.writerow([pid, ref, repr(lat), repr(lon), repr(bearing), year, month])
     return text.getvalue().encode("utf-8")

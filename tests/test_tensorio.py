@@ -2,6 +2,8 @@ import csv
 import errno
 import io
 import json
+import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -14,8 +16,12 @@ from hypothesis import strategies as st
 from vprkit.errors import FormatError
 from vprkit.tensorio import (
     CHECKPOINT_MAGIC,
+    FLOAT64,
+    FLOAT64_OR_BLANK,
     FORMAT_VERSION,
+    INT64,
     READ_BLOCK_BYTES,
+    TEXT,
     DescriptorSet,
     TensorRows,
     copy_descriptors,
@@ -23,6 +29,7 @@ from vprkit.tensorio import (
     load_descriptors,
     load_tensor,
     read_into,
+    read_table,
     save_checkpoint,
     save_descriptors,
     save_tensor,
@@ -572,14 +579,39 @@ class TestTableBytes:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.lists(st.text(alphabet=st.sampled_from(list(',"\r\n ab#\t\x00é')),
                                           max_size=6), min_size=3, max_size=3), max_size=8),
-           header=st.lists(st.sampled_from(["id", "a,b", 'q"', "x y"]), min_size=3, max_size=3))
+           header=st.lists(st.sampled_from(["id", "a,b", 'q"', "x y"]), min_size=3, max_size=3,
+                           unique=True))
     def test_equals_csv_writer(self, rows, header):
         text = io.StringIO(newline="")
         writer = csv.writer(text)
         writer.writerow(header)
         writer.writerows(rows)
         columns = [list(column) for column in zip(*rows)] if rows else [[], [], []]
-        assert table_bytes(header, columns) == text.getvalue().encode("utf-8")
+        assert table_bytes(dict.fromkeys(header, TEXT), columns) == text.getvalue().encode("utf-8")
+
+    # (INT64, FLOAT64, FLOAT64_OR_BLANK) rows at the ends of each kind's range: int64's, and
+    # the signed zero, smallest subnormal and largest finite double; a NaN is written blank
+    EDGE_ROWS = [(2**63 - 1, -0.0, math.nan), (-(2**63 - 1), 5e-324, -0.0),
+                 (-(2**63), -5e-324, 5e-324), (0, 1.7976931348623157e308, -5e-324),
+                 (-1, -1.7976931348623157e308, 1.7976931348623157e308),
+                 (1, 0.1, -1.7976931348623157e308)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False),
+                                   st.floats()), max_size=8))
+    def test_numbers_read_back_bit_for_bit(self, tmp_path_factory, rows):
+        ints, floats, blanks = map(list, zip(*self.EDGE_ROWS, *rows))
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        kinds = {"i": INT64, "f": FLOAT64, "b": FLOAT64_OR_BLANK}
+        path.write_bytes(table_bytes(kinds, [np.array(ints), np.array(floats), np.array(blanks)]))
+        table = read_table(path, kinds, FormatError)
+        assert table.fault is None
+        got_ints, got_floats, got_blanks = table.columns.values()
+        assert got_ints.dtype == np.int64 and got_ints.tolist() == ints
+        assert got_floats.tobytes() == np.array(floats).tobytes()
+        assert [b is None for b in got_blanks] == list(map(math.isnan, blanks))
+        assert (np.array([b for b in got_blanks if b is not None], np.float64).tobytes()
+                == np.array([b for b in blanks if not math.isnan(b)], np.float64).tobytes())
 
     def test_sidecar_field_quoting_reads_back(self, tmp_path):
         ids = ["a,b", 'say "hi"', "cr\rlf\r\n", "lf\n", "plain", ""]
@@ -638,7 +670,7 @@ class TestTensorRows:
         whole = load_tensor(path)
         with TensorRows(path) as store:
             assert (store.shape, store.ndim) == ((5, 2, 3, 4), 4)
-            assert store[3].tobytes() == whole[3].tobytes()
+            assert store.take([3])[0].tobytes() == whole[3].tobytes()
             for bad in ([5], [-1]):
                 with pytest.raises(IndexError):
                     store.take(bad)
@@ -661,5 +693,8 @@ class TestTensorRows:
             with path.open("r+b") as fh:
                 fh.truncate(path.stat().st_size - 4)
             assert store.take([0]).tobytes() == whole[:1].tobytes()
-            with pytest.raises(FormatError, match="shrank while reading payload"):
+            named = f"^{re.escape(str(path))}: file shrank while reading payload$"
+            with pytest.raises(FormatError, match=named):
                 store.take([62, 63])
+            with pytest.raises(FormatError, match=named):
+                store.read()

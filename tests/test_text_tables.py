@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from vprkit.errors import FormatError, ManifestError, VprkitError
 from vprkit.places import (
-    MANIFEST_HEADER,
+    MANIFEST_COLUMNS,
     ingest_manifest,
     manifest_bytes,
     synth_places,
@@ -39,7 +39,7 @@ from vprkit.places import (
 from vprkit.tensorio import (
     CHECKPOINT_MAGIC,
     FORMAT_VERSION,
-    SIDECAR_HEADER,
+    SIDECAR_COLUMNS,
     DescriptorSet,
     load_checkpoint,
     load_descriptors,
@@ -50,6 +50,7 @@ from vprkit.tensorio import (
     sidecar_path,
 )
 
+MANIFEST_HEADER, SIDECAR_HEADER = list(MANIFEST_COLUMNS), list(SIDECAR_COLUMNS)
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
