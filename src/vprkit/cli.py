@@ -10,7 +10,8 @@ status is 0 exactly when all requested artifacts were written.
 A database directory holds `manifest.csv` plus an optional rank-4
 `payloads.vprk` tensor row-aligned with the manifest; `train` and `eval`
 keep that file open as the database's payload store and read its maps
-block by block as stored, never all at once.
+block by block as stored, never all at once, and `build-db` copies its
+`--payloads` file the same way.
 """
 
 from __future__ import annotations
@@ -191,12 +192,12 @@ def _write_resolved(config: dict, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def save_db_dir(db: PlacesDB, out_dir: Path) -> None:
-    """Both files are written before either replaces its old file."""
+    """Both files are written before either replaces its old file; the maps one block at a time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [(out_dir / "manifest.csv", [places.manifest_bytes(db)])]
-    payloads = db.payloads_in_order()
-    if payloads is not None:
-        files.append((out_dir / "payloads.vprk", [tensorio.tensor_bytes(payloads)]))
+    if db.payloads is not None:
+        files.append((out_dir / "payloads.vprk",
+                      tensorio.tensor_parts(db.payloads.shape, db.payload_blocks())))
     tensorio.write_atomic_files(files)
 
 
@@ -262,10 +263,11 @@ def cmd_synth(args) -> int:
 def cmd_build_db(args) -> int:
     config = resolve_config(args)
     db = places.ingest_manifest(args.manifest, allow_small_places=args.allow_small_places)
-    if args.payloads:
-        db.attach_payloads(tensorio.load_tensor(args.payloads))
     out = Path(args.out)
-    save_db_dir(db, out)
+    with contextlib.ExitStack() as stack:
+        if args.payloads:  # held open and copied block by block, never read whole
+            db.attach_payloads(stack.enter_context(tensorio.TensorRows(args.payloads)))
+        save_db_dir(db, out)
     _write_resolved(config, out)
     print(f"validated {len(db)} places / {db.num_images()} images into {out}")
     return 0
@@ -329,12 +331,13 @@ def cmd_reduce(args) -> int:
     if args.fit and args.model:
         raise ConfigError("reduce takes --fit or --model, not both")
     if args.fit:
-        training = tensorio.load_descriptors(args.fit)
-        # applied as saved, so `--apply --model` on the saved file gives the same bytes
+        # the loaded set is read by nothing else, so the fit centers it in place; the model
+        # is applied as saved, so `--apply --model` on the saved file gives the same bytes
         model = pca_whiten_fit(
-            training.vectors,
+            tensorio.load_descriptors(args.fit).vectors,
             int(config["pca"]["out_dim"]),
             epsilon=float(config["pca"]["epsilon"]),
+            overwrite_training=True,
         ).as_saved()
     elif not args.model:
         raise ConfigError("reduce --apply needs --model (or --fit in the same run)")

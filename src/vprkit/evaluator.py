@@ -345,14 +345,21 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(flip, -vectors, vectors)
 
 
-def pca_whiten_fit(training: np.ndarray, out_dim: int,
-                   epsilon: float = PCAModel.epsilon) -> PCAModel:
+def pca_whiten_fit(training: np.ndarray, out_dim: int, epsilon: float = PCAModel.epsilon,
+                   overwrite_training: bool = False) -> PCAModel:
     """Learn a whitening transform from training descriptors.
 
     Centers the data, eigendecomposes the sample covariance (n-1
     denominator) and keeps the out_dim leading axes, each scaled by
     1/sqrt(eigenvalue + epsilon). Requires more samples than output
     dimensions and a covariance of rank at least out_dim.
+
+    `training` is left as it is, unless `overwrite_training` is set: then a
+    contiguous float64 array is centered in place, with the same bits as a
+    centered copy, so a caller that does not read it again holds the set
+    only once (a strided one is still copied: its product can round
+    otherwise). Only the out_dim kept eigenvectors are reordered and
+    sign-fixed.
     """
     x = np.asarray(training, dtype=np.float64)
     if x.ndim != 2:
@@ -366,19 +373,21 @@ def pca_whiten_fit(training: np.ndarray, out_dim: int,
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
     mean = x.mean(axis=0)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=x if overwrite_training and x.flags.forc else None)
     cov = centered.T @ centered / (n - 1)
+    del centered  # a centered copy is freed before eigh allocates
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = _fix_eigenvector_signs(eigvecs[:, order])
 
     rank = int(np.sum(eigvals > max(eigvals[0], 0.0) * 1e-10))
     if out_dim > rank:
         raise ValueError(f"out_dim {out_dim} exceeds training sample rank {rank}")
 
     top_vals = eigvals[:out_dim]
-    projection = eigvecs[:, :out_dim].T / np.sqrt(top_vals + epsilon)[:, None]
+    # signs are fixed column by column, so fixing only the kept columns gives the same bits
+    top_vecs = _fix_eigenvector_signs(eigvecs[:, order[:out_dim]])
+    projection = top_vecs.T / np.sqrt(top_vals + epsilon)[:, None]
     return PCAModel(mean, projection, top_vals, epsilon)
 
 

@@ -180,18 +180,28 @@ class PlacesDB:
             raise ValueError("the images' rows are not manifest rows 0 to M-1, each once")
         self.payloads = stack
 
-    def payloads_in_order(self) -> np.ndarray | None:
-        """The images' maps as an array, row i for the i-th image in place order.
+    def payloads_in_order(self, block: slice = slice(None)) -> np.ndarray | None:
+        """The maps of the images at positions `block` (every image by default), in place order.
 
-        None without `payloads`, and `payloads` itself when it is an array whose
-        rows are the images in order (a synthesized database, or a manifest that
-        lists places whole); a `TensorRows` store is read.
+        None without `payloads`. When `payloads` is an array whose rows are
+        those images in order (a synthesized database, or a manifest that lists
+        places whole), it is returned itself, or those rows of it as a view;
+        else the maps are one `take` from the store (a `TensorRows` is read).
         """
         store = self.payloads
-        if store is None or (isinstance(store, np.ndarray)
-                             and np.array_equal(self.rows, np.arange(store.shape[0]))):
-            return store
-        return store.take(self.rows, axis=0)
+        if store is None:
+            return None
+        rows = self.rows[block]
+        if isinstance(store, np.ndarray) and np.array_equal(rows, np.arange(len(store))[block]):
+            return store if len(rows) == len(store) else store[block]
+        return store.take(rows, axis=0)
+
+    def payload_blocks(self):
+        """Every image's map in place order, as `payloads_in_order` blocks of PAYLOAD_BLOCK_BYTES
+        of float64 maps (at least one map each), so that a writer holds one block at a time."""
+        step = _rows_per_block(self.payloads)
+        for lo in range(0, len(self.rows), step):
+            yield self.payloads_in_order(slice(lo, lo + step))
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
@@ -453,6 +463,11 @@ class BatchSpec:
             raise ValueError("need at least 2 images per place for positives")
 
 
+def _rows_per_block(store) -> int:
+    """Maps of `store` in PAYLOAD_BLOCK_BYTES of float64, at least one."""
+    return max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
+
+
 def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     """The row-wise `stage` of the maps of the images at the positions `index`, block by block.
 
@@ -467,7 +482,7 @@ def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
         raise ValueError(f"image {db.image_refs[index[0]]!r} has no payload" if len(index)
                          else "no images to stage")
     rows = db.rows[index]
-    step = max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
+    step = _rows_per_block(store)
     out = None
     for lo in range(0, len(rows), step):
         block = _widened(store.take(rows[lo : lo + step], axis=0))

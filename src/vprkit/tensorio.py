@@ -27,7 +27,9 @@ Every file this module writes goes through `write_atomic_files`: a temp
 file beside each target, then `os.replace`, so a write that fails partway
 never leaves a truncated file under the final name. The files of one
 descriptor set are all written before any is replaced, so a failed write
-never pairs a new tensor with an old sidecar.
+never pairs a new tensor with an old sidecar (a failed second rename
+still can). A file's bytes may come as an iterator of blocks, written as
+they come: a copied file, or a database's payloads (`tensor_parts`).
 
 Checkpoints wrap a JSON header (config echo plus tensor names) followed
 by one tensor blob per parameter:
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -51,6 +54,7 @@ import os
 import re
 import struct
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,8 +69,14 @@ DTYPE_F32 = 1
 F32 = np.dtype("<f4")  # the payload's in-memory dtype
 
 
-# Bytes of the float32 buffer a float64 read converts from, one block at a time.
+# Bytes of the float32 buffer a float64 read converts from, and of the blocks a copy passes on,
+# one block at a time.
 READ_BLOCK_BYTES = 1 << 16
+
+
+def _tensor_header(shape: tuple[int, ...]) -> bytes:
+    return TENSOR_MAGIC + struct.pack(f"<HBB{len(shape)}I", FORMAT_VERSION, DTYPE_F32, len(shape),
+                                      *shape)
 
 
 def tensor_bytes(arr: np.ndarray) -> memoryview:
@@ -75,27 +85,41 @@ def tensor_bytes(arr: np.ndarray) -> memoryview:
     A scalar is written as a rank-1 tensor of one entry.
     """
     arr = np.atleast_1d(arr)
-    head = TENSOR_MAGIC + struct.pack(f"<HBB{arr.ndim}I", FORMAT_VERSION, DTYPE_F32, arr.ndim,
-                                      *arr.shape)
+    head = _tensor_header(arr.shape)
     blob = np.empty(len(head) + 4 * arr.size, np.uint8)
     blob[:len(head)] = np.frombuffer(head, np.uint8)
     blob[len(head):].view("<f4").reshape(arr.shape)[...] = arr
     return memoryview(blob)
 
 
+def tensor_parts(shape: tuple[int, ...], blocks: Iterable[np.ndarray]):
+    """A tensor file's bytes as buffers: the header of `shape`, then each block of rows as float32.
+
+    The blocks are the tensor's rows in order, `shape[0]` of them in all,
+    and each is converted when it is reached, so a writer holds one block.
+    """
+    yield _tensor_header(shape)
+    for block in blocks:
+        yield memoryview(np.ascontiguousarray(block, F32).reshape(-1).view(np.uint8))
+
+
 def _write_new(path: Path, parts) -> None:
+    """A new file at `path` of the buffers `parts` (any iterable of them), written in order."""
     with path.open("xb") as fh:
         for part in parts:
             fh.write(part)
 
 
-def write_atomic_files(files: list[tuple[str | Path, list]]) -> None:
+def write_atomic_files(files: list[tuple[str | Path, Iterable]]) -> None:
     """Write each (path, parts) to a temp file in its path's directory, then rename them onto the paths.
 
-    `parts` are the file's bytes as buffers, written in order. No path is
-    replaced before every temp file is written, so if a write fails every
-    path keeps its old content (or stays absent), and the temp files are
-    removed.
+    `parts` are the file's bytes as buffers, written in order; an iterator
+    of them is read only while its file is written, so a file can be
+    streamed in blocks. No path is replaced before every temp file is
+    written, so if a write fails every path keeps its old content (or stays
+    absent), and the temp files are removed. The renames are one by one:
+    if one fails, the paths renamed before it already hold their new
+    content and the others their old.
     """
     moves = []
     try:
@@ -508,15 +532,21 @@ def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
 def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
     """Byte copies of descriptor sets, tensor and sidecar, given (source, destination) tensor paths.
 
-    Every source is read before any destination is written, so a destination
-    that is also another copy's source still passes on its original bytes,
-    and no destination is replaced before every one is written. A file is
-    never copied onto itself.
+    Every source is opened before any destination is written, and each is
+    streamed into its destination's temp file in blocks of READ_BLOCK_BYTES,
+    so a copy holds one block, not the files. No destination is replaced
+    before every one is written, so a destination that is also another
+    copy's source still passes on its original bytes. A file is never
+    copied onto itself. The sources are closed however the copy ends.
     """
     files = [(Path(s), Path(d)) for src, dest in copies
              for s, d in ((src, dest), (sidecar_path(src), sidecar_path(dest)))]
-    write_atomic_files([(dest, [src.read_bytes()]) for src, dest in files
-                        if not (dest.exists() and os.path.samefile(src, dest))])
+    files = [(src, dest) for src, dest in files
+             if not (dest.exists() and os.path.samefile(src, dest))]
+    with contextlib.ExitStack() as stack:
+        sources = [stack.enter_context(src.open("rb")) for src, _ in files]
+        write_atomic_files([(dest, iter(functools.partial(fh.read, READ_BLOCK_BYTES), b""))
+                            for fh, (_, dest) in zip(sources, files)])
 
 
 def load_descriptors(path: str | Path) -> DescriptorSet:

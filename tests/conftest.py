@@ -1,3 +1,7 @@
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,3 +28,23 @@ def pk_batch(rng):
     labels = balanced_labels(4, 3)
     rows = random_unit_rows(rng, len(labels), 8)
     return rows, labels
+
+
+@pytest.fixture
+def traced_memory():
+    """`with traced_memory() as peak:` traces the block's allocations; `peak.bytes` is their peak.
+
+    Tracing starts when the block does and stops when it ends, however it
+    ends, so a failed test leaves no tracing on for the tests after it.
+    """
+    @contextlib.contextmanager
+    def trace():
+        peak = SimpleNamespace(bytes=0)
+        tracemalloc.start()
+        try:
+            yield peak
+            peak.bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return trace

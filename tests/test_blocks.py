@@ -1,7 +1,5 @@
 """The head's parameter-free stage over a whole set, run in blocks of rows (`stage_payloads`)."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -87,7 +85,7 @@ def test_trained_checkpoints_do_not_depend_on_the_block_size(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("kind", sorted(HEADS))
-def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, kind):
+def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, traced_memory, kind):
     # a 6 MB float32 store, 64 maps of 12 KB (float64) per block
     store = np.random.default_rng(0).standard_normal((512,) + (8, 8, 24)).astype(np.float32)
     n = len(store)
@@ -103,16 +101,12 @@ def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, kind):
         return stage_payloads(db, index, lambda fmaps: aggregators.pool(kind, params, fmaps))
 
     out = run()  # first calls allocate their caches outside the traced run
-    tracemalloc.start()
-    try:
+    with traced_memory() as peak:
         out = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # GeM's stage keeps every map (its output is twice the store); the others pool them away
     assert out.nbytes < (2.1 if kind == "gem" else 0.2) * store.nbytes
-    assert peak < out.nbytes + 4 * block
-    assert peak < 2 * store.nbytes + 4 * block  # gathering the set as float64 alone takes 2x
+    assert peak.bytes < out.nbytes + 4 * block
+    assert peak.bytes < 2 * store.nbytes + 4 * block  # gathering the set as float64 alone takes 2x
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)

@@ -4,7 +4,6 @@ import re
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +595,22 @@ class TestReduce:
 
     def test_no_action_fails(self, tmp_path):
         assert run_command(["reduce", "--out", str(tmp_path / "x")]) == 1
+
+    def test_fit_holds_the_fit_set_once(self, tmp_path, rng, traced_memory):
+        from vprkit.embeddings import normalize_rows
+
+        n, d = 2500, 256
+        for name, rows in (("refs", n), ("queries", 250)):
+            save_descriptors(tmp_path / f"{name}.vprk", DescriptorSet(
+                normalize_rows(rng.standard_normal((rows, d))), [f"d{i}" for i in range(rows)],
+                np.zeros(rows), np.zeros(rows), np.arange(rows)))
+        with traced_memory() as peak:
+            assert run_command(["reduce", "--fit", str(tmp_path / "refs.vprk"),
+                                "--apply", str(tmp_path / "queries.vprk"),
+                                "--out", str(tmp_path / "pca"), "--set", "pca.out_dim=64"]) == 0
+        # the loaded set, centered in place, and D x D arrays: the covariance, the eigenvectors
+        # and their temporaries (a centered copy alone would be another 5.1 MB)
+        assert peak.bytes < 8 * n * d + 4 * 8 * d * d
 
     def test_model_without_mean_names_it(self, tmp_path, rng, capsys):
         from vprkit.embeddings import normalize_rows
@@ -1228,7 +1243,19 @@ class TestPayloadFileReads:
         monkeypatch.setattr(cli, "load_db_dir", load_whole)
         assert self._run(tmp_path, db, "array") == from_file
 
-    def test_peak_memory_stays_below_the_payload_file(self, tmp_path):
+    def test_build_db_holds_about_one_block(self, tmp_path, traced_memory):
+        db = synth(tmp_path, extra=["--set", "synth.height=12", "--set", "synth.width=12",
+                                    "--set", "synth.channels=256"])  # 72 maps, 10.6 MB
+        out = tmp_path / "copy"
+        with traced_memory() as peak:
+            assert run_command(["build-db", "--manifest", str(db / "manifest.csv"),
+                                "--payloads", str(db / "payloads.vprk"), "--out", str(out)]) == 0
+        assert (out / "payloads.vprk").read_bytes() == (db / "payloads.vprk").read_bytes()
+        # the float32 block being written and the next one read are one PAYLOAD_BLOCK_BYTES;
+        # beyond them, the manifest and small objects
+        assert peak.bytes < places.PAYLOAD_BLOCK_BYTES + (1 << 17)
+
+    def test_peak_memory_stays_below_the_payload_file(self, tmp_path, traced_memory):
         db = synth(tmp_path, extra=["--set", "synth.height=12", "--set", "synth.width=12",
                                     "--set", "synth.channels=256"])
         size = (db / "payloads.vprk").stat().st_size  # 12 x 6 maps of 144 KiB: 10.6 MB
@@ -1236,13 +1263,9 @@ class TestPayloadFileReads:
         for argv in (["train", "--db", str(db), "--out", str(run_dir), *SMALL_TRAIN],
                      ["eval", "--db", str(db), "--checkpoint", str(run_dir / "checkpoint.vprc"),
                       "--out", str(tmp_path / "eval")]):
-            tracemalloc.start()
-            try:
+            with traced_memory() as peak:
                 assert run_command(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < size
+            assert peak.bytes < size
 
 
 def interleave(db, out):
@@ -1272,6 +1295,19 @@ class TestManifestRowOrder:
                             "--payloads", str(mixed / "payloads.vprk"), "--out", str(out)]) == 0
         for name in ("manifest.csv", "payloads.vprk"):
             assert (out / name).read_bytes() == (db / name).read_bytes()
+
+    @pytest.mark.parametrize("maps_per_block", [1, 4])
+    def test_payloads_written_in_small_blocks(self, tmp_path, monkeypatch, maps_per_block):
+        db = synth(tmp_path)
+        mixed = interleave(db, tmp_path / "mixed")
+        monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", 8 * 5 * 5 * 8 * maps_per_block)
+        out = tmp_path / "rebuilt"
+        assert run_command(["build-db", "--manifest", str(mixed / "manifest.csv"),
+                            "--payloads", str(mixed / "payloads.vprk"), "--out", str(out)]) == 0
+        again = synth(tmp_path, "again")
+        for name in ("manifest.csv", "payloads.vprk"):
+            assert (out / name).read_bytes() == (db / name).read_bytes()
+            assert (again / name).read_bytes() == (db / name).read_bytes()
 
     @pytest.mark.parametrize("source", ["synth", "interleaved"])
     def test_saving_a_loaded_directory(self, tmp_path, source):

@@ -857,3 +857,121 @@ class TestEigenvectorSigns:
             got = evaluator._fix_eigenvector_signs(v)
             assert got.tobytes() == signs_by_column_loop(v).tobytes()  # signed zeros included
 
+
+def fit_with_full_reorder(training, out_dim, epsilon=PCAModel.epsilon):
+    """`pca_whiten_fit` as it was before it could center in place, reordering and sign-fixing
+    every eigenvector before keeping out_dim of them."""
+    x = np.asarray(training, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("training data must be 2-D")
+    n, d = x.shape
+    if not 1 <= out_dim <= d:
+        raise ValueError(f"out_dim {out_dim} out of range for dimension {d}")
+    if n <= out_dim:
+        raise ValueError(f"need more than {out_dim} training samples, got {n}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = centered.T @ centered / (n - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    eigvecs = evaluator._fix_eigenvector_signs(eigvecs[:, order])
+    rank = int(np.sum(eigvals > max(eigvals[0], 0.0) * 1e-10))
+    if out_dim > rank:
+        raise ValueError(f"out_dim {out_dim} exceeds training sample rank {rank}")
+    top_vals = eigvals[:out_dim]
+    projection = eigvecs[:, :out_dim].T / np.sqrt(top_vals + epsilon)[:, None]
+    return PCAModel(mean, projection, top_vals, epsilon)
+
+
+def fit_outcome(fit, x, out_dim, epsilon, **kwargs):
+    """The fitted model's tensors as bytes, or the message of the ValueError the fit raised."""
+    try:
+        model = fit(x, out_dim, epsilon, **kwargs)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [getattr(model, name).tobytes() for name in evaluator.PCA_TENSOR_RANKS]
+
+
+def sample_rank(x):
+    """The rank `pca_whiten_fit` finds for the float64 rows x (at least 2 of them)."""
+    centered = x - x.mean(axis=0)
+    eigvals = np.clip(np.linalg.eigvalsh(centered.T @ centered / (len(x) - 1))[::-1], 0.0, None)
+    return int(np.sum(eigvals > max(eigvals[0], 0.0) * 1e-10))
+
+
+# a new array of the given rows in each memory layout a caller may pass
+LAYOUTS = {"C": lambda rows: np.array(rows, order="C"), "F": lambda rows: np.array(rows, order="F"),
+           "strided": lambda rows: np.repeat(rows, 2, axis=0)[::2]}
+
+
+@st.composite
+def fit_cases(draw):
+    """(training rows, out_dim, epsilon, layout): N above and at or below D, duplicate rows, low
+    rank, exactly tied eigenvalues and small integers; out_dim from 0 to D + 1, or the rank."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["gaussian", "duplicates", "low rank", "tied", "integers"]))
+    if kind == "tied":  # +-e_i, each m times: the covariance is a multiple of the identity
+        m = draw(st.integers(1, 3))
+        x = np.repeat(np.vstack([np.eye(d), -np.eye(d)]), m, axis=0) * rng.uniform(0.5, 3.0)
+        x = x[rng.permutation(len(x))]
+    else:
+        n = draw(st.integers(1, 30))
+        if kind == "gaussian":
+            x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, d)
+        elif kind == "duplicates":
+            k = draw(st.integers(1, 4))
+            x = rng.standard_normal((k, d))[rng.integers(0, k, n)]
+        elif kind == "low rank":
+            r = draw(st.integers(0, d))
+            x = rng.standard_normal((n, r)) @ rng.standard_normal((r, d)) + rng.standard_normal(d)
+        else:  # int64 rows, which the fit converts
+            x = rng.integers(-2, 3, (n, d))
+    if draw(st.booleans()) and len(x) > 1:
+        out_dim = sample_rank(np.asarray(x, np.float64))
+    else:
+        out_dim = draw(st.integers(1, d) | st.sampled_from([0, d + 1]))
+    epsilon = draw(st.sampled_from([0.0, PCAModel.epsilon, 1e-3, 1.0, -1.0, np.nan]))
+    return x, out_dim, epsilon, draw(st.sampled_from(sorted(LAYOUTS)))
+
+
+class TestFitBytes:
+    """The fit's cuts (centering in place, fixing only the kept eigenvectors) change no bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=fit_cases())
+    def test_equals_the_fit_with_full_reorder(self, case):
+        rows, out_dim, epsilon, layout = case
+        x = LAYOUTS[layout](rows)
+        expected = fit_outcome(fit_with_full_reorder, x, out_dim, epsilon)
+        given_bytes = x.tobytes()
+        assert fit_outcome(pca_whiten_fit, x, out_dim, epsilon) == expected
+        assert x.tobytes() == given_bytes  # the default leaves its argument alone
+
+        scratch = LAYOUTS[layout](rows)
+        assert fit_outcome(pca_whiten_fit, scratch, out_dim, epsilon,
+                           overwrite_training=True) == expected
+        if x.dtype != np.float64 or layout == "strided":  # the fit centers its own copy
+            assert scratch.tobytes() == given_bytes
+        elif isinstance(expected, list):  # a fitted float64 set is its centered rows, bit for bit
+            assert scratch.tobytes() == (x - x.mean(axis=0)).tobytes()
+
+    def test_rejects_a_set_that_is_not_2d(self):
+        for fit in (fit_with_full_reorder, pca_whiten_fit):
+            assert fit_outcome(fit, np.ones(5), 1, PCAModel.epsilon) == (
+                "ValueError: training data must be 2-D")
+
+    def test_whiten_and_transform_leave_their_arguments_alone(self, rng):
+        ds = make_set(rng, 30, 6)
+        model = pca_whiten_fit(rng.standard_normal((50, 6)), 4)
+        before = [ds.vectors.tobytes(), ds.lats.tobytes(), ds.lons.tobytes(),
+                  ds.place_ids.tobytes(), list(ds.ids)]
+        tensors = [getattr(model, name).tobytes() for name in evaluator.PCA_TENSOR_RANKS]
+        model.whiten(ds.vectors)
+        pca_transform_set(model, ds)
+        assert [ds.vectors.tobytes(), ds.lats.tobytes(), ds.lons.tobytes(),
+                ds.place_ids.tobytes(), list(ds.ids)] == before
+        assert [getattr(model, name).tobytes() for name in evaluator.PCA_TENSOR_RANKS] == tensors

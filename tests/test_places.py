@@ -329,6 +329,20 @@ class TestPayloadStore:
         db.payloads = None
         assert db.payloads_in_order() is None
 
+    def test_payloads_in_order_by_block(self, monkeypatch):
+        from vprkit import places
+
+        db = synth_places(4, 5, shape=(3, 3, 2), rng_seed=2)
+        assert db.payloads_in_order(slice(3, 9)).base is db.payloads  # in order: a view
+        view = training_view(db, 2)  # rows out of order: a take
+        ordered = view.payloads_in_order()
+        np.testing.assert_array_equal(view.payloads_in_order(slice(2, 7)), ordered[2:7])
+        monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", 8 * 3 * 3 * 2 * 5)  # 5 maps a block
+        for store, sizes in ((db, [5, 5, 5, 5]), (view, [5, 5, 2])):
+            blocks = list(store.payload_blocks())
+            assert [len(block) for block in blocks] == sizes
+            np.testing.assert_array_equal(np.concatenate(blocks), store.payloads_in_order())
+
     def test_gather_names_an_image_without_a_payload(self):
         db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
         db.payloads = None

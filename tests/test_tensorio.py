@@ -5,7 +5,6 @@ import json
 import math
 import re
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ from vprkit.tensorio import (
     sidecar_path,
     table_bytes,
     tensor_bytes,
+    tensor_parts,
 )
 
 
@@ -78,16 +78,12 @@ class TestTensorFormat:
         with pytest.raises(FormatError, match="truncated"):
             load_tensor(path)
 
-    def test_payload_is_read_without_a_second_copy(self, tmp_path):
+    def test_payload_is_read_without_a_second_copy(self, tmp_path, traced_memory):
         path = tmp_path / "t.vprk"
         save_tensor(path, np.ones((1024, 1024)))  # 4 MB payload
-        tracemalloc.start()
-        try:
+        with traced_memory() as peak:
             arr = load_tensor(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert arr.nbytes <= peak < 1.5 * arr.nbytes
+        assert arr.nbytes <= peak.bytes < 1.5 * arr.nbytes
 
     def test_short_payload_read_rejected(self, rng):
         class ShortRead(io.BytesIO):  # holds the payload, but one read delivers half of it
@@ -211,15 +207,11 @@ class TestCheckpointContainer:
             load_checkpoint(path)
 
 
-def _peak_bytes_while_failing(load, path):
+def _peak_bytes_while_failing(traced_memory, load, path):
     """The tracemalloc peak while `load(path)` raises FormatError."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError, match="truncated"):
-            load(path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced_memory() as peak, pytest.raises(FormatError, match="truncated"):
+        load(path)
+    return peak.bytes
 
 
 class TestDeclaredSizes:
@@ -229,22 +221,22 @@ class TestDeclaredSizes:
     def _tensor_head(dims):
         return b"VPRK" + struct.pack(f"<HBB{len(dims)}I", FORMAT_VERSION, 1, len(dims), *dims)
 
-    def test_tensor_dims_beyond_file(self, tmp_path):
+    def test_tensor_dims_beyond_file(self, tmp_path, traced_memory):
         path = tmp_path / "t.vprk"
         path.write_bytes(self._tensor_head((4096, 4096)) + bytes(12))  # declares 64 MB
         assert path.stat().st_size == 28
-        assert _peak_bytes_while_failing(load_tensor, path) < 1 << 20
+        assert _peak_bytes_while_failing(traced_memory, load_tensor, path) < 1 << 20
 
-    def test_dims_whose_product_overflows_int64(self, tmp_path):
+    def test_dims_whose_product_overflows_int64(self, tmp_path, traced_memory):
         # 65536**4 == 2**64 wraps to 0 in int64, which would read an empty payload
         path = tmp_path / "t.vprk"
         path.write_bytes(self._tensor_head((65536,) * 4) + bytes(8))
-        assert _peak_bytes_while_failing(load_tensor, path) < 1 << 20
+        assert _peak_bytes_while_failing(traced_memory, load_tensor, path) < 1 << 20
 
-    def test_checkpoint_header_length_beyond_file(self, tmp_path):
+    def test_checkpoint_header_length_beyond_file(self, tmp_path, traced_memory):
         path = tmp_path / "c.vprc"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, 64 << 20) + b"{}")
-        assert _peak_bytes_while_failing(load_checkpoint, path) < 1 << 20
+        assert _peak_bytes_while_failing(traced_memory, load_checkpoint, path) < 1 << 20
 
     def test_exact_sizes_still_load(self, rng, tmp_path):
         path = tmp_path / "t.vprk"
@@ -399,6 +391,25 @@ class HalfWrite:
         self._fh.close()
 
 
+class FailAfter:
+    """A file whose first `writes` writes succeed; the next one fails as on a full disk."""
+
+    def __init__(self, fh, writes):
+        self._fh, self._left = fh, writes
+
+    def write(self, data):
+        if not self._left:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._left -= 1
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
 class TestAtomicWrites:
     @staticmethod
     def _set():
@@ -470,6 +481,65 @@ class TestAtomicWrites:
         assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
+class TestStreamedCopies:
+    """`copy_descriptors` streams each file in blocks of READ_BLOCK_BYTES."""
+
+    @staticmethod
+    def _save(path, n, d, value):
+        save_descriptors(path, DescriptorSet(np.full((n, d), value), [f"r{i}" for i in range(n)],
+                                             np.zeros(n), np.zeros(n), np.arange(n)))
+
+    def test_many_blocks_copy_every_byte(self, tmp_path, monkeypatch):
+        from vprkit import tensorio
+
+        monkeypatch.setattr(tensorio, "READ_BLOCK_BYTES", 7)  # blocks that split rows and fields
+        self._save(tmp_path / "a.vprk", 20, 3, 1.5)
+        self._save(tmp_path / "b.vprk", 4, 5, -2.0)
+        sources = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # each set onto the other: both are copied from their original bytes
+        copy_descriptors([(tmp_path / "a.vprk", tmp_path / "b.vprk"),
+                          (tmp_path / "b.vprk", tmp_path / "a.vprk")])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "a.vprk": sources["b.vprk"], "a.csv": sources["b.csv"],
+            "b.vprk": sources["a.vprk"], "b.csv": sources["a.csv"]}
+
+    @pytest.mark.parametrize("failing", ["tensor", "sidecar"])
+    def test_failure_partway_keeps_old_files_and_closes_every_file(self, tmp_path, monkeypatch,
+                                                                  failing):
+        from vprkit import tensorio
+
+        monkeypatch.setattr(tensorio, "READ_BLOCK_BYTES", 64)
+        self._save(tmp_path / "src.vprk", 40, 8, 0.25)  # both files are many blocks long
+        self._save(tmp_path / "dest.vprk", 2, 8, 3.0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        opened = []
+        real_open = Path.open
+
+        def tracked_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            opened.append(fh)
+            # the failing file's temp takes three blocks, then the disk is full
+            temp = {"tensor": ".dest.vprk.", "sidecar": ".dest.csv."}[failing]
+            return FailAfter(fh, 3) if path.name.startswith(temp) else fh
+
+        monkeypatch.setattr(Path, "open", tracked_open)
+        with pytest.raises(OSError, match="No space left"):
+            copy_descriptors([(tmp_path / "src.vprk", tmp_path / "dest.vprk")])
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no temp file left
+        assert len(opened) == (3 if failing == "tensor" else 4)  # two sources, then the temps
+        assert all(fh.closed for fh in opened)
+
+    @pytest.mark.parametrize("rows", [1024, 4096])
+    def test_peak_is_a_few_blocks_at_any_size(self, tmp_path, traced_memory, rows):
+        self._save(tmp_path / "src.vprk", rows, 512, 1.0)  # 2 MB and 8 MB tensors
+        with traced_memory() as peak:
+            copy_descriptors([(tmp_path / "src.vprk", tmp_path / "copy.vprk")])
+        assert (tmp_path / "copy.vprk").read_bytes() == (tmp_path / "src.vprk").read_bytes()
+        # a block being written and the next being read, and a few KiB of paths and handles
+        assert peak.bytes < 2 * READ_BLOCK_BYTES + (1 << 16)
+
+
 def tensor_file_by_copies(arr) -> bytes:
     """A tensor file as built with a float32 copy, its bytes and their concatenation."""
     arr = np.ascontiguousarray(arr, dtype="<f4")
@@ -496,6 +566,13 @@ class TestWrittenTensorBytes:
         save_tensor(tmp_path / "t.vprk", arr)
         assert (tmp_path / "t.vprk").read_bytes() == tensor_file_by_copies(arr)
         assert bytes(tensor_bytes(arr)) == tensor_file_by_copies(arr)
+
+    @pytest.mark.parametrize("name", sorted(set(ARRAYS) - {"rank 0"}))
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 5])
+    def test_parts_in_blocks_equal_one_buffer(self, rng, name, rows_per_block):
+        arr = self.ARRAYS[name](rng)
+        blocks = (arr[lo:lo + rows_per_block] for lo in range(0, len(arr), rows_per_block))
+        assert b"".join(tensor_parts(arr.shape, blocks)) == tensor_file_by_copies(arr)
 
     def test_descriptor_tensor(self, rng, tmp_path):
         ds = DescriptorSet(rng.standard_normal((9, 5)), list("abcdefghi"), np.zeros(9), np.zeros(9),
@@ -540,18 +617,14 @@ class TestFloat64Reads:
         save_tensor(tmp_path / "p.vprk", rng.standard_normal((2, 3, 3, 4)))
         assert load_tensor(tmp_path / "p.vprk").dtype == np.float32
 
-    def test_peak_is_the_float64_array_and_one_buffer(self, tmp_path):
+    def test_peak_is_the_float64_array_and_one_buffer(self, tmp_path, traced_memory):
         path = tmp_path / "d.vprk"
         save_descriptors(path, DescriptorSet(np.ones((16, 65536)), [str(i) for i in range(16)],
                                              np.zeros(16), np.zeros(16), np.arange(16)))
-        tracemalloc.start()
-        try:
+        with traced_memory() as peak:
             vectors = load_descriptors(path).vectors
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # beyond the float64 array: the read buffer, and a few KiB for the sidecar and small objects
-        assert vectors.nbytes <= peak < vectors.nbytes + READ_BLOCK_BYTES + (1 << 14)
+        assert vectors.nbytes <= peak.bytes < vectors.nbytes + READ_BLOCK_BYTES + (1 << 14)
 
     @pytest.mark.parametrize("cut", [1, 4, 4 * 40000])
     def test_truncated_payload_rejected_before_any_read(self, tmp_path, cut):
