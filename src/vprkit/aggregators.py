@@ -11,15 +11,16 @@ for bit.
 Each head is a parameter-free stage (`Head.pool`: Conv-AP pools to its
 grid, AVG to 1x1, GeM clamps at zero since its exponent is trained)
 followed by the trainable part, whose forward and backward take the
-stage's output. The trainable part stops before the L2 normalization: its
-forward returns the raw rows and its backward takes the gradient with
-respect to them, so a caller normalizes once and `normalize_backward`
-reuses the unit rows and norms. The backbone is frozen, so training runs
-the stage once per database and each step only gathers rows of its
-output. The head kind is resolved only through `HEADS`; single-map
-functions are batch-of-one calls into the same code. Analytic backward
-passes return parameter gradients summed over the batch, checked against
-finite differences in the test suite.
+stage's output. Conv-AP's pooling and its backward share one partition
+of the map into cells (`_cells`). The trainable part stops before the L2
+normalization: its forward returns the raw rows and its backward takes
+the gradient with respect to them, so a caller normalizes once and
+`embeddings.normalize_backward` reuses the unit rows and norms. The
+backbone is frozen, so training runs the stage once per database and each
+step only gathers rows of its output. The head kind is resolved only
+through `HEADS`; single-map functions are batch-of-one calls into the
+same code. Analytic backward passes return parameter gradients summed
+over the batch, checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embeddings import unit_rows
+from .embeddings import normalize_backward, unit_rows
 from .errors import FeatureMapError
 
 GEM_MIN_POWER = 1e-3
@@ -98,16 +99,6 @@ def _one_map(fmap: np.ndarray) -> np.ndarray:
     return _check_maps(np.asarray(fmap)[None])
 
 
-def normalize_backward(unit: np.ndarray, norms: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Chain (N, D) upstream gradients through z = y / ||y|| row by row, given
-    the unit rows z and (N, 1) norms ||y|| that `embeddings.unit_rows` returned."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != unit.shape:
-        raise ValueError(f"upstream has shape {upstream.shape}, expected {unit.shape}")
-    radial = np.sum(unit * upstream, axis=1, keepdims=True)
-    return (upstream - unit * radial) / norms
-
-
 def _project(params: ConvAPParams, x: np.ndarray) -> np.ndarray:
     """The 1x1 convolution W @ x + bias over the last axis of x."""
     if x.shape[-1] != params.in_channels:
@@ -129,23 +120,26 @@ def conv1x1_forward(fmap: np.ndarray, params: ConvAPParams) -> np.ndarray:
     return _project(params, _one_map(fmap)[0])
 
 
-def _bin_edges(extent: int, bins: int) -> list[int]:
-    # Partition [0, extent) into `bins` contiguous, non-overlapping runs whose
-    # sizes differ by at most one; every bin is nonempty when bins <= extent.
-    return [(i * extent) // bins for i in range(bins + 1)]
+def _cells(h: int, w: int, rows: int, cols: int) -> list[tuple[int, int, slice, slice]]:
+    """(i, j, ys, xs) of each cell of a (rows x cols) partition of an h x w extent, row-major.
+
+    Along each axis the cells are contiguous, non-overlapping runs whose
+    sizes differ by at most one, so none is empty.
+    """
+    if not (1 <= rows <= h and 1 <= cols <= w):
+        raise ValueError(f"grid ({rows}, {cols}) larger than spatial dims ({h}, {w})")
+    re = [(i * h) // rows for i in range(rows + 1)]
+    ce = [(j * w) // cols for j in range(cols + 1)]
+    return [(i, j, slice(re[i], re[i + 1]), slice(ce[j], ce[j + 1]))
+            for i in range(rows) for j in range(cols)]
 
 
 def _pool(fmaps: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Average (N, h, w, c) maps over a (rows x cols) partition: (N, rows, cols, c)."""
+    """Average (N, h, w, c) maps over their `_cells`: (N, rows, cols, c)."""
     n, h, w, c = fmaps.shape
-    if not (1 <= rows <= h and 1 <= cols <= w):
-        raise ValueError(f"grid ({rows}, {cols}) larger than spatial dims ({h}, {w})")
-    re = _bin_edges(h, rows)
-    ce = _bin_edges(w, cols)
     out = np.empty((n, rows, cols, c))
-    for i in range(rows):
-        for j in range(cols):
-            out[:, i, j] = fmaps[:, re[i] : re[i + 1], ce[j] : ce[j + 1]].mean(axis=(1, 2))
+    for i, j, ys, xs in _cells(h, w, rows, cols):
+        out[:, i, j] = fmaps[:, ys, xs].mean(axis=(1, 2))
     return out
 
 
@@ -194,16 +188,11 @@ def conv_ap_backward(
     grads = _conv_ap_backward(params, pooled, g_raw)
 
     # Through pooling: each input cell feeds exactly one bin, scaled by 1/bin size.
-    rows, cols = params.grid
-    g_pooled = g_raw.reshape(rows, cols, params.out_channels) @ params.weight
+    g_pooled = g_raw.reshape(*params.grid, params.out_channels) @ params.weight
     h, w = np.shape(fmap)[:2]
-    re = _bin_edges(h, rows)
-    ce = _bin_edges(w, cols)
     g_features = np.empty((h, w, params.in_channels))
-    for i in range(rows):
-        for j in range(cols):
-            size = (re[i + 1] - re[i]) * (ce[j + 1] - ce[j])
-            g_features[re[i] : re[i + 1], ce[j] : ce[j + 1]] = g_pooled[i, j] / size
+    for i, j, ys, xs in _cells(h, w, *params.grid):
+        g_features[ys, xs] = g_pooled[i, j] / ((ys.stop - ys.start) * (xs.stop - xs.start))
     return ConvApGradients(grads["weight"], grads.get("bias"), g_features)
 
 

@@ -178,7 +178,7 @@ def resolve_config(args) -> dict:
 
 
 def _write_text(path: Path, text: str) -> None:
-    tensorio.write_atomic(path, text.encode("utf-8"))
+    tensorio.write_atomic_files([(path, [text.encode("utf-8")])])
 
 
 def _write_resolved(config: dict, out_dir: Path) -> None:

@@ -38,6 +38,22 @@ def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / norms, norms
 
 
+def tangent_project(unit: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Each row of `grad` less its part along the same row of `unit`: the Jacobian of
+    row-wise L2 normalization at unit rows, applied to a gradient."""
+    radial = np.sum(unit * grad, axis=1, keepdims=True)
+    return grad - unit * radial
+
+
+def normalize_backward(unit: np.ndarray, norms: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Chain (N, D) upstream gradients through z = y / ||y|| row by row, given
+    the unit rows z and (N, 1) norms ||y|| that `unit_rows` returned."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != unit.shape:
+        raise ValueError(f"upstream has shape {upstream.shape}, expected {unit.shape}")
+    return tangent_project(unit, upstream) / norms
+
+
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise L2 normalization of a 2-D array."""
     return unit_rows(m)[0]

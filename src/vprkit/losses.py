@@ -3,8 +3,8 @@
 Every loss consumes the batch similarity matrix (inner products of
 unit-norm descriptors) and returns both a scalar value and the gradient
 with respect to the embedding rows. Because rows live on the unit sphere,
-gradients are composed with the sphere-normalization Jacobian (the
-tangent projection at each row), so the trainer receives the derivative
+gradients are composed with the sphere-normalization Jacobian at unit
+rows (`embeddings.tangent_project`), so the trainer receives the derivative
 of ``loss(normalize(raw_rows))`` in a single consistent convention.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingBatch, similarity_matrix
+from .embeddings import EmbeddingBatch, similarity_matrix, tangent_project
 from .mining import MinedSet, label_masks
 
 
@@ -88,17 +88,10 @@ class WeakTuple:
             raise ValueError("query may not appear in its own candidate sets")
 
 
-def _tangent_project(grad: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # Jacobian of row-wise normalization evaluated at unit rows.
-    radial = np.sum(grad * rows, axis=1, keepdims=True)
-    return grad - radial * rows
-
-
 def _grad_from_similarity_weights(weights: np.ndarray, batch: EmbeddingBatch) -> np.ndarray:
     """Chain d loss / d S (as the matrix `weights`) back to the embedding rows."""
     z = batch.rows
-    grad = (weights + weights.T) @ z
-    return _tangent_project(grad, z)
+    return tangent_project(z, (weights + weights.T) @ z)
 
 
 def _resolve_sim(batch: EmbeddingBatch, sim: np.ndarray | None) -> np.ndarray:

@@ -15,6 +15,9 @@ import numpy as np
 
 MS_EPSILON = 0.1  # ms_mining's margin around an anchor's hardest opposite similarity
 
+# the miner kinds: "all" is `enumerate_pairs`, "ohm" `hardest_mining`, "ms" `ms_mining`
+MINER_KINDS = ("all", "ohm", "ms")
+
 
 def _pair_list(mask: np.ndarray) -> list[tuple[int, int]]:
     rows, cols = np.nonzero(mask)

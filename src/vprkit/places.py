@@ -12,8 +12,9 @@ the open payload file. Store row i is the map of the manifest's i-th data
 row; a store enters through `PlacesDB.attach_payloads`. The code here works
 on columns and arrays of image positions; `Place` and `ImageRecord` are
 read-only views for callers that want objects. A batch is one `take` from
-the store, and `stage_payloads` takes one block of rows at a time, so a
-loaded database never holds all of its maps in memory. Real data enters
+the store. `stage_payloads` and `PlacesDB.payload_blocks` walk the store
+one block of rows at a time, by one rule (`_store_blocks`), so a loaded
+database never holds all of its maps in memory. Real data enters
 through a CSV manifest, desk-scale experiments use the seeded generator.
 """
 
@@ -37,9 +38,9 @@ DEFAULT_QUERIES_PER_PLACE = 2  # each place's last images, held out as queries
 SYNTH_ORIGIN = (45.0, 7.0)
 DEFAULT_SYNTH_SHAPE = (7, 7, 32)  # (height, width, channels) of a synthetic feature map
 
-# Float64 bytes of maps `stage_payloads` converts at a time. A block this size
-# stays in cache, and it bounds the memory a stage over a whole set needs
-# beyond an in-memory store and the stage's output.
+# Float64 bytes of the maps of one block of a store walk (`_store_blocks`). A
+# block this size stays in cache, and it bounds the memory a stage over a whole
+# set, or a payload file's write, needs beyond an in-memory store and the output.
 PAYLOAD_BLOCK_BYTES = 1 << 20
 
 # Mean Earth radius (IUGG), meters.
@@ -85,9 +86,10 @@ class Place:
 
 
 def _widened(maps: np.ndarray) -> np.ndarray:
-    """Maps as float64, exact for float32; a signalling NaN widens to a quiet one, silently."""
+    """Maps as C-contiguous float64, exact for float32; a signalling NaN widens to a quiet one,
+    silently. A stage's sums run in the same order whatever the store's layout."""
     with np.errstate(invalid="ignore"):
-        return maps.astype(np.float64, copy=False)
+        return maps.astype(np.float64, order="C", copy=False)
 
 
 def grid_cell(lat, lon) -> tuple:
@@ -180,28 +182,10 @@ class PlacesDB:
             raise ValueError("the images' rows are not manifest rows 0 to M-1, each once")
         self.payloads = stack
 
-    def payloads_in_order(self, block: slice = slice(None)) -> np.ndarray | None:
-        """The maps of the images at positions `block` (every image by default), in place order.
-
-        None without `payloads`. When `payloads` is an array whose rows are
-        those images in order (a synthesized database, or a manifest that lists
-        places whole), it is returned itself, or those rows of it as a view;
-        else the maps are one `take` from the store (a `TensorRows` is read).
-        """
-        store = self.payloads
-        if store is None:
-            return None
-        rows = self.rows[block]
-        if isinstance(store, np.ndarray) and np.array_equal(rows, np.arange(len(store))[block]):
-            return store if len(rows) == len(store) else store[block]
-        return store.take(rows, axis=0)
-
     def payload_blocks(self):
-        """Every image's map in place order, as `payloads_in_order` blocks of PAYLOAD_BLOCK_BYTES
-        of float64 maps (at least one map each), so that a writer holds one block at a time."""
-        step = _rows_per_block(self.payloads)
-        for lo in range(0, len(self.rows), step):
-            yield self.payloads_in_order(slice(lo, lo + step))
+        """Every image's map in place order, in the blocks of `_store_blocks` (PAYLOAD_BLOCK_BYTES
+        of float64 maps, at least one map each), so that a writer holds one block at a time."""
+        return _store_blocks(self.payloads, self.rows)
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
@@ -468,33 +452,45 @@ def _rows_per_block(store) -> int:
     return max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
 
 
+def _store_blocks(store: np.ndarray | TensorRows, rows: np.ndarray):
+    """The maps of the store rows `rows`, in that order, in blocks of `_rows_per_block` maps.
+
+    A block is as stored: when `store` is an array whose rows are `rows` in
+    order (a synthesized database, or a manifest that lists places whole),
+    a view of it; else one `take` (from a `TensorRows`, a read). No block is
+    held here once the next is asked for.
+    """
+    step = _rows_per_block(store)
+    in_order = isinstance(store, np.ndarray) and np.array_equal(rows, np.arange(len(store)))
+    for lo in range(0, len(rows), step):
+        yield store[lo : lo + step] if in_order else store.take(rows[lo : lo + step], axis=0)
+
+
 def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     """The row-wise `stage` of the maps of the images at the positions `index`, block by block.
 
-    A block is the float64 maps of as many images as fit in
-    PAYLOAD_BLOCK_BYTES (at least one): one `take` from the store (from a
-    `TensorRows`, a read of the file), converted exactly. Its stage rows go
-    into one output; a map the stage rejects with a FeatureMapError is
-    named by its image_ref and place id.
+    The blocks are `_store_blocks` of as many images as fit in
+    PAYLOAD_BLOCK_BYTES of float64 maps (at least one), converted exactly.
+    Their stage rows go into one output; a map the stage rejects with a
+    FeatureMapError is named by its image_ref and place id.
     """
     store, index = db.payloads, np.asarray(index, np.intp)
     if store is None or not len(index):
         raise ValueError(f"image {db.image_refs[index[0]]!r} has no payload" if len(index)
                          else "no images to stage")
-    rows = db.rows[index]
-    step = _rows_per_block(store)
-    out = None
-    for lo in range(0, len(rows), step):
-        block = _widened(store.take(rows[lo : lo + step], axis=0))
+    out, lo = None, 0
+    for block in _store_blocks(store, db.rows[index]):
         try:
-            result = stage(block)
+            result = stage(_widened(block))
         except FeatureMapError as exc:
             at = index[lo + exc.row]
             where = f"image {db.image_refs[at]!r} of place {db.place_ids[at]}"
             raise FeatureMapError(lo + exc.row, exc.reason, where) from None
         if out is None:
-            out = np.empty((len(rows),) + result.shape[1:], dtype=result.dtype)
-        out[lo : lo + step] = result
+            out = np.empty((len(index),) + result.shape[1:], dtype=result.dtype)
+        out[lo : lo + len(result)] = result
+        lo += len(result)
+        del block, result  # neither is held while the next block is taken
     return out
 
 

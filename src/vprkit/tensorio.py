@@ -29,7 +29,9 @@ never leaves a truncated file under the final name. The files of one
 descriptor set are all written before any is replaced, so a failed write
 never pairs a new tensor with an old sidecar (a failed second rename
 still can). A file's bytes may come as an iterator of blocks, written as
-they come: a copied file, or a database's payloads (`tensor_parts`).
+they come and each dropped before the next is asked for: a copied file,
+or any tensor, whose payload `tensor_parts` converts one block of rows at
+a time (a whole array is one block).
 
 Checkpoints wrap a JSON header (config echo plus tensor names) followed
 by one tensor blob per parameter:
@@ -79,35 +81,29 @@ def _tensor_header(shape: tuple[int, ...]) -> bytes:
                                       *shape)
 
 
-def tensor_bytes(arr: np.ndarray) -> memoryview:
-    """A tensor file's bytes in one buffer, the payload converted to float32 straight into it.
-
-    A scalar is written as a rank-1 tensor of one entry.
-    """
-    arr = np.atleast_1d(arr)
-    head = _tensor_header(arr.shape)
-    blob = np.empty(len(head) + 4 * arr.size, np.uint8)
-    blob[:len(head)] = np.frombuffer(head, np.uint8)
-    blob[len(head):].view("<f4").reshape(arr.shape)[...] = arr
-    return memoryview(blob)
-
-
 def tensor_parts(shape: tuple[int, ...], blocks: Iterable[np.ndarray]):
     """A tensor file's bytes as buffers: the header of `shape`, then each block of rows as float32.
 
     The blocks are the tensor's rows in order, `shape[0]` of them in all,
-    and each is converted when it is reached, so a writer holds one block.
+    and each is converted when it is reached and dropped before the next
+    is asked for, so a writer holds one block. A scalar (`shape` ())
+    is written as a rank-1 tensor of one entry.
     """
-    yield _tensor_header(shape)
+    yield _tensor_header(tuple(shape) or (1,))
     for block in blocks:
         yield memoryview(np.ascontiguousarray(block, F32).reshape(-1).view(np.uint8))
+        del block
 
 
 def _write_new(path: Path, parts) -> None:
-    """A new file at `path` of the buffers `parts` (any iterable of them), written in order."""
+    """A new file at `path` of the buffers `parts` (any iterable of them), written in order.
+
+    Each buffer is dropped before the next is asked for.
+    """
     with path.open("xb") as fh:
         for part in parts:
             fh.write(part)
+            del part
 
 
 def write_atomic_files(files: list[tuple[str | Path, Iterable]]) -> None:
@@ -134,13 +130,8 @@ def write_atomic_files(files: list[tuple[str | Path, Iterable]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def write_atomic(path: str | Path, *parts) -> None:
-    """Write the buffers `parts` to a temp file beside `path`, then rename it onto `path`."""
-    write_atomic_files([(path, parts)])
-
-
 def save_tensor(path: str | Path, arr: np.ndarray) -> None:
-    write_atomic(path, tensor_bytes(arr))
+    write_atomic_files([(path, tensor_parts(np.shape(arr), [arr]))])
 
 
 def _check_left(fh, n: int, what: str) -> None:
@@ -526,7 +517,8 @@ def sidecar_path(tensor_path: str | Path) -> Path:
 def save_descriptors(path: str | Path, ds: DescriptorSet) -> None:
     """The tensor and its sidecar, both written before either replaces its old file."""
     sidecar = table_bytes(SIDECAR_COLUMNS, [ds.ids, ds.lats, ds.lons, ds.place_ids])
-    write_atomic_files([(path, [tensor_bytes(ds.vectors)]), (sidecar_path(path), [sidecar])])
+    write_atomic_files([(path, tensor_parts(ds.vectors.shape, [ds.vectors])),
+                        (sidecar_path(path), [sidecar])])
 
 
 def copy_descriptors(copies: list[tuple[str | Path, str | Path]]) -> None:
@@ -579,8 +571,9 @@ def save_checkpoint(path: str | Path, kind: str, tensors: dict[str, np.ndarray],
         "config": config,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(hbytes)) + hbytes,
-                 *(tensor_bytes(tensors[name]) for name in header["tensors"]))
+    head = CHECKPOINT_MAGIC + struct.pack("<HI", FORMAT_VERSION, len(hbytes)) + hbytes
+    blobs = [tensor_parts(np.shape(arr), [arr]) for arr in tensors.values()]
+    write_atomic_files([(path, itertools.chain([head], *blobs))])
 
 
 def _check_checkpoint_header(header) -> None:

@@ -7,7 +7,10 @@ update the aggregation head with SGD (momentum plus L2 weight decay).
 The backbone is a frozen feature-map source, so the trainable state is
 just the head parameters, and the head's parameter-free stage (pooling)
 runs once over the training maps, in blocks of rows, before the first
-step; each step gathers its batch's pooled rows.
+step; each step gathers its batch's pooled rows. The loss's row gradient
+is already projected onto each unit row's tangent space, and the
+normalization backward projects it again: the same gradient up to
+rounding, kept until a numerical-equivalence policy lets the bits move.
 
 Runs are deterministic given the seeds: the update order is single
 threaded and every random draw goes through seeded generators.
@@ -21,11 +24,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import aggregators, losses, mining, places, tensorio
-from .embeddings import EmbeddingBatch, similarity_matrix, unit_rows
+from .embeddings import EmbeddingBatch, normalize_backward, similarity_matrix, unit_rows
 from .errors import DivergenceError, FormatError
 from .places import BatchSampler, BatchSpec, PlacesDB
-
-MINER_KINDS = ("all", "ohm", "ms")
 
 
 @dataclass
@@ -108,7 +109,7 @@ class TrainConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.loss not in losses.LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.miner not in MINER_KINDS:
+        if self.miner not in mining.MINER_KINDS:
             raise ValueError(f"unknown miner {self.miner!r}")
         if self.loss == "triplet" and self.miner != "ohm":
             raise ValueError("triplet loss needs a triplet miner; use miner='ohm'")
@@ -123,10 +124,19 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must be positive")
         if not self.miner_epsilon >= 0:
             raise ValueError("miner_epsilon must be >= 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
+        # the SGD values and the GeM exponent are checked by the classes that take them
+        self.optimizer_state()
+        try:
+            aggregators.GemParams(self.gem_power)
+        except ValueError as exc:
+            raise ValueError(f"gem_power: {exc}") from None
         if self.loss_config is None:
             self.loss_config = losses.default_loss_config(self.loss)
+
+    def optimizer_state(self) -> OptimizerState:
+        """A fresh SGD state at the initial learning rate."""
+        return OptimizerState(self.initial_lr, self.momentum, self.weight_decay,
+                              no_decay=() if self.decay_bias else ("bias",))
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -196,7 +206,7 @@ def _step(cfg: TrainConfig, head, params, rows, labels, arrays, state, step: int
     if not np.isfinite(out.value):
         raise DivergenceError(f"non-finite loss {out.value} at step {step}")
     if arrays:
-        g_raw = aggregators.normalize_backward(unit, norms, out.grad)
+        g_raw = normalize_backward(unit, norms, out.grad)
         sgd_step(arrays, head.backward(params, rows, g_raw), state)
     return float(out.value), mined.stats()
 
@@ -216,12 +226,7 @@ def train(db: PlacesDB, cfg: TrainConfig):
     pooled = places.stage_payloads(db, sampler.index,
                                    lambda fmaps: aggregators.pool(cfg.aggregator, params, fmaps))
     arrays = head.arrays(params)
-    state = OptimizerState(
-        learning_rate=cfg.initial_lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        no_decay=() if cfg.decay_bias else ("bias",),
-    )
+    state = cfg.optimizer_state()
     log = TrainLog()
 
     step = 0

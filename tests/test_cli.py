@@ -1213,6 +1213,26 @@ class TestTrainHoldOut:
         assert not (tmp_path / "run").exists()
 
 
+class TestTrainConfigCheckedFirst:
+    @pytest.mark.parametrize("key, value, message", [
+        ("momentum", 1.0, "momentum must be in [0, 1)"),
+        ("gem_power", 0, "gem_power: power must be finite and >= 0.001"),
+    ], ids=["momentum", "gem_power"])
+    def test_bad_value_fails_before_the_database_is_read(self, tmp_path, capsys, monkeypatch,
+                                                          key, value, message):
+        db = synth(tmp_path)
+        ingested = []
+        real_ingest = places.ingest_manifest
+        monkeypatch.setattr(places, "ingest_manifest",
+                            lambda *args, **kw: ingested.append(args) or real_ingest(*args, **kw))
+        rc = run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                          *SMALL_TRAIN, "--set", f"train.{key}={value}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert ingested == []
+        assert not (tmp_path / "run").exists()
+
+
 class TestPayloadFileReads:
     """`train` and `eval` read payloads.vprk block by block instead of loading it whole."""
 
@@ -1254,6 +1274,28 @@ class TestPayloadFileReads:
         # the float32 block being written and the next one read are one PAYLOAD_BLOCK_BYTES;
         # beyond them, the manifest and small objects
         assert peak.bytes < places.PAYLOAD_BLOCK_BYTES + (1 << 17)
+
+    # 12 x 12 x 256 maps: three to a block, a float32 block of 432 KiB
+    BIG_MAPS = ["--set", "synth.height=12", "--set", "synth.width=12", "--set", "synth.channels=256"]
+    FLOAT32_BLOCK = 4 * (places.PAYLOAD_BLOCK_BYTES // (8 * 12 * 12 * 256)) * 12 * 12 * 256
+
+    def test_build_db_holds_one_block(self, tmp_path, traced_memory):
+        db = synth(tmp_path, extra=self.BIG_MAPS)
+        with traced_memory() as peak:
+            assert run_command(["build-db", "--manifest", str(db / "manifest.csv"),
+                                "--payloads", str(db / "payloads.vprk"),
+                                "--out", str(tmp_path / "copy")]) == 0
+        # each block read is dropped before the next; beyond it, the manifest and small objects
+        assert peak.bytes < self.FLOAT32_BLOCK + (1 << 16)
+
+    def test_synthesized_maps_are_written_one_block_at_a_time(self, tmp_path, traced_memory):
+        db = places.synth_places(12, 6, shape=(12, 12, 256), rng_seed=7)
+        with traced_memory() as peak:
+            cli.save_db_dir(db, tmp_path / "db")
+        # each float32 copy of a block of the float64 maps is dropped before the next is made
+        assert peak.bytes < self.FLOAT32_BLOCK + (1 << 16)
+        assert (load_tensor(tmp_path / "db" / "payloads.vprk").tobytes()
+                == db.payloads.astype("<f4").tobytes())
 
     def test_peak_memory_stays_below_the_payload_file(self, tmp_path, traced_memory):
         db = synth(tmp_path, extra=["--set", "synth.height=12", "--set", "synth.width=12",

@@ -294,7 +294,8 @@ class TestPayloadStore:
         db.attach_payloads(np.arange(4.0).reshape(4, 1, 1, 1))
         assert {img.image_ref: float(img.payload[0, 0, 0]) for img in db.images()} == {
             "a": 0.0, "b": 1.0, "c": 2.0, "d": 3.0}
-        np.testing.assert_array_equal(db.payloads_in_order().ravel(), [0.0, 2.0, 1.0, 3.0])
+        np.testing.assert_array_equal(np.concatenate(list(db.payload_blocks())).ravel(),
+                                      [0.0, 2.0, 1.0, 3.0])
 
     def test_attach_rejects_images_without_distinct_rows(self):
         db = column_db([0, 0, 0], rows=[0, 2, 0])
@@ -318,30 +319,34 @@ class TestPayloadStore:
         db.payloads = None
         assert [img.payload for img in db.images()] == [None] * 8
 
-    def test_payloads_in_order_of_a_view(self):
+    def test_payload_blocks_of_a_view(self):
         db = synth_places(4, 5, shape=(3, 3, 2), rng_seed=2)
-        assert db.payloads_in_order() is db.payloads
+        [block] = db.payload_blocks()
+        assert block.base is db.payloads  # in order: a view
+        np.testing.assert_array_equal(block, db.payloads)
         view = training_view(db, 2)
         np.testing.assert_array_equal(
-            view.payloads_in_order(),
+            np.concatenate(list(view.payload_blocks())),
             np.stack([img.payload for p in view.places for img in p.images]),
         )
-        db.payloads = None
-        assert db.payloads_in_order() is None
 
-    def test_payloads_in_order_by_block(self, monkeypatch):
+    def test_payload_blocks_and_stage_payloads_by_block(self, monkeypatch):
         from vprkit import places
 
         db = synth_places(4, 5, shape=(3, 3, 2), rng_seed=2)
-        assert db.payloads_in_order(slice(3, 9)).base is db.payloads  # in order: a view
-        view = training_view(db, 2)  # rows out of order: a take
-        ordered = view.payloads_in_order()
-        np.testing.assert_array_equal(view.payloads_in_order(slice(2, 7)), ordered[2:7])
+        view = training_view(db, 2)  # rows out of order: takes
+        ordered = {store: np.concatenate(list(store.payload_blocks())) for store in (db, view)}
         monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", 8 * 3 * 3 * 2 * 5)  # 5 maps a block
         for store, sizes in ((db, [5, 5, 5, 5]), (view, [5, 5, 2])):
             blocks = list(store.payload_blocks())
             assert [len(block) for block in blocks] == sizes
-            np.testing.assert_array_equal(np.concatenate(blocks), store.payloads_in_order())
+            np.testing.assert_array_equal(np.concatenate(blocks), ordered[store])
+        assert all(block.base is db.payloads for block in db.payload_blocks())  # in order: views
+        seen = []
+        staged = stage_payloads(view, np.arange(2, 9),
+                                lambda fmaps: seen.append(len(fmaps)) or fmaps)
+        assert seen == [5, 2]
+        np.testing.assert_array_equal(staged, ordered[view][2:9])
 
     def test_gather_names_an_image_without_a_payload(self):
         db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)

@@ -34,9 +34,13 @@ from vprkit.tensorio import (
     save_tensor,
     sidecar_path,
     table_bytes,
-    tensor_bytes,
     tensor_parts,
 )
+
+
+def tensor_file(arr) -> bytes:
+    """The bytes `tensor_parts` gives for a whole array, joined."""
+    return b"".join(tensor_parts(np.shape(arr), [arr]))
 
 
 class TestTensorFormat:
@@ -57,7 +61,7 @@ class TestTensorFormat:
 
     def test_header_layout(self):
         arr = np.zeros((2, 3), dtype=np.float32)
-        blob = tensor_bytes(arr)
+        blob = tensor_file(arr)
         assert blob[:4] == b"VPRK"
         version, dtype, rank = struct.unpack("<HBB", blob[4:8])
         assert (version, dtype, rank) == (1, 1, 2)
@@ -92,7 +96,7 @@ class TestTensorFormat:
                 return super().readinto(view[:len(view) // 2])
 
         with pytest.raises(FormatError, match="shrank while reading payload"):
-            read_into(ShortRead(bytes(tensor_bytes(rng.standard_normal((4, 4))))[16:]),
+            read_into(ShortRead(tensor_file(rng.standard_normal((4, 4)))[16:]),
                       np.empty((4, 4), "<f4"))
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
@@ -104,7 +108,7 @@ class TestTensorFormat:
 
     def test_bad_version_rejected(self, tmp_path):
         arr = np.zeros(3, dtype=np.float32)
-        blob = bytearray(tensor_bytes(arr))
+        blob = bytearray(tensor_file(arr))
         blob[4:6] = struct.pack("<H", 9)
         path = tmp_path / "t.vprk"
         path.write_bytes(bytes(blob))
@@ -539,6 +543,14 @@ class TestStreamedCopies:
         # a block being written and the next being read, and a few KiB of paths and handles
         assert peak.bytes < 2 * READ_BLOCK_BYTES + (1 << 16)
 
+    @pytest.mark.parametrize("rows", [1024, 4096])
+    def test_peak_is_one_block_and_small_objects(self, tmp_path, traced_memory, rows):
+        self._save(tmp_path / "src.vprk", rows, 512, 1.0)
+        with traced_memory() as peak:
+            copy_descriptors([(tmp_path / "src.vprk", tmp_path / "copy.vprk")])
+        # each block is dropped before the next is read; beyond it, paths, handles and buffers
+        assert peak.bytes < READ_BLOCK_BYTES + (1 << 15)
+
 
 def tensor_file_by_copies(arr) -> bytes:
     """A tensor file as built with a float32 copy, its bytes and their concatenation."""
@@ -565,7 +577,7 @@ class TestWrittenTensorBytes:
         arr = self.ARRAYS[name](rng)
         save_tensor(tmp_path / "t.vprk", arr)
         assert (tmp_path / "t.vprk").read_bytes() == tensor_file_by_copies(arr)
-        assert bytes(tensor_bytes(arr)) == tensor_file_by_copies(arr)
+        assert tensor_file(arr) == tensor_file_by_copies(arr)
 
     @pytest.mark.parametrize("name", sorted(set(ARRAYS) - {"rank 0"}))
     @pytest.mark.parametrize("rows_per_block", [1, 2, 5])
@@ -643,7 +655,7 @@ class TestFloat64Reads:
                 view = memoryview(buf).cast("B")
                 return super().readinto(view[:len(view) - (self.reads == 2)])
 
-        payload = bytes(tensor_bytes(rng.standard_normal((100, 400))))[16:]  # three blocks
+        payload = tensor_file(rng.standard_normal((100, 400)))[16:]  # three blocks
         with pytest.raises(FormatError, match="shrank while reading payload"):
             read_into(ShortSecondRead(payload), np.empty((100, 400)))
 
@@ -698,7 +710,7 @@ def _tensor_head(dims, version=FORMAT_VERSION, tag=1):
     return b"VPRK" + struct.pack(f"<HBB{len(dims)}I", version, tag, len(dims), *dims)
 
 
-_WHOLE = bytes(tensor_bytes(np.arange(16.0).reshape(4, 4)))
+_WHOLE = tensor_file(np.arange(16.0).reshape(4, 4))
 # the files `load_tensor` rejects in the tests above, and the other checks of its header
 CORRUPT_TENSOR_FILES = {
     "empty": b"",
