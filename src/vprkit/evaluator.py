@@ -6,13 +6,10 @@ place labels or from a geodesic radius around each query (25 m by
 default). Queries with no correct reference at all are excluded from the
 recall denominator and reported separately.
 
-Recall reads the ground truth at each query's retrieved references; only a
-query without a hit there is scanned against every reference, to learn
-whether it has a match at all. The geo scan is exact but pruned: a
-great-circle distance is at least EARTH_RADIUS_M times the latitude
-difference, so only references inside a query block's latitude band
-(widened by the radius) are measured. The scan takes its queries in
-latitude order, which keeps each band narrow whatever their given order.
+Both modes apply one rule (`GroundTruthMatcher._match`). Recall reads it at
+each query's retrieved references; only a query without a hit there is
+scanned against every reference, in blocks, to learn whether it has a
+match at all.
 """
 
 from __future__ import annotations
@@ -24,14 +21,11 @@ import numpy as np
 from . import tensorio
 from .embeddings import normalize_rows, rows_are_unit
 from .errors import FormatError
-from .places import EARTH_RADIUS_M, haversine
+from .places import haversine
 from .tensorio import DescriptorSet
 
 DEFAULT_GEO_RADIUS_M = 25.0
-BLOCK_ENTRIES = 1 << 17  # (block, R) entries per query block of retrieval and of the geo scan
-# degrees (about 0.1 m) added to the latitude band: far above the rounding of
-# haversine and of the band comparison, so no match falls outside the band
-BAND_SLACK_DEG = 1e-6
+BLOCK_ENTRIES = 1 << 17  # (block, R) entries per query block of retrieval and of the match scan
 # eigenvector components at or below this magnitude do not set a column's sign
 SIGN_TOL = 1e-12
 
@@ -52,32 +46,25 @@ class GroundTruthMatcher:
         if not self.radius_m >= 0:  # NaN fails too
             raise ValueError("radius_m must be >= 0")
 
+    def _match(self, queries: DescriptorSet, refs: DescriptorSet, cols) -> np.ndarray:
+        """Whether the references `cols` are correct for each query: `cols` is a slice of
+        all references, giving (Q, R), or each query's (Q, k) reference indices."""
+        if self.mode == "label":
+            return queries.place_ids[:, None] == refs.place_ids[cols]
+        return haversine((queries.lats[:, None], queries.lons[:, None]),
+                         (refs.lats[cols], refs.lons[cols])) <= self.radius_m
+
     def correct(self, queries: DescriptorSet, refs: DescriptorSet) -> np.ndarray:
         """The (Q, R) boolean mask of references that are correct for each query."""
-        if self.mode == "label":
-            return queries.place_ids[:, None] == refs.place_ids[None, :]
-        slack = np.degrees(self.radius_m / EARTH_RADIUS_M) + BAND_SLACK_DEG
-        lo = queries.lats.min(initial=np.inf) - slack
-        hi = queries.lats.max(initial=-np.inf) + slack
-        band = np.flatnonzero((refs.lats >= lo) & (refs.lats <= hi))
-        dists = haversine((queries.lats[:, None], queries.lons[:, None]),
-                          (refs.lats[band], refs.lons[band]))
-        mask = np.zeros((len(queries), len(refs)), dtype=bool)
-        mask[:, band] = dists <= self.radius_m
-        return mask
+        return self._match(queries, refs, slice(None))
 
     def found(self, queries: DescriptorSet, refs: DescriptorSet,
               top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`correct` read at the (Q, k) reference indices `top`, and whether each query has a match."""
-        if self.mode == "label":
-            hits = refs.place_ids[top] == queries.place_ids[:, None]
-            return hits, np.isin(queries.place_ids, refs.place_ids)
-        hits = haversine((queries.lats[:, None], queries.lons[:, None]),
-                         (refs.lats[top], refs.lons[top])) <= self.radius_m
+        hits = self._match(queries, refs, top)
         has_match = hits.any(axis=1)
-        # only a query without a hit in its top k is scanned, in latitude order
+        # only a query without a hit in its top k is scanned
         missed = np.flatnonzero(~has_match)
-        missed = missed[np.argsort(queries.lats[missed], kind="stable")]
         rows = max(1, BLOCK_ENTRIES // (len(refs) or 1))
         for lo in range(0, len(missed), rows):
             idx = missed[lo:lo + rows]

@@ -103,18 +103,20 @@ def _resolve_sim(batch: EmbeddingBatch, sim: np.ndarray | None) -> np.ndarray:
     return sim
 
 
-def _flat_masks(n: int, pairs) -> list[np.ndarray]:
-    """Sorted flat row-major indices of the `positive` and `negative` masks.
+def _mined_masks(n: int, pairs) -> list[np.ndarray]:
+    """The `positive` and `negative` masks of `pairs` as (n, n) booleans.
 
-    Masks with an entry must be (n, n): a flat index into another shape
-    would name the wrong pairs. Masks without one are the empty set of any
+    Masks with an entry must be (n, n): an entry of another shape would
+    name the wrong pairs. Masks without one are the empty set of any
     batch, as `MinedSet()` is.
     """
     masks = [np.asarray(mask, dtype=bool) for mask in (pairs.positive, pairs.negative)]
-    if any(mask.shape != (n, n) for mask in masks) and any(mask.any() for mask in masks):
-        shapes = [mask.shape for mask in masks]
-        raise ValueError(f"mined masks have shapes {shapes}; a batch of {n} needs ({n}, {n})")
-    return [np.flatnonzero(mask) for mask in masks]
+    if any(mask.shape != (n, n) for mask in masks):
+        if any(mask.any() for mask in masks):
+            shapes = [mask.shape for mask in masks]
+            raise ValueError(f"mined masks have shapes {shapes}; a batch of {n} needs ({n}, {n})")
+        masks = [np.zeros((n, n), dtype=bool)] * 2
+    return masks
 
 
 def contrastive_loss(
@@ -129,7 +131,7 @@ def contrastive_loss(
     negatives; the total is the mean over all mined pairs.
     """
     s = _resolve_sim(batch, sim)
-    pos, neg = _flat_masks(len(batch), pairs)
+    pos, neg = map(np.flatnonzero, _mined_masks(len(batch), pairs))
     total_pairs = len(pos) + len(neg)
     if total_pairs == 0:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
@@ -144,12 +146,17 @@ def contrastive_loss(
     return LossOutput(float(value), _grad_from_similarity_weights(weights, batch))
 
 
-def _triplet_index(triplets) -> np.ndarray:
+def _triplet_index(triplets, n: int) -> np.ndarray:
+    """The (T, 3) triplet rows of `triplets`, each index in [0, n)."""
     if isinstance(triplets, MinedSet):
         if triplets.triplet_index is None:
             raise ValueError("mined set carries no triplets")
-        return triplets.triplet_index
-    return np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+        triplets = triplets.triplet_index
+    trips = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+    outside = trips[(trips < 0) | (trips >= n)]
+    if len(outside):
+        raise ValueError(f"triplet index {outside[0]} out of range for a batch of {n}")
+    return trips
 
 
 def triplet_loss(
@@ -166,7 +173,7 @@ def triplet_loss(
     miner or a list of (anchor, positive, negative) index triples.
     """
     s = _resolve_sim(batch, sim)
-    trips = _triplet_index(triplets)
+    trips = _triplet_index(triplets, len(batch))
     if len(trips) == 0:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
 
@@ -230,7 +237,7 @@ def multi_similarity_loss(
     alpha and beta.
     """
     s = _resolve_sim(batch, sim)
-    pos, neg = _flat_masks(len(batch), pairs)
+    pos, neg = map(np.flatnonzero, _mined_masks(len(batch), pairs))
     if not (len(pos) or len(neg)):
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
     n = len(batch)
@@ -282,8 +289,9 @@ def weak_triplet_loss(
     """
     if isinstance(weak, WeakTuple):
         return weak_triplet_total(batch, [weak], cfg, sim=sim)
-    query = np.flatnonzero(weak.positive.any(axis=1))
-    return _weak_triplet(batch, sim, query, weak.positive[query], weak.negative[query], cfg)
+    pos, neg = _mined_masks(len(batch), weak)
+    query = np.flatnonzero(pos.any(axis=1))
+    return _weak_triplet(batch, sim, query, pos[query], neg[query], cfg)
 
 
 def weak_tuples_from_labels(labels) -> list[WeakTuple]:

@@ -185,7 +185,7 @@ class PlacesDB:
     def payload_blocks(self):
         """Every image's map in place order, in the blocks of `_store_blocks` (PAYLOAD_BLOCK_BYTES
         of float64 maps, at least one map each), so that a writer holds one block at a time."""
-        return _store_blocks(self.payloads, self.rows)
+        return _store_blocks(self, np.arange(len(self.rows)))
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
@@ -452,18 +452,23 @@ def _rows_per_block(store) -> int:
     return max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
 
 
-def _store_blocks(store: np.ndarray | TensorRows, rows: np.ndarray):
-    """The maps of the store rows `rows`, in that order, in blocks of `_rows_per_block` maps.
+def _store_blocks(db: PlacesDB, index: np.ndarray):
+    """The maps of the images at the positions `index`, in that order, in blocks of
+    `_rows_per_block` maps; a database without payloads is a ValueError here, at the call.
 
-    A block is as stored: when `store` is an array whose rows are `rows` in
-    order (a synthesized database, or a manifest that lists places whole),
-    a view of it; else one `take` (from a `TensorRows`, a read). No block is
-    held here once the next is asked for.
+    A block is as stored: when the store is an array whose rows are those
+    images' rows in order (a synthesized database, or a manifest that lists
+    places whole), a view of it; else one `take` (from a `TensorRows`, a
+    read). No block is held here once the next is asked for.
     """
+    if db.payloads is None:
+        raise ValueError(f"image {db.image_refs[index[0]]!r} has no payload" if len(index)
+                         else "no images to stage")
+    store, rows = db.payloads, db.rows[index]
     step = _rows_per_block(store)
     in_order = isinstance(store, np.ndarray) and np.array_equal(rows, np.arange(len(store)))
-    for lo in range(0, len(rows), step):
-        yield store[lo : lo + step] if in_order else store.take(rows[lo : lo + step], axis=0)
+    return (store[lo : lo + step] if in_order else store.take(rows[lo : lo + step], axis=0)
+            for lo in range(0, len(rows), step))
 
 
 def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
@@ -474,12 +479,12 @@ def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     Their stage rows go into one output; a map the stage rejects with a
     FeatureMapError is named by its image_ref and place id.
     """
-    store, index = db.payloads, np.asarray(index, np.intp)
-    if store is None or not len(index):
-        raise ValueError(f"image {db.image_refs[index[0]]!r} has no payload" if len(index)
-                         else "no images to stage")
+    index = np.asarray(index, np.intp)
+    blocks = _store_blocks(db, index)
+    if not len(index):
+        raise ValueError("no images to stage")
     out, lo = None, 0
-    for block in _store_blocks(store, db.rows[index]):
+    for block in blocks:
         try:
             result = stage(_widened(block))
         except FeatureMapError as exc:

@@ -147,6 +147,14 @@ class TestTriplet:
         out = triplet_loss(batch, [], LossConfig(margin=0.1))
         assert out.value == 0.0 and out.degenerate
 
+    @pytest.mark.parametrize("bad", [-1, 5, 7])
+    def test_index_outside_the_batch_rejected(self, rng, bad):
+        batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
+        mined = MinedSet(triplet_index=np.array([[0, 1, 2], [bad, 2, 1]]))
+        for triplets in ([(0, 1, bad)], mined):
+            with pytest.raises(ValueError, match=f"^triplet index {bad} out of range for a batch of 5$"):
+                triplet_loss(batch, triplets, LossConfig(margin=0.1))
+
     def test_nonnegative(self, rng):
         for _ in range(200):
             batch = make_batch(rng)
@@ -770,7 +778,7 @@ class TestFlatIndexLossesEqualMaskLosses:
             assert weights.tobytes() == ref_weights.tobytes()
             assert out.grad.tobytes() == ref_grad.tobytes()
 
-    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss])
+    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
     @pytest.mark.parametrize("shape", [(4, 4), (6, 5), (30,), (5, 6, 1)])
     def test_mask_of_the_wrong_shape_rejected(self, rng, loss, shape):
         batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
@@ -780,7 +788,7 @@ class TestFlatIndexLossesEqualMaskLosses:
             with pytest.raises(ValueError, match="mined masks have shapes"):
                 loss(batch, pairs, LossConfig())
 
-    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss])
+    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
     def test_empty_masks_of_any_shape_are_the_empty_set(self, rng, loss):
         batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
         for shape in [(0, 0), (3, 3), (5, 5)]:

@@ -354,6 +354,12 @@ class TestPayloadStore:
         with pytest.raises(ValueError, match="^image 'synth_00001_01' has no payload$"):
             stage_payloads(db, [5, 6], lambda fmaps: fmaps)
 
+    def test_payload_blocks_without_payloads_fail_at_the_call(self):
+        db = synth_places(2, 4, shape=(3, 3, 2), rng_seed=2)
+        db.payloads = None
+        with pytest.raises(ValueError, match="^image 'synth_00000_00' has no payload$"):
+            db.payload_blocks()
+
     def test_batch_index_points_into_the_sampler_images(self):
         db = tiny_db()
         sampler = BatchSampler(db, BatchSpec(4, 3, rng_seed=4))

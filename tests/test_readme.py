@@ -6,7 +6,9 @@ first part is `vprkit`, one of its modules or one of its classes:
 `aggregators.pool(kind, params, fmaps)`, `PlacesDB.payload_blocks`. A
 span that starts with any other name, such as a config key (`train.grid`),
 a file (`payloads.vprk`) or numpy (`np.isin`), is not one, nor is any
-text in a fenced code block. So a renamed or deleted name cannot stay
+text in a fenced code block. A function or class reached through a module
+must be defined there, not only imported (the package's own `vprkit.X`
+re-exports aside). So a renamed, moved or deleted name cannot stay
 documented.
 """
 
@@ -14,6 +16,7 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import vprkit
@@ -37,12 +40,17 @@ def references(text: str) -> list[str]:
 
 
 def resolves(reference: str) -> bool:
-    """Each part is an attribute of the one before it; the last may be a dataclass field."""
+    """Each part is an attribute of the one before it, and defined there when it is a function
+    or class of a module other than the package; the last may be a dataclass field."""
     first, *parts = reference.split(".")
     obj = ROOTS[first]
     for i, part in enumerate(parts):
         if hasattr(obj, part):
-            obj = getattr(obj, part)
+            owner, obj = obj, getattr(obj, part)
+            if (isinstance(owner, types.ModuleType) and owner is not vprkit
+                    and isinstance(obj, (type, types.FunctionType))
+                    and obj.__module__ != owner.__name__):
+                return False
         else:
             fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
             return i == len(parts) - 1 and part in fields
@@ -63,3 +71,12 @@ def test_references_are_found_and_checked():
     assert found == ["places.stage_payloads", "PlacesDB.rows", "vprkit.tensorio.gone",
                      "Batch.gone"]
     assert [name for name in found if not resolves(name)] == ["vprkit.tensorio.gone", "Batch.gone"]
+
+
+def test_a_name_a_module_only_imports_does_not_resolve():
+    assert resolves("embeddings.normalize_backward")
+    assert resolves("vprkit.embeddings.normalize_backward")
+    assert not resolves("aggregators.normalize_backward")  # imported from embeddings
+    assert not resolves("vprkit.aggregators.normalize_backward")
+    assert not resolves("losses.MinedSet")  # a class, imported from mining
+    assert resolves("vprkit.GroundTruthMatcher")  # a re-export of the package itself
