@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embeddings import normalize_backward, unit_rows
+from .embeddings import first_nonfinite_row, normalize_backward, unit_rows
 from .errors import FeatureMapError
 
 GEM_MIN_POWER = 1e-3
@@ -85,11 +85,26 @@ class GemParams:
 
 
 def _check_maps(fmaps: np.ndarray) -> np.ndarray:
-    fmaps = np.asarray(fmaps, dtype=np.float64)
+    """An (N, h, w, c) batch as the stage takes it, C-ordered (so the stage sums in one
+    order whatever the store's layout); FeatureMapError names the first map with a NaN or
+    infinite entry.
+
+    The one dtype rule of the stage: float32 maps (a payload store's dtype)
+    of more than one channel stay float32, and the stage accumulates them in
+    float64 entry by entry, in the order and to the bits of their widening.
+    Any other maps are widened to float64, exactly (a signalling NaN becomes
+    a quiet one). One-channel cells are contiguous runs that numpy sums
+    pairwise, and a run it converts while summing is split at its buffer
+    size, so those maps are widened first.
+    """
+    fmaps = np.asarray(fmaps)
     if fmaps.ndim != 4:
         raise ValueError(f"feature maps must be (N, h, w, c), got shape {fmaps.shape}")
-    if not np.all(np.isfinite(fmaps)):
-        row = int(np.argmin(np.isfinite(fmaps).all(axis=(1, 2, 3))))
+    as_stored = fmaps.dtype == np.float32 and fmaps.shape[3] > 1
+    with np.errstate(invalid="ignore"):
+        fmaps = fmaps.astype(np.float32 if as_stored else np.float64, order="C", copy=False)
+    row = first_nonfinite_row(fmaps)
+    if row is not None:
         raise FeatureMapError(row, "feature map entries must be finite")
     return fmaps
 
@@ -135,11 +150,13 @@ def _cells(h: int, w: int, rows: int, cols: int) -> list[tuple[int, int, slice, 
 
 
 def _pool(fmaps: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Average (N, h, w, c) maps over their `_cells`: (N, rows, cols, c)."""
+    """Average (N, h, w, c) maps over their `_cells` in float64: (N, rows, cols, c)."""
     n, h, w, c = fmaps.shape
     out = np.empty((n, rows, cols, c))
     for i, j, ys, xs in _cells(h, w, rows, cols):
-        out[:, i, j] = fmaps[:, ys, xs].mean(axis=(1, 2))
+        # into a new array: reducing into the strided `out[:, i, j]` buffers it and raised peak RSS
+        total = np.add.reduce(fmaps[:, ys, xs], axis=(1, 2), dtype=np.float64)
+        out[:, i, j] = total / ((ys.stop - ys.start) * (xs.stop - xs.start))
     return out
 
 
@@ -265,7 +282,8 @@ def _gem_from_arrays(arrays: dict[str, np.ndarray], grid) -> GemParams:
 @dataclass(frozen=True)
 class Head:
     """One head kind: the parameter-free stage `pool(params, fmaps)` (it reads
-    only the fixed grid, never a trainable array), batch forward to raw rows
+    only the fixed grid, never a trainable array; it takes `_check_maps`'s
+    float32 or float64 batch and returns float64), batch forward to raw rows
     and backward from d / d raw rows, both on the stage's output, trainable
     arrays by name, params rebuilt from arrays (clamped in place), and
     seeded init from a config with out_channels, grid, use_bias and
@@ -292,7 +310,7 @@ HEADS: dict[str, Head] = {
         init=lambda c, cfg, rng: init_conv_ap(c, cfg.out_channels, cfg.grid, cfg.use_bias, rng),
     ),
     "gem": Head(
-        pool=lambda params, fmaps: np.maximum(fmaps, 0.0),
+        pool=lambda params, fmaps: np.maximum(fmaps, 0.0, dtype=np.float64),
         forward=_gem_forward,
         backward=_gem_backward,
         arrays=lambda params: {"power": np.array([params.power])},
@@ -319,14 +337,16 @@ def head(kind: str) -> Head:
 
 
 def pool(kind: str, params, fmaps: np.ndarray) -> np.ndarray:
-    """The head's parameter-free stage on a checked (N, h, w, c) batch.
+    """The head's parameter-free stage on a checked (N, h, w, c) batch, as float64 rows.
 
-    Its rows are what `Head.forward` and `Head.backward` take, so maps that
-    never change are pooled once and gathered by row afterwards. Every stage
-    is row by row and a fixed point of itself (a pooled cell pools to
-    itself, a clamped entry clamps to itself), so the stage can run in
-    blocks of rows, and `forward` on its output equals `forward` on the
-    maps, bit for bit. A non-finite map raises FeatureMapError with its row.
+    The batch may be float32 as stored (`_check_maps` decides whether it is
+    widened first); the rows are the same bits either way. The rows are what
+    `Head.forward` and `Head.backward` take, so maps that never change are
+    pooled once and gathered by row afterwards. Every stage is row by row
+    and a fixed point of itself (a pooled cell pools to itself, a clamped
+    entry clamps to itself), so the stage can run in blocks of rows, and
+    `forward` on its output equals `forward` on the maps, bit for bit. A
+    non-finite map raises FeatureMapError with its row.
     """
     return head(kind).pool(params, _check_maps(fmaps))
 

@@ -19,6 +19,21 @@ NORM_EPS = 1e-12
 UNIT_TOL = 1e-6
 
 
+def first_nonfinite_row(arr: np.ndarray) -> int | None:
+    """Index along the first axis of the first row of `arr` with a NaN or infinite
+    entry, or None if there is none.
+
+    A finite sum clears the whole array in one pass; only an array whose sum
+    is not finite (a bad entry, or finite entries that overflow the sum)
+    builds the full mask. Neither raises a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):
+            return None
+        bad = ~np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Return v / ||v||, raising ZeroNormError when ||v|| <= NORM_EPS."""
     v = np.asarray(v, dtype=np.float64)
@@ -83,7 +98,7 @@ class EmbeddingBatch:
             raise ValueError(f"rows must be 2-D, got shape {self.rows.shape}")
         if self.labels.shape != (self.rows.shape[0],):
             raise ValueError("labels must align with rows")
-        if not np.all(np.isfinite(self.rows)):
+        if first_nonfinite_row(self.rows) is not None:
             raise ValueError("descriptor entries must be finite")
         if not rows_are_unit(self.rows):
             raise ValueError("rows are not unit norm")

@@ -72,8 +72,8 @@ def label_masks(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the (N,) anchors that have both a positive and a negative."""
     labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
+    diff = ~same
     np.fill_diagonal(same, False)
-    diff = labels[:, None] != labels[None, :]
     return same, diff, same.any(axis=1) & diff.any(axis=1)
 
 

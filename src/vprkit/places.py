@@ -87,7 +87,8 @@ class Place:
 
 def _widened(maps: np.ndarray) -> np.ndarray:
     """Maps as C-contiguous float64, exact for float32; a signalling NaN widens to a quiet one,
-    silently. A stage's sums run in the same order whatever the store's layout."""
+    silently. For the float64 views `ImageRecord.payload` and `Batch.feature_maps`; a stage
+    takes blocks as stored, and its check decides their dtype."""
     with np.errstate(invalid="ignore"):
         return maps.astype(np.float64, order="C", copy=False)
 
@@ -475,9 +476,10 @@ def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     """The row-wise `stage` of the maps of the images at the positions `index`, block by block.
 
     The blocks are `_store_blocks` of as many images as fit in
-    PAYLOAD_BLOCK_BYTES of float64 maps (at least one), converted exactly.
-    Their stage rows go into one output; a map the stage rejects with a
-    FeatureMapError is named by its image_ref and place id.
+    PAYLOAD_BLOCK_BYTES of float64 maps (at least one), passed to `stage` as
+    stored: no float64 copy of a float32 block is made here. Their stage rows
+    go into one output; a map the stage rejects with a FeatureMapError is
+    named by its image_ref and place id.
     """
     index = np.asarray(index, np.intp)
     blocks = _store_blocks(db, index)
@@ -486,7 +488,7 @@ def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     out, lo = None, 0
     for block in blocks:
         try:
-            result = stage(_widened(block))
+            result = stage(block)
         except FeatureMapError as exc:
             at = index[lo + exc.row]
             where = f"image {db.image_refs[at]!r} of place {db.place_ids[at]}"

@@ -62,6 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embeddings import first_nonfinite_row
 from .errors import FormatError, VprkitError
 
 TENSOR_MAGIC = b"VPRK"
@@ -491,9 +492,8 @@ class DescriptorSet:
         self.lons = np.asarray(self.lons, dtype=np.float64)
         self.place_ids = np.asarray(self.place_ids, dtype=np.int64)
         n = self.vectors.shape[0]
-        # the sum is finite unless an entry is not (or it leaves float64's range): no (N, D) mask
-        if not (np.isfinite(self.vectors.sum()) or np.isfinite(self.vectors).all()):
-            row = np.argwhere(~np.isfinite(self.vectors))[0, 0]
+        row = first_nonfinite_row(self.vectors)
+        if row is not None:
             raise ValueError(f"row {row}: descriptor has non-finite entries")
         if not (len(self.ids) == len(self.lats) == len(self.lons) == len(self.place_ids) == n):
             raise ValueError("metadata misaligned with vectors")

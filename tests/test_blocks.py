@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vprkit import aggregators, places
 from vprkit.aggregators import ConvAPParams, GemParams
@@ -109,17 +111,65 @@ def test_memory_is_the_output_plus_a_few_blocks(monkeypatch, traced_memory, kind
     assert peak.bytes < 2 * store.nbytes + 4 * block  # gathering the set as float64 alone takes 2x
 
 
-@pytest.mark.parametrize("layout", ["Fortran", "transposed"])
+def in_layout(maps, layout):
+    """`maps` with the same entries, stored C-ordered, Fortran-ordered or with h and w swapped."""
+    return {"C": maps, "Fortran": np.asfortranarray(maps),
+            "transposed": np.ascontiguousarray(maps.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)}[layout]
+
+
+@pytest.mark.parametrize("layout", ["Fortran", "transposed", "float32"])
 @pytest.mark.parametrize("kind", sorted(HEADS))
 def test_an_in_order_store_of_any_layout_gives_the_same_rows(monkeypatch, kind, layout):
     db = synth_places(4, 6, shape=SHAPE, rng_seed=5)  # its rows are the store's, in order
-    maps = db.payloads
-    store = (np.asfortranarray(maps) if layout == "Fortran"
-             else np.ascontiguousarray(maps.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3))
+    maps = db.payloads.astype(np.float32) if layout == "float32" else db.payloads
+    store = maps if layout == "float32" else in_layout(maps, layout)
     db.attach_payloads(store)
-    whole = aggregators.pool(kind, HEADS[kind], maps)
+    whole = aggregators.pool(kind, HEADS[kind], maps.astype(np.float64))
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", 5 * MAP_BYTES)
     assert stage_payloads(db, np.arange(len(maps)), stage(kind)).tobytes() == whole.tobytes()
+
+
+def float32_maps(shape, seed, huge=False):
+    """Float32 maps whose magnitudes spread over six decades, or, if `huge`, lie near float32's
+    largest (their float32 sum overflows)."""
+    rng = np.random.default_rng(seed)
+    scale = 1e37 if huge else 10 ** rng.uniform(-3, 3, shape)
+    return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+
+@st.composite
+def float32_stores(draw):
+    """(store, grid, index): float32 maps in a drawn layout, a grid up to (h, w) and an order.
+
+    Channel counts include 1, odd counts and counts above numpy's buffer of
+    8,192 entries; one-channel maps reach cells of more than 8,192 entries.
+    """
+    c = draw(st.sampled_from([1, 2, 3, 7, 32, 8193, 9001]))
+    extent = st.integers(1, 5) if c > 8 else st.integers(1, 12) | st.integers(90, 110)
+    n, h, w = draw(st.integers(1, 4)), draw(extent), draw(extent)
+    grid = (draw(st.just(1) | st.integers(1, h)), draw(st.just(1) | st.integers(1, w)))
+    maps = float32_maps((n, h, w, c), draw(st.integers(0, 2**32 - 1)), c > 1 and draw(st.booleans()))
+    index = np.arange(n)[::-1] if draw(st.booleans()) else np.arange(n)
+    return in_layout(maps, draw(st.sampled_from(["C", "Fortran", "transposed"]))), grid, index
+
+
+@pytest.mark.parametrize("kind", sorted(HEADS))
+@settings(max_examples=60, deadline=None)
+@given(case=float32_stores())
+# one channel: a cell of 9,025 entries, summed pairwise; Fortran order with 8,193 channels
+@example(case=(float32_maps((2, 95, 95, 1), 0), (1, 1), np.arange(2)))
+@example(case=(in_layout(float32_maps((2, 6, 5, 8193), 0), "Fortran"), (1, 1), np.arange(2)))
+def test_a_float32_store_stages_to_the_pool_of_its_float64_widening(kind, case):
+    store, grid, index = case
+    n = len(store)
+    db = places.PlacesDB(np.arange(n), [f"m{i}" for i in range(n)], np.zeros(n), np.zeros(n),
+                         np.full(n, np.nan), np.full(n, 2015), np.ones(n), np.arange(n))
+    db.attach_payloads(store)
+    params = ConvAPParams(np.ones((2, store.shape[3])), grid=grid) if kind == "conv_ap" else HEADS[kind]
+    whole = aggregators.pool(kind, params, store[index].astype(np.float64))
+    staged = stage_payloads(db, index, lambda fmaps: aggregators.pool(kind, params, fmaps))
+    assert staged.dtype == np.float64 and staged.shape == whole.shape
+    assert staged.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("order", ["in store order", "reversed"])
@@ -149,22 +199,37 @@ def test_memory_is_the_output_and_one_block(monkeypatch, traced_memory, kind, or
     assert peak.bytes < out.nbytes + blocks * block
 
 
+# float32 0x7f800001 is a signalling NaN: converting it raises "invalid"
+BAD_ENTRIES = {"inf": 0x7F800000, "-inf": 0xFF800000, "nan": 0x7FC00000, "signalling nan": 0x7F800001}
+
+
 @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
 def test_a_rejected_map_is_named_by_image_and_place(monkeypatch, block_bytes):
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block_bytes)
     db = loaded_db()
     refs = split_index(db, 2)[1]
-    db.payloads[db.places[3].images[1].row, 0, 2, 1] = np.inf
-    with pytest.raises(FeatureMapError, match="^image 'synth_00003_01' of place 3: feature map"):
-        stage_payloads(db, refs, stage("avg"))
+    at = (db.places[3].images[1].row, 0, 2, 1)
+    for kind in sorted(HEADS):
+        for entry in BAD_ENTRIES.values():
+            db.payloads.view(np.uint32)[at] = entry
+            # with no RuntimeWarning: the test configuration makes one an error
+            with pytest.raises(FeatureMapError,
+                               match="^image 'synth_00003_01' of place 3: feature map"):
+                stage_payloads(db, refs, stage(kind))
     with pytest.raises(ValueError, match="^no images to stage$"):
         stage_payloads(db, [], stage("avg"))
 
 
 def test_check_reports_the_first_bad_row():
-    fmaps = np.ones((5,) + SHAPE)
-    fmaps[3, 1, 1, 1] = np.nan
-    fmaps[4, 0, 0, 0] = -np.inf
-    with pytest.raises(FeatureMapError, match="^map 3: feature map entries must be finite") as exc:
-        aggregators.pool("avg", None, fmaps)
-    assert exc.value.row == 3
+    for dtype in (np.float64, np.float32):
+        for channels in (SHAPE[2], 1):  # float32 maps are kept, or widened first
+            fmaps = np.ones((5,) + SHAPE[:2] + (channels,), dtype)
+            if dtype == np.float32:
+                fmaps.view(np.uint32)[3, 1, 1, 0] = BAD_ENTRIES["signalling nan"]
+            else:
+                fmaps[3, 1, 1, 0] = np.nan
+            fmaps[4, 0, 0, 0] = -np.inf
+            with pytest.raises(FeatureMapError,
+                               match="^map 3: feature map entries must be finite") as exc:
+                aggregators.pool("avg", None, fmaps)
+            assert exc.value.row == 3

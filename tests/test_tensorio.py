@@ -345,6 +345,22 @@ class TestFiniteVectors:
         with pytest.raises(FormatError, match=r"desc\.vprk: row 2: descriptor has non-finite"):
             load_descriptors(path)
 
+    def test_opposite_infinities_name_the_row_without_a_warning(self, tmp_path):
+        # inf + -inf in the sum is "invalid"; the test configuration makes a RuntimeWarning an error
+        path = tmp_path / "desc.vprk"
+        save_descriptors(path, DescriptorSet(np.eye(3), ["a", "b", "c"], np.zeros(3),
+                                             np.zeros(3), np.arange(3)))
+        vectors = np.eye(3)
+        vectors[0, :2] = [np.inf, -np.inf]
+        save_tensor(path, vectors)
+        with pytest.raises(FormatError, match=r"desc\.vprk: row 0: descriptor has non-finite"):
+            load_descriptors(path)
+
+    def test_finite_entries_that_overflow_the_sum_are_accepted_without_a_warning(self):
+        vectors = np.full((3, 2), 1e308)
+        ds = DescriptorSet(vectors, ["a", "b", "c"], np.zeros(3), np.zeros(3), np.arange(3))
+        assert ds.vectors.tobytes() == vectors.tobytes()
+
 
 def sidecar_row_by_row(ds: DescriptorSet) -> bytes:
     """The sidecar as written one `writerow` per descriptor."""
