@@ -3,9 +3,13 @@
 Every run is driven by a declarative JSON config (`DEFAULT_CONFIG`, whose
 defaults come from the dataclasses that take them: SynthConfig,
 TrainConfig, LossConfig and PCAModel; file via --config, overrides via
-repeatable --set key=value) and writes its fully resolved config next to
-its outputs, so results are reproducible from the artifacts alone. Exit
-status is 0 exactly when all requested artifacts were written.
+repeatable --set key=value). `run_command` runs every command the same
+way: it resolves the config once, runs the command, and writes the fully
+resolved config as `resolved_config.json` after every other artifact, so
+results are reproducible from the artifacts alone. Exit status is 0
+exactly when all requested artifacts were written; bad input, a failed
+write and an allocation that cannot be made are each one `error:` line
+and status 1.
 
 A database directory holds `manifest.csv` plus an optional rank-4
 `payloads.vprk` tensor row-aligned with the manifest; `train` and `eval`
@@ -181,12 +185,6 @@ def _write_text(path: Path, text: str) -> None:
     tensorio.write_atomic_files([(path, [text.encode("utf-8")])])
 
 
-def _write_resolved(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(config, indent=2, sort_keys=True) + "\n"
-    _write_text(out_dir / "resolved_config.json", text)
-
-
 # ---------------------------------------------------------------------------
 # Database directories
 # ---------------------------------------------------------------------------
@@ -244,37 +242,30 @@ def _descriptor_set(kind, params, db: PlacesDB, index) -> DescriptorSet:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its own artifacts into --out and returns its summary
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    config = resolve_config(args)
+def cmd_synth(args, config: dict) -> str:
     s = dict(config["synth"])  # the keys not popped are SynthConfig's field names
     shape = tuple(s.pop(key) for key in SYNTH_SHAPE_KEYS)
     db = places.synth_places(s.pop("num_places"), s.pop("images_per_place"), shape,
                              SynthConfig(**s), rng_seed=int(config["seed"]))
     out = Path(args.out)
     save_db_dir(db, out)
-    _write_resolved(config, out)
-    print(f"wrote {len(db)} places / {db.num_images()} images to {out}")
-    return 0
+    return f"wrote {len(db)} places / {db.num_images()} images to {out}\n"
 
 
-def cmd_build_db(args) -> int:
-    config = resolve_config(args)
+def cmd_build_db(args, config: dict) -> str:
     db = places.ingest_manifest(args.manifest, allow_small_places=args.allow_small_places)
     out = Path(args.out)
     with contextlib.ExitStack() as stack:
         if args.payloads:  # held open and copied block by block, never read whole
             db.attach_payloads(stack.enter_context(tensorio.TensorRows(args.payloads)))
         save_db_dir(db, out)
-    _write_resolved(config, out)
-    print(f"validated {len(db)} places / {db.num_images()} images into {out}")
-    return 0
+    return f"validated {len(db)} places / {db.num_images()} images into {out}\n"
 
 
-def cmd_train(args) -> int:
-    config = resolve_config(args)
+def cmd_train(args, config: dict) -> str:
     cfg = _train_config(config)
     holdout = int(config["eval"]["queries_per_place"])
     with load_db_dir(Path(args.db)) as db:
@@ -283,10 +274,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trainer.save_train_checkpoint(out / "checkpoint.vprc", cfg, params)
     _write_text(out / "trainlog.json", json.dumps(dataclasses.asdict(log), indent=2) + "\n")
-    _write_resolved(config, out)
     final = log.losses[-1] if log.losses else float("nan")
-    print(f"trained {cfg.aggregator} for {cfg.max_epochs} epochs, final loss {final:.4f}")
-    return 0
+    return f"trained {cfg.aggregator} for {cfg.max_epochs} epochs, final loss {final:.4f}\n"
 
 
 def _load_eval_sets(args, config):
@@ -302,11 +291,10 @@ def _load_eval_sets(args, config):
         return _descriptor_set(kind, params, db, queries), _descriptor_set(kind, params, db, refs)
 
 
-def cmd_eval(args) -> int:
-    config = resolve_config(args)
-    query_set, ref_set = _load_eval_sets(args, config)
+def cmd_eval(args, config: dict) -> str:
     e = config["eval"]
     gt = GroundTruthMatcher(mode=e["ground_truth"], radius_m=float(e["radius_m"]))
+    query_set, ref_set = _load_eval_sets(args, config)
     label = args.label or Path(args.out).name
     report = recall_at_k(query_set, ref_set, gt, [int(k) for k in e["ks"]], label=label)
     out = Path(args.out)
@@ -319,13 +307,10 @@ def cmd_eval(args) -> int:
         tensorio.save_descriptors(out / "references.vprk", ref_set)
     _write_text(out / "report.kv", report.to_kv_lines())
     _write_text(out / "report.txt", report.to_text())
-    _write_resolved(config, out)
-    print(report.to_text(), end="")
-    return 0
+    return report.to_text()
 
 
-def cmd_reduce(args) -> int:
-    config = resolve_config(args)
+def cmd_reduce(args, config: dict) -> str:
     if not (args.fit or args.apply):
         raise ConfigError("reduce needs --fit and/or --apply")
     if args.fit and args.model:
@@ -351,9 +336,7 @@ def cmd_reduce(args) -> int:
         save_pca_model(out / "pca_model.vprc", model)
     if reduced is not None:
         tensorio.save_descriptors(out / "reduced.vprk", reduced)
-    _write_resolved(config, out)
-    print(f"pca artifacts written to {out}")
-    return 0
+    return f"pca artifacts written to {out}\n"
 
 
 def report_table(results: list[RecallReport]) -> tuple[str, str]:
@@ -380,8 +363,7 @@ def report_table(results: list[RecallReport]) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(machine) + "\n"
 
 
-def cmd_report(args) -> int:
-    config = resolve_config(args)
+def cmd_report(args, config: dict) -> str:
     reports = []
     for path in args.results:
         try:
@@ -398,9 +380,7 @@ def cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "table.txt", text)
     _write_text(out / "table.kv", machine)
-    _write_resolved(config, out)
-    print(text, end="")
-    return 0
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +473,23 @@ def _set_allocator_policy() -> None:
 
 
 def run_command(argv: list[str]) -> int:
-    """Parse argv and execute; returns the process exit status."""
+    """Parse argv and run its command; returns the process exit status.
+
+    Every command's lifecycle: the config resolved once, the command's own
+    artifacts, `resolved_config.json` last, then its summary on stdout.
+    """
     _set_allocator_policy()
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (VprkitError, ValueError, OSError, KeyError) as exc:
+        config = resolve_config(args)
+        summary = args.func(args, config)
+        _write_text(Path(args.out) / "resolved_config.json",
+                    json.dumps(config, indent=2, sort_keys=True) + "\n")
+    except (VprkitError, ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary, end="")
+    return 0
 
 
 def main() -> None:

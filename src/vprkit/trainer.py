@@ -258,7 +258,9 @@ def load_train_checkpoint(path):
     """Returns (kind, params, config echo dict).
 
     FormatError names a kind that is no head, a tensor the head needs but
-    the file lacks, and a stored tensor the head does not take in that shape.
+    the file lacks, and a stored tensor that the head rebuilt from the file
+    does not keep as stored, by name, shape and value (so a GeM exponent
+    that the rebuild would clamp is not loaded).
     """
     kind, tensors, config = tensorio.load_checkpoint(path)
     if kind not in aggregators.AGGREGATOR_KINDS:
@@ -269,17 +271,20 @@ def load_train_checkpoint(path):
     ):
         raise FormatError(f"{path}: grid must be a list of two positive ints, got {grid!r}")
     head = aggregators.head(kind)
+    stored = {name: arr.copy() for name, arr in tensors.items()}  # the rebuild clamps in place
     try:
         params = head.from_arrays(tensors, tuple(grid))
     except KeyError as exc:
         raise FormatError(f"{path}: {kind} checkpoint has no tensor {exc.args[0]!r}") from exc
     except (IndexError, ValueError) as exc:
         raise FormatError(f"{path}: bad {kind} checkpoint tensors: {exc}") from exc
-    expected = head.arrays(params)
-    for name, arr in tensors.items():
-        if name not in expected or arr.shape != expected[name].shape:
-            wanted = expected[name].shape if name in expected else "no such tensor"
+    kept = head.arrays(params)
+    for name, arr in stored.items():
+        if name not in kept or arr.shape != kept[name].shape:
+            wanted = kept[name].shape if name in kept else "no such tensor"
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {arr.shape}; a {kind} head takes {wanted}"
             )
+        if not np.array_equal(arr, kept[name], equal_nan=True):
+            raise FormatError(f"{path}: tensor {name!r} holds values a {kind} head does not take")
     return kind, params, config

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vprkit import cli, places
+from vprkit import cli, places, tensorio
 from vprkit.cli import run_command
 from vprkit.evaluator import RecallReport
 from vprkit.tensorio import DescriptorSet, load_tensor, save_descriptors, save_tensor
@@ -54,6 +54,15 @@ class TestSynthCommand:
         b = synth(tmp_path, "b", seed=8)
         assert (a / "payloads.vprk").read_bytes() != (b / "payloads.vprk").read_bytes()
 
+
+    def test_allocation_that_cannot_be_made_is_an_error(self, tmp_path, capsys):
+        # 89.1 PiB is beyond any address space: numpy fails before any memory is touched
+        out = tmp_path / "db"
+        rc = run_command(["synth", "--out", str(out), "--set", "synth.num_places=1000000000000"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: Unable to allocate 89.1 PiB ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_negative_latent_blur_rejected(self, tmp_path, capsys):
         out = tmp_path / "db"
@@ -482,6 +491,13 @@ class TestMalformedCheckpoint:
                                           lambda t: {"power": np.repeat(t["power"], 2)})
         assert rc == 1
         assert err.startswith("error:") and "'power' has shape (2,)" in err
+
+    def test_gem_power_below_its_minimum_is_not_clamped(self, tmp_path, capsys):
+        rc, err = self._eval_with_tensors(tmp_path, capsys, "gem",
+                                          lambda t: {"power": np.array([-5.0])})
+        assert rc == 1
+        path = tmp_path / "run" / "checkpoint.vprc"
+        assert err == f"error: {path}: tensor 'power' holds values a gem head does not take\n"
 
 
 class TestCheckpointKinds:
@@ -1231,6 +1247,66 @@ class TestTrainConfigCheckedFirst:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert ingested == []
         assert not (tmp_path / "run").exists()
+
+
+class TestEvalGroundTruthCheckedFirst:
+    @pytest.mark.parametrize("key, value, message", [
+        ("ground_truth", "bogus", "unknown ground-truth mode 'bogus'"),
+        ("radius_m", -1, "radius_m must be >= 0"),
+    ], ids=["ground_truth", "radius_m"])
+    def test_bad_value_fails_before_the_database_is_read(self, tmp_path, capsys, monkeypatch,
+                                                          key, value, message):
+        db = synth(tmp_path)
+        assert run_command(["train", "--db", str(db), "--out", str(tmp_path / "run"),
+                            *SMALL_TRAIN]) == 0
+        capsys.readouterr()
+        ingested = []
+        real_ingest = places.ingest_manifest
+        monkeypatch.setattr(places, "ingest_manifest",
+                            lambda *args, **kw: ingested.append(args) or real_ingest(*args, **kw))
+        rc = run_command(["eval", "--db", str(db), "--checkpoint",
+                          str(tmp_path / "run" / "checkpoint.vprc"),
+                          "--out", str(tmp_path / "eval"), "--set", f"eval.{key}={value}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert ingested == []
+        assert not (tmp_path / "eval").exists()
+
+
+class TestResolvedConfigLast:
+    """Every command writes resolved_config.json once, after all of its other artifacts."""
+
+    @staticmethod
+    def _commands(tmp_path):
+        db = synth(tmp_path)
+        run, ev, out = tmp_path / "run", tmp_path / "eval", str(tmp_path / "out")
+        assert run_command(["train", "--db", str(db), "--out", str(run), *SMALL_TRAIN]) == 0
+        assert run_command(["eval", "--db", str(db), "--checkpoint", str(run / "checkpoint.vprc"),
+                            "--out", str(ev)]) == 0
+        return {
+            "synth": ["synth", "--out", out, *SMALL_SYNTH],
+            "build-db": ["build-db", "--manifest", str(db / "manifest.csv"),
+                         "--payloads", str(db / "payloads.vprk"), "--out", out],
+            "train": ["train", "--db", str(db), "--out", out, *SMALL_TRAIN],
+            "eval": ["eval", "--db", str(db), "--checkpoint", str(run / "checkpoint.vprc"),
+                     "--out", out],
+            "reduce": ["reduce", "--fit", str(ev / "references.vprk"),
+                       "--apply", str(ev / "queries.vprk"), "--out", out, "--set", "pca.out_dim=4"],
+            "report": ["report", str(ev / "report.kv"), "--out", out],
+        }
+
+    @pytest.mark.parametrize("command", ["synth", "build-db", "train", "eval", "reduce", "report"])
+    def test_written_once_and_last(self, tmp_path, monkeypatch, command):
+        argv = self._commands(tmp_path)[command]
+        targets = []
+        real_write = tensorio.write_atomic_files
+        monkeypatch.setattr(tensorio, "write_atomic_files",
+                            lambda files: targets.extend(Path(p) for p, _ in files)
+                            or real_write(files))
+        assert run_command(argv) == 0
+        names = [path.name for path in targets]
+        assert len(names) > 1 and names.count("resolved_config.json") == 1
+        assert targets[-1] == tmp_path / "out" / "resolved_config.json"
 
 
 class TestPayloadFileReads:

@@ -278,6 +278,14 @@ class TestCheckpoints:
         assert kind == "gem"
         assert loaded.power == pytest.approx(params.power, abs=1e-6)
 
+    @pytest.mark.parametrize("power", [-5.0, 0.0, 1e-4])
+    def test_gem_power_the_head_would_clamp_rejected(self, tmp_path, power):
+        path = tmp_path / "gem.vprc"
+        tensorio.save_checkpoint(path, "gem", {"power": np.array([power])}, {})
+        with pytest.raises(FormatError,
+                           match="gem.vprc: tensor 'power' holds values a gem head does not take"):
+            load_train_checkpoint(path)
+
     @pytest.mark.parametrize("kind", ["netvlad", "pca"])
     def test_kind_that_is_no_head_rejected(self, tmp_path, kind):
         path = tmp_path / "c.vprc"
