@@ -80,6 +80,7 @@ class GemParams:
     power: float = 3.0
 
     def __post_init__(self):
+        self.power = float(self.power)  # an integer exponent too: its array is float64
         if not np.isfinite(self.power) or self.power < GEM_MIN_POWER:
             raise ValueError(f"power must be finite and >= {GEM_MIN_POWER}")
 

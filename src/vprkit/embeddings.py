@@ -55,9 +55,14 @@ def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def tangent_project(unit: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Each row of `grad` less its part along the same row of `unit`: the Jacobian of
-    row-wise L2 normalization at unit rows, applied to a gradient."""
-    radial = np.sum(unit * grad, axis=1, keepdims=True)
-    return grad - unit * radial
+    row-wise L2 normalization at unit rows, applied to a gradient.
+
+    One (N, D) buffer takes the products, then the radial parts, then the result.
+    """
+    out = np.multiply(unit, grad)
+    radial = out.sum(axis=1, keepdims=True)
+    np.multiply(unit, radial, out=out)
+    return np.subtract(grad, out, out=out)
 
 
 def normalize_backward(unit: np.ndarray, norms: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -66,7 +71,9 @@ def normalize_backward(unit: np.ndarray, norms: np.ndarray, upstream: np.ndarray
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != unit.shape:
         raise ValueError(f"upstream has shape {upstream.shape}, expected {unit.shape}")
-    return tangent_project(unit, upstream) / norms
+    grad = tangent_project(unit, upstream)
+    grad /= norms
+    return grad
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -74,10 +81,14 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return unit_rows(m)[0]
 
 
+def _unit_norms(squared_norms: np.ndarray) -> bool:
+    """Whether every norm whose square is given lies within UNIT_TOL of 1 (NaN does not)."""
+    return bool(np.all(np.abs(np.sqrt(squared_norms) - 1.0) <= UNIT_TOL))
+
+
 def rows_are_unit(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))  # one pass: no (N, D) array of squares
-    return bool(np.all(np.abs(norms - 1.0) <= UNIT_TOL))
+    return _unit_norms(np.einsum("ij,ij->i", m, m))  # one pass: no (N, D) array of squares
 
 
 @dataclass
@@ -85,7 +96,8 @@ class EmbeddingBatch:
     """N descriptors with aligned integer place labels.
 
     `rows` is an (N, D) float64 array of unit-norm rows (enforced at
-    construction).
+    construction, in one pass over the rows: a row with a NaN or infinite
+    entry has no unit norm, and is looked for only to name the failure).
     """
 
     rows: np.ndarray
@@ -98,9 +110,9 @@ class EmbeddingBatch:
             raise ValueError(f"rows must be 2-D, got shape {self.rows.shape}")
         if self.labels.shape != (self.rows.shape[0],):
             raise ValueError("labels must align with rows")
-        if first_nonfinite_row(self.rows) is not None:
-            raise ValueError("descriptor entries must be finite")
         if not rows_are_unit(self.rows):
+            if first_nonfinite_row(self.rows) is not None:
+                raise ValueError("descriptor entries must be finite")
             raise ValueError("rows are not unit norm")
 
     @classmethod
@@ -117,9 +129,13 @@ def similarity_matrix(batch: EmbeddingBatch) -> np.ndarray:
 
     Rejects batches whose rows are not unit norm: on the hypersphere the
     inner product *is* the cosine similarity, and the matrix invariants
-    (symmetry, unit diagonal, entries in [-1, 1]) only hold there.
+    (symmetry, unit diagonal, entries in [-1, 1]) only hold there. The
+    product's diagonal holds the squared row norms, so the check reads N
+    entries of it instead of the rows again.
     """
-    if not rows_are_unit(batch.rows):
-        raise ValueError("similarity_matrix requires unit-norm rows")
     z = np.asarray(batch.rows, dtype=np.float64)
-    return z @ z.T
+    with np.errstate(over="ignore", invalid="ignore"):  # only rows the check below rejects
+        sim = z @ z.T
+    if not _unit_norms(np.diagonal(sim)):
+        raise ValueError("similarity_matrix requires unit-norm rows")
+    return sim

@@ -119,6 +119,16 @@ def _mined_masks(n: int, pairs) -> list[np.ndarray]:
     return masks
 
 
+def _mined_index(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted flat row-major indices of the positive and negative entries of
+    `pairs`: the ones its miner found (`MinedSet.flat_index`), else one
+    `np.flatnonzero` scan of each mask checked by `_mined_masks`."""
+    flat = getattr(pairs, "flat_index", None)
+    if flat is not None and pairs.positive.shape == pairs.negative.shape == (n, n):
+        return flat
+    return tuple(map(np.flatnonzero, _mined_masks(n, pairs)))
+
+
 def contrastive_loss(
     batch: EmbeddingBatch,
     pairs: MinedSet,
@@ -131,7 +141,7 @@ def contrastive_loss(
     negatives; the total is the mean over all mined pairs.
     """
     s = _resolve_sim(batch, sim)
-    pos, neg = map(np.flatnonzero, _mined_masks(len(batch), pairs))
+    pos, neg = _mined_index(len(batch), pairs)
     total_pairs = len(pos) + len(neg)
     if total_pairs == 0:
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
@@ -189,7 +199,7 @@ def triplet_loss(
 
 
 def _softplus_logsumexp(
-    s: np.ndarray, idx: np.ndarray, scale: float, margin: float
+    s: np.ndarray, idx: np.ndarray, scale: float, margin: float, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, softplus(logsumexp of x_ij over the row's entries in idx)
     = log(1 + sum exp(x_ij)), with x = scale * (s - margin).
@@ -198,24 +208,36 @@ def _softplus_logsumexp(
     terms and the gradient d term_i / d x_ij at those entries, in idx order.
     Only those entries are exponentiated: shifted by max(row max, 0) so none
     overflows, with the gradient exp(x) / (1 + sum exp(x)) from the same
-    shifted values. Each row's total is a dense row sum over the scattered
-    exponentials, the summation order of a full (N, N) computation with
-    -inf outside the entries, so terms and gradients are bit-identical to it.
+    shifted values. Each row's total is a dense row sum over the exponentials
+    scattered into `scratch`, a zeroed (N * N,) buffer that keeps them: the
+    summation order of a full (N, N) computation with -inf outside the
+    entries, so terms and gradients are bit-identical to it.
     """
     n = len(s)
     offsets = np.searchsorted(idx, np.arange(n + 1) * n)
     counts = np.diff(offsets)
-    x = scale * (s.take(idx) - margin)
+    x = s.take(idx)  # each step in place: x = scale * (s - margin), then its exponential
+    x -= margin
+    x *= scale
     filled = counts > 0
     row_max = np.full(n, -np.inf)
     row_max[filled] = np.maximum.reduceat(x, offsets[:-1][filled])
     shift = np.maximum(row_max, 0.0)
-    e = np.exp(x - np.repeat(shift, counts))
-    scattered = np.zeros(s.size)
-    scattered[idx] = e
-    total = scattered.reshape(s.shape).sum(axis=1)
+    x -= np.repeat(shift, counts)
+    e = np.exp(x, out=x)
+    scratch[idx] = e
+    total = scratch.reshape(s.shape).sum(axis=1)
     terms = shift + np.log1p(np.expm1(-shift) + total)
-    return terms, e / np.repeat(np.exp(-shift) + total, counts)
+    e /= np.repeat(np.exp(-shift) + total, counts)
+    return terms, e
+
+
+def _values_at(idx: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[k] at each entry of `at` equal to idx[k] (idx sorted), 0.0 at the others."""
+    if not len(idx):
+        return np.zeros(len(at))
+    k = np.minimum(np.searchsorted(idx, at), len(idx) - 1)
+    return np.where(idx[k] == at, values[k], 0.0)
 
 
 def multi_similarity_loss(
@@ -235,23 +257,31 @@ def multi_similarity_loss(
     miner kept. Anchors with empty sets contribute zero. Each log term is
     evaluated as a softplus of a log-sum-exp, so it stays finite for any
     alpha and beta.
+
+    One (N, N) buffer serves both row sums and then holds the similarity
+    weights W = (g_neg - g_pos) / n, written at the mined entries only:
+    the value of the full-matrix expression at each entry, so no pass
+    divides the whole matrix.
     """
     s = _resolve_sim(batch, sim)
-    pos, neg = map(np.flatnonzero, _mined_masks(len(batch), pairs))
+    pos, neg = _mined_index(len(batch), pairs)
     if not (len(pos) or len(neg)):
         return LossOutput(0.0, np.zeros_like(batch.rows), degenerate=True)
     n = len(batch)
     a, b, m = cfg.ms_alpha, cfg.ms_beta, cfg.margin
 
-    pos_terms, pos_grad = _softplus_logsumexp(s, pos, -a, m)
-    neg_terms, neg_grad = _softplus_logsumexp(s, neg, b, m)
+    dense = np.zeros(s.size)
+    pos_terms, pos_grad = _softplus_logsumexp(s, pos, -a, m, dense)
+    dense[pos] = 0.0
+    neg_terms, neg_grad = _softplus_logsumexp(s, neg, b, m, dense)
     value = (pos_terms.sum() / a + neg_terms.sum() / b) / n
-    weights = np.zeros(s.size)
-    weights[neg] = neg_grad
-    # a subtraction from zero, as over the dense matrix: 0.0 - 0.0 is +0.0
-    weights[pos] -= pos_grad
-    weights /= n
-    return LossOutput(value, _grad_from_similarity_weights(weights.reshape(s.shape), batch))
+    # a subtraction from g_neg, or from zero off the negatives: 0.0 - 0.0 is +0.0
+    pos_grad = _values_at(neg, neg_grad, pos) - pos_grad
+    neg_grad /= n
+    pos_grad /= n
+    dense[neg] = neg_grad  # over every exponential the second sum left
+    dense[pos] = pos_grad
+    return LossOutput(value, _grad_from_similarity_weights(dense.reshape(s.shape), batch))
 
 
 def _weak_triplet(batch, sim, query, pos, neg, cfg: LossConfig) -> LossOutput:

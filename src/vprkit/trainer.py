@@ -4,6 +4,11 @@ One step: sample a P x K batch, aggregate feature maps into raw rows,
 normalize them once into unit-norm descriptors, form the similarity
 matrix, mine informative pairs, evaluate the loss and its gradient, and
 update the aggregation head with SGD (momentum plus L2 weight decay).
+The unit rows are checked once, by `EmbeddingBatch`; `similarity_matrix`
+checks only the squared norms on its product's diagonal. The `ms` miner
+works from the batch's label groups, not from (N, N) label masks, and
+hands the loss its mined entries as sorted flat indices, so no mask is
+scanned twice.
 The backbone is a frozen feature-map source, so the trainable state is
 just the head parameters, and the head's parameter-free stage (pooling)
 runs once over the training maps, in blocks of rows, before the first
@@ -195,8 +200,9 @@ def _loss(cfg: TrainConfig, batch: EmbeddingBatch, mined, sim) -> losses.LossOut
 def _step(cfg: TrainConfig, head, params, rows, labels, arrays, state, step: int):
     """One SGD step on a batch's pooled `rows`; returns the loss and the mined set's stats.
 
-    The raw rows are normalized once, for the loss and the head's backward.
-    Every per-step array is local, so none outlives the step.
+    The raw rows are normalized once, for the loss and the head's backward,
+    and checked once, by `EmbeddingBatch`. Every per-step array is local, so
+    none outlives the step.
     """
     unit, norms = unit_rows(head.forward(params, rows))
     ebatch = EmbeddingBatch(unit, labels)

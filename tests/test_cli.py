@@ -237,6 +237,65 @@ class TestUnparsableConfig:
         self._rejected(tmp_path, capsys, ["--config", str(cfg)], f"{cfg}: line 2: not UTF-8")
 
 
+# An integer in the domain of each config key whose default is a float, and the
+# settings under which the pipeline reads that key.
+INTEGER_FLOATS = {
+    "synth.gain": 1, "synth.noise_sigma": 0, "synth.unstable_fraction": 1,
+    "synth.noise_contrast": 30, "train.gem_power": 3, "train.miner_epsilon": 1,
+    "train.initial_lr": 1, "train.lr_decay_factor": 1, "train.momentum": 0,
+    "train.weight_decay": 1, "train.ms_alpha": 2, "train.ms_beta": 50, "eval.radius_m": 25,
+    "pca.epsilon": 1,
+}
+READ_UNDER = {"train.gem_power": ["--set", "train.aggregator=gem"],
+              "eval.radius_m": ["--set", "eval.ground_truth=geo"]}
+
+
+class TestIntegerForFloatKey:
+    """Every float key takes an integer with the result of the equal float."""
+
+    def test_every_float_key_is_listed(self):
+        floats = {f"{section}.{key}" for section, keys in cli.DEFAULT_CONFIG.items()
+                  if isinstance(keys, dict) for key, value in keys.items() if type(value) is float}
+        assert floats == set(INTEGER_FLOATS)
+
+    @staticmethod
+    def _pipeline(out: Path, sets: list[str]) -> dict:
+        """synth, train, eval and reduce under `sets`; every output but resolved_config.json.
+
+        Checkpoints count by kind and tensors, and a trainlog by all but its
+        wall-clock time: their config echo keeps each value as it was given.
+        """
+        db, run, ev, rd = out / "db", out / "run", out / "eval", out / "reduce"
+        for argv in (["synth", "--out", str(db), *SMALL_SYNTH],
+                     ["train", "--db", str(db), "--out", str(run), *SMALL_TRAIN],
+                     ["eval", "--db", str(db), "--checkpoint", str(run / "checkpoint.vprc"),
+                      "--out", str(ev)],
+                     ["reduce", "--fit", str(ev / "references.vprk"),
+                      "--apply", str(ev / "queries.vprk"), "--out", str(rd),
+                      "--set", "pca.out_dim=4"]):
+            assert run_command([*argv, "--seed", "3", *sets]) == 0, argv[0]
+        results = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            name = str(path.relative_to(out))
+            if path.suffix == ".vprc":
+                kind, tensors, _ = tensorio.load_checkpoint(path)
+                results[name] = kind, {key: arr.tobytes() for key, arr in tensors.items()}
+            elif path.name == "trainlog.json":
+                results[name] = {key: value for key, value in json.loads(path.read_text()).items()
+                                 if key != "wall_clock_s"}
+            elif path.name != "resolved_config.json":
+                results[name] = path.read_bytes()
+        return results
+
+    @pytest.mark.parametrize("key", sorted(INTEGER_FLOATS))
+    def test_same_result_as_the_float(self, tmp_path, key):
+        value = INTEGER_FLOATS[key]
+        as_int = self._pipeline(tmp_path / "int", ["--set", f"{key}={value}", *READ_UNDER.get(key, [])])
+        as_float = self._pipeline(tmp_path / "float",
+                                  ["--set", f"{key}={float(value)}", *READ_UNDER.get(key, [])])
+        assert as_int == as_float
+
+
 class TestBuildDb:
     def test_manifest_roundtrip(self, tmp_path):
         src = synth(tmp_path, "src")

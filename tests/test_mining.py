@@ -3,7 +3,7 @@ import pytest
 
 from conftest import balanced_labels, random_unit_rows
 from oracles import hardest_triplets_by_scan, ms_pairs_by_scan
-from vprkit.embeddings import EmbeddingBatch, similarity_matrix
+from vprkit.embeddings import EmbeddingBatch, normalize_rows, similarity_matrix
 from vprkit.mining import enumerate_pairs, hardest_mining, ms_mining
 
 
@@ -156,6 +156,35 @@ class TestMsMining:
         b = ms_mining(sim, labels, 0.2)
         assert a.positive_pairs == b.positive_pairs
         assert a.negative_pairs == b.negative_pairs
+
+
+class TestSamplerShapedBatches:
+    """P x K batches as the sampler draws them: each place's K rows together, the
+    places in shuffled order, up to N = 400; also with their rows shuffled and with
+    exact similarity ties."""
+
+    def batches(self, rng):
+        for p, k in ((2, 2), (7, 3), (25, 4), (100, 4)):
+            labels = np.repeat(rng.permutation(5 * p)[:p], k)
+            # rows near their place's center, so each row keeps some negatives and drops others
+            centers = rng.standard_normal((5 * p, 8))
+            sim = similarity_matrix(EmbeddingBatch(
+                normalize_rows(centers[labels] + rng.standard_normal((len(labels), 8))), labels))
+            yield labels, sim
+            rows = rng.permutation(len(labels))
+            yield labels[rows], sim[np.ix_(rows, rows)]
+            yield labels, np.round(sim * 4.0) / 4.0
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, np.inf])
+    def test_matches_exhaustive_scan(self, rng, epsilon):
+        for labels, sim in self.batches(rng):
+            mined = ms_mining(sim, labels, epsilon)
+            pos, neg = ms_pairs_by_scan(sim, labels, epsilon)
+            assert mined.positive_pairs == pos
+            assert mined.negative_pairs == neg
+            assert mined.skipped_anchors == []
+            flat = [np.flatnonzero(mined.positive), np.flatnonzero(mined.negative)]
+            assert all(np.array_equal(a, b) for a, b in zip(mined.flat_index, flat))
 
 
 class TestMinedSubsets:

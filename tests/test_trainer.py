@@ -1,8 +1,10 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_losses import dense_multi_similarity
 
 from vprkit import aggregators, tensorio, trainer
 from vprkit.embeddings import similarity_matrix
@@ -361,6 +363,62 @@ class TestPooledOnceEqualsPerStep:
         db = small_db()
         db.attach_payloads(db.payloads.astype(np.float32))
         self.check(tmp_path, training_view(db, 2), small_cfg(max_epochs=3))
+
+
+def dense_ms_mining(sim, labels, epsilon):
+    """The ms rule as full-matrix masks: label masks and np.where fills over (N, N)."""
+    same = labels[:, None] == labels[None, :]
+    diff = ~same
+    np.fill_diagonal(same, False)
+    has_both = (same.any(axis=1) & diff.any(axis=1))[:, None]
+    min_pos = np.where(same, sim, np.inf).min(axis=1, keepdims=True)
+    max_neg = np.where(diff, sim, -np.inf).max(axis=1, keepdims=True)
+    return SimpleNamespace(positive=same & has_both & (sim < max_neg + epsilon),
+                           negative=diff & has_both & (sim > min_pos - epsilon),
+                           skipped=int(np.count_nonzero(~has_both)))
+
+
+def dense_reference(db, cfg):
+    """Training with a full-matrix ms miner and MS loss and per-batch maps, sharing no
+    mining or loss code with the trainer."""
+    sampler = BatchSampler(db, cfg.batch_spec)
+    head = aggregators.head(cfg.aggregator)
+    arrays = head.arrays(init_aggregator(cfg, db.payloads.shape[3]))
+    state = cfg.optimizer_state()
+    steps = []
+    for epoch in range(cfg.max_epochs):
+        state.learning_rate = lr_at_epoch(cfg, epoch)
+        for batch in sampler.epoch():
+            params = head.from_arrays(arrays, cfg.grid)
+            fmaps = batch.feature_maps()
+            ebatch = embed_feature_maps(cfg.aggregator, params, fmaps, batch.labels)
+            sim = similarity_matrix(ebatch)
+            mined = dense_ms_mining(sim, batch.labels, cfg.miner_epsilon)
+            value, grad = dense_multi_similarity(ebatch, mined, cfg.loss_config, sim)
+            sgd_step(arrays, aggregators.backward(cfg.aggregator, params, fmaps, grad), state)
+            steps.append({"step": len(steps), "epoch": epoch, "loss": float(value),
+                          "positives": int(np.count_nonzero(mined.positive)),
+                          "negatives": int(np.count_nonzero(mined.negative)),
+                          "triplets": 0, "skipped_anchors": mined.skipped})
+    return head.from_arrays(arrays, cfg.grid), steps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_desk_pk400_run_equals_the_dense_reference(tmp_path, seed):
+    """100 x 4 batches of 7x7x32 maps (the desk_pk400 benchmark's training run): the
+    trainlog and the checkpoint bytes equal those of full-matrix mining and loss."""
+    db = synth_places(200, 8, shape=(7, 7, 32), perturbation=SynthConfig(noise_sigma=0.05),
+                      rng_seed=seed)
+    db = training_view(db, 2)
+    cfg = TrainConfig(batch_spec=BatchSpec(100, 4, rng_seed=seed), out_channels=64, grid=(2, 2),
+                      max_epochs=3, rng_seed=seed + 1)
+    params, log = train(db, cfg)
+    ref_params, ref_steps = dense_reference(db, cfg)
+    assert len(ref_steps) == 6
+    assert json.loads(json.dumps(dataclasses.asdict(log)))["steps"] == ref_steps
+    save_train_checkpoint(tmp_path / "trained.vprc", cfg, params)
+    save_train_checkpoint(tmp_path / "dense.vprc", cfg, ref_params)
+    assert (tmp_path / "trained.vprc").read_bytes() == (tmp_path / "dense.vprc").read_bytes()
 
 
 class TestOneLossCall:
