@@ -29,6 +29,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import aggregators, places, tensorio, trainer
 from .errors import FormatError, VprkitError
 from .evaluator import (
@@ -229,16 +231,27 @@ def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(batch_spec=spec, loss_config=loss_config, rng_seed=seed + 1, **t)
 
 
-def _descriptor_set(kind, params, db: PlacesDB, index) -> DescriptorSet:
-    """The descriptors of the images at the positions `index`, with their metadata."""
+def _descriptor_set(kind, params, db: PlacesDB, index, pooled) -> DescriptorSet:
+    """The descriptors of the images at the positions `index`, from their staged rows `pooled`,
+    with their metadata."""
     labels = db.place_ids[index]
-    # Only the stage runs per block: a product's rows can round differently with
-    # the number of rows, so the trainable part runs once over the whole set. The
-    # stage is a fixed point of itself, so embedding its output gives the maps' rows.
-    pooled = places.stage_payloads(db, index, lambda fmaps: aggregators.pool(kind, params, fmaps))
     batch = embed_feature_maps(kind, params, pooled, labels)
     return DescriptorSet(vectors=batch.rows, ids=db.image_refs[index].tolist(),
                          lats=db.lats[index], lons=db.lons[index], place_ids=labels)
+
+
+def _descriptor_sets(kind, params, db: PlacesDB,
+                     queries, refs) -> tuple[DescriptorSet, DescriptorSet]:
+    """The query and the reference descriptors of the images at the positions `queries` and
+    `refs`; their maps are staged together, each once."""
+    # Only the stage runs per block: a product's rows can round differently with
+    # the number of rows, so the trainable part runs once over each whole set. The
+    # stage is a fixed point of itself, so embedding its output gives the maps' rows.
+    pooled = places.stage_payloads(db, np.concatenate([queries, refs]),
+                                   lambda fmaps: aggregators.pool(kind, params, fmaps))
+    # the references, the larger set, are embedded first, while no descriptors are held yet
+    ref_set = _descriptor_set(kind, params, db, refs, pooled[len(queries) :])
+    return _descriptor_set(kind, params, db, queries, pooled[: len(queries)]), ref_set
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +300,8 @@ def _load_eval_sets(args, config):
         raise ConfigError("eval needs either --queries/--refs or --db/--checkpoint")
     kind, params, _ = trainer.load_train_checkpoint(args.checkpoint)
     with load_db_dir(Path(args.db)) as db:
-        queries, refs = places.split_index(db, int(config["eval"]["queries_per_place"]))
-        return _descriptor_set(kind, params, db, queries), _descriptor_set(kind, params, db, refs)
+        return _descriptor_sets(kind, params, db,
+                                *places.split_index(db, int(config["eval"]["queries_per_place"])))
 
 
 def cmd_eval(args, config: dict) -> str:

@@ -2,14 +2,15 @@
 
 Mining runs on the batch similarity matrix right after the forward pass
 and picks the informative pairs the loss should see. No miner loops over
-anchors or pairs in Python. `enumerate_pairs` and `hardest_mining` are
-masked expressions over the whole (N, N) matrix. `ms_mining` works from
-the batch's label groups: a row's same-label entries come from the
-labels alone, so it builds no (N, N) label mask. It copies the
-similarities once with each row's own group at -inf; one reduction of
-that copy gives the hardest negatives, one comparison the kept ones and
-one scan their flat indices, which it hands to the losses with its
-masks. All selection is deterministic:
+anchors or pairs in Python. `enumerate_pairs` is a masked expression over
+the whole (N, N) matrix. `hardest_mining` and `ms_mining` work from the
+batch's label groups: a row's same-label entries come from the labels
+alone, so they build no (N, N) label mask. Each copies the similarities
+once with each row's own group at -inf, and one reduction of that copy
+gives the hardest negatives. `ms_mining` then keeps the negatives above
+each row's threshold with one comparison and finds their flat indices
+with one scan, which it hands to the losses with its masks. All
+selection is deterministic:
 ties break toward the smallest index, so identical inputs always yield
 identical mined sets.
 """
@@ -107,17 +108,32 @@ def hardest_mining(sim: np.ndarray, labels: np.ndarray) -> MinedSet:
 
     Anchors without any positive or any negative in the batch contribute
     nothing and are recorded in skipped_anchors. Similarities must be
-    finite: masked-out entries are filled with +-inf, which an infinite
-    similarity would tie with.
+    finite: a row's hardest negative is the row maximum of a copy of `sim`
+    whose same-label entries are -inf, which an infinite similarity would
+    tie with. Its hardest positive comes from the label groups' entries off
+    the diagonal, as in `ms_mining`. Ties go to the smallest index.
     """
     sim = np.asarray(sim, dtype=np.float64)
-    same, diff, has_both = label_masks(labels)
-    # argmin/argmax return the first occurrence, i.e. the smallest index
+    labels = np.asarray(labels)
+    n = len(labels)
+    if sim.shape != (n, n):
+        raise ValueError(f"similarity matrix has shape {sim.shape}; {n} labels need ({n}, {n})")
+    same, counts = _same_label_index(labels)
+    has_both = (counts > 1) & (counts < n)
     anchors = np.flatnonzero(has_both)
-    hardest_pos = np.where(same, sim, np.inf).argmin(axis=1)[anchors]
-    hardest_neg = np.where(diff, sim, -np.inf).argmax(axis=1)[anchors]
-    positive = np.zeros_like(same)
-    negative = np.zeros_like(diff)
+
+    candidates = same[same // n != same % n]  # sorted, so row by row and then by column
+    per_row = counts - 1
+    # a stable sort by row, then similarity, puts each row's least similar positive first,
+    # the smallest column among ties
+    by_sim = np.lexsort((sim.take(candidates), candidates // n))
+    hardest_pos = candidates[by_sim[(np.cumsum(per_row) - per_row)[anchors]]] % n
+    other = sim.copy()
+    other.put(same, -np.inf)
+    hardest_neg = other.argmax(axis=1)[anchors]  # argmax returns the smallest index of a tie
+    del other
+    positive = np.zeros((n, n), dtype=bool)
+    negative = np.zeros((n, n), dtype=bool)
     positive[anchors, hardest_pos] = True
     negative[anchors, hardest_neg] = True
     return MinedSet(

@@ -186,7 +186,8 @@ class PlacesDB:
     def payload_blocks(self):
         """Every image's map in place order, in the blocks of `_store_blocks` (PAYLOAD_BLOCK_BYTES
         of float64 maps, at least one map each), so that a writer holds one block at a time."""
-        return _store_blocks(self, np.arange(len(self.rows)))
+        index = np.arange(len(self.rows))
+        return _store_blocks(self, index, index)
 
     def check_disjoint(self) -> None:
         """Verify no two places share a grid cell (centroid-based).
@@ -453,9 +454,10 @@ def _rows_per_block(store) -> int:
     return max(1, PAYLOAD_BLOCK_BYTES // (8 * math.prod(store.shape[1:])))
 
 
-def _store_blocks(db: PlacesDB, index: np.ndarray):
-    """The maps of the images at the positions `index`, in that order, in blocks of
-    `_rows_per_block` maps; a database without payloads is a ValueError here, at the call.
+def _store_blocks(db: PlacesDB, index: np.ndarray, order: np.ndarray):
+    """The maps of the images at the positions `index[order]`, in that order, in blocks of
+    `_rows_per_block` maps; a database without payloads is a ValueError here, at the call,
+    naming the image `index[0]`.
 
     A block is as stored: when the store is an array whose rows are those
     images' rows in order (a synthesized database, or a manifest that lists
@@ -465,7 +467,7 @@ def _store_blocks(db: PlacesDB, index: np.ndarray):
     if db.payloads is None:
         raise ValueError(f"image {db.image_refs[index[0]]!r} has no payload" if len(index)
                          else "no images to stage")
-    store, rows = db.payloads, db.rows[index]
+    store, rows = db.payloads, db.rows[index[order]]
     step = _rows_per_block(store)
     in_order = isinstance(store, np.ndarray) and np.array_equal(rows, np.arange(len(store)))
     return (store[lo : lo + step] if in_order else store.take(rows[lo : lo + step], axis=0)
@@ -475,27 +477,30 @@ def _store_blocks(db: PlacesDB, index: np.ndarray):
 def stage_payloads(db: PlacesDB, index, stage: Callable) -> np.ndarray:
     """The row-wise `stage` of the maps of the images at the positions `index`, block by block.
 
-    The blocks are `_store_blocks` of as many images as fit in
-    PAYLOAD_BLOCK_BYTES of float64 maps (at least one), passed to `stage` as
-    stored: no float64 copy of a float32 block is made here. Their stage rows
-    go into one output; a map the stage rejects with a FeatureMapError is
-    named by its image_ref and place id.
+    The maps are taken in store-row order, so a payload file is read front
+    to back, in the blocks of `_store_blocks`: as many images as fit in
+    PAYLOAD_BLOCK_BYTES of float64 maps (at least one), passed to `stage`
+    as stored, with no float64 copy of a float32 block made here. Their
+    stage rows go into one output, in the order of `index`; a map the stage
+    rejects with a FeatureMapError is named by its image_ref and place id.
     """
     index = np.asarray(index, np.intp)
-    blocks = _store_blocks(db, index)
+    by_row = np.argsort(db.rows[index], kind="stable")
+    blocks = _store_blocks(db, index, by_row)
     if not len(index):
         raise ValueError("no images to stage")
     out, lo = None, 0
     for block in blocks:
+        at = by_row[lo : lo + len(block)]
         try:
             result = stage(block)
         except FeatureMapError as exc:
-            at = index[lo + exc.row]
-            where = f"image {db.image_refs[at]!r} of place {db.place_ids[at]}"
-            raise FeatureMapError(lo + exc.row, exc.reason, where) from None
+            row = int(at[exc.row])  # the map's row of the output
+            where = f"image {db.image_refs[index[row]]!r} of place {db.place_ids[index[row]]}"
+            raise FeatureMapError(row, exc.reason, where) from None
         if out is None:
             out = np.empty((len(index),) + result.shape[1:], dtype=result.dtype)
-        out[lo : lo + len(result)] = result
+        out[at] = result
         lo += len(result)
         del block, result  # neither is held while the next block is taken
     return out
@@ -518,6 +523,62 @@ class Batch:
         return _widened(self.store.take(self.rows, axis=0))
 
 
+def _choice_bounds(sizes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """How numpy's `Generator.choice(n, k, replace=False)` draws for n = `sizes[p]`.
+
+    Row p of the first array holds the inclusive bounds of the 2k - 1
+    integers its Floyd branch takes: Floyd's j = n - k, ..., n - 1, then the
+    shuffle's i = k - 1, ..., 1. The second is True where numpy shuffles a
+    tail of the whole population instead (n > 10,000 and k > n // 50).
+    """
+    highs = np.empty((len(sizes), 2 * k - 1), np.int64)
+    highs[:, :k] = sizes[:, None] + np.arange(-k, 0)
+    highs[:, k:] = np.arange(k - 1, 0, -1)
+    return highs, (sizes > 10_000) & (k > sizes // 50)
+
+
+def _floyd_choices(rng: np.random.Generator, highs: np.ndarray) -> np.ndarray:
+    """`rng.choice(n, k, replace=False)` by its Floyd branch for the place of each row of the
+    bounds `highs` (`_choice_bounds`), in order and concatenated, from one `rng.integers` call.
+
+    Per place, numpy takes the 2k - 1 integers as `integers` takes them:
+    Floyd's values, where a value the place already holds becomes its j,
+    then the shuffle's positions, where position i swaps with the drawn one.
+    Here all the places' integers come from one call, in that order, and
+    the values and the swaps are applied to every place at once, one
+    position at a time.
+    """
+    k = (highs.shape[1] + 1) // 2
+    draws = rng.integers(0, highs, endpoint=True).T.copy()  # row t: every place's t-th integer
+    out = draws[:k]  # row i: every place's value at position i
+    for t in range(1, k):
+        np.copyto(out[t], highs[:, t], where=(out[:t] == out[t]).any(axis=0))
+    flat = out.ravel()  # a view: the drawn position j of place p is flat[j * P + p]
+    for i, swap in zip(range(k - 1, 0, -1), draws[k:] * len(highs) + np.arange(len(highs))):
+        swapped = flat[swap]
+        flat[swap] = out[i]
+        out[i] = swapped
+    return out.T.ravel()
+
+
+def _choices(rng: np.random.Generator, highs: np.ndarray, tail: list[int]) -> np.ndarray:
+    """`rng.choice(n, k, replace=False)` for the place of each row of the bounds `highs`
+    (`_choice_bounds`), in order and concatenated, with the same values and the same
+    generator state after.
+
+    A place that numpy draws by a tail shuffle, at a row listed in `tail`,
+    is drawn by `rng.choice` itself, at its turn; each run of places between
+    two of them by one `_floyd_choices` call.
+    """
+    k = (highs.shape[1] + 1) // 2
+    parts = []
+    for lo, hi in zip([0, *(p + 1 for p in tail)], [*tail, len(highs)]):
+        parts.append(_floyd_choices(rng, highs[lo:hi]))
+        if hi < len(highs):  # n is the last Floyd bound plus one
+            parts.append(rng.choice(highs[hi, k - 1] + 1, k, replace=False))
+    return np.concatenate(parts)
+
+
 class BatchSampler:
     """Epoch-based sampler over a PlacesDB.
 
@@ -525,8 +586,10 @@ class BatchSampler:
     least K images), consumed in consecutive chunks of P without
     replacement; a trailing chunk smaller than P is dropped. Within a
     batch, each place contributes K of its images drawn without
-    replacement. Two samplers built with the same spec produce identical
-    batch sequences.
+    replacement: the draws of `rng.choice(n, K, replace=False)` per place,
+    in chunk order, made with one generator call per batch (`_choices`;
+    the order is in the README).
+    Two samplers built with the same spec produce identical batch sequences.
     """
 
     def __init__(self, db: PlacesDB, spec: BatchSpec):
@@ -539,31 +602,30 @@ class BatchSampler:
             )
         # the positions of every eligible image, place by place; a batch's `index` points into it
         self.index = np.flatnonzero(np.repeat(db.sizes >= spec.images_per_place, db.sizes))
-        sizes = db.sizes[eligible]
-        first = np.cumsum(sizes) - sizes
+        k, sizes = spec.images_per_place, db.sizes[eligible]
+        self._first = np.cumsum(sizes) - sizes
+        self._highs, self._tail = _choice_bounds(sizes, k)
         if db.payloads is None:
             i = self.index[0]
             raise SamplerError(f"place {db.place_ids[i]} image {db.image_refs[i]!r} has no payload")
         self.store, self.rows = db.payloads, db.rows[self.index]
         # the place id of each image of `index`
         self.labels = db.place_ids[self.index]
-        self._first, self._sizes = first.tolist(), sizes.tolist()
         self._rng = np.random.default_rng(spec.rng_seed)
 
     @property
     def batches_per_epoch(self) -> int:
-        return len(self._sizes) // self.spec.num_places
+        return len(self._first) // self.spec.num_places
 
     def epoch(self):
         """Yield the batches of one fresh epoch."""
         p, k = self.spec.num_places, self.spec.images_per_place
-        order = self._rng.permutation(len(self._sizes))
+        order = self._rng.permutation(len(self._first))
         for start in range(0, self.batches_per_epoch * p, p):
             chunk = order[start : start + p]
-            index = np.concatenate([
-                self._first[i] + self._rng.choice(self._sizes[i], size=k, replace=False)
-                for i in chunk.tolist()
-            ])
+            tail = self._tail[chunk].nonzero()[0].tolist()
+            drawn = _choices(self._rng, self._highs[chunk], tail)
+            index = (self._first[chunk, None] + drawn.reshape(p, k)).ravel()
             yield Batch(self.labels[index], index, self.rows[index], self.store)
 
 

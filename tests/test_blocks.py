@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from vprkit import aggregators, places
 from vprkit.aggregators import ConvAPParams, GemParams
-from vprkit.cli import _descriptor_set
+from vprkit.cli import _descriptor_sets
 from vprkit.errors import FeatureMapError
 from vprkit.losses import LossConfig
+from vprkit.tensorio import TensorRows, save_tensor
 from vprkit.places import (
     BatchSpec,
     split_index,
@@ -65,10 +66,28 @@ def test_pooled_rows_equal_the_whole_array_stage(monkeypatch, kind, block_bytes)
 def test_eval_descriptors_equal_the_whole_array_forward(monkeypatch, kind, block_bytes):
     db = loaded_db()
     monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block_bytes)
-    for index in split_index(db, 2):
+    indexes = split_index(db, 2)
+    for index, staged in zip(indexes, _descriptor_sets(kind, HEADS[kind], db, *indexes)):
         assert len(index) % 3 != 0
         whole = embed_feature_maps(kind, HEADS[kind], maps_of(db, index), db.place_ids[index]).rows
-        assert _descriptor_set(kind, HEADS[kind], db, index).vectors.tobytes() == whole.tobytes()
+        assert staged.vectors.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_a_payload_file_is_read_front_to_back(tmp_path, monkeypatch, block_bytes):
+    db = loaded_db()
+    save_tensor(tmp_path / "payloads.vprk", db.payloads)
+    monkeypatch.setattr(places, "PAYLOAD_BLOCK_BYTES", block_bytes)
+    taken, take = [], TensorRows.take
+    monkeypatch.setattr(TensorRows, "take",
+                        lambda self, rows, axis=0: taken.extend(rows) or take(self, rows, axis))
+    index = np.concatenate(split_index(db, 2))  # the queries, then the references
+    whole = aggregators.pool("gem", HEADS["gem"], maps_of(db, index))
+    with TensorRows(tmp_path / "payloads.vprk") as rows:
+        db.attach_payloads(rows)
+        staged = stage_payloads(db, index, stage("gem"))
+    assert taken == list(range(db.num_images()))
+    assert staged.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["conv_ap", "gem"])

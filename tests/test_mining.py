@@ -186,6 +186,16 @@ class TestSamplerShapedBatches:
             flat = [np.flatnonzero(mined.positive), np.flatnonzero(mined.negative)]
             assert all(np.array_equal(a, b) for a, b in zip(mined.flat_index, flat))
 
+    def test_hardest_matches_exhaustive_scan(self, rng):
+        for labels, sim in self.batches(rng):
+            mined = hardest_mining(sim, labels)
+            expected, skipped = hardest_triplets_by_scan(sim, labels)
+            assert mined.triplets == expected
+            assert skipped == mined.skipped_anchors == []
+            anchors, pos, neg = mined.triplet_index.T
+            assert np.array_equal(np.flatnonzero(mined.positive), anchors * len(labels) + pos)
+            assert np.array_equal(np.flatnonzero(mined.negative), anchors * len(labels) + neg)
+
 
 class TestMinedSubsets:
     def test_mined_sets_are_subsets_of_enumeration(self, rng):

@@ -266,6 +266,58 @@ class TestBatchSampler:
             BatchSampler(db, BatchSpec(4, 4, rng_seed=0))
 
 
+def choice_loop_epoch(rng, sizes, p, k):
+    """The batches of one epoch drawn one `rng.choice` per place: the sampler's reference."""
+    first = np.cumsum(sizes) - sizes
+    order = rng.permutation(len(sizes))
+    return [np.concatenate([first[i] + rng.choice(sizes[i], size=k, replace=False)
+                            for i in order[start : start + p]])
+            for start in range(0, len(sizes) // p * p, p)]
+
+
+class TestSamplerDrawsAsChoiceLoop:
+    """Every batch, and the generator state after every epoch, equal those of a loop of
+    per-place `rng.choice` calls in chunk order."""
+
+    @staticmethod
+    def check(sizes, p, k, seed, epochs=3):
+        sizes = np.asarray(sizes)
+        db = column_db(np.repeat(np.arange(len(sizes)), sizes))
+        db.attach_payloads(np.zeros((db.num_images(), 1, 1, 1), np.float32))
+        sampler = BatchSampler(db, BatchSpec(p, k, rng_seed=seed))
+        reference = np.random.default_rng(seed)
+        eligible = sizes[sizes >= k]
+        for _ in range(epochs):
+            batches = [batch.index for batch in sampler.epoch()]
+            expected = choice_loop_epoch(reference, eligible, p, k)
+            assert len(batches) == len(expected) == len(eligible) // p
+            for got, want in zip(batches, expected):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+            assert sampler._rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("p", [2, 5, 16])
+    def test_unequal_place_sizes(self, seed, p):
+        sizes = np.random.default_rng(seed + 100).integers(4, 40, size=3 * p + 1)
+        self.check(sizes, p, 4, seed)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_k_equal_to_the_smallest_eligible_size(self, k):
+        # places smaller than K are left out; the smallest eligible place gives all its images
+        sizes = [k - 1, k, 2 * k, k, k + 1, 1, k, 5 * k, k]
+        self.check(sizes, 3, k, seed=k)
+
+    @pytest.mark.parametrize("k", [200, 201])
+    def test_both_sides_of_numpys_tail_shuffle(self, k):
+        # numpy's choice shuffles a tail, not Floyd's algorithm, once n > 10,000 and
+        # K > n // 50: at n = 10,001 that is K = 201; over the epochs the large places fall
+        # at every position of a chunk
+        sizes = [10_001, 300, 250, 10_001, 220, 10_001]
+        self.check(sizes, 2, k, seed=3, epochs=4)
+        self.check(sizes, 3, k, seed=5, epochs=4)
+
+
 class TestPayloadStore:
     def test_synth_keeps_float64_payloads(self):
         db = synth_places(3, 5, shape=(4, 4, 3), rng_seed=2)
