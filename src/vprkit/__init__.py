@@ -23,6 +23,7 @@ from .errors import (
     DivergenceError,
     FormatError,
     ManifestError,
+    NonFiniteNormError,
     SamplerError,
     VprkitError,
     ZeroNormError,

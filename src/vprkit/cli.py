@@ -217,17 +217,17 @@ def load_db_dir(path: Path):
 
 
 def _train_config(config: dict) -> TrainConfig:
-    """TrainConfig from the `train` section, whose other keys are its field names."""
-    t = dict(config["train"])
+    """TrainConfig from the `train` section, whose keys are field names of BatchSpec,
+    LossConfig or TrainConfig; a null margin is the loss's own."""
     seed = int(config["seed"])
-    spec = BatchSpec(t.pop("num_places"), t.pop("images_per_place"), rng_seed=seed)
-    margin = t.pop("margin")
-    loss_config = LossConfig(
-        margin=default_loss_config(t["loss"]).margin if margin is None else margin,
-        ms_alpha=t.pop("ms_alpha"),
-        ms_beta=t.pop("ms_beta"),
-    )
-    t["grid"] = tuple(t["grid"])
+    t = dict(config["train"], grid=tuple(config["train"]["grid"]), rng_seed=seed)
+    if t["margin"] is None:
+        t["margin"] = default_loss_config(t["loss"]).margin
+
+    def take(cls):  # `cls` from its keys, taken out of `t`, which keeps TrainConfig's
+        return cls(**{f.name: t.pop(f.name) for f in dataclasses.fields(cls) if f.name in t})
+
+    spec, loss_config = take(BatchSpec), take(LossConfig)
     return TrainConfig(batch_spec=spec, loss_config=loss_config, rng_seed=seed + 1, **t)
 
 

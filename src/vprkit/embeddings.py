@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroNormError
+from .errors import NonFiniteNormError, ZeroNormError
 
 NORM_EPS = 1e-12
 UNIT_TOL = 1e-6
@@ -44,9 +44,14 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise L2 normalization of a 2-D array, and its (N, 1) row norms."""
+    """Row-wise L2 normalization of a 2-D array, and its (N, 1) row norms; a NonFiniteNormError
+    names a row whose norm is infinite (its squares overflow) or NaN, a ZeroNormError one of 0."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a norm that overflows is named below
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+    bad = first_nonfinite_row(norms)
+    if bad is not None:
+        raise NonFiniteNormError(f"row {bad} has norm {norms[bad, 0]:.3e}")
     if np.any(norms <= NORM_EPS):
         bad = int(np.argmin(norms))
         raise ZeroNormError(f"row {bad} has norm {norms[bad, 0]:.3e}")

@@ -16,6 +16,10 @@ class ZeroNormError(VprkitError):
     """A vector that must be normalized has (near-)zero norm."""
 
 
+class NonFiniteNormError(VprkitError):
+    """A vector that must be normalized has an infinite or NaN norm."""
+
+
 class SamplerError(VprkitError):
     """The database cannot satisfy the requested batch specification."""
 

@@ -103,30 +103,14 @@ def _resolve_sim(batch: EmbeddingBatch, sim: np.ndarray | None) -> np.ndarray:
     return sim
 
 
-def _mined_masks(n: int, pairs) -> list[np.ndarray]:
-    """The `positive` and `negative` masks of `pairs` as (n, n) booleans.
-
-    Masks with an entry must be (n, n): an entry of another shape would
-    name the wrong pairs. Masks without one are the empty set of any
-    batch, as `MinedSet()` is.
-    """
-    masks = [np.asarray(mask, dtype=bool) for mask in (pairs.positive, pairs.negative)]
-    if any(mask.shape != (n, n) for mask in masks):
-        if any(mask.any() for mask in masks):
-            shapes = [mask.shape for mask in masks]
-            raise ValueError(f"mined masks have shapes {shapes}; a batch of {n} needs ({n}, {n})")
-        masks = [np.zeros((n, n), dtype=bool)] * 2
-    return masks
-
-
-def _mined_index(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+def _mined_index(n: int, pairs: MinedSet) -> tuple[np.ndarray, np.ndarray]:
     """The sorted flat row-major indices of the positive and negative entries of
-    `pairs`: the ones its miner found (`MinedSet.flat_index`), else one
-    `np.flatnonzero` scan of each mask checked by `_mined_masks`."""
-    flat = getattr(pairs, "flat_index", None)
-    if flat is not None and pairs.positive.shape == pairs.negative.shape == (n, n):
-        return flat
-    return tuple(map(np.flatnonzero, _mined_masks(n, pairs)))
+    `pairs` (`MinedSet.flat_index`), whose masks with an entry must be (n, n):
+    an entry of another shape would name the wrong pairs."""
+    shapes = [mask.shape for mask in (pairs.positive, pairs.negative)]
+    if any(len(flat) and shape != (n, n) for flat, shape in zip(pairs.flat_index, shapes)):
+        raise ValueError(f"mined masks have shapes {shapes}; a batch of {n} needs ({n}, {n})")
+    return pairs.flat_index
 
 
 def contrastive_loss(
@@ -319,9 +303,11 @@ def weak_triplet_loss(
     """
     if isinstance(weak, WeakTuple):
         return weak_triplet_total(batch, [weak], cfg, sim=sim)
-    pos, neg = _mined_masks(len(batch), weak)
-    query = np.flatnonzero(pos.any(axis=1))
-    return _weak_triplet(batch, sim, query, pos[query], neg[query], cfg)
+    n = len(batch)
+    pos, neg = _mined_index(n, weak)
+    query = np.unique(pos // n)
+    cells = query[:, None] * n + np.arange(n)  # the flat indices of the query rows
+    return _weak_triplet(batch, sim, query, np.isin(cells, pos), np.isin(cells, neg), cfg)
 
 
 def weak_tuples_from_labels(labels) -> list[WeakTuple]:

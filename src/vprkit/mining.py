@@ -3,16 +3,15 @@
 Mining runs on the batch similarity matrix right after the forward pass
 and picks the informative pairs the loss should see. No miner loops over
 anchors or pairs in Python. `enumerate_pairs` is a masked expression over
-the whole (N, N) matrix. `hardest_mining` and `ms_mining` work from the
-batch's label groups: a row's same-label entries come from the labels
-alone, so they build no (N, N) label mask. Each copies the similarities
-once with each row's own group at -inf, and one reduction of that copy
-gives the hardest negatives. `ms_mining` then keeps the negatives above
-each row's threshold with one comparison and finds their flat indices
-with one scan, which it hands to the losses with its masks. All
-selection is deterministic:
-ties break toward the smallest index, so identical inputs always yield
-identical mined sets.
+the whole (N, N) matrix. `hardest_mining` and `ms_mining` start from the
+batch's label groups (`_label_groups`): a row's same-label entries come
+from the labels alone, so they build no (N, N) label mask, and one copy
+of the similarities with each row's own group at -inf gives the hardest
+negatives in one reduction. `ms_mining` then keeps the negatives above
+each row's threshold with one comparison. Every mined set finds the flat
+indices of its pairs once, when it is made, and the losses read those.
+All selection is deterministic: ties break toward the smallest index, so
+identical inputs always yield identical mined sets.
 """
 
 from __future__ import annotations
@@ -42,18 +41,30 @@ class MinedSet:
         triplet miners only;
     skipped_anchors: anchors that had no positive or no negative in batch;
     flat_index: the sorted flat row-major indices of `positive` and of
-        `negative`, set only by a miner that found its pairs as indices.
-        Its masks are then read-only, so the two forms cannot drift apart.
+        `negative`, found once when the set is made. The masks (the arrays
+        passed, when boolean) are then read-only, so the two forms cannot
+        drift apart.
 
-    The default is the empty set for a batch of any size.
+    Masks with an entry must share one (N, N) shape; a mask without one is
+    empty for a batch of any size, so the default is the empty set of any batch.
     """
 
     positive: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
     negative: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
     triplet_index: np.ndarray | None = None
     skipped_anchors: list[int] = field(default_factory=list)
-    flat_index: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    flat_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        masks = [np.asarray(mask, dtype=bool) for mask in (self.positive, self.negative)]
+        self.flat_index = tuple(np.flatnonzero(mask) for mask in masks)
+        shapes = {mask.shape for mask, flat in zip(masks, self.flat_index) if len(flat)}
+        if len(shapes) > 1 or any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
+            raise ValueError(f"mined masks have shapes {[mask.shape for mask in masks]}; "
+                             "masks with an entry need one (N, N) shape")
+        for mask in masks:
+            mask.flags.writeable = False
+        self.positive, self.negative = masks
 
     @property
     def positive_pairs(self) -> list[tuple[int, int]]:
@@ -73,8 +84,8 @@ class MinedSet:
 
     def stats(self) -> dict[str, int]:
         return {
-            "positives": int(np.count_nonzero(self.positive)),
-            "negatives": int(np.count_nonzero(self.negative)),
+            "positives": len(self.flat_index[0]),
+            "negatives": len(self.flat_index[1]),
             "triplets": 0 if self.triplet_index is None else len(self.triplet_index),
             "skipped_anchors": len(self.skipped_anchors),
         }
@@ -103,55 +114,17 @@ def enumerate_pairs(labels: np.ndarray) -> MinedSet:
     return MinedSet(same, diff)
 
 
-def hardest_mining(sim: np.ndarray, labels: np.ndarray) -> MinedSet:
-    """One triplet per anchor: least similar positive, most similar negative.
-
-    Anchors without any positive or any negative in the batch contribute
-    nothing and are recorded in skipped_anchors. Similarities must be
-    finite: a row's hardest negative is the row maximum of a copy of `sim`
-    whose same-label entries are -inf, which an infinite similarity would
-    tie with. Its hardest positive comes from the label groups' entries off
-    the diagonal, as in `ms_mining`. Ties go to the smallest index.
-    """
+def _label_groups(sim, labels) -> tuple[np.ndarray, ...]:
+    """`sim` as float64; the sorted flat row-major indices of the same-label entries off the
+    diagonal (each row's positives, by row and then column); each row's label count, itself
+    included, and the start of its run among those indices; and a copy of `sim` with each row's
+    own group, the diagonal included, at -inf. The groups come from a stable sort of the labels,
+    in any label order, with work in the number of same-label entries, not in N^2."""
     sim = np.asarray(sim, dtype=np.float64)
     labels = np.asarray(labels)
     n = len(labels)
     if sim.shape != (n, n):
         raise ValueError(f"similarity matrix has shape {sim.shape}; {n} labels need ({n}, {n})")
-    same, counts = _same_label_index(labels)
-    has_both = (counts > 1) & (counts < n)
-    anchors = np.flatnonzero(has_both)
-
-    candidates = same[same // n != same % n]  # sorted, so row by row and then by column
-    per_row = counts - 1
-    # a stable sort by row, then similarity, puts each row's least similar positive first,
-    # the smallest column among ties
-    by_sim = np.lexsort((sim.take(candidates), candidates // n))
-    hardest_pos = candidates[by_sim[(np.cumsum(per_row) - per_row)[anchors]]] % n
-    other = sim.copy()
-    other.put(same, -np.inf)
-    hardest_neg = other.argmax(axis=1)[anchors]  # argmax returns the smallest index of a tie
-    del other
-    positive = np.zeros((n, n), dtype=bool)
-    negative = np.zeros((n, n), dtype=bool)
-    positive[anchors, hardest_pos] = True
-    negative[anchors, hardest_neg] = True
-    return MinedSet(
-        positive,
-        negative,
-        triplet_index=np.stack([anchors, hardest_pos, hardest_neg], axis=1),
-        skipped_anchors=np.flatnonzero(~has_both).tolist(),
-    )
-
-
-def _same_label_index(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted flat row-major indices of every same-label entry of the (N, N)
-    matrix, the diagonal included, and each row's label count.
-
-    Built from the label groups of a stable sort, in any label order, with
-    work in the number of those entries, not in N^2.
-    """
-    n = len(labels)
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -160,10 +133,40 @@ def _same_label_index(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.repeat(starts, sizes)
     # sorted position p pairs with the sorted positions first[p] .. first[p] + size[p] - 1
     offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    cols = order[np.repeat(first, size) + offset]
+    same = np.sort(np.repeat(order, size) * n + order[np.repeat(first, size) + offset])
     counts = np.empty(n, dtype=np.intp)
     counts[order] = size
-    return np.sort(np.repeat(order, size) * n + cols), counts
+    other = sim.copy()
+    other.put(same, -np.inf)
+    per_row = counts - 1
+    return sim, same[same // n != same % n], counts, np.cumsum(per_row) - per_row, other
+
+
+def hardest_mining(sim: np.ndarray, labels: np.ndarray) -> MinedSet:
+    """One triplet per anchor: least similar positive, most similar negative.
+
+    Anchors without any positive or any negative in the batch contribute
+    nothing and are recorded in skipped_anchors. Similarities must be
+    finite: a row's hardest negative is the row maximum of the copy of
+    `sim` with its own group at -inf (`_label_groups`), which an infinite
+    similarity would tie with. Ties go to the smallest index.
+    """
+    sim, candidates, counts, run_starts, other = _label_groups(sim, labels)
+    n = len(sim)
+    has_both = (counts > 1) & (counts < n)
+    anchors = np.flatnonzero(has_both)
+    # a stable sort by row, then similarity, puts each row's least similar positive first,
+    # the smallest column among ties
+    by_sim = np.lexsort((sim.take(candidates), candidates // n))
+    hardest_pos = candidates[by_sim[run_starts[anchors]]] % n
+    hardest_neg = other.argmax(axis=1)[anchors]  # argmax returns the smallest index of a tie
+    del other
+    positive, negative = np.zeros((2, n, n), dtype=bool)
+    positive[anchors, hardest_pos] = True
+    negative[anchors, hardest_neg] = True
+    triplets = np.stack([anchors, hardest_pos, hardest_neg], axis=1)
+    return MinedSet(positive, negative, triplet_index=triplets,
+                    skipped_anchors=np.flatnonzero(~has_both).tolist())
 
 
 def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = MS_EPSILON) -> MinedSet:
@@ -175,43 +178,28 @@ def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = MS_EPSILON) 
     negative similarity plus epsilon. Anchors lacking either set yield no
     pairs.
 
-    The positives are the label groups' entries off the diagonal, and a
-    row's hardest positive is the minimum over them. Its hardest negative
-    is the row maximum of a copy of `sim` whose same-label entries are
-    -inf, and that copy's entries above the row's threshold are the kept
-    negatives. Minima, maxima and comparisons are exact, so any label
-    order keeps the pairs of the masked full-matrix rule. The mined set
-    carries the sorted flat indices of both sets.
+    From the label groups (`_label_groups`), a row's hardest positive is
+    the minimum over its run of positives, and its hardest negative the row
+    maximum of the copy with its own group at -inf, whose entries above the
+    row's threshold are the kept negatives. Minima, maxima and comparisons
+    are exact, so any label order keeps the pairs of the masked full-matrix
+    rule.
     """
     if not epsilon >= 0:  # NaN fails this comparison too
         raise ValueError("epsilon must be >= 0")
-    sim = np.asarray(sim, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = len(labels)
-    if sim.shape != (n, n):
-        raise ValueError(f"similarity matrix has shape {sim.shape}; {n} labels need ({n}, {n})")
-    same, counts = _same_label_index(labels)
+    sim, candidates, counts, run_starts, other = _label_groups(sim, labels)
+    n = len(sim)
     has_pos = counts > 1
     has_both = has_pos & (counts < n)
-
-    candidates = same[same // n != same % n]  # sorted, so row by row
     values = sim.take(candidates)
-    per_row = counts - 1
     min_pos = np.full(n, np.inf)
-    min_pos[has_pos] = np.minimum.reduceat(values, (np.cumsum(per_row) - per_row)[has_pos])
-    other = sim.copy()
-    other.put(same, -np.inf)
+    min_pos[has_pos] = np.minimum.reduceat(values, run_starts[has_pos])
     max_neg = other.max(axis=1, initial=-np.inf)
     # thresholds only where a row has both sets, so an infinite epsilon meets no infinite extreme
     upper = np.add(max_neg, epsilon, out=np.full(n, -np.inf), where=has_both)
     lower = np.subtract(min_pos, epsilon, out=np.full(n, np.inf), where=has_both)
-
-    pos = candidates[values < upper[candidates // n]]
     negative = other > lower[:, None]
     del other
     positive = np.zeros((n, n), dtype=bool)
-    positive.put(pos, True)
-    positive.flags.writeable = negative.flags.writeable = False
-    mined = MinedSet(positive, negative, skipped_anchors=np.flatnonzero(~has_both).tolist())
-    mined.flat_index = (pos, np.flatnonzero(negative))
-    return mined
+    positive.put(candidates[values < upper[candidates // n]], True)
+    return MinedSet(positive, negative, skipped_anchors=np.flatnonzero(~has_both).tolist())

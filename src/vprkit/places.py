@@ -561,24 +561,6 @@ def _floyd_choices(rng: np.random.Generator, highs: np.ndarray) -> np.ndarray:
     return out.T.ravel()
 
 
-def _choices(rng: np.random.Generator, highs: np.ndarray, tail: list[int]) -> np.ndarray:
-    """`rng.choice(n, k, replace=False)` for the place of each row of the bounds `highs`
-    (`_choice_bounds`), in order and concatenated, with the same values and the same
-    generator state after.
-
-    A place that numpy draws by a tail shuffle, at a row listed in `tail`,
-    is drawn by `rng.choice` itself, at its turn; each run of places between
-    two of them by one `_floyd_choices` call.
-    """
-    k = (highs.shape[1] + 1) // 2
-    parts = []
-    for lo, hi in zip([0, *(p + 1 for p in tail)], [*tail, len(highs)]):
-        parts.append(_floyd_choices(rng, highs[lo:hi]))
-        if hi < len(highs):  # n is the last Floyd bound plus one
-            parts.append(rng.choice(highs[hi, k - 1] + 1, k, replace=False))
-    return np.concatenate(parts)
-
-
 class BatchSampler:
     """Epoch-based sampler over a PlacesDB.
 
@@ -587,8 +569,9 @@ class BatchSampler:
     replacement; a trailing chunk smaller than P is dropped. Within a
     batch, each place contributes K of its images drawn without
     replacement: the draws of `rng.choice(n, K, replace=False)` per place,
-    in chunk order, made with one generator call per batch (`_choices`;
-    the order is in the README).
+    in chunk order (the README gives the order). A batch makes them with
+    one generator call (`_floyd_choices`), or, when a place of it falls in
+    numpy's tail-shuffle branch, with those `choice` calls themselves.
     Two samplers built with the same spec produce identical batch sequences.
     """
 
@@ -623,8 +606,12 @@ class BatchSampler:
         order = self._rng.permutation(len(self._first))
         for start in range(0, self.batches_per_epoch * p, p):
             chunk = order[start : start + p]
-            tail = self._tail[chunk].nonzero()[0].tolist()
-            drawn = _choices(self._rng, self._highs[chunk], tail)
+            highs = self._highs[chunk]
+            if self._tail[chunk].any():  # n is the last Floyd bound plus one
+                drawn = np.concatenate([self._rng.choice(n, k, replace=False)
+                                        for n in highs[:, k - 1] + 1])
+            else:
+                drawn = _floyd_choices(self._rng, highs)
             index = (self._first[chunk, None] + drawn.reshape(p, k)).ravel()
             yield Batch(self.labels[index], index, self.rows[index], self.store)
 

@@ -5,10 +5,11 @@ normalize them once into unit-norm descriptors, form the similarity
 matrix, mine informative pairs, evaluate the loss and its gradient, and
 update the aggregation head with SGD (momentum plus L2 weight decay).
 The unit rows are checked once, by `EmbeddingBatch`; `similarity_matrix`
-checks only the squared norms on its product's diagonal. The `ms` miner
-works from the batch's label groups, not from (N, N) label masks, and
-hands the loss its mined entries as sorted flat indices, so no mask is
-scanned twice.
+checks only the squared norms on its product's diagonal. The `ms` and
+`ohm` miners work from the batch's label groups, not from (N, N) label
+masks. A mined set finds its entries' sorted flat indices once, when it
+is made; the loss reads them and the step's stats count them, so no mask
+is scanned twice.
 The backbone is a frozen feature-map source, so the trainable state is
 just the head parameters, and the head's parameter-free stage (pooling)
 runs once over the training maps, in blocks of rows, before the first

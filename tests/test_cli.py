@@ -355,6 +355,18 @@ class TestBuildDb:
             "error: image 'synth_00001_00' of place 1: feature map entries must be finite\n")
         assert not (tmp_path / "run" / "checkpoint.vprc").exists()
 
+    def test_train_whose_row_norms_overflow_fails_cleanly(self, tmp_path):
+        # at this learning rate the head's weights overflow within two epochs; run as its own
+        # process, so that a numpy warning would show on its stderr
+        db = synth(tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-m", "vprkit.cli", "train", "--db", str(db),
+             "--out", str(tmp_path / "run"), *SMALL_TRAIN, "--set", "train.initial_lr=1e308"],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (1, "error: row 0 has norm inf\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):

@@ -12,7 +12,7 @@ from vprkit.embeddings import (
     rows_are_unit,
     similarity_matrix,
 )
-from vprkit.errors import ZeroNormError
+from vprkit.errors import NonFiniteNormError, ZeroNormError
 
 
 class TestL2Normalize:
@@ -118,6 +118,14 @@ class TestEmbeddingBatch:
         m = np.ones((3, 4))
         m[1] = 0.0
         with pytest.raises(ZeroNormError, match="row 1"):
+            normalize_rows(m)
+
+    @pytest.mark.parametrize("value, norm", [(1e300, "inf"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_normalize_rows_non_finite_norm_named(self, value, norm):
+        m = np.ones((3, 4))
+        m[0] = 0.0  # a zero row before it: the non-finite norm is named first
+        m[2, 1] = value  # 1e300 squared overflows, with no warning: pytest makes one an error
+        with pytest.raises(NonFiniteNormError, match=f"^row 2 has norm {norm}$"):
             normalize_rows(m)
 
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -363,7 +362,7 @@ class TestMultiSimilarityOverMinedEntries:
             p = np.array([ROW_FILL[fills[i % len(fills)]] for i in range(n)])
             return rng.uniform(size=(n, n)) < p[:, None]
 
-        pairs = SimpleNamespace(positive=mask(pos_fill), negative=mask(neg_fill))
+        pairs = MinedSet(mask(pos_fill), mask(neg_fill))
         if not (pairs.positive.any() or pairs.negative.any()):
             return
         cfg = LossConfig(margin=margin, ms_alpha=alpha, ms_beta=beta)
@@ -784,9 +783,16 @@ class TestFlatIndexLossesEqualMaskLosses:
         batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
         good = PairLabels.from_labels(batch.labels)
         wrong = np.ones(shape, dtype=bool)
-        for pairs in (MinedSet(wrong, good.negative), MinedSet(good.positive, wrong)):
+        for masks in ((wrong, good.negative), (good.positive, wrong)):
             with pytest.raises(ValueError, match="mined masks have shapes"):
-                loss(batch, pairs, LossConfig())
+                loss(batch, MinedSet(*masks), LossConfig())
+
+    @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
+    def test_set_for_another_batch_size_rejected(self, rng, loss):
+        batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
+        for labels in (np.arange(4) % 2, np.arange(6) % 2):
+            with pytest.raises(ValueError, match=r"mined masks have shapes .*; a batch of 5 needs"):
+                loss(batch, PairLabels.from_labels(labels), LossConfig())
 
     @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
     def test_empty_masks_of_any_shape_are_the_empty_set(self, rng, loss):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import balanced_labels, random_unit_rows
 from oracles import hardest_triplets_by_scan, ms_pairs_by_scan
 from vprkit.embeddings import EmbeddingBatch, normalize_rows, similarity_matrix
-from vprkit.mining import enumerate_pairs, hardest_mining, ms_mining
+from vprkit.losses import PairLabels
+from vprkit.mining import MinedSet, enumerate_pairs, hardest_mining, ms_mining
 
 
 def random_sim(rng, labels, dim=6):
@@ -215,6 +218,54 @@ class TestMinedSubsets:
         stats = hardest_mining(sim, labels).stats()
         assert stats["triplets"] == 6
         assert stats["skipped_anchors"] == 0
+
+
+class TestFlatIndex:
+    """Every mined set finds the sorted flat indices of its masks once, when it is
+    made, and counts its pairs from them."""
+
+    @staticmethod
+    def check(mined):
+        masks = (mined.positive, mined.negative)
+        assert all(np.array_equal(flat, np.flatnonzero(mask))
+                   for flat, mask in zip(mined.flat_index, masks))
+        stats = mined.stats()
+        assert [stats["positives"], stats["negatives"]] == list(map(np.count_nonzero, masks))
+        assert not any(mask.flags.writeable for mask in masks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           labels=st.lists(st.integers(-3, 5), min_size=1, max_size=40),
+           epsilon=st.sampled_from([0.0, 0.1, 0.3, np.inf]))
+    @example(seed=0, labels=[2], epsilon=0.1)
+    @example(seed=0, labels=[4] * 7, epsilon=0.1)
+    def test_every_miner_and_pair_labels(self, seed, labels, epsilon):
+        labels = np.array(labels)
+        sim = random_sim(np.random.default_rng(seed), labels)
+        mined = [ms_mining(sim, labels, epsilon), hardest_mining(sim, labels),
+                 PairLabels.from_labels(labels)]
+        if len(labels) > 1:  # enumerate_pairs needs a pair
+            mined.append(enumerate_pairs(labels))
+        for each in mined:
+            self.check(each)
+
+    def test_empty_set(self):
+        self.check(MinedSet())
+        assert MinedSet().stats() == {"positives": 0, "negatives": 0, "triplets": 0,
+                                      "skipped_anchors": 0}
+
+    def test_a_mask_without_an_entry_may_have_any_shape(self):
+        negative = ~np.eye(4, dtype=bool)
+        mined = MinedSet(np.zeros((0, 0), dtype=bool), negative)
+        self.check(mined)
+        assert mined.stats()["negatives"] == 12
+
+    @pytest.mark.parametrize("positive, negative", [
+        ((4, 4), (5, 5)), ((30,), (30,)), ((5, 6), (5, 6)), ((5, 5, 1), (0, 0)), ((0, 0), (2, 3))])
+    def test_masks_of_the_wrong_shape_rejected_when_made(self, positive, negative):
+        message = r"^mined masks have shapes \[.*\]; masks with an entry need one \(N, N\) shape$"
+        with pytest.raises(ValueError, match=message):
+            MinedSet(np.ones(positive, dtype=bool), np.ones(negative, dtype=bool))
 
 
 class TestUnbalancedOracles:
