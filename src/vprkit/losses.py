@@ -6,6 +6,11 @@ with respect to the embedding rows. Because rows live on the unit sphere,
 gradients are composed with the sphere-normalization Jacobian at unit
 rows (`embeddings.tangent_project`), so the trainer receives the derivative
 of ``loss(normalize(raw_rows))`` in a single consistent convention.
+
+A mined set reaches a loss as the sorted flat row-major indices of its
+positive and negative entries. A loss checks once that a set with an
+entry is for its batch size, reads the mined similarities with `take` and
+writes the similarity weights by integer assignment.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingBatch, similarity_matrix, tangent_project
-from .mining import MinedSet, label_masks
+from .mining import MinedSet, enumerate_pairs
 
 
 @dataclass
@@ -27,10 +32,12 @@ class LossConfig:
     ms_beta: float = 50.0
 
     def __post_init__(self):
-        if not np.isfinite(self.margin):
-            raise ValueError("margin must be finite")
-        if not (self.ms_alpha > 0 and self.ms_beta > 0):  # NaN fails these comparisons too
-            raise ValueError("ms_alpha and ms_beta must be positive")
+        # similarities lie in [-1, 1], so a margin in [-2, 2] covers every hinge ordering;
+        # inside these bounds every loss and its gradient stay finite (NaN fails them too)
+        if not -2.0 <= self.margin <= 2.0:
+            raise ValueError("margin must be in [-2, 2]")
+        if not (1e-3 <= self.ms_alpha <= 1e4 and 1e-3 <= self.ms_beta <= 1e4):
+            raise ValueError("ms_alpha and ms_beta must be in [0.001, 10000]")
 
 
 # the loss kinds; kind `k` is computed by `<k>_loss`
@@ -62,9 +69,12 @@ class PairLabels(MinedSet):
 
     @classmethod
     def from_labels(cls, labels) -> "PairLabels":
-        """The masks of `mining.enumerate_pairs`; one label gives the empty 1 x 1 set."""
-        same, diff, _ = label_masks(labels)
-        return cls(same, diff)
+        """The pairs of `mining.enumerate_pairs`; one label gives the empty set of one sample."""
+        labels = np.asarray(labels)
+        if labels.size < 2:
+            return cls(labels.size)
+        pairs = enumerate_pairs(labels)
+        return cls(pairs.n, pairs.positive_index, pairs.negative_index)
 
 
 @dataclass
@@ -105,12 +115,11 @@ def _resolve_sim(batch: EmbeddingBatch, sim: np.ndarray | None) -> np.ndarray:
 
 def _mined_index(n: int, pairs: MinedSet) -> tuple[np.ndarray, np.ndarray]:
     """The sorted flat row-major indices of the positive and negative entries of
-    `pairs` (`MinedSet.flat_index`), whose masks with an entry must be (n, n):
-    an entry of another shape would name the wrong pairs."""
-    shapes = [mask.shape for mask in (pairs.positive, pairs.negative)]
-    if any(len(flat) and shape != (n, n) for flat, shape in zip(pairs.flat_index, shapes)):
-        raise ValueError(f"mined masks have shapes {shapes}; a batch of {n} needs ({n}, {n})")
-    return pairs.flat_index
+    `pairs`, which, when it has an entry, must be a set for a batch of n: an index
+    into another batch's matrix would name the wrong pairs."""
+    if (len(pairs.positive_index) or len(pairs.negative_index)) and pairs.n != n:
+        raise ValueError(f"mined set is for a batch of {pairs.n}; this batch has {n}")
+    return pairs.positive_index, pairs.negative_index
 
 
 def contrastive_loss(
@@ -312,11 +321,11 @@ def weak_triplet_loss(
 
 def weak_tuples_from_labels(labels) -> list[WeakTuple]:
     """One in-batch weak tuple per anchor that has a positive and a negative."""
-    same, diff, has_both = label_masks(labels)
-    return [
-        WeakTuple(int(q), np.flatnonzero(same[q]).tolist(), np.flatnonzero(diff[q]).tolist())
-        for q in np.flatnonzero(has_both)
-    ]
+    labels = np.asarray(labels)
+    cols = np.arange(len(labels))
+    rows = [(cols[(labels == label) & (cols != q)].tolist(), cols[labels != label].tolist())
+            for q, label in enumerate(labels)]
+    return [WeakTuple(q, pos, neg) for q, (pos, neg) in enumerate(rows) if pos and neg]
 
 
 def weak_triplet_total(

@@ -2,16 +2,17 @@
 
 Mining runs on the batch similarity matrix right after the forward pass
 and picks the informative pairs the loss should see. No miner loops over
-anchors or pairs in Python. `enumerate_pairs` is a masked expression over
-the whole (N, N) matrix. `hardest_mining` and `ms_mining` start from the
+anchors or pairs in Python. A mined set holds its pairs as the sorted
+flat row-major indices i * n + j of the (n, n) similarity matrix, and the
+losses read those indices. `enumerate_pairs` finds the same-label entries
+and their complement. `hardest_mining` and `ms_mining` start from the
 batch's label groups (`_label_groups`): a row's same-label entries come
 from the labels alone, so they build no (N, N) label mask, and one copy
 of the similarities with each row's own group at -inf gives the hardest
-negatives in one reduction. `ms_mining` then keeps the negatives above
-each row's threshold with one comparison. Every mined set finds the flat
-indices of its pairs once, when it is made, and the losses read those.
-All selection is deterministic: ties break toward the smallest index, so
-identical inputs always yield identical mined sets.
+negatives in one reduction. `hardest_mining` writes one index per anchor
+and side; `ms_mining` keeps the negatives above each row's threshold
+with one comparison. All selection is deterministic: ties break toward
+the smallest index, so identical inputs always yield identical mined sets.
 """
 
 from __future__ import annotations
@@ -26,55 +27,51 @@ MS_EPSILON = 0.1  # ms_mining's margin around an anchor's hardest opposite simil
 MINER_KINDS = ("all", "ohm", "ms")
 
 
-def _pair_list(mask: np.ndarray) -> list[tuple[int, int]]:
-    rows, cols = np.nonzero(mask)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 @dataclass
 class MinedSet:
-    """Pairs (and optionally triplets) selected within a batch of N samples.
+    """Pairs (and optionally triplets) selected within a batch of n samples.
 
-    positive: (N, N) bool, row i marks anchor i's kept positives;
-    negative: (N, N) bool, row i marks anchor i's kept negatives;
+    positive_index: the sorted flat row-major indices i * n + j of the kept
+        (anchor i, positive j) pairs;
+    negative_index: the same for the kept (anchor i, negative k) pairs;
     triplet_index: (T, 3) intp (anchor, positive, negative) rows, set by
         triplet miners only;
-    skipped_anchors: anchors that had no positive or no negative in batch;
-    flat_index: the sorted flat row-major indices of `positive` and of
-        `negative`, found once when the set is made. The masks (the arrays
-        passed, when boolean) are then read-only, so the two forms cannot
-        drift apart.
+    skipped_anchors: anchors that had no positive or no negative in batch.
 
-    Masks with an entry must share one (N, N) shape; a mask without one is
-    empty for a batch of any size, so the default is the empty set of any batch.
+    Each index array becomes a read-only 1-D intp array when the set is
+    made, and must be strictly increasing within [0, n * n): the losses'
+    row reductions rely on that order. A set without an entry is empty for
+    a batch of any size, so the default is the empty set of any batch.
     """
 
-    positive: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
-    negative: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+    n: int = 0
+    positive_index: np.ndarray = ()
+    negative_index: np.ndarray = ()
     triplet_index: np.ndarray | None = None
     skipped_anchors: list[int] = field(default_factory=list)
-    flat_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        masks = [np.asarray(mask, dtype=bool) for mask in (self.positive, self.negative)]
-        self.flat_index = tuple(np.flatnonzero(mask) for mask in masks)
-        shapes = {mask.shape for mask, flat in zip(masks, self.flat_index) if len(flat)}
-        if len(shapes) > 1 or any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
-            raise ValueError(f"mined masks have shapes {[mask.shape for mask in masks]}; "
-                             "masks with an entry need one (N, N) shape")
-        for mask in masks:
-            mask.flags.writeable = False
-        self.positive, self.negative = masks
+        for name in ("positive_index", "negative_index"):
+            index = np.asarray(getattr(self, name), dtype=np.intp).reshape(-1)
+            if len(index) and not (0 <= index[0] and index[-1] < self.n * self.n
+                                   and np.all(index[1:] > index[:-1])):
+                raise ValueError(f"{name} must be strictly increasing in [0, {self.n * self.n})")
+            index.flags.writeable = False
+            setattr(self, name, index)
+
+    def _pairs(self, index: np.ndarray) -> list[tuple[int, int]]:
+        rows, cols = np.divmod(index, self.n)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     @property
     def positive_pairs(self) -> list[tuple[int, int]]:
         """(anchor, positive) pairs in row-major order."""
-        return _pair_list(self.positive)
+        return self._pairs(self.positive_index)
 
     @property
     def negative_pairs(self) -> list[tuple[int, int]]:
         """(anchor, negative) pairs in row-major order."""
-        return _pair_list(self.negative)
+        return self._pairs(self.negative_index)
 
     @property
     def triplets(self) -> list[tuple[int, int, int]] | None:
@@ -84,21 +81,11 @@ class MinedSet:
 
     def stats(self) -> dict[str, int]:
         return {
-            "positives": len(self.flat_index[0]),
-            "negatives": len(self.flat_index[1]),
+            "positives": len(self.positive_index),
+            "negatives": len(self.negative_index),
             "triplets": 0 if self.triplet_index is None else len(self.triplet_index),
             "skipped_anchors": len(self.skipped_anchors),
         }
-
-
-def label_masks(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, N) same-label (diagonal cleared) and different-label masks, and
-    the (N,) anchors that have both a positive and a negative."""
-    labels = np.asarray(labels)
-    same = labels[:, None] == labels[None, :]
-    diff = ~same
-    np.fill_diagonal(same, False)
-    return same, diff, same.any(axis=1) & diff.any(axis=1)
 
 
 def enumerate_pairs(labels: np.ndarray) -> MinedSet:
@@ -110,8 +97,10 @@ def enumerate_pairs(labels: np.ndarray) -> MinedSet:
     labels = np.asarray(labels)
     if labels.size < 2:
         raise ValueError("need at least 2 samples to form pairs")
-    same, diff, _ = label_masks(labels)
-    return MinedSet(same, diff)
+    same = labels[:, None] == labels[None, :]
+    negative = np.flatnonzero(~same)
+    np.fill_diagonal(same, False)
+    return MinedSet(len(labels), np.flatnonzero(same), negative)
 
 
 def _label_groups(sim, labels) -> tuple[np.ndarray, ...]:
@@ -160,13 +149,9 @@ def hardest_mining(sim: np.ndarray, labels: np.ndarray) -> MinedSet:
     by_sim = np.lexsort((sim.take(candidates), candidates // n))
     hardest_pos = candidates[by_sim[run_starts[anchors]]] % n
     hardest_neg = other.argmax(axis=1)[anchors]  # argmax returns the smallest index of a tie
-    del other
-    positive, negative = np.zeros((2, n, n), dtype=bool)
-    positive[anchors, hardest_pos] = True
-    negative[anchors, hardest_neg] = True
     triplets = np.stack([anchors, hardest_pos, hardest_neg], axis=1)
-    return MinedSet(positive, negative, triplet_index=triplets,
-                    skipped_anchors=np.flatnonzero(~has_both).tolist())
+    return MinedSet(n, anchors * n + hardest_pos, anchors * n + hardest_neg,
+                    triplet_index=triplets, skipped_anchors=np.flatnonzero(~has_both).tolist())
 
 
 def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = MS_EPSILON) -> MinedSet:
@@ -198,8 +183,6 @@ def ms_mining(sim: np.ndarray, labels: np.ndarray, epsilon: float = MS_EPSILON) 
     # thresholds only where a row has both sets, so an infinite epsilon meets no infinite extreme
     upper = np.add(max_neg, epsilon, out=np.full(n, -np.inf), where=has_both)
     lower = np.subtract(min_pos, epsilon, out=np.full(n, np.inf), where=has_both)
-    negative = other > lower[:, None]
-    del other
-    positive = np.zeros((n, n), dtype=bool)
-    positive.put(candidates[values < upper[candidates // n]], True)
-    return MinedSet(positive, negative, skipped_anchors=np.flatnonzero(~has_both).tolist())
+    return MinedSet(n, candidates[values < upper[candidates // n]],
+                    np.flatnonzero(other > lower[:, None]),
+                    skipped_anchors=np.flatnonzero(~has_both).tolist())

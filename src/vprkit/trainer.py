@@ -7,9 +7,8 @@ update the aggregation head with SGD (momentum plus L2 weight decay).
 The unit rows are checked once, by `EmbeddingBatch`; `similarity_matrix`
 checks only the squared norms on its product's diagonal. The `ms` and
 `ohm` miners work from the batch's label groups, not from (N, N) label
-masks. A mined set finds its entries' sorted flat indices once, when it
-is made; the loss reads them and the step's stats count them, so no mask
-is scanned twice.
+masks. A mined set is the sorted flat indices of its entries; the loss
+reads them and the step's stats count them.
 The backbone is a frozen feature-map source, so the trainable state is
 just the head parameters, and the head's parameter-free stage (pooling)
 runs once over the training maps, in blocks of rows, before the first

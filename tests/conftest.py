@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vprkit.embeddings import normalize_rows
+from vprkit.mining import MinedSet
 
 
 @pytest.fixture
@@ -20,6 +21,20 @@ def random_unit_rows(rng, n, d):
 def balanced_labels(num_places, images_per_place):
     """Labels for a P x K batch: P groups of K identical ids."""
     return np.repeat(np.arange(num_places), images_per_place)
+
+
+def mined_from_masks(positive, negative, triplet_index=None):
+    """The MinedSet of the entries of boolean masks, for a batch of len(positive) samples."""
+    return MinedSet(len(positive), np.flatnonzero(positive), np.flatnonzero(negative),
+                    triplet_index=triplet_index)
+
+
+def masks_of(mined):
+    """A mined set's entries as dense (n, n) boolean masks `positive` and `negative`."""
+    masks = np.zeros((2, mined.n * mined.n), dtype=bool)
+    masks[0, mined.positive_index] = masks[1, mined.negative_index] = True
+    positive, negative = masks.reshape(2, mined.n, mined.n)
+    return SimpleNamespace(positive=positive, negative=negative)
 
 
 @pytest.fixture

@@ -1289,6 +1289,26 @@ class TestNonFiniteConfigNumbers:
         assert not (tmp_path / "run").exists()
 
 
+class TestLossConfigDomain:
+    @pytest.mark.parametrize("assignments, message", [
+        (["train.margin=1e308"], "margin must be in [-2, 2]"),
+        (["train.ms_alpha=1e308"], "ms_alpha and ms_beta must be in [0.001, 10000]"),
+        (["train.loss=contrastive", "train.miner=all", "train.margin=-1e308"],
+         "margin must be in [-2, 2]"),
+    ], ids=["margin", "ms_alpha", "contrastive_margin"])
+    def test_value_whose_loss_overflows_fails_cleanly(self, tmp_path, assignments, message):
+        # run as its own process, so that a numpy warning would show on its stderr
+        db = synth(tmp_path)
+        sets = [arg for assignment in assignments for arg in ("--set", assignment)]
+        result = subprocess.run(
+            [sys.executable, "-m", "vprkit.cli", "train", "--db", str(db),
+             "--out", str(tmp_path / "run"), *SMALL_TRAIN, *sets],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+
 class TestTrainHoldOut:
     @pytest.mark.parametrize("holdout", [0, -1])
     def test_train_rejects_what_eval_rejects(self, tmp_path, capsys, holdout):

@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import balanced_labels, random_unit_rows
+from conftest import balanced_labels, masks_of, mined_from_masks, random_unit_rows
 from oracles import numeric_gradient, relative_error
-from vprkit import losses
+from vprkit import losses, trainer
 from vprkit.embeddings import EmbeddingBatch, normalize_rows, similarity_matrix
 from vprkit.losses import (
+    LOSS_KINDS,
     LossConfig,
     PairLabels,
     WeakTuple,
@@ -21,7 +23,8 @@ from vprkit.losses import (
     weak_triplet_total,
     weak_tuples_from_labels,
 )
-from vprkit.mining import MinedSet, enumerate_pairs, hardest_mining, ms_mining
+from vprkit.mining import MINER_KINDS, MinedSet, enumerate_pairs, hardest_mining, ms_mining
+from vprkit.places import BatchSpec
 
 
 def rows_with_similarity(s):
@@ -41,7 +44,7 @@ def mined_set(n, positive_pairs=(), negative_pairs=(), triplets=None):
     for mask, pairs in zip(masks, (positive_pairs, negative_pairs)):
         mask[tuple(np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T)] = True
     trips = None if triplets is None else np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
-    return MinedSet(masks[0], masks[1], triplet_index=trips)
+    return mined_from_masks(masks[0], masks[1], triplet_index=trips)
 
 
 def fd_gradient(loss_of_batch, batch, h=1e-5):
@@ -184,16 +187,15 @@ class TestPairLabels:
     @given(labels=st.lists(st.integers(0, 3), min_size=2, max_size=12))
     def test_masks_equal_enumerate_pairs(self, labels):
         pairs, full = PairLabels.from_labels(labels), enumerate_pairs(labels)
-        assert isinstance(pairs, MinedSet)
-        assert np.array_equal(pairs.positive, full.positive)
-        assert np.array_equal(pairs.negative, full.negative)
+        assert isinstance(pairs, MinedSet) and pairs.n == full.n
+        assert np.array_equal(pairs.positive_index, full.positive_index)
+        assert np.array_equal(pairs.negative_index, full.negative_index)
 
     @pytest.mark.parametrize("loss", [contrastive_loss, multi_similarity_loss, weak_triplet_loss])
     def test_one_label_is_the_empty_set(self, rng, loss):
         batch = EmbeddingBatch(random_unit_rows(rng, 1, 4), np.array([3]))
         pairs = PairLabels.from_labels(batch.labels)
-        assert pairs.positive.shape == pairs.negative.shape == (1, 1) and not pairs.positive.any()
-        assert not pairs.negative.any()
+        assert pairs.n == 1 and pairs.stats()["positives"] == pairs.stats()["negatives"] == 0
         out = loss(batch, pairs, LossConfig())
         assert out.degenerate and out.value == 0.0 and not out.grad.any()
 
@@ -269,7 +271,7 @@ class TestMultiSimilarity:
             batch = make_batch(rng)
             sim = similarity_matrix(batch)
             mined = ms_mining(sim, batch.labels, 0.2)
-            if not (mined.positive.any() or mined.negative.any()):
+            if not (len(mined.positive_index) or len(mined.negative_index)):
                 continue
             out = multi_similarity_loss(batch, mined, cfg, sim=sim)
             fd = fd_gradient(lambda b: multi_similarity_loss(b, mined, cfg).value, batch)
@@ -362,12 +364,12 @@ class TestMultiSimilarityOverMinedEntries:
             p = np.array([ROW_FILL[fills[i % len(fills)]] for i in range(n)])
             return rng.uniform(size=(n, n)) < p[:, None]
 
-        pairs = MinedSet(mask(pos_fill), mask(neg_fill))
-        if not (pairs.positive.any() or pairs.negative.any()):
+        pairs = mined_from_masks(mask(pos_fill), mask(neg_fill))
+        if not (len(pairs.positive_index) or len(pairs.negative_index)):
             return
         cfg = LossConfig(margin=margin, ms_alpha=alpha, ms_beta=beta)
         out = multi_similarity_loss(batch, pairs, cfg, sim=sim)
-        value, grad = dense_multi_similarity(batch, pairs, cfg, sim)
+        value, grad = dense_multi_similarity(batch, masks_of(pairs), cfg, sim)
         assert np.float64(out.value).tobytes() == np.float64(value).tobytes()
         assert out.grad.tobytes() == grad.tobytes()
 
@@ -379,9 +381,9 @@ class TestMultiSimilarityOverMinedEntries:
         sim = similarity_matrix(batch)
         cfg = LossConfig(margin=0.5, ms_alpha=2.0, ms_beta=50.0)
         for pairs in (ms_mining(sim, labels, 0.1), enumerate_pairs(labels)):
-            assert pairs.negative.any()
+            assert len(pairs.negative_index)
             out = multi_similarity_loss(batch, pairs, cfg, sim=sim)
-            value, grad = dense_multi_similarity(batch, pairs, cfg, sim)
+            value, grad = dense_multi_similarity(batch, masks_of(pairs), cfg, sim)
             assert out.value == value
             assert out.grad.tobytes() == grad.tobytes()
 
@@ -547,8 +549,9 @@ class TestWeakTupleBuilders:
         assert tuples[0].definite_negatives == [2, 3]
 
 
-def tuples_from_masks(pos, neg):
+def tuples_from_masks(masks):
     """One weak tuple per row of (N, N) masks that has a potential positive."""
+    pos, neg = masks.positive, masks.negative
     return [
         WeakTuple(int(q), np.flatnonzero(pos[q]).tolist(), np.flatnonzero(neg[q]).tolist())
         for q in np.flatnonzero(pos.any(axis=1))
@@ -644,8 +647,8 @@ class TestWeakTripletOverMasks:
             return (rng.uniform(size=(n, n)) < p[:, None]) & ~np.eye(n, dtype=bool)
 
         pos = mask(pos_fill)
-        mined = MinedSet(pos, mask(neg_fill) & ~pos)
-        tuples = tuples_from_masks(mined.positive, mined.negative)
+        mined = mined_from_masks(pos, mask(neg_fill) & ~pos)
+        tuples = tuples_from_masks(masks_of(mined))
         cfg = LossConfig(margin=margin)
         out, weights = weak_loss_and_weights(weak_triplet_loss, batch, mined, cfg, sim)
         assert out.degenerate == (not tuples)
@@ -657,7 +660,7 @@ class TestWeakTripletOverMasks:
         cfg = LossConfig(margin=0.2)
         for mined in (PairLabels.from_labels(batch.labels), enumerate_pairs(batch.labels),
                       ms_mining(sim, batch.labels, 0.1), hardest_mining(sim, batch.labels)):
-            tuples = tuples_from_masks(mined.positive, mined.negative)
+            tuples = tuples_from_masks(masks_of(mined))
             out, weights = weak_loss_and_weights(weak_triplet_loss, batch, mined, cfg, sim)
             assert_matches_per_tuple(out, weights, per_tuple_weak_triplet(batch, tuples, cfg, sim))
 
@@ -669,7 +672,7 @@ class TestWeakTripletOverMasks:
         cfg = LossConfig(margin=0.1)
         pos, neg = np.zeros((2, 5, 5), dtype=bool)
         pos[0, [1, 2]] = neg[0, 4] = True
-        for weak in (WeakTuple(0, [2, 1], [4]), MinedSet(pos, neg)):
+        for weak in (WeakTuple(0, [2, 1], [4]), mined_from_masks(pos, neg)):
             out, weights = weak_loss_and_weights(weak_triplet_loss, batch, weak, cfg, sim)
             assert out.value == pytest.approx(0.05, abs=1e-12)
             assert weights[0, 1] == -1.0 and weights[0, 2] == 0.0 and weights[0, 4] == 1.0
@@ -677,7 +680,8 @@ class TestWeakTripletOverMasks:
     def test_rows_without_a_potential_positive_are_not_queries(self, rng):
         batch = EmbeddingBatch(random_unit_rows(rng, 4, 6), np.arange(4))
         neg = ~np.eye(4, dtype=bool)
-        out = weak_triplet_loss(batch, MinedSet(np.zeros((4, 4), dtype=bool), neg), LossConfig())
+        out = weak_triplet_loss(batch, mined_from_masks(np.zeros((4, 4), dtype=bool), neg),
+                                LossConfig())
         assert out.degenerate and out.value == 0.0 and not out.grad.any()
 
 
@@ -763,16 +767,16 @@ class TestFlatIndexLossesEqualMaskLosses:
 
             same = labels[:, None] == labels[None, :]
             np.fill_diagonal(same, False)
-            pairs = MinedSet(same & fill(pos_fill), ~same & fill(neg_fill))
+            pairs = mined_from_masks(same & fill(pos_fill), ~same & fill(neg_fill))
         cfg = LossConfig(margin=margin, ms_alpha=alpha, ms_beta=beta)
-        empty = not (pairs.positive.any() or pairs.negative.any())
+        empty = not (len(pairs.positive_index) or len(pairs.negative_index))
         for loss, reference in self.LOSSES:
             out, weights = weak_loss_and_weights(loss, batch, pairs, cfg, sim)
             assert out.degenerate == empty
             if empty:
                 assert out.value == 0.0 and not out.grad.any()
                 continue
-            value, ref_weights, ref_grad = reference(batch, pairs, cfg, sim)
+            value, ref_weights, ref_grad = reference(batch, masks_of(pairs), cfg, sim)
             assert np.float64(out.value).tobytes() == np.float64(value).tobytes()
             assert weights.tobytes() == ref_weights.tobytes()
             assert out.grad.tobytes() == ref_grad.tobytes()
@@ -780,18 +784,19 @@ class TestFlatIndexLossesEqualMaskLosses:
     @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
     @pytest.mark.parametrize("shape", [(4, 4), (6, 5), (30,), (5, 6, 1)])
     def test_mask_of_the_wrong_shape_rejected(self, rng, loss, shape):
+        # the set of a mask's entries is refused when made (an index past n * n) or by the loss
         batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
-        good = PairLabels.from_labels(batch.labels)
         wrong = np.ones(shape, dtype=bool)
-        for masks in ((wrong, good.negative), (good.positive, wrong)):
-            with pytest.raises(ValueError, match="mined masks have shapes"):
-                loss(batch, MinedSet(*masks), LossConfig())
+        for masks in ((wrong, ~wrong), (~wrong, wrong)):
+            with pytest.raises(ValueError, match=r"(strictly increasing|is for a batch of \d+;)"):
+                loss(batch, mined_from_masks(*masks), LossConfig())
 
     @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
     def test_set_for_another_batch_size_rejected(self, rng, loss):
         batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
         for labels in (np.arange(4) % 2, np.arange(6) % 2):
-            with pytest.raises(ValueError, match=r"mined masks have shapes .*; a batch of 5 needs"):
+            message = r"^mined set is for a batch of [46]; this batch has 5$"
+            with pytest.raises(ValueError, match=message):
                 loss(batch, PairLabels.from_labels(labels), LossConfig())
 
     @pytest.mark.parametrize("loss", [multi_similarity_loss, contrastive_loss, weak_triplet_loss])
@@ -799,7 +804,7 @@ class TestFlatIndexLossesEqualMaskLosses:
         batch = EmbeddingBatch(random_unit_rows(rng, 5, 4), np.arange(5) % 2)
         for shape in [(0, 0), (3, 3), (5, 5)]:
             empty = np.zeros(shape, dtype=bool)
-            assert loss(batch, MinedSet(empty, empty), LossConfig()).degenerate
+            assert loss(batch, mined_from_masks(empty, empty), LossConfig()).degenerate
 
 
 class TestNanHyperparametersRejected:
@@ -807,3 +812,52 @@ class TestNanHyperparametersRejected:
     def test_loss_config(self, field):
         with pytest.raises(ValueError):
             LossConfig(**{field: float("nan")})
+
+
+def domain(low, high):
+    """Floats in [low, high], its endpoints drawn often."""
+    return st.one_of(st.sampled_from([low, high]), st.floats(low, high))
+
+
+class TestLossConfigDomain:
+    """Over the whole LossConfig domain, endpoints included, every loss and miner pair
+    the trainer accepts gives a finite value and gradient without a numpy warning."""
+
+    PAIRS = [(loss, miner) for loss in LOSS_KINDS for miner in MINER_KINDS
+             if loss != "triplet" or miner == "ohm"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           labels=st.lists(st.integers(0, 3), min_size=2, max_size=12),
+           rows=st.sampled_from(["random", "equal", "antipodal"]),
+           margin=domain(-2.0, 2.0), alpha=domain(1e-3, 1e4), beta=domain(1e-3, 1e4))
+    def test_finite_values_and_gradients(self, seed, labels, rows, margin, alpha, beta):
+        rng = np.random.default_rng(seed)
+        n = len(labels)
+        unit = random_unit_rows(rng, 1 if rows != "random" else n, 6)
+        if rows != "random":  # every similarity 1, or +-1 by the row's parity
+            sign = np.where(np.arange(n) % 2, -1.0, 1.0) if rows == "antipodal" else np.ones(n)
+            unit = sign[:, None] * unit
+        batch = EmbeddingBatch(unit, np.array(labels))
+        sim = similarity_matrix(batch)
+        config = LossConfig(margin=margin, ms_alpha=alpha, ms_beta=beta)
+        for loss, miner in self.PAIRS:
+            cfg = trainer.TrainConfig(BatchSpec(2, 2), loss=loss, miner=miner, loss_config=config)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = trainer._loss(cfg, batch, trainer._mine(cfg, sim, batch.labels), sim)
+            assert np.isfinite(out.value) and np.isfinite(out.grad).all(), (loss, miner)
+
+    def test_pairs_are_the_accepted_ones(self):
+        for loss in LOSS_KINDS:
+            for miner in MINER_KINDS:
+                if (loss, miner) not in self.PAIRS:
+                    with pytest.raises(ValueError):
+                        trainer.TrainConfig(BatchSpec(2, 2), loss=loss, miner=miner)
+
+    @pytest.mark.parametrize("field, value", [
+        ("margin", 2.0000001), ("margin", -1e308), ("ms_alpha", 1e-320), ("ms_alpha", 1e308),
+        ("ms_beta", 9.99e-4), ("ms_beta", 10000.01)])
+    def test_values_outside_rejected(self, field, value):
+        with pytest.raises(ValueError, match=r"^(margin|ms_alpha and ms_beta) must be in \["):
+            LossConfig(**{field: value})

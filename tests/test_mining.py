@@ -186,8 +186,6 @@ class TestSamplerShapedBatches:
             assert mined.positive_pairs == pos
             assert mined.negative_pairs == neg
             assert mined.skipped_anchors == []
-            flat = [np.flatnonzero(mined.positive), np.flatnonzero(mined.negative)]
-            assert all(np.array_equal(a, b) for a, b in zip(mined.flat_index, flat))
 
     def test_hardest_matches_exhaustive_scan(self, rng):
         for labels, sim in self.batches(rng):
@@ -196,8 +194,8 @@ class TestSamplerShapedBatches:
             assert mined.triplets == expected
             assert skipped == mined.skipped_anchors == []
             anchors, pos, neg = mined.triplet_index.T
-            assert np.array_equal(np.flatnonzero(mined.positive), anchors * len(labels) + pos)
-            assert np.array_equal(np.flatnonzero(mined.negative), anchors * len(labels) + neg)
+            assert np.array_equal(mined.positive_index, anchors * len(labels) + pos)
+            assert np.array_equal(mined.negative_index, anchors * len(labels) + neg)
 
 
 class TestMinedSubsets:
@@ -221,17 +219,8 @@ class TestMinedSubsets:
 
 
 class TestFlatIndex:
-    """Every mined set finds the sorted flat indices of its masks once, when it is
-    made, and counts its pairs from them."""
-
-    @staticmethod
-    def check(mined):
-        masks = (mined.positive, mined.negative)
-        assert all(np.array_equal(flat, np.flatnonzero(mask))
-                   for flat, mask in zip(mined.flat_index, masks))
-        stats = mined.stats()
-        assert [stats["positives"], stats["negatives"]] == list(map(np.count_nonzero, masks))
-        assert not any(mask.flags.writeable for mask in masks)
+    """A mined set is the sorted flat row-major indices i * n + j of its pairs, checked
+    when it is made, and counts its pairs from them."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -241,31 +230,42 @@ class TestFlatIndex:
     @example(seed=0, labels=[4] * 7, epsilon=0.1)
     def test_every_miner_and_pair_labels(self, seed, labels, epsilon):
         labels = np.array(labels)
+        n = len(labels)
         sim = random_sim(np.random.default_rng(seed), labels)
-        mined = [ms_mining(sim, labels, epsilon), hardest_mining(sim, labels),
-                 PairLabels.from_labels(labels)]
-        if len(labels) > 1:  # enumerate_pairs needs a pair
-            mined.append(enumerate_pairs(labels))
-        for each in mined:
-            self.check(each)
+        triplets, _ = hardest_triplets_by_scan(sim, labels)
+        every = ([(i, j) for i in range(n) for j in range(n) if i != j and labels[i] == labels[j]],
+                 [(i, k) for i in range(n) for k in range(n) if labels[i] != labels[k]])
+        expected = [(ms_mining(sim, labels, epsilon), ms_pairs_by_scan(sim, labels, epsilon)),
+                    (hardest_mining(sim, labels), ([(i, j) for i, j, _ in triplets],
+                                                   [(i, k) for i, _, k in triplets])),
+                    (PairLabels.from_labels(labels), every)]
+        if n > 1:  # enumerate_pairs needs a pair
+            expected.append((enumerate_pairs(labels), every))
+        for mined, pairs in expected:
+            assert mined.n == n
+            for index, side in zip((mined.positive_index, mined.negative_index), pairs):
+                assert index.dtype == np.intp and not index.flags.writeable
+                assert index.tolist() == [i * n + j for i, j in side]
+            stats = mined.stats()
+            assert [stats["positives"], stats["negatives"]] == list(map(len, pairs))
 
     def test_empty_set(self):
-        self.check(MinedSet())
+        assert MinedSet().positive_pairs == MinedSet().negative_pairs == []
         assert MinedSet().stats() == {"positives": 0, "negatives": 0, "triplets": 0,
                                       "skipped_anchors": 0}
 
-    def test_a_mask_without_an_entry_may_have_any_shape(self):
-        negative = ~np.eye(4, dtype=bool)
-        mined = MinedSet(np.zeros((0, 0), dtype=bool), negative)
-        self.check(mined)
-        assert mined.stats()["negatives"] == 12
+    def test_a_side_without_an_entry(self):
+        mined = MinedSet(4, [], np.flatnonzero(~np.eye(4, dtype=bool)))
+        assert mined.positive_pairs == [] and mined.stats()["negatives"] == 12
+        assert mined.negative_pairs[:4] == [(0, 1), (0, 2), (0, 3), (1, 0)]
 
     @pytest.mark.parametrize("positive, negative", [
-        ((4, 4), (5, 5)), ((30,), (30,)), ((5, 6), (5, 6)), ((5, 5, 1), (0, 0)), ((0, 0), (2, 3))])
-    def test_masks_of_the_wrong_shape_rejected_when_made(self, positive, negative):
-        message = r"^mined masks have shapes \[.*\]; masks with an entry need one \(N, N\) shape$"
+        ([2, 1], []), ([1, 1], []), ([-1, 2], []), ([], [3, 16]), ([0, 4], [9, 5])],
+        ids=["unsorted", "duplicate", "negative", "past_n_squared", "unsorted_negative"])
+    def test_bad_indices_rejected_when_made(self, positive, negative):
+        message = r"^(positive|negative)_index must be strictly increasing in \[0, 16\)$"
         with pytest.raises(ValueError, match=message):
-            MinedSet(np.ones(positive, dtype=bool), np.ones(negative, dtype=bool))
+            MinedSet(4, positive, negative)
 
 
 class TestUnbalancedOracles:
